@@ -128,7 +128,7 @@ def _scoring_tables(params: ModelParams, memory: EntityMemory,
     return ScoringTables(entity_matrix=matrix, entity_row=entity_row,
                          relation_matrix=params.gnn.relation_table,
                          relation_row=relation_row, gamma=config.gamma,
-                         tau=config.tau_init, n=config.n_negatives)
+                         n=config.n_negatives)
 
 
 @dataclass

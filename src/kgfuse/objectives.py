@@ -18,7 +18,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import NumericsError, ValidationError
-from .kg import KnowledgeGraph, Triplet, sample_negatives
+# sample_negatives stays importable from this module: perfbench's traced run
+# looks it up here by name.
+from .kg import KnowledgeGraph, Triplet, negative_indices, sample_negatives
 from .tensor import Parameters, Tensor
 
 LOSS_NAMES = ("mlm", "mvm", "linkpred", "itc")
@@ -62,8 +64,7 @@ class ScoringTables:
 
     ``entity_matrix`` holds one row per scoreable entity and ``entity_row``
     maps global entity ids into it; relations work the same way.  ``n`` is
-    the negative count, ``gamma`` the margin, and ``tau`` tags along for the
-    contrastive temperature so one container carries every loss scalar.
+    the negative count and ``gamma`` the margin.
     """
 
     entity_matrix: Tensor
@@ -71,14 +72,11 @@ class ScoringTables:
     relation_matrix: Tensor
     relation_row: dict[int, int]
     gamma: float = 0.0
-    tau: float = 0.07
     n: int = 128
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValidationError("margin gamma must be >= 0")
-        if self.tau <= 0:
-            raise ValidationError("temperature tau must be > 0")
         if self.n < 1:
             raise ValidationError("negative count n must be >= 1")
 
@@ -193,14 +191,19 @@ def distmult(h: Tensor, r: Tensor, t: Tensor) -> Tensor:
     return T.tensor_sum(T.mul(T.mul(h, r), t))
 
 
-def _resolve_rows(tables: ScoringTables, entity_ids: list[int]) -> list[int]:
-    rows = []
-    for e in entity_ids:
+def _entity_rows(tables: ScoringTables, kg: KnowledgeGraph,
+                 dense: np.ndarray) -> np.ndarray:
+    """Scoring-table rows of dense entity indices, each distinct one looked up once."""
+    distinct, inverse = np.unique(dense, return_inverse=True)
+    ids = kg.entity_ids()
+    rows = np.empty(len(distinct), dtype=np.int64)
+    for k, index in enumerate(distinct.tolist()):
+        e = ids[index]
         row = tables.entity_row.get(e)
         if row is None:
             raise ValidationError(f"entity {e} missing from scoring tables")
-        rows.append(row)
-    return rows
+        rows[k] = row
+    return rows[inverse]
 
 
 def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
@@ -210,29 +213,30 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
     Per positive: -log sigmoid(score + gamma) plus the mean over n sampled
     corruptions of -log sigmoid(-score' - gamma).  Negatives corrupt one
     endpoint and are rejected if they collide with a positive triplet of
-    ``kg``.
+    ``kg``; positive ``i`` samples with seed ``seed + i``.
     """
     if not positives:
         raise ValidationError("linkpred_loss needs at least one positive")
     gamma, n = tables.gamma, tables.n
-    head_ids, tail_ids, rel_ids = [], [], []
-    for i, pos in enumerate(positives):
-        pos = Triplet(*pos)
-        negatives = sample_negatives(kg, pos, n, seed=int(seed) + i)
-        head_ids.extend([pos.head] + [neg.head for neg in negatives])
-        tail_ids.extend([pos.tail] + [neg.tail for neg in negatives])
-        rel_ids.extend([pos.relation] * (1 + n))
-
+    positives = [Triplet(*p) for p in positives]
     rel_rows = []
-    for r in rel_ids:
-        row = tables.relation_row.get(r)
+    for pos in positives:
+        row = tables.relation_row.get(pos.relation)
         if row is None:
-            raise ValidationError(f"relation {r} missing from scoring tables")
+            raise ValidationError(f"relation {pos.relation} missing from scoring tables")
         rel_rows.append(row)
+    dense = kg.index_triplets(positives)
+    neg_heads, neg_tails = negative_indices(kg, positives, n, seed)
+    # One row per positive: its head, the n negative heads, its tail, the n
+    # negative tails.
+    entity_rows = _entity_rows(tables, kg, np.concatenate(
+        [dense[:, :1], neg_heads, dense[:, 2:], neg_tails], axis=1))
+    head_rows = entity_rows[:, :1 + n].ravel()
+    tail_rows = entity_rows[:, 1 + n:].ravel()
 
-    h = T.take_rows(tables.entity_matrix, _resolve_rows(tables, head_ids))
-    t = T.take_rows(tables.entity_matrix, _resolve_rows(tables, tail_ids))
-    r = T.take_rows(tables.relation_matrix, rel_rows)
+    h = T.take_rows(tables.entity_matrix, head_rows)
+    t = T.take_rows(tables.entity_matrix, tail_rows)
+    r = T.take_rows(tables.relation_matrix, np.repeat(rel_rows, 1 + n))
     scores = T.tensor_sum(T.mul(T.mul(h, r), t), axis=1)
     grid = T.reshape(scores, (len(positives), 1 + n))
 

@@ -421,6 +421,16 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 # ---- gather / scatter -------------------------------------------------------
 
 
+def _scatter_add(cells: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
+    """Sum ``values`` into a zero array of ``shape`` at flat ``cells``.
+
+    ``np.bincount`` adds into each cell in index order starting from 0.0,
+    as ``np.add.at`` does, so the two agree bitwise.
+    """
+    size = int(np.prod(shape))
+    return np.bincount(cells, weights=values.reshape(-1), minlength=size).reshape(shape)
+
+
 def take_rows(a, indices) -> Tensor:
     """Select rows (axis 0) by an integer index array of any shape.
 
@@ -435,9 +445,9 @@ def take_rows(a, indices) -> Tensor:
     data = a.data[idx]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        width = int(np.prod(a.shape[1:]))
+        cells = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        return (_scatter_add(cells, g, a.shape),)
 
     return Tensor._result(data, (a,), vjp, "take_rows")
 
@@ -457,9 +467,7 @@ def take_pairs(a, rows, cols) -> Tensor:
     data = a.data[rows, cols]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, cols), g)
-        return (ga,)
+        return (_scatter_add(rows * a.shape[1] + cols, g, a.shape),)
 
     return Tensor._result(data, (a,), vjp, "take_pairs")
 

@@ -129,3 +129,46 @@ def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
                 pooled[ent] = (score, p, col)
     final = sorted(pooled.items(), key=lambda kv: (-kv[1][0], kv[0]))[:k_final]
     return [(ent, rec[0]) for ent, rec in final]
+
+
+def reference_sample_negatives(kg, positive, n: int, seed: int,
+                               max_retries: int = 1000):
+    """Scalar negative sampler: two RNG calls and one set probe per candidate.
+
+    A fair coin ``integers(0, 2)`` (1 corrupts the head) then a uniform
+    replacement over the entities in ascending id order; candidates that are
+    triplets of ``kg`` are redrawn, and ``max_retries`` rejections in a row
+    raise ``ValidationError``.
+    """
+    from kgfuse.errors import ValidationError
+    from kgfuse.kg import Triplet
+
+    if n < 1:
+        raise ValidationError("negative sample count must be >= 1")
+    positive = Triplet(*positive)
+    triplets = set(kg.triplets)
+    rng = np.random.default_rng(seed)
+    ids = sorted(kg.entities)
+    out = []
+    for _ in range(n):
+        for attempt in range(max_retries + 1):
+            if attempt == max_retries:
+                raise ValidationError(
+                    f"no valid negative found for {positive} after {max_retries} retries")
+            corrupt_head = bool(rng.integers(0, 2))
+            replacement = ids[int(rng.integers(0, len(ids)))]
+            if corrupt_head:
+                candidate = Triplet(replacement, positive.relation, positive.tail)
+            else:
+                candidate = Triplet(positive.head, positive.relation, replacement)
+            if candidate not in triplets:
+                out.append(candidate)
+                break
+    return out
+
+
+def reference_expand_edges(kg, nodes: list[int]) -> list[tuple[int, int, int]]:
+    """Full scan of ``kg.triplets`` for the edges with both endpoints in ``nodes``."""
+    local = {e: i for i, e in enumerate(nodes)}
+    return [(local[h], r, local[t]) for h, r, t in kg.triplets
+            if h in local and t in local]

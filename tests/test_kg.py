@@ -10,6 +10,8 @@ from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
                        expand_subgraph, holdout_edges, load_kg, neighbors,
                        sample_negatives, save_kg, split_triplet_list)
 
+from helpers import reference_expand_edges, reference_sample_negatives
+
 
 def small_kg() -> KnowledgeGraph:
     entities = {i: NamedRecord(f"e{i}", f"entity {i} about topic {i % 3}")
@@ -163,6 +165,19 @@ class TestExpandSubgraph:
                    for h, r, t in sub.triplets_local}
             assert got == expected
 
+    def test_edge_list_equals_full_scan_in_graph_order(self):
+        # Same list, not just the same set: GNN sums run in this order.
+        kg = toy_corpus_kg()
+        loops = KnowledgeGraph(kg.entities, kg.relations,
+                               kg.triplets + [Triplet(e, 0, e) for e in kg.entity_ids()[::7]])
+        rng = np.random.default_rng(5)
+        for graph in (kg, loops):
+            ids = graph.entity_ids()
+            for trial in range(20):
+                seeds = [ids[i] for i in rng.choice(len(ids), size=4, replace=False)]
+                sub = expand_subgraph(graph, seeds, per_node_cap=6, seed=trial)
+                assert sub.triplets_local == reference_expand_edges(graph, sub.entity_ids)
+
     def test_seeds_first_in_given_order(self):
         kg = small_kg()
         sub = expand_subgraph(kg, [4, 0], per_node_cap=2, seed=1)
@@ -247,3 +262,82 @@ class TestSampleNegatives:
         a = sample_negatives(kg, Triplet(0, 0, 1), 16, seed=7)
         b = sample_negatives(kg, Triplet(0, 0, 1), 16, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("graph", ["criterion5", "default"])
+    def test_equals_scalar_oracle(self, graph):
+        if graph == "criterion5":
+            config = Config(corpus_entities=50, corpus_relations=4,
+                            corpus_triplets=300, corpus_examples=4)
+            kg = generate_corpus(config, seed=5).kg
+        else:
+            kg = generate_corpus(Config(), seed=17).kg
+        for seed in range(200):
+            positive = kg.triplets[(7 * seed) % len(kg.triplets)]
+            n = (1, 5, 32, 128)[seed % 4]
+            assert (sample_negatives(kg, positive, n, seed=seed)
+                    == reference_sample_negatives(kg, positive, n, seed=seed))
+
+    def test_n_equals_one(self):
+        kg = toy_corpus_kg()
+        for seed in range(50):
+            got = sample_negatives(kg, kg.triplets[seed], 1, seed=seed)
+            assert len(got) == 1
+            assert got == reference_sample_negatives(kg, kg.triplets[seed], 1, seed=seed)
+
+    def test_retry_limit_counts_consecutive_rejections(self):
+        # Three entities, one relation and every triplet but those touching
+        # (2, 0, 2): most candidates collide, so rejection runs are long.
+        entities = {e: NamedRecord(f"e{e}", "d") for e in (10, 20, 30)}
+        relations = {0: NamedRecord("r", "d")}
+        triplets = [Triplet(h, 0, t) for h in (10, 20, 30) for t in (10, 20, 30)
+                    if (h, t) not in ((30, 30), (30, 20), (20, 30))]
+        kg = KnowledgeGraph(entities, relations, triplets)
+        positive = Triplet(20, 0, 20)
+        checked = 0
+        for seed in range(40):
+            n = 1 + seed % 3
+            # The longest rejection run before the n-th acceptance is the
+            # smallest limit the oracle survives, minus one.
+            limit = next(k for k in range(1, 200) if _survives(kg, positive, n, seed, k))
+            if limit < 3:
+                continue
+            checked += 1
+            assert (sample_negatives(kg, positive, n, seed, max_retries=limit)
+                    == reference_sample_negatives(kg, positive, n, seed, max_retries=limit))
+            with pytest.raises(ValidationError,
+                               match=rf"after {limit - 1} retries"):
+                sample_negatives(kg, positive, n, seed, max_retries=limit - 1)
+        assert checked >= 10
+
+    def test_unknown_endpoint(self):
+        kg = small_kg()
+        for positive in (Triplet(99, 0, 1), Triplet(0, 0, 99), Triplet(0, 9, 1)):
+            with pytest.raises(ValidationError, match="99|9"):
+                sample_negatives(kg, positive, 4, seed=0)
+
+
+def _survives(kg, positive, n, seed, max_retries) -> bool:
+    try:
+        reference_sample_negatives(kg, positive, n, seed, max_retries=max_retries)
+    except ValidationError:
+        return False
+    return True
+
+
+class TestIdCaches:
+    def test_sorted_copies(self):
+        kg = small_kg()
+        ids = kg.entity_ids()
+        assert ids == sorted(kg.entities)
+        ids.append(1000)
+        assert kg.entity_ids() == sorted(kg.entities)
+        rels = kg.relation_ids()
+        rels.clear()
+        assert kg.relation_ids() == [0, 1]
+
+    def test_has_triplet_of_unknown_ids_is_false(self):
+        kg = small_kg()
+        assert kg.has_triplet(Triplet(0, 0, 1))
+        assert not kg.has_triplet(Triplet(1, 0, 0))
+        assert not kg.has_triplet(Triplet(0, 5, 1))
+        assert not kg.has_triplet(Triplet(77, 0, 1))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgfuse import tensor as T
+from kgfuse.config import Config
+from kgfuse.data import generate_corpus
 from kgfuse.encoders import patchify
 from kgfuse.errors import NumericsError, ValidationError
 from kgfuse.kg import KnowledgeGraph, NamedRecord, Triplet
@@ -16,6 +18,8 @@ from kgfuse.objectives import (ItcParams, MaskingRecord, ScoringTables,
                                mask_patches, mask_spans, mlm_loss, mvm_loss,
                                total_loss)
 from kgfuse.tensor import Tensor
+
+from helpers import reference_sample_negatives
 
 MASK = 1
 
@@ -245,6 +249,51 @@ class TestLinkpredLoss:
             return linkpred_loss([Triplet(0, 0, 1)], tables, kg, seed=seed).item()
 
         assert loss_at(2.0) < loss_at(0.5)
+
+    def test_equals_loss_built_from_scalar_oracle(self):
+        config = Config(corpus_entities=50, corpus_relations=4,
+                        corpus_triplets=300, corpus_examples=4)
+        kg = generate_corpus(config, seed=5).kg
+        rng = np.random.default_rng(8)
+        entity_ids, relation_ids = sorted(kg.entities), sorted(kg.relations)
+        # Rows deliberately not in id order.
+        entity_row = {e: i for i, e in enumerate(reversed(entity_ids))}
+        relation_row = {r: i for i, r in enumerate(reversed(relation_ids))}
+        for trial in range(5):
+            positives = [kg.triplets[i] for i in
+                         rng.choice(len(kg.triplets), size=9, replace=False)]
+            n, seed, gamma = 16, 100 * trial, 0.5 * trial
+            entities = Tensor(rng.standard_normal((len(entity_ids), 6)),
+                              requires_grad=True)
+            relations = Tensor(rng.standard_normal((len(relation_ids), 6)),
+                               requires_grad=True)
+            tables = ScoringTables(entities, entity_row, relations, relation_row,
+                                   gamma=gamma, n=n)
+            loss = linkpred_loss(positives, tables, kg, seed=seed)
+            grads = T.backward(loss)
+
+            ref_entities = Tensor(entities.data.copy(), requires_grad=True)
+            ref_relations = Tensor(relations.data.copy(), requires_grad=True)
+            head_rows, tail_rows, rel_rows = [], [], []
+            for i, pos in enumerate(positives):
+                negatives = reference_sample_negatives(kg, pos, n, seed + i)
+                head_rows += [entity_row[x.head] for x in [pos] + negatives]
+                tail_rows += [entity_row[x.tail] for x in [pos] + negatives]
+                rel_rows += [relation_row[pos.relation]] * (1 + n)
+            h = T.take_rows(ref_entities, head_rows)
+            t = T.take_rows(ref_entities, tail_rows)
+            r = T.take_rows(ref_relations, rel_rows)
+            grid = T.reshape(T.tensor_sum(T.mul(T.mul(h, r), t), axis=1),
+                             (len(positives), 1 + n))
+            pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))
+            neg_term = T.tensor_mean(
+                T.neg(T.log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
+            ref_loss = T.tensor_mean(T.add(pos_term, neg_term))
+            ref_grads = T.backward(ref_loss)
+
+            assert loss.item() == ref_loss.item()
+            assert np.array_equal(grads[entities], ref_grads[ref_entities])
+            assert np.array_equal(grads[relations], ref_grads[ref_relations])
 
     def test_missing_entity_errors(self):
         kg, tables = scoring_fixture()

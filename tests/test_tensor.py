@@ -129,6 +129,41 @@ class TestPrimitiveGradients:
             lambda t: T.tensor_sum(T.power(T.l2_normalize_rows(t), 3.0)), (3, 4), 28)
 
 
+class TestScatterMatchesAddAt:
+    """The gather VJPs sum into each cell in index order, exactly as np.add.at."""
+
+    @staticmethod
+    def _input_grad(build, shape, probe):
+        t = T.Tensor(np.zeros(shape), requires_grad=True)
+        return T.backward(T.tensor_sum(T.mul(build(t), T.constant(probe))))[t]
+
+    @pytest.mark.parametrize("shape,idx_shape", [
+        ((5, 3), (1000,)),      # many repeats per row
+        ((5, 3), (40, 25)),     # 2-D index array
+        ((7,), (500,)),         # 1-D source
+        ((4, 2, 3), (60,)),     # rows that are matrices
+    ])
+    def test_take_rows(self, shape, idx_shape):
+        rng = np.random.default_rng(sum(idx_shape))
+        idx = rng.integers(0, shape[0], size=idx_shape)
+        probe = rng.standard_normal(idx_shape + shape[1:]) * 10.0 ** rng.integers(
+            -8, 8, size=idx_shape + shape[1:])
+        expected = np.zeros(shape)
+        np.add.at(expected, idx, probe)
+        got = self._input_grad(lambda t: T.take_rows(t, idx), shape, probe)
+        assert np.array_equal(got, expected)
+
+    def test_take_pairs(self):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 4, size=800)
+        cols = rng.integers(0, 6, size=800)
+        probe = rng.standard_normal(800) * 10.0 ** rng.integers(-8, 8, size=800)
+        expected = np.zeros((4, 6))
+        np.add.at(expected, (rows, cols), probe)
+        got = self._input_grad(lambda t: T.take_pairs(t, rows, cols), (4, 6), probe)
+        assert np.array_equal(got, expected)
+
+
 class TestClosedForms:
     def test_softmax_symmetry(self):
         out = T.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=0).data
