@@ -109,14 +109,14 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_eval_linkpred(args) -> int:
-    config = _load_config(args)
     ckpt = load_checkpoint(args.checkpoint)
     corpus = generate_corpus(ckpt.config)
     params = build_model(ckpt.config, corpus.kg)
     ckpt.load_into(params.store)
     memory = corpus_memory(corpus)
     em, rm, erow, rrow = model_linkpred_tables(params, memory)
-    holdout = holdout_edges(corpus.kg, config.edge_drop, config.seed)
+    # The split is the checkpoint's own, whatever --config or --seed say.
+    holdout = holdout_edges(corpus.kg, ckpt.config.edge_drop, ckpt.config.seed)
     metrics = eval_linkpred(em, rm, erow, rrow, holdout.held_out, corpus.kg)
     for key, value in metrics.items():
         print(f"{key}\t{value:.4f}")

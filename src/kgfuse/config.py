@@ -127,11 +127,8 @@ class Config:
     # ---- text round trip --------------------------------------------------
 
     def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}"
-                         if f.type == "str" else f"{f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n"
+                       for f in dataclasses.fields(self))
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")

@@ -75,8 +75,8 @@ def generate_kg(config: Config, rng: np.random.Generator) -> KnowledgeGraph:
     scores = np.einsum("hl,rl,tl->hrt", z, w, z)
     mask = ~np.eye(n_e, dtype=bool)
     flat_scores = scores.transpose(0, 2, 1)[mask].reshape(-1)
-    candidates = np.array([(h, r, t) for h in range(n_e) for t in range(n_e)
-                           if h != t for r in range(n_r)], dtype=np.int64)
+    # The same pairs as (h, r, t) rows: argwhere lists (h, t, r) in that order.
+    candidates = np.argwhere(np.broadcast_to(mask[:, :, None], (n_e, n_e, n_r)))[:, [0, 2, 1]]
     logits = flat_scores / KG_SCORE_TEMPERATURE
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()

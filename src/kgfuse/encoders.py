@@ -109,19 +109,6 @@ def transformer_layer(x: Tensor, layer: TransformerLayerParams,
     return T.layer_norm(T.add(h, ff), layer.ln2_gain, layer.ln2_bias)
 
 
-def attention_rows(x: Tensor, layer: TransformerLayerParams) -> list[np.ndarray]:
-    """Per-head softmax attention matrices, for inspection and invariants."""
-    scale = 1.0 / np.sqrt(layer.width / layer.heads)
-    rows = []
-    for m in range(layer.heads):
-        q = x.data @ layer.wq[m].data
-        k = x.data @ layer.wk[m].data
-        logits = scale * (q @ k.T)
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        rows.append(shifted / shifted.sum(axis=1, keepdims=True))
-    return rows
-
-
 # ---- vision ----------------------------------------------------------------
 
 
@@ -156,18 +143,6 @@ def patchify(image: np.ndarray, patch_size: int) -> PatchSequence:
                           col * patch_size:(col + 1) * patch_size, :]
             patches[r * cols + col] = block.reshape(-1)
     return PatchSequence(patches, (rows, cols), patch_size, c)
-
-
-def reassemble(seq: PatchSequence) -> np.ndarray:
-    """Inverse of :func:`patchify`; used as the round-trip oracle."""
-    rows, cols = seq.grid
-    p, c = seq.patch_size, seq.channels
-    image = np.empty((rows * p, cols * p, c))
-    for r in range(rows):
-        for col in range(cols):
-            block = seq.patches[r * cols + col].reshape(p, p, c)
-            image[r * p:(r + 1) * p, col * p:(col + 1) * p, :] = block
-    return image
 
 
 @dataclass

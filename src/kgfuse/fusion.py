@@ -27,18 +27,13 @@ TYPE_ENTITY = 3
 
 @dataclass
 class SegmentSpans:
-    """Half-open index spans of each segment in the fused layout."""
+    """Half-open index spans of each segment in the fused layout (CLS is row 0)."""
 
-    cls_index: int
     visual: tuple[int, int]
     sep1: int
     textual: tuple[int, int]
     sep2: int
     entity: tuple[int, int]
-
-    @property
-    def length(self) -> int:
-        return self.entity[1]
 
 
 @dataclass
@@ -68,7 +63,6 @@ class HeadParams:
 class HeadsOutput:
     mlm_logits: Tensor   # |masked tokens| x vocab
     mvm_pred: Tensor     # |masked patches| x patch_dim
-    cls_vector: Tensor   # (d,)
 
 
 def init_fusion(params: Parameters, rng: np.random.Generator, d: int,
@@ -123,7 +117,6 @@ def assemble(patches: Tensor, tokens: Tensor, entities: Tensor | None,
     elements = T.add(base, T.take_rows(fp.type_table, tags))
 
     spans = SegmentSpans(
-        cls_index=0,
         visual=(1, 1 + n),
         sep1=1 + n,
         textual=(2 + n, 2 + n + n_tok),
@@ -170,5 +163,4 @@ def heads(hidden: Tensor, seq: FusedSequence, masked_token_positions: list[int],
                                 hp.mlm_w), hp.mlm_b)
     mvm_pred = T.add(T.matmul(T.take_rows(hidden, np.asarray(patch_rows, dtype=np.int64)),
                               hp.mvm_w), hp.mvm_b)
-    cls_vector = hidden[spans.cls_index]
-    return HeadsOutput(mlm_logits, mvm_pred, cls_vector)
+    return HeadsOutput(mlm_logits, mvm_pred)

@@ -90,13 +90,10 @@ def init_gnn(params: Parameters, rng: np.random.Generator, kg: KnowledgeGraph,
     return GnnParams(table, relation_rows, layers, d)
 
 
-def relation_embedding(gp: GnnParams, relation_id: int, direction: int) -> Tensor:
-    """Trainable embedding row for (relation, direction); row 0 is the self loop."""
-    key = (relation_id, direction)
-    if key not in gp.relation_rows:
-        raise ValidationError(f"relation {relation_id} direction {direction} not in table")
-    return T.reshape(T.take_rows(gp.relation_table, [gp.relation_rows[key]]),
-                     (gp.width,))
+def forward_relation_rows(gp: GnnParams) -> dict[int, int]:
+    """Relation id -> table row of its DIR_OUT embedding, the row that scores triplets."""
+    return {rid: row for (rid, direction), row in gp.relation_rows.items()
+            if direction == DIR_OUT}
 
 
 def _edge_lists(sub: Subgraph, gp: GnnParams):
@@ -119,15 +116,14 @@ def _edge_lists(sub: Subgraph, gp: GnnParams):
             np.array(slot_idx), max_deg)
 
 
-def gnn_layer(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
-              gp: GnnParams) -> Tensor:
-    """One round of attention-weighted message passing with a residual."""
+def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
+               gp: GnnParams) -> Tensor:
+    """One layer over ``edges``, the :func:`_edge_lists` arrays of ``sub``."""
     k = sub.num_nodes
     if embeddings.shape != (k, gp.width):
         raise ValidationError(
             f"embeddings shape {embeddings.shape} does not match {k} nodes x {gp.width}")
-    dst_idx, src_idx, rel_idx, slot_idx, max_deg = _edge_lists(sub, gp)
-
+    dst_idx, src_idx, rel_idx, slot_idx, max_deg = edges
     src_nodes = T.take_rows(embeddings, src_idx)
     rel_rows = T.take_rows(gp.relation_table, rel_idx)
     pair_input = T.concat([src_nodes, rel_rows], axis=1)
@@ -154,13 +150,20 @@ def gnn_layer(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
     return T.add(T.add(T.matmul(aggregated, layer.f_n_w), layer.f_n_b), embeddings)
 
 
+def gnn_layer(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
+              gp: GnnParams) -> Tensor:
+    """One round of attention-weighted message passing with a residual."""
+    return _propagate(sub, _edge_lists(sub, gp), embeddings, layer, gp)
+
+
 def gnn_encode(sub: Subgraph, initial: Tensor, gp: GnnParams) -> Tensor:
-    """Apply the full layer stack in order."""
+    """Apply the full layer stack in order; the edge lists are built once."""
     if not gp.layers:
         raise ValidationError("GNN stack is empty")
+    edges = _edge_lists(sub, gp)
     x = initial
     for layer in gp.layers:
-        x = gnn_layer(sub, x, layer, gp)
+        x = _propagate(sub, edges, x, layer, gp)
     return x
 
 

@@ -8,7 +8,7 @@ decimal u64; fields must not contain tabs or newlines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -140,28 +140,10 @@ class Subgraph:
     entity_ids: list[int]
     seed_flags: list[bool]
     triplets_local: list[tuple[int, int, int]]
-    _local: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._local:
-            self._local = {e: i for i, e in enumerate(self.entity_ids)}
 
     @property
     def num_nodes(self) -> int:
         return len(self.entity_ids)
-
-    @property
-    def seed_locals(self) -> list[int]:
-        return [i for i, s in enumerate(self.seed_flags) if s]
-
-    def local_index(self, entity: int) -> int:
-        try:
-            return self._local[entity]
-        except KeyError:
-            raise ValidationError(f"entity {entity} not in subgraph") from None
-
-    def __contains__(self, entity: int) -> bool:
-        return entity in self._local
 
     def edges(self) -> list[tuple[int, int, int, int]]:
         """Directed message edges (src_local, dst_local, relation, direction).
@@ -175,14 +157,9 @@ class Subgraph:
             out.append((t, h, r, DIR_IN))
         return out
 
-    def triplets_global(self) -> list[Triplet]:
-        ids = self.entity_ids
-        return [Triplet(ids[h], r, ids[t]) for h, r, t in self.triplets_local]
-
     def with_triplets(self, triplets_local: list[tuple[int, int, int]]) -> "Subgraph":
         """Same nodes, different edge set (used to drop held-out edges)."""
-        return Subgraph(self.entity_ids, self.seed_flags, list(triplets_local),
-                        dict(self._local))
+        return Subgraph(self.entity_ids, self.seed_flags, list(triplets_local))
 
 
 @dataclass
@@ -191,7 +168,6 @@ class EdgeHoldout:
 
     visible: KnowledgeGraph
     held_out: list[Triplet]
-    drop_rate: float
 
 
 # ---- TSV ingestion -----------------------------------------------------------
@@ -286,10 +262,6 @@ def save_kg(kg: KnowledgeGraph, entities_path, relations_path, triplets_path) ->
 # ---- sampling operations -------------------------------------------------------
 
 
-def neighbors(kg: KnowledgeGraph, entity: int) -> list[tuple[int, int, int]]:
-    return kg.neighbors(entity)
-
-
 def expand_subgraph(kg: KnowledgeGraph, seeds: list[int], per_node_cap: int,
                     seed: int) -> Subgraph:
     """Seeds plus up to ``per_node_cap`` sampled one-hop neighbors per seed.
@@ -332,7 +304,7 @@ def expand_subgraph(kg: KnowledgeGraph, seeds: list[int], per_node_cap: int,
     triplets_local = [(local[h], r, local[t])
                       for h, r, t in (kg.triplets[i] for i in inside)]
     flags = [i < len(ordered) for i in range(len(nodes))]
-    return Subgraph(nodes, flags, triplets_local, local)
+    return Subgraph(nodes, flags, triplets_local)
 
 
 def _round_half_up(x: float) -> int:
@@ -341,15 +313,8 @@ def _round_half_up(x: float) -> int:
 
 def holdout_edges(kg: KnowledgeGraph, drop_rate: float, seed: int) -> EdgeHoldout:
     """Uniformly hold out round(drop_rate * |triplets|) edges from the graph."""
-    if not (0.0 < drop_rate < 1.0):
-        raise ValidationError(f"drop_rate must be in (0,1), got {drop_rate}")
-    n = len(kg.triplets)
-    k = _round_half_up(drop_rate * n)
-    rng = np.random.default_rng(seed)
-    chosen = set(rng.choice(n, size=k, replace=False).tolist())
-    held = [kg.triplets[i] for i in sorted(chosen)]
-    visible = [t for i, t in enumerate(kg.triplets) if i not in chosen]
-    return EdgeHoldout(KnowledgeGraph(kg.entities, kg.relations, visible), held, drop_rate)
+    visible, held = split_triplet_list(kg.triplets, drop_rate, seed)
+    return EdgeHoldout(KnowledgeGraph(kg.entities, kg.relations, visible), held)
 
 
 def split_triplet_list(triplets: list, drop_rate: float, seed: int):

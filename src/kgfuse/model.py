@@ -24,7 +24,7 @@ from .encoders import (EntityParams, TextParams, TokenSequence, VisionParams,
 from .errors import ValidationError
 from .fusion import (FusionParams, HeadParams, assemble, fuse, heads,
                      init_fusion, init_heads)
-from .gnn import GnnParams, gnn_encode, init_gnn
+from .gnn import GnnParams, forward_relation_rows, gnn_encode, init_gnn
 from .kg import KnowledgeGraph, Triplet, expand_subgraph, split_triplet_list
 from .objectives import (ItcParams, LossBundle, ScoringTables, init_itc,
                          itc_loss, linkpred_loss, mask_patches, mask_spans,
@@ -111,24 +111,17 @@ def entity_fallback_table(params: ModelParams, memory: EntityMemory) -> Tensor:
 
 
 def _scoring_tables(params: ModelParams, memory: EntityMemory,
-                    fallback: Tensor, node_embeddings: Tensor | None,
+                    fallback: Tensor, node_embeddings: Tensor,
                     subgraph_ids: list[int], config: Config) -> ScoringTables:
-    """Score entities from the subgraph where possible, else from the table."""
-    if node_embeddings is not None and subgraph_ids:
-        matrix = T.concat([node_embeddings, fallback], axis=0)
-        offset = len(subgraph_ids)
-        entity_row = {e: offset + i for i, e in enumerate(memory.ids)}
-        for local, ent in enumerate(subgraph_ids):
-            entity_row[ent] = local
-    else:
-        matrix = fallback
-        entity_row = {e: i for i, e in enumerate(memory.ids)}
-    relation_row = {rid: row for (rid, direction), row
-                    in params.gnn.relation_rows.items() if direction == 0}
-    return ScoringTables(entity_matrix=matrix, entity_row=entity_row,
+    """Score subgraph entities from their GNN rows, the rest from the table."""
+    offset = len(subgraph_ids)
+    entity_row = {e: offset + i for e, i in memory.row_of.items()}
+    entity_row.update((e, local) for local, e in enumerate(subgraph_ids))
+    return ScoringTables(entity_matrix=T.concat([node_embeddings, fallback], axis=0),
+                         entity_row=entity_row,
                          relation_matrix=params.gnn.relation_table,
-                         relation_row=relation_row, gamma=config.gamma,
-                         n=config.n_negatives)
+                         relation_row=forward_relation_rows(params.gnn),
+                         gamma=config.gamma, n=config.n_negatives)
 
 
 @dataclass

@@ -37,8 +37,6 @@ class MaskingRecord:
     original_tokens: list[int] = field(default_factory=list)
     patch_positions: list[int] = field(default_factory=list)
     original_patches: np.ndarray | None = None
-    token_rate: float = 0.0
-    patch_rate: float = 0.0
 
 
 @dataclass
@@ -133,8 +131,7 @@ def mask_spans(tokens: list[int], rate: float, mean_span: int, max_span: int,
                     break
     positions = sorted(masked)
     record = MaskingRecord(token_positions=positions,
-                           original_tokens=[tokens[p] for p in positions],
-                           token_rate=rate)
+                           original_tokens=[tokens[p] for p in positions])
     new_tokens = list(tokens)
     for p in positions:
         new_tokens[p] = mask_id
@@ -159,8 +156,7 @@ def mask_patches(patches, rate: float, seed: int) -> tuple[list[int], MaskingRec
     rng = np.random.default_rng(seed)
     positions = sorted(rng.choice(n, size=count, replace=False).tolist())
     record = MaskingRecord(patch_positions=positions,
-                           original_patches=raw[positions].copy(),
-                           patch_rate=rate)
+                           original_patches=raw[positions].copy())
     return positions, record
 
 
@@ -184,11 +180,12 @@ def mvm_loss(predictions: Tensor, record: MaskingRecord) -> Tensor:
 
 
 def distmult(h: Tensor, r: Tensor, t: Tensor) -> Tensor:
-    """Trilinear score sum_d h_d * r_d * t_d; symmetric in head and tail."""
+    """Trilinear score sum_d h_d * r_d * t_d over the last axis, one per row;
+    symmetric in head and tail."""
     if h.shape != r.shape or r.shape != t.shape:
         raise ValidationError(
             f"distmult width mismatch: {h.shape}, {r.shape}, {t.shape}")
-    return T.tensor_sum(T.mul(T.mul(h, r), t))
+    return T.tensor_sum(T.mul(T.mul(h, r), t), axis=-1)
 
 
 def _entity_rows(tables: ScoringTables, kg: KnowledgeGraph,
@@ -237,8 +234,7 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
     h = T.take_rows(tables.entity_matrix, head_rows)
     t = T.take_rows(tables.entity_matrix, tail_rows)
     r = T.take_rows(tables.relation_matrix, np.repeat(rel_rows, 1 + n))
-    scores = T.tensor_sum(T.mul(T.mul(h, r), t), axis=1)
-    grid = T.reshape(scores, (len(positives), 1 + n))
+    grid = T.reshape(distmult(h, r, t), (len(positives), 1 + n))
 
     pos_scores = grid[:, 0]
     neg_scores = grid[:, 1:]

@@ -9,6 +9,7 @@ and directly testable against an independent oracle.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -23,19 +24,13 @@ HASH_BUCKETS = 4096
 MEMORY_MAGIC = b"EMBV0001"
 
 
-def _projection_matrix(d_e: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, HASH_BUCKETS])
-    return rng.standard_normal((HASH_BUCKETS, d_e))
-
-
-_projection_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _projection(d_e: int, seed: int) -> np.ndarray:
-    key = (d_e, seed)
-    if key not in _projection_cache:
-        _projection_cache[key] = _projection_matrix(d_e, seed)
-    return _projection_cache[key]
+    """The fixed Gaussian hashing projection, built once per (width, seed)
+    and shared by every caller, so it is read-only."""
+    proj = np.random.default_rng([seed, HASH_BUCKETS]).standard_normal((HASH_BUCKETS, d_e))
+    proj.setflags(write=False)
+    return proj
 
 
 def embed_description(text: str, d_e: int, seed: int) -> np.ndarray:
@@ -147,7 +142,6 @@ class RetrievedEntitySet:
     """
 
     entries: list[tuple[int, float]]
-    k: int
     sources: list[tuple[int, int]]
 
     @property
@@ -226,7 +220,7 @@ def retrieve_from_scores(score_matrix, memory: EntityMemory, k_per_patch: int,
     ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))[:k_final]
     entries = [(ent, rec[0]) for ent, rec in ranked]
     sources = [(rec[1], rec[2]) for _, rec in ranked]
-    return RetrievedEntitySet(entries, k_final, sources)
+    return RetrievedEntitySet(entries, sources)
 
 
 def gather_retrieved_scores(score_matrix: T.Tensor,

@@ -99,54 +99,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # ---- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
+    # ---- indexing --------------------------------------------------------
 
     def __getitem__(self, key):
         return narrow(self, key)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
 
 
 def as_tensor(value) -> Tensor:
@@ -651,9 +607,6 @@ class Parameters:
         except KeyError:
             raise ValidationError(f"unknown parameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -662,9 +615,6 @@ class Parameters:
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._items.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._items.values())
 
     def flat_size(self) -> int:
         return sum(t.size for t in self._items.values())
@@ -679,9 +629,6 @@ class Parameters:
                 return name, remaining
             remaining -= t.size
         raise ValidationError(f"flat index {flat_index} out of range")
-
-    def copy_data(self) -> dict[str, Array]:
-        return {name: t.data.copy() for name, t in self._items.items()}
 
     def load_data(self, values: dict[str, Array]) -> None:
         missing = set(self._items) ^ set(values)

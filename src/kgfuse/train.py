@@ -18,6 +18,7 @@ from .checkpoint import Checkpoint
 from .data import SyntheticCorpus, corpus_memory, generate_corpus
 from .encoders import patchify, vision_encode
 from .errors import NumericsError, ValidationError
+from .gnn import forward_relation_rows
 from .kg import EdgeHoldout, KnowledgeGraph, Triplet, holdout_edges
 from .model import (ALL_LOSSES, ModelParams, build_model, compute_step,
                     entity_fallback_table, make_batch_plan,
@@ -261,12 +262,9 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
 
 def model_linkpred_tables(params: ModelParams, memory: EntityMemory):
     """Entity/relation score tables of a pretrained model (projection + GNN table)."""
-    fallback = entity_fallback_table(params, memory)
-    entity_row = {e: i for i, e in enumerate(memory.ids)}
-    relation_row = {rid: row for (rid, direction), row
-                    in params.gnn.relation_rows.items() if direction == 0}
-    return (fallback.data, params.gnn.relation_table.data, entity_row,
-            relation_row)
+    return (entity_fallback_table(params, memory).data,
+            params.gnn.relation_table.data, memory.row_of,
+            forward_relation_rows(params.gnn))
 
 
 # ---- retrieval evaluation -----------------------------------------------------

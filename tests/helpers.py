@@ -87,6 +87,31 @@ def scalar_transformer_layer(x: np.ndarray, layer) -> np.ndarray:
     return out
 
 
+def attention_rows(x, layer) -> list[np.ndarray]:
+    """Per-head softmax attention matrices of one transformer layer."""
+    scale = 1.0 / np.sqrt(layer.width / layer.heads)
+    rows = []
+    for m in range(layer.heads):
+        q = x.data @ layer.wq[m].data
+        k = x.data @ layer.wk[m].data
+        logits = scale * (q @ k.T)
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        rows.append(shifted / shifted.sum(axis=1, keepdims=True))
+    return rows
+
+
+def reassemble(seq) -> np.ndarray:
+    """Inverse of ``patchify``; the round-trip oracle."""
+    rows, cols = seq.grid
+    p, c = seq.patch_size, seq.channels
+    image = np.empty((rows * p, cols * p, c))
+    for r in range(rows):
+        for col in range(cols):
+            block = seq.patches[r * cols + col].reshape(p, p, c)
+            image[r * p:(r + 1) * p, col * p:(col + 1) * p, :] = block
+    return image
+
+
 def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
     """Adjacency-loop re-implementation of one message-passing round."""
     k = sub.num_nodes

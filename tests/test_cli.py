@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from kgfuse.checkpoint import load_checkpoint
 from kgfuse.cli import main
 from kgfuse.config import Config
-from kgfuse.data import generate_corpus
-from kgfuse.kg import save_kg
+from kgfuse.data import corpus_memory, generate_corpus
+from kgfuse.kg import holdout_edges, save_kg
+from kgfuse.model import build_model
+from kgfuse.train import eval_linkpred, model_linkpred_tables
 
 TINY_CFG = """
 corpus_entities = 30
@@ -103,6 +106,32 @@ def test_pretrain_then_evals(tmp_path, tiny_config_file, capsys):
     code = main(["eval-retrieval", "--checkpoint", str(out / "checkpoint.bin")])
     assert code == 0
     assert "recall@" in capsys.readouterr().out
+
+
+def test_eval_linkpred_uses_the_checkpoint_split(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", str(tiny_config_file), "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eval-linkpred", "--checkpoint", str(out / "checkpoint.bin")]) == 0
+    printed = capsys.readouterr().out
+
+    ckpt = load_checkpoint(out / "checkpoint.bin")
+    corpus = generate_corpus(ckpt.config)
+    params = build_model(ckpt.config, corpus.kg)
+    ckpt.load_into(params.store)
+    tables = model_linkpred_tables(params, corpus_memory(corpus))
+
+    def report(config):
+        holdout = holdout_edges(corpus.kg, config.edge_drop, config.seed)
+        metrics = eval_linkpred(*tables, holdout.held_out, corpus.kg)
+        return "".join(f"{key}\t{value:.4f}\n" for key, value in metrics.items())
+
+    assert ckpt.config.seed == 5
+    assert printed == report(ckpt.config)
+    # The default config's split (seed 17) reads differently, so the check
+    # above tells the two apart.
+    assert printed != report(Config())
 
 
 def test_pretrain_determinism_across_invocations(tmp_path, tiny_config_file):

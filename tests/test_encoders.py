@@ -5,15 +5,15 @@ import pytest
 
 from kgfuse import tensor as T
 from kgfuse.encoders import (EntityParams, PatchSequence, TokenSequence,
-                             attention_rows, entity_encode, init_entity,
-                             init_text, init_transformer_layer, init_vision,
-                             patchify, project_memory_rows, reassemble,
-                             text_encode, transformer_layer, vision_encode)
+                             entity_encode, init_entity, init_text,
+                             init_transformer_layer, init_vision, patchify,
+                             project_memory_rows, text_encode,
+                             transformer_layer, vision_encode)
 from kgfuse.errors import ValidationError
 from kgfuse.retriever import EntityMemory
 from kgfuse.tensor import Parameters, Tensor
 
-from helpers import scalar_transformer_layer
+from helpers import attention_rows, reassemble, scalar_transformer_layer
 
 
 def make_layer(seed=0, d=4, heads=2, d_ff=8):

@@ -162,8 +162,6 @@ class TestHeads:
         out = heads(hidden, seq, [], [], hp)
         assert out.mlm_logits.shape == (0, 11)
         assert out.mvm_pred.shape == (0, 6)
-        assert out.cls_vector.shape == (4,)
-        np.testing.assert_array_equal(out.cls_vector.data, hidden.data[0])
 
     def test_mlm_rows_softmax_normalized(self):
         _, fp, hp = make_fusion(seed=18)

@@ -6,7 +6,7 @@ import pytest
 from kgfuse import tensor as T
 from kgfuse.errors import ValidationError
 from kgfuse.gnn import (GnnParams, attention_weights, gnn_encode, gnn_layer,
-                        init_gnn, relation_embedding)
+                        init_gnn)
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Subgraph,
                        Triplet)
 from kgfuse.tensor import Parameters, Tensor
@@ -181,12 +181,11 @@ class TestRelationEmbedding:
     def test_lookup_consistency_and_direction_independence(self):
         kg = make_kg()
         params, gp = make_gnn(kg, depth=1, seed=18)
-        a = relation_embedding(gp, 0, DIR_OUT)
-        b = relation_embedding(gp, 0, DIR_OUT)
-        np.testing.assert_array_equal(a.data, b.data)
         out_row = gp.relation_rows[(0, DIR_OUT)]
         in_row = gp.relation_rows[(0, DIR_IN)]
         assert out_row != in_row
+        np.testing.assert_array_equal(gp.relation_table.data[out_row],
+                                      gp.relation_table.data[in_row])
         gp.relation_table.data[out_row] += 1.0
         assert not np.array_equal(gp.relation_table.data[out_row],
                                   gp.relation_table.data[in_row])
@@ -209,5 +208,6 @@ class TestRelationEmbedding:
     def test_unknown_relation(self):
         kg = make_kg()
         _, gp = make_gnn(kg)
-        with pytest.raises(ValidationError):
-            relation_embedding(gp, 42, DIR_OUT)
+        sub = Subgraph([0, 1], [True, True], [(0, 42, 1)])
+        with pytest.raises(ValidationError, match="42"):
+            gnn_encode(sub, Tensor(np.zeros((2, 4))), gp)

@@ -7,7 +7,7 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
-                       expand_subgraph, holdout_edges, load_kg, neighbors,
+                       expand_subgraph, holdout_edges, load_kg,
                        sample_negatives, save_kg, split_triplet_list)
 
 from helpers import reference_expand_edges, reference_sample_negatives
@@ -103,8 +103,8 @@ class TestNeighbors:
         entities = {0: NamedRecord("h", "d"), 1: NamedRecord("t", "d")}
         relations = {7: NamedRecord("r", "d")}
         kg = KnowledgeGraph(entities, relations, [Triplet(0, 7, 1)])
-        assert neighbors(kg, 0) == [(7, 1, DIR_OUT)]
-        assert neighbors(kg, 1) == [(7, 0, DIR_IN)]
+        assert kg.neighbors(0) == [(7, 1, DIR_OUT)]
+        assert kg.neighbors(1) == [(7, 0, DIR_IN)]
 
     def test_matches_bruteforce_scan(self):
         kg = toy_corpus_kg()

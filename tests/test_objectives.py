@@ -196,6 +196,15 @@ class TestDistmult:
         with pytest.raises(ValidationError):
             distmult(Tensor(np.zeros(3)), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
+    def test_rows_score_like_single_vectors(self):
+        rng = np.random.default_rng(7)
+        h, r, t = (rng.standard_normal((6, 5)) for _ in range(3))
+        rows = distmult(Tensor(h), Tensor(r), Tensor(t))
+        assert rows.shape == (6,)
+        for i in range(6):
+            single = distmult(Tensor(h[i]), Tensor(r[i]), Tensor(t[i]))
+            assert rows.data[i] == single.item()
+
 
 def scoring_fixture(n_entities=6, d=4, fill=0.0, n=4, gamma=0.0):
     entities = {i: NamedRecord(f"e{i}", "desc") for i in range(n_entities)}

@@ -277,7 +277,7 @@ class TestParameters:
     def test_load_data_roundtrip(self):
         p = T.Parameters()
         p.add("a", T.Tensor(np.arange(4.0)))
-        snapshot = p.copy_data()
+        snapshot = {name: t.data.copy() for name, t in p.items()}
         p["a"].data[...] = 0
         p.load_data(snapshot)
         np.testing.assert_array_equal(p["a"].data, np.arange(4.0))
