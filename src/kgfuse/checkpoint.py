@@ -1,10 +1,13 @@
 """Versioned binary checkpoints: config, parameters, optimizer moments, step.
 
-Layout (little-endian throughout): magic ``RVLCKPT1``; u32 config-text
-length + UTF-8 config; u64 step counter; u64 RNG seed; u32 tensor count;
-then per tensor a u32 name length, the UTF-8 name, u32 ndim, u64 dims, and
-the float64 payload.  Optimizer moments are stored as tensors named
-``opt_m.<name>`` / ``opt_v.<name>``.
+Layout (little-endian throughout): magic ``RVLCKPT2``; u32 config-text
+length + UTF-8 config; u64 step counter; u32 tensor count; then per tensor
+a u32 name length, the UTF-8 name, u32 ndim, u64 dims, and the float64
+payload.  Optimizer moments are stored as tensors named ``opt_m.<name>`` /
+``opt_v.<name>``.  The seed is the config's own.
+
+``RVLCKPT1`` files (per-head attention tensors and a copy of the seed in
+the header) are rejected: their parameter names no longer exist.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from .errors import ValidationError
 from .optim import AdamState
 from .tensor import Parameters
 
-CHECKPOINT_MAGIC = b"RVLCKPT1"
+CHECKPOINT_MAGIC = b"RVLCKPT2"
 
 
 @dataclass
 class Checkpoint:
     config: Config
     step: int
-    seed: int
     tensors: dict[str, np.ndarray]
 
     def parameter_names(self) -> list[str]:
@@ -66,7 +68,6 @@ def save_checkpoint(path, config: Config, step: int, params: Parameters,
         fh.write(struct.pack("<I", len(config_blob)))
         fh.write(config_blob)
         fh.write(struct.pack("<Q", step))
-        fh.write(struct.pack("<Q", config.seed))
         fh.write(struct.pack("<I", len(tensors)))
         for name, data in tensors:
             _write_tensor(fh, name, data)
@@ -96,13 +97,15 @@ def load_checkpoint(path) -> Checkpoint:
     blob = Path(path).read_bytes()
     reader = _Reader(blob)
     magic = reader.take(8)
+    if magic == b"RVLCKPT1":
+        raise ValidationError("checkpoint format RVLCKPT1 is retired; retrain to "
+                              "write RVLCKPT2")
     if magic != CHECKPOINT_MAGIC:
         raise ValidationError(f"bad checkpoint magic at offset 0: {magic!r}")
     config_len = reader.u32()
     config = Config.from_text(reader.take(config_len).decode("utf-8"),
                               source=str(path))
     step = reader.u64()
-    seed = reader.u64()
     count = reader.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -116,4 +119,4 @@ def load_checkpoint(path) -> Checkpoint:
     if reader.offset != len(blob):
         raise ValidationError(
             f"trailing bytes in checkpoint at offset {reader.offset}")
-    return Checkpoint(config=config, step=step, seed=seed, tensors=tensors)
+    return Checkpoint(config=config, step=step, tensors=tensors)

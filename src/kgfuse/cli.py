@@ -59,14 +59,14 @@ def _cmd_build_memory(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    config = _load_config(args)
+    # A checkpoint's own patch size and k apply, whatever --config says.
+    ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    config = ckpt.config if ckpt else _load_config(args)
     memory = load_memory(args.memory)
-    image = np.load(args.image)
-    seq = patchify(image, config.patch_size)
-    if args.checkpoint:
-        ckpt = load_checkpoint(args.checkpoint)
-        corpus = generate_corpus(ckpt.config)
-        params = build_model(ckpt.config, corpus.kg)
+    seq = patchify(np.load(args.image), config.patch_size)
+    if ckpt:
+        corpus = generate_corpus(config)
+        params = build_model(config, corpus.kg)
         ckpt.load_into(params.store)
         _, queries = vision_encode(seq, params.vision)
         queries = queries.data

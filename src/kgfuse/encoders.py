@@ -2,9 +2,11 @@
 
 The attention block computes, per head m, logits (Q_m x_i)^T (K_m x_j)
 scaled by 1/sqrt(d/M), normalizes each query row by softmax, mixes values
-V_m x_j, and maps back through W_m.  Residual + LayerNorm wrap both the
-attention sum and the GELU feed-forward, so one implementation serves the
-unimodal encoders and the fusion stack alike.
+V_m x_j, and maps back through W_m.  The M heads are stacked on a leading
+axis of each of Q, K, V and W, so every head runs in the same chain of
+batched matmuls.  Residual + LayerNorm wrap both the attention sum and the
+GELU feed-forward, so one implementation serves the unimodal encoders and
+the fusion stack alike.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ def init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 @dataclass
 class TransformerLayerParams:
-    """One pre-residual transformer layer: M attention heads plus feed-forward."""
+    """One pre-residual transformer layer: M attention heads plus feed-forward.
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
-    wo: list[Tensor]
+    ``wq``, ``wk`` and ``wv`` are (M, d, d/M) and ``wo`` is (M, d/M, d):
+    head m reads slice m of each.
+    """
+
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
+    wo: Tensor
     ff_w1: Tensor
     ff_b1: Tensor
     ff_w2: Tensor
@@ -53,12 +59,12 @@ def init_transformer_layer(params: Parameters, prefix: str,
     if d % heads != 0:
         raise ValidationError(f"model width {d} not divisible by {heads} heads")
     dh = d // heads
-    wq, wk, wv, wo = [], [], [], []
-    for m in range(heads):
-        wq.append(params.add(f"{prefix}.h{m}.wq", Tensor(init_matrix(rng, d, dh))))
-        wk.append(params.add(f"{prefix}.h{m}.wk", Tensor(init_matrix(rng, d, dh))))
-        wv.append(params.add(f"{prefix}.h{m}.wv", Tensor(init_matrix(rng, d, dh))))
-        wo.append(params.add(f"{prefix}.h{m}.wo", Tensor(init_matrix(rng, dh, d))))
+    # Head by head, in wq, wk, wv, wo order: the seeded initial values
+    # depend on this draw order.
+    draws = [(init_matrix(rng, d, dh), init_matrix(rng, d, dh),
+              init_matrix(rng, d, dh), init_matrix(rng, dh, d)) for _ in range(heads)]
+    wq, wk, wv, wo = (params.add(f"{prefix}.{name}", Tensor(np.stack(mats)))
+                      for name, mats in zip(("wq", "wk", "wv", "wo"), zip(*draws)))
     return TransformerLayerParams(
         wq=wq, wk=wk, wv=wv, wo=wo,
         ff_w1=params.add(f"{prefix}.ff_w1", Tensor(init_matrix(rng, d, d_ff))),
@@ -91,17 +97,15 @@ def transformer_layer(x: Tensor, layer: TransformerLayerParams,
             raise ValidationError("valid_mask length does not match sequence length")
         additive = np.where(valid_mask, 0.0, NEG_ATTENTION)[None, :]
 
-    mixed = None
-    for m in range(layer.heads):
-        q = T.matmul(x, layer.wq[m])
-        k = T.matmul(x, layer.wk[m])
-        v = T.matmul(x, layer.wv[m])
-        logits = T.mul(T.matmul(q, T.transpose(k)), scale)
-        if additive is not None:
-            logits = T.add(logits, T.constant(additive))
-        attn = T.softmax(logits, axis=1)
-        contrib = T.matmul(T.matmul(attn, v), layer.wo[m])
-        mixed = contrib if mixed is None else T.add(mixed, contrib)
+    # Heads lie on the leading axis: q, k, v are (M, L, d/M), logits (M, L, L).
+    q = T.matmul(x, layer.wq)
+    k = T.matmul(x, layer.wk)
+    v = T.matmul(x, layer.wv)
+    logits = T.mul(T.matmul(q, T.transpose(k)), scale)
+    if additive is not None:
+        logits = T.add(logits, T.constant(additive))
+    attn = T.softmax(logits, axis=-1)
+    mixed = T.tensor_sum(T.matmul(T.matmul(attn, v), layer.wo), axis=0)
 
     h = T.layer_norm(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
     ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, layer.ff_w1), layer.ff_b1)),

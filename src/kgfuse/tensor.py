@@ -199,24 +199,33 @@ def power(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValidationError(
+            f"matmul expects operands with 2 or more axes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValidationError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ValidationError(
+            f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}") from None
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return Tensor._result(data, (a, b), vjp, "matmul")
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValidationError(f"transpose expects a 2-D tensor, got shape {a.shape}")
-    return Tensor._result(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
+    if a.ndim < 2:
+        raise ValidationError(f"transpose expects 2 or more axes, got shape {a.shape}")
+    return Tensor._result(np.swapaxes(a.data, -1, -2).copy(), (a,),
+                          lambda g: (np.swapaxes(g, -1, -2),), "transpose")
 
 
 def reshape(a, shape) -> Tensor:
@@ -270,33 +279,6 @@ def dot(a, b) -> Tensor:
 # ---- transcendental primitives ---------------------------------------------
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    return Tensor._result(data, (a,), lambda g: (g * data,), "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        data = np.log(a.data)
-    return Tensor._result(data, (a,), lambda g: (g / a.data,), "log")
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore"):
-        data = np.sqrt(a.data)
-    return Tensor._result(data, (a,), lambda g: (g * 0.5 / data,), "sqrt")
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-    return Tensor._result(data, (a,), lambda g: (g * (1.0 - data * data),), "tanh")
-
-
 def _sigmoid_values(d: Array) -> Array:
     out = np.empty_like(d)
     pos = d >= 0
@@ -304,12 +286,6 @@ def _sigmoid_values(d: Array) -> Array:
     ex = np.exp(d[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    data = _sigmoid_values(a.data)
-    return Tensor._result(data, (a,), lambda g: (g * data * (1.0 - data),), "sigmoid")
 
 
 def log_sigmoid(a) -> Tensor:

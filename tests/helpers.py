@@ -60,10 +60,10 @@ def scalar_transformer_layer(x: np.ndarray, layer) -> np.ndarray:
     for i in range(length):
         acc = np.zeros(d)
         for m in range(heads):
-            wq = layer.wq[m].data
-            wk = layer.wk[m].data
-            wv = layer.wv[m].data
-            wo = layer.wo[m].data
+            wq = layer.wq.data[m]
+            wk = layer.wk.data[m]
+            wv = layer.wv.data[m]
+            wo = layer.wo.data[m]
             qi = x[i] @ wq
             logits = [scale * float(qi @ (x[j] @ wk)) for j in range(length)]
             alpha = scalar_softmax(logits)
@@ -92,8 +92,8 @@ def attention_rows(x, layer) -> list[np.ndarray]:
     scale = 1.0 / np.sqrt(layer.width / layer.heads)
     rows = []
     for m in range(layer.heads):
-        q = x.data @ layer.wq[m].data
-        k = x.data @ layer.wk[m].data
+        q = x.data @ layer.wq.data[m]
+        k = x.data @ layer.wk.data[m]
         logits = scale * (q @ k.T)
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         rows.append(shifted / shifted.sum(axis=1, keepdims=True))

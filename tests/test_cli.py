@@ -7,6 +7,7 @@ from kgfuse.checkpoint import load_checkpoint
 from kgfuse.cli import main
 from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus
+from kgfuse.errors import ValidationError
 from kgfuse.kg import holdout_edges, save_kg
 from kgfuse.model import build_model
 from kgfuse.train import eval_linkpred, model_linkpred_tables
@@ -86,6 +87,38 @@ def test_build_memory_and_retrieve(tmp_path, tiny_config_file, kg_files, capsys)
         entity_id, score = line.split("\t")
         int(entity_id)
         float(score)
+
+
+def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(
+        tmp_path, tiny_config_file, kg_files, capsys):
+    # Trained with 8-pixel patches; --config is not repeated at retrieval,
+    # whose defaults (4-pixel patches, k_final 8) would not fit the model.
+    trained_cfg = tmp_path / "patch8.cfg"
+    trained_cfg.write_text(TINY_CFG + "patch_size = 8\n")
+    run, artifacts = tmp_path / "run", tmp_path / "artifacts"
+    assert main(["pretrain", "--config", str(trained_cfg), "--out", str(run)]) == 0
+    assert main(["build-memory", "--entities", str(kg_files[0]),
+                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2]),
+                 "--config", str(tiny_config_file), "--out", str(artifacts)]) == 0
+    capsys.readouterr()
+
+    config = Config.load(trained_cfg)
+    image_path = tmp_path / "image.npy"
+    np.save(image_path, generate_corpus(config).images[0])
+    code = main(["retrieve", "--image", str(image_path),
+                 "--memory", str(artifacts / "memory.embv"),
+                 "--checkpoint", str(run / "checkpoint.bin")])
+    assert code == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == config.k_final
+
+
+def test_retired_checkpoint_format_exits_one(tmp_path, capsys):
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"RVLCKPT1" + b"\x00" * 24)
+    with pytest.raises(ValidationError, match="RVLCKPT1 is retired"):
+        load_checkpoint(old)
+    assert main(["eval-linkpred", "--checkpoint", str(old)]) == 1
+    assert "retired" in capsys.readouterr().err
 
 
 def test_pretrain_then_evals(tmp_path, tiny_config_file, capsys):

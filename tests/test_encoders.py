@@ -5,7 +5,7 @@ import pytest
 
 from kgfuse import tensor as T
 from kgfuse.encoders import (EntityParams, PatchSequence, TokenSequence,
-                             entity_encode, init_entity, init_text,
+                             entity_encode, init_entity, init_matrix, init_text,
                              init_transformer_layer, init_vision, patchify,
                              project_memory_rows, text_encode,
                              transformer_layer, vision_encode)
@@ -58,10 +58,23 @@ class TestTransformerLayer:
         for rows in attention_rows(x, layer):
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_stacked_heads_keep_the_per_head_draw_order(self):
+        d, heads = 6, 3
+        params, layer = make_layer(seed=1, d=d, heads=heads)
+        # Four attention tensors, then four feed-forward and four LayerNorm ones.
+        assert params.names()[:4] == ["layer.wq", "layer.wk", "layer.wv", "layer.wo"]
+        assert len(params) == 12
+        assert layer.wq.shape == layer.wk.shape == layer.wv.shape == (heads, d, d // heads)
+        assert layer.wo.shape == (heads, d // heads, d)
+        rng = np.random.default_rng(1)
+        for m in range(heads):
+            for stacked in (layer.wq, layer.wk, layer.wv, layer.wo):
+                np.testing.assert_array_equal(
+                    stacked.data[m], init_matrix(rng, *stacked.shape[1:]))
+
     def test_zeroed_mixers_reduce_to_double_layernorm(self):
         _, layer = make_layer(seed=4)
-        for m in range(layer.heads):
-            layer.wo[m].data[...] = 0.0
+        layer.wo.data[...] = 0.0
         layer.ff_w2.data[...] = 0.0
         layer.ff_b2.data[...] = 0.0
         x_val = np.random.default_rng(5).standard_normal((3, 4))

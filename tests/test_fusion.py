@@ -97,8 +97,7 @@ class TestFuse:
     def test_zeroed_mixers_layernorm_cascade(self):
         _, fp, _ = make_fusion(seed=6)
         layer = fp.layers[0]
-        for m in range(layer.heads):
-            layer.wo[m].data[...] = 0.0
+        layer.wo.data[...] = 0.0
         layer.ff_w2.data[...] = 0.0
         rng = np.random.default_rng(7)
         seq = assemble(*random_inputs(rng, 2, 2, 1), fp)
