@@ -68,7 +68,7 @@ def _cmd_retrieve(args) -> int:
         corpus = generate_corpus(config)
         params = build_model(config, corpus.kg)
         ckpt.load_into(params.store)
-        _, queries = vision_encode(seq, params.vision)
+        _, queries = vision_encode(seq.patches, params.vision)
         queries = queries.data
     else:
         # Untrained fallback: the fixed averaging projection that inverts

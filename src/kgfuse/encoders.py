@@ -80,32 +80,34 @@ def init_transformer_layer(params: Parameters, prefix: str,
 
 def transformer_layer(x: Tensor, layer: TransformerLayerParams,
                       valid_mask: np.ndarray | None = None) -> Tensor:
-    """Apply one layer to an (L, d) sequence.
+    """Apply one layer to a (..., L, d) batch of sequences.
 
-    ``valid_mask`` (length L, boolean) removes padding positions from every
+    ``valid_mask`` ((..., L), boolean) removes padding positions from every
     softmax via a large negative additive logit; rows at padded positions
     are then meaningless and must be ignored by the caller.
     """
-    if x.ndim != 2 or x.shape[1] != layer.width:
+    if x.ndim < 2 or x.shape[-1] != layer.width:
         raise ValidationError(
             f"sequence shape {x.shape} does not match layer width {layer.width}")
     scale = 1.0 / np.sqrt(layer.width / layer.heads)
     additive = None
     if valid_mask is not None:
         valid_mask = np.asarray(valid_mask, dtype=bool)
-        if valid_mask.shape != (x.shape[0],):
-            raise ValidationError("valid_mask length does not match sequence length")
-        additive = np.where(valid_mask, 0.0, NEG_ATTENTION)[None, :]
+        if valid_mask.shape != x.shape[:-1]:
+            raise ValidationError(
+                f"valid_mask shape {valid_mask.shape} does not match sequence {x.shape[:-1]}")
+        additive = np.where(valid_mask, 0.0, NEG_ATTENTION)[..., None, None, :]
 
-    # Heads lie on the leading axis: q, k, v are (M, L, d/M), logits (M, L, L).
-    q = T.matmul(x, layer.wq)
-    k = T.matmul(x, layer.wk)
-    v = T.matmul(x, layer.wv)
+    # A head axis goes before L: q, k, v are (..., M, L, d/M), logits (..., M, L, L).
+    xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+    q = T.matmul(xh, layer.wq)
+    k = T.matmul(xh, layer.wk)
+    v = T.matmul(xh, layer.wv)
     logits = T.mul(T.matmul(q, T.transpose(k)), scale)
     if additive is not None:
         logits = T.add(logits, T.constant(additive))
     attn = T.softmax(logits, axis=-1)
-    mixed = T.tensor_sum(T.matmul(T.matmul(attn, v), layer.wo), axis=0)
+    mixed = T.tensor_sum(T.matmul(T.matmul(attn, v), layer.wo), axis=-3)
 
     h = T.layer_norm(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
     ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, layer.ff_w1), layer.ff_b1)),
@@ -120,33 +122,27 @@ def transformer_layer(x: Tensor, layer: TransformerLayerParams,
 class PatchSequence:
     """Row-major image patches, flattened channel-last."""
 
-    patches: np.ndarray  # N x (P*P*C)
-    grid: tuple[int, int]
-    patch_size: int
-    channels: int
+    patches: np.ndarray  # (..., N, P*P*C)
 
     @property
     def count(self) -> int:
-        return self.patches.shape[0]
+        return self.patches.shape[-2]
 
 
 def patchify(image: np.ndarray, patch_size: int) -> PatchSequence:
-    """Cut an H x W x C array into non-overlapping patches, top-left first."""
+    """Cut (..., H, W, C) images into non-overlapping patches, top-left first."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
+    if image.ndim < 3:
         raise ValidationError(f"expected an H x W x C image, got shape {image.shape}")
-    h, w, c = image.shape
+    *lead, h, w, c = image.shape
     if h % patch_size or w % patch_size:
         raise ValidationError(
             f"image {h}x{w} not divisible by patch size {patch_size}")
     rows, cols = h // patch_size, w // patch_size
-    patches = np.empty((rows * cols, patch_size * patch_size * c))
-    for r in range(rows):
-        for col in range(cols):
-            block = image[r * patch_size:(r + 1) * patch_size,
-                          col * patch_size:(col + 1) * patch_size, :]
-            patches[r * cols + col] = block.reshape(-1)
-    return PatchSequence(patches, (rows, cols), patch_size, c)
+    blocks = image.reshape(*lead, rows, patch_size, cols, patch_size, c)
+    patches = np.swapaxes(blocks, -4, -3).reshape(
+        *lead, rows * cols, patch_size * patch_size * c)
+    return PatchSequence(patches)
 
 
 @dataclass
@@ -175,25 +171,25 @@ def init_vision(params: Parameters, rng: np.random.Generator, patch_dim: int,
         layers=layers)
 
 
-def vision_encode(seq: PatchSequence, vp: VisionParams,
-                  masked_positions: list[int] | None = None
-                  ) -> tuple[Tensor, Tensor]:
-    """Project patches, apply the stack, and emit retrieval queries.
+def vision_encode(patches: np.ndarray, vp: VisionParams,
+                  masked: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Project (..., N, P*P*C) patches, apply the stack, and emit retrieval queries.
 
-    Masked positions have their projected embedding replaced by the learned
-    mask vector before position embeddings are added, so the raw content of
-    a masked patch cannot influence the output.
+    Where ``masked`` ((..., N), boolean) is set, the projected embedding is
+    replaced by the learned mask vector before position embeddings are
+    added, so the raw content of a masked patch cannot influence the output.
     """
-    if vp.pos.shape[0] != seq.count:
+    patches = np.asarray(patches, dtype=np.float64)
+    if patches.ndim < 2:
+        raise ValidationError(f"expected (..., N, P*P*C) patches, got shape {patches.shape}")
+    if vp.pos.shape[0] != patches.shape[-2]:
         raise ValidationError(
-            f"position table rows {vp.pos.shape[0]} != patch count {seq.count}")
-    projected = T.add(T.matmul(T.constant(seq.patches), vp.patch_w), vp.patch_b)
-    if masked_positions:
-        keep = np.ones((seq.count, 1))
-        keep[list(masked_positions)] = 0.0
-        mask_row = T.reshape(vp.mask_vec, (1, vp.mask_vec.shape[0]))
+            f"position table rows {vp.pos.shape[0]} != patch count {patches.shape[-2]}")
+    projected = T.add(T.matmul(T.constant(patches), vp.patch_w), vp.patch_b)
+    if masked is not None and np.any(masked):
+        keep = 1.0 - np.asarray(masked, dtype=np.float64)[..., None]
         projected = T.add(T.mul(projected, T.constant(keep)),
-                          T.mul(mask_row, T.constant(1.0 - keep)))
+                          T.mul(vp.mask_vec, T.constant(1.0 - keep)))
     x = T.add(projected, vp.pos)
     for layer in vp.layers:
         x = transformer_layer(x, layer)
@@ -202,21 +198,6 @@ def vision_encode(seq: PatchSequence, vp: VisionParams,
 
 
 # ---- text ------------------------------------------------------------------
-
-
-@dataclass
-class TokenSequence:
-    """Vocabulary indices with the leading CLS index at position 0."""
-
-    tokens: list[int]
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise ValidationError("token sequence must at least contain CLS")
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass
@@ -236,18 +217,28 @@ def init_text(params: Parameters, rng: np.random.Generator, vocab: int,
         layers=layers)
 
 
-def text_encode(seq: TokenSequence, tp: TextParams) -> Tensor:
+def text_encode(tokens, tp: TextParams,
+                valid_mask: np.ndarray | None = None) -> Tensor:
+    """Encode (..., L) vocabulary indices, CLS at position 0 of each sequence.
+
+    ``valid_mask`` ((..., L), boolean) marks the real tokens of padded
+    sequences; see :func:`transformer_layer`.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim < 1 or tokens.shape[-1] == 0:
+        raise ValidationError("token sequence must at least contain CLS")
     vocab = tp.token_embed.shape[0]
-    for tok in seq.tokens:
-        if not (0 <= tok < vocab):
-            raise ValidationError(f"token id {tok} outside vocabulary of {vocab}")
-    if seq.length > tp.pos.shape[0]:
+    outside = tokens[(tokens < 0) | (tokens >= vocab)]
+    if outside.size:
+        raise ValidationError(f"token id {outside[0]} outside vocabulary of {vocab}")
+    length = tokens.shape[-1]
+    if length > tp.pos.shape[0]:
         raise ValidationError(
-            f"sequence length {seq.length} exceeds position table {tp.pos.shape[0]}")
-    x = T.add(T.take_rows(tp.token_embed, seq.tokens),
-              T.take_rows(tp.pos, np.arange(seq.length)))
+            f"sequence length {length} exceeds position table {tp.pos.shape[0]}")
+    x = T.add(T.take_rows(tp.token_embed, tokens),
+              T.take_rows(tp.pos, np.arange(length)))
     for layer in tp.layers:
-        x = transformer_layer(x, layer)
+        x = transformer_layer(x, layer, valid_mask)
     return x
 
 

@@ -2,9 +2,11 @@
 
 Four element types (special, visual, textual, entity) each add a learned
 type embedding; attention is dense across all positions so every modality
-can read every other.  Padding, when batching, is excluded from softmax by
-additive large-negative logits and padded rows must be sliced away by the
-caller.
+can read every other.  A batch shares one padded layout: every example has
+the same N patch slots, L_tok token slots and K entity slots, and the
+sequence's validity mask removes the padding slots from every softmax.
+Only this module knows the layout: :func:`heads` maps masked positions into
+it.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ class SegmentSpans:
 
 @dataclass
 class FusedSequence:
-    elements: Tensor            # L x d
-    segment_types: np.ndarray   # L, int tags
+    elements: Tensor            # (..., L, d)
+    segment_types: np.ndarray   # L, int tags shared by the batch
     spans: SegmentSpans
+    valid: np.ndarray           # (..., L) boolean; False at padding slots
 
 
 @dataclass
@@ -86,29 +89,36 @@ def init_heads(params: Parameters, rng: np.random.Generator, d: int,
 
 
 def assemble(patches: Tensor, tokens: Tensor, entities: Tensor | None,
-             fp: FusionParams) -> FusedSequence:
+             fp: FusionParams, token_valid: np.ndarray | None = None,
+             entity_valid: np.ndarray | None = None) -> FusedSequence:
     """Concatenate the fixed layout and add per-position type embeddings.
 
+    ``patches`` is (..., N, d), ``tokens`` (..., L_tok, d) and ``entities``
+    (..., K, d); ``token_valid`` ((..., L_tok)) and ``entity_valid``
+    ((..., K)) mark the filled slots and default to all of them.
     ``entities`` may be None or zero-row for the degenerate no-knowledge
     case; the trailing SEP stays in place and the entity span is empty.
     """
     d = fp.cls_vec.shape[0]
     for name, t in (("patches", patches), ("tokens", tokens)):
-        if t.ndim != 2 or t.shape[1] != d:
+        if t.ndim < 2 or t.shape[-1] != d:
             raise ValidationError(f"{name} width {t.shape} does not match model width {d}")
-    n = patches.shape[0]
-    n_tok = tokens.shape[0]
-    k = 0 if entities is None else entities.shape[0]
-    if entities is not None and k > 0 and entities.shape[1] != d:
+    lead = patches.shape[:-2]
+    n = patches.shape[-2]
+    n_tok = tokens.shape[-2]
+    k = 0 if entities is None else entities.shape[-2]
+    if k > 0 and entities.shape[-1] != d:
         raise ValidationError(
             f"entities width {entities.shape} does not match model width {d}")
 
-    cls_row = T.reshape(fp.cls_vec, (1, d))
-    sep_row = T.reshape(fp.sep_vec, (1, d))
-    parts = [cls_row, patches, sep_row, tokens, sep_row]
+    def special(vec: Tensor) -> Tensor:  # (d,) -> one (..., 1, d) row per example
+        return T.take_rows(T.reshape(vec, (1, d)), np.zeros(lead + (1,), dtype=np.int64))
+
+    sep_row = special(fp.sep_vec)
+    parts = [special(fp.cls_vec), patches, sep_row, tokens, sep_row]
     if k > 0:
         parts.append(entities)
-    base = T.concat(parts, axis=0)
+    base = T.concat(parts, axis=-2)
 
     tags = np.concatenate([
         [TYPE_SPECIAL], np.full(n, TYPE_VISUAL), [TYPE_SPECIAL],
@@ -122,45 +132,53 @@ def assemble(patches: Tensor, tokens: Tensor, entities: Tensor | None,
         textual=(2 + n, 2 + n + n_tok),
         sep2=2 + n + n_tok,
         entity=(3 + n + n_tok, 3 + n + n_tok + k))
-    return FusedSequence(elements, tags, spans)
+    valid = np.ones(lead + tags.shape, dtype=bool)
+    for (lo, hi), mask in ((spans.textual, token_valid), (spans.entity, entity_valid)):
+        if mask is not None:
+            valid[..., lo:hi] = mask
+    return FusedSequence(elements, tags, spans, valid)
 
 
-def fuse(seq: FusedSequence, fp: FusionParams,
-         valid_mask: np.ndarray | None = None) -> Tensor:
+def fuse(seq: FusedSequence, fp: FusionParams) -> Tensor:
     """Run the dense-attention stack over the assembled sequence."""
     x = seq.elements
     for layer in fp.layers:
-        x = transformer_layer(x, layer, valid_mask=valid_mask)
+        x = transformer_layer(x, layer, valid_mask=seq.valid)
     return x
 
 
-def heads(hidden: Tensor, seq: FusedSequence, masked_token_positions: list[int],
-          masked_patch_positions: list[int], hp: HeadParams) -> HeadsOutput:
+def _fused_rows(positions, span: tuple[int, int], valid: np.ndarray,
+                what: str) -> list[int]:
+    """Rows of the flattened (B*L, d) hidden states for per-example positions."""
+    rows = []
+    for b, example in enumerate(positions):
+        for p in example:
+            row = b * valid.shape[1] + span[0] + p
+            if not (0 <= p < span[1] - span[0] and valid.flat[row]):
+                raise ValidationError(f"masked {what} position {p} outside the {what} segment")
+            rows.append(row)
+    return rows
+
+
+def heads(hidden: Tensor, seq: FusedSequence, masked_token_positions,
+          masked_patch_positions, hp: HeadParams) -> HeadsOutput:
     """Apply prediction heads at the masked positions.
 
-    Token positions are indices into the token sequence (CLS at 0); patch
+    Both position arguments hold one list per example, in batch order.
+    Token positions are indices into each token sequence (CLS at 0); patch
     positions index the patch sequence.  Both are mapped into the fused
-    layout, and an index outside its segment is an error.
+    layout, and an index outside its segment or on padding is an error.
+    Output rows run example by example.
     """
-    spans = seq.spans
-    tok_lo, tok_hi = spans.textual
-    vis_lo, vis_hi = spans.visual
-
-    tok_rows = []
-    for p in masked_token_positions:
-        fused = tok_lo + p
-        if not (tok_lo <= fused < tok_hi):
-            raise ValidationError(f"masked token position {p} outside the text segment")
-        tok_rows.append(fused)
-    patch_rows = []
-    for p in masked_patch_positions:
-        fused = vis_lo + p
-        if not (vis_lo <= fused < vis_hi):
-            raise ValidationError(f"masked patch position {p} outside the visual segment")
-        patch_rows.append(fused)
-
-    mlm_logits = T.add(T.matmul(T.take_rows(hidden, np.asarray(tok_rows, dtype=np.int64)),
-                                hp.mlm_w), hp.mlm_b)
-    mvm_pred = T.add(T.matmul(T.take_rows(hidden, np.asarray(patch_rows, dtype=np.int64)),
-                              hp.mvm_w), hp.mvm_b)
+    length, d = hidden.shape[-2:]
+    valid = seq.valid.reshape(-1, length)
+    if len(masked_token_positions) != valid.shape[0] \
+            or len(masked_patch_positions) != valid.shape[0]:
+        raise ValidationError(
+            f"masked positions must hold one list per example ({valid.shape[0]})")
+    tok_rows = _fused_rows(masked_token_positions, seq.spans.textual, valid, "token")
+    patch_rows = _fused_rows(masked_patch_positions, seq.spans.visual, valid, "patch")
+    flat = T.reshape(hidden, (valid.size, d))
+    mlm_logits = T.add(T.matmul(T.take_rows(flat, tok_rows), hp.mlm_w), hp.mlm_b)
+    mvm_pred = T.add(T.matmul(T.take_rows(flat, patch_rows), hp.mvm_w), hp.mvm_b)
     return HeadsOutput(mlm_logits, mvm_pred)

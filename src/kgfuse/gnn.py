@@ -97,23 +97,46 @@ def forward_relation_rows(gp: GnnParams) -> dict[int, int]:
 
 
 def _edge_lists(sub: Subgraph, gp: GnnParams):
-    """Flattened (dst, src, relation-row) arrays: self term first per node."""
-    per_node: list[list[tuple[int, int]]] = [[(i, SELF_ROW)] for i in range(sub.num_nodes)]
-    for src, dst, rel, direction in sub.edges():
-        key = (rel, direction)
-        if key not in gp.relation_rows:
-            raise ValidationError(f"relation {rel} missing from the GNN table")
-        per_node[dst].append((src, gp.relation_rows[key]))
-    dst_idx, src_idx, rel_idx, slot_idx = [], [], [], []
-    for i, entries in enumerate(per_node):
-        for slot, (src, rel_row) in enumerate(entries):
-            dst_idx.append(i)
-            src_idx.append(src)
-            rel_idx.append(rel_row)
-            slot_idx.append(slot)
-    max_deg = max(len(entries) for entries in per_node)
-    return (np.array(dst_idx), np.array(src_idx), np.array(rel_idx),
-            np.array(slot_idx), max_deg)
+    """Flattened (dst, src, relation-row, slot) arrays and the widest in-degree.
+
+    Each node's self term takes slot 0; its incident edges follow in
+    :meth:`Subgraph.edges` order.
+    """
+    k = sub.num_nodes
+    heads, rels, tails = np.asarray(sub.triplets_local, dtype=np.int64).reshape(-1, 3).T
+    distinct, inverse = np.unique(rels, return_inverse=True)
+    try:
+        rows = np.array([[gp.relation_rows[(rel, d)] for d in (DIR_OUT, DIR_IN)]
+                         for rel in distinct.tolist()], dtype=np.int64).reshape(-1, 2)
+    except KeyError as exc:
+        raise ValidationError(
+            f"relation {exc.args[0][0]} missing from the GNN table") from None
+    # Self terms, then head -> tail (DIR_OUT) and tail -> head (DIR_IN) per
+    # triplet; a stable sort on the destination keeps that order per node.
+    nodes = np.arange(k)
+    dst = np.concatenate([nodes, np.stack([tails, heads], axis=1).ravel()])
+    src = np.concatenate([nodes, np.stack([heads, tails], axis=1).ravel()])
+    rel = np.concatenate([np.full(k, SELF_ROW), rows[inverse].ravel()])
+    order = np.argsort(dst, kind="stable")
+    degree = np.bincount(dst, minlength=k)
+    slot = np.arange(len(dst)) - np.repeat(np.cumsum(degree) - degree, degree)
+    return dst[order], src[order], rel[order], slot, int(degree.max())
+
+
+def _attention(k: int, edges, embeddings: Tensor, layer: GnnLayerParams,
+               gp: GnnParams) -> tuple[Tensor, Tensor]:
+    """Each node's softmax weights over its self term and incident edges,
+    padded to (k, widest in-degree), and the (node, relation) pair input of
+    every edge in ``edges``, the :func:`_edge_lists` arrays."""
+    dst_idx, src_idx, rel_idx, slot_idx, max_deg = edges
+    pair_input = T.concat([T.take_rows(embeddings, src_idx),
+                           T.take_rows(gp.relation_table, rel_idx)], axis=1)
+    queries = T.add(T.matmul(embeddings, layer.f_q_w), layer.f_q_b)
+    keys = T.add(T.matmul(pair_input, layer.f_k_w), layer.f_k_b)
+    logits = T.mul(T.tensor_sum(T.mul(T.take_rows(queries, dst_idx), keys), axis=1),
+                   1.0 / np.sqrt(layer.attn_width))
+    padded = T.pairs_to_padded(logits, dst_idx, slot_idx, (k, max_deg), fill=-1e30)
+    return T.softmax(padded, axis=1), pair_input
 
 
 def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
@@ -123,19 +146,8 @@ def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
     if embeddings.shape != (k, gp.width):
         raise ValidationError(
             f"embeddings shape {embeddings.shape} does not match {k} nodes x {gp.width}")
-    dst_idx, src_idx, rel_idx, slot_idx, max_deg = edges
-    src_nodes = T.take_rows(embeddings, src_idx)
-    rel_rows = T.take_rows(gp.relation_table, rel_idx)
-    pair_input = T.concat([src_nodes, rel_rows], axis=1)
-
-    queries = T.add(T.matmul(embeddings, layer.f_q_w), layer.f_q_b)
-    keys = T.add(T.matmul(pair_input, layer.f_k_w), layer.f_k_b)
-    logits = T.mul(T.tensor_sum(T.mul(T.take_rows(queries, dst_idx), keys), axis=1),
-                   1.0 / np.sqrt(layer.attn_width))
-
-    padded = T.pairs_to_padded(logits, dst_idx, slot_idx, (k, max_deg),
-                               fill=-1e30)
-    alpha = T.softmax(padded, axis=1)
+    dst_idx, _, _, slot_idx, max_deg = edges
+    alpha, pair_input = _attention(k, edges, embeddings, layer, gp)
 
     messages = T.add(T.matmul(pair_input, layer.f_m_w), layer.f_m_b)
     # Route each message into its (node, slot) cell; padding slots point at a
@@ -170,16 +182,7 @@ def gnn_encode(sub: Subgraph, initial: Tensor, gp: GnnParams) -> Tensor:
 def attention_weights(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
                       gp: GnnParams) -> list[np.ndarray]:
     """Per-node softmax weights over self + incident edges (for invariants)."""
-    dst_idx, src_idx, rel_idx, slot_idx, _ = _edge_lists(sub, gp)
-    e = embeddings.data
-    table = gp.relation_table.data
-    pair = np.concatenate([e[src_idx], table[rel_idx]], axis=1)
-    q = e @ layer.f_q_w.data + layer.f_q_b.data
-    kx = pair @ layer.f_k_w.data + layer.f_k_b.data
-    logits = (q[dst_idx] * kx).sum(axis=1) / np.sqrt(layer.attn_width)
-    weights = []
-    for i in range(sub.num_nodes):
-        li = logits[dst_idx == i]
-        ex = np.exp(li - li.max())
-        weights.append(ex / ex.sum())
-    return weights
+    edges = _edge_lists(sub, gp)
+    alpha, _ = _attention(sub.num_nodes, edges, embeddings, layer, gp)
+    degree = np.bincount(edges[0], minlength=sub.num_nodes)
+    return [alpha.data[i, :n] for i, n in enumerate(degree)]

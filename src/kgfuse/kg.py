@@ -162,6 +162,16 @@ class Subgraph:
         return Subgraph(self.entity_ids, self.seed_flags, list(triplets_local))
 
 
+def disjoint_union(parts: list[Subgraph]) -> tuple[Subgraph, list[int]]:
+    """``parts`` side by side in one graph, where node ``i`` of part ``b`` is
+    node ``offsets[b] + i``, and the offsets; triplets keep their order."""
+    offsets = np.cumsum([0] + [p.num_nodes for p in parts[:-1]]).tolist()
+    return Subgraph([e for p in parts for e in p.entity_ids],
+                    [f for p in parts for f in p.seed_flags],
+                    [(h + off, r, t + off) for p, off in zip(parts, offsets)
+                     for h, r, t in p.triplets_local]), offsets
+
+
 @dataclass
 class EdgeHoldout:
     """A disjoint split of a graph's triplets into visible and held-out sets."""

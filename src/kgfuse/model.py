@@ -1,31 +1,38 @@
-"""End-to-end model assembly: parameters, the per-step forward pass, and losses.
+"""End-to-end model assembly: parameters, the batched forward pass, and losses.
 
-One training step, per example: patchify and mask the image, encode it,
-retrieve entities from the patch queries, expand their one-hop subgraph,
-hold out a fraction of its edges, message-pass over the visible remainder,
-fuse CLS + patches + SEP + masked tokens + SEP + retrieved entities, and
-apply the four objectives.  Held-out subgraph edges are the link-prediction
-positives and never participate in message passing in the same step.
+One training step runs each stage once over the whole batch: patchify and
+mask the images, encode them; encode the masked captions, padded to the
+longest; retrieve entities from each example's patch queries, expand their
+one-hop subgraph and hold out a fraction of its edges; message-pass over the
+disjoint union of the visible subgraphs; fuse CLS + patches + SEP + tokens +
+SEP + retrieved entities in one padded layout; and apply the four
+objectives.  The random choices (masks, subgraph sampling, the holdout
+split, negatives) stay per example, each from its own seed.  Held-out
+subgraph edges are the link-prediction positives and never participate in
+message passing in the same step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import tensor as T
 from .config import Config
 from .data import SyntheticCorpus
-from .encoders import (EntityParams, TextParams, TokenSequence, VisionParams,
-                       entity_encode, init_entity, init_text, init_vision,
-                       patchify, project_memory_rows, text_encode,
-                       vision_encode)
+# project_memory_rows stays importable from this module: perfbench's traced
+# run wraps it here by name.
+from .encoders import (EntityParams, TextParams, VisionParams, entity_encode,
+                       init_entity, init_text, init_vision, patchify,
+                       project_memory_rows, text_encode, vision_encode)
 from .errors import ValidationError
 from .fusion import (FusionParams, HeadParams, assemble, fuse, heads,
                      init_fusion, init_heads)
 from .gnn import GnnParams, forward_relation_rows, gnn_encode, init_gnn
-from .kg import KnowledgeGraph, Triplet, expand_subgraph, split_triplet_list
+from .kg import (KnowledgeGraph, Triplet, disjoint_union, expand_subgraph,
+                 split_triplet_list)
 from .objectives import (ItcParams, LossBundle, ScoringTables, init_itc,
                          itc_loss, linkpred_loss, mask_patches, mask_spans,
                          mlm_loss, mvm_loss, total_loss)
@@ -110,20 +117,6 @@ def entity_fallback_table(params: ModelParams, memory: EntityMemory) -> Tensor:
     return T.add(T.matmul(base, params.entity.proj_w), params.entity.proj_b)
 
 
-def _scoring_tables(params: ModelParams, memory: EntityMemory,
-                    fallback: Tensor, node_embeddings: Tensor,
-                    subgraph_ids: list[int], config: Config) -> ScoringTables:
-    """Score subgraph entities from their GNN rows, the rest from the table."""
-    offset = len(subgraph_ids)
-    entity_row = {e: offset + i for e, i in memory.row_of.items()}
-    entity_row.update((e, local) for local, e in enumerate(subgraph_ids))
-    return ScoringTables(entity_matrix=T.concat([node_embeddings, fallback], axis=0),
-                         entity_row=entity_row,
-                         relation_matrix=params.gnn.relation_table,
-                         relation_row=forward_relation_rows(params.gnn),
-                         gamma=config.gamma, n=config.n_negatives)
-
-
 @dataclass
 class StepOutput:
     bundle: LossBundle
@@ -144,101 +137,91 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     config = corpus.config if config is None else config
     kg = corpus.kg
     need_fusion = "mlm" in active or "mvm" in active
-    need_entities = need_fusion or "linkpred" in active
+    examples = plan.examples
+    mlm = mvm = linkpred = itc = T.constant(0.0)
 
-    fallback = entity_fallback_table(params, memory) if "linkpred" in active else None
+    patches = patchify(np.stack([corpus.images[ex.index] for ex in examples]),
+                       config.patch_size).patches
+    patch_records = [mask_patches(p, config.mvm_rate, ex.patch_mask_seed)[1]
+                     for p, ex in zip(patches, examples)]
+    masked = np.array([np.isin(np.arange(patches.shape[1]), r.patch_positions)
+                       for r in patch_records])
+    v_out, queries = vision_encode(patches, params.vision, masked)
 
-    mlm_parts: list[Tensor] = []
-    mvm_parts: list[Tensor] = []
-    linkpred_parts: list[Tensor] = []
+    captions, token_records = zip(*(
+        mask_spans(corpus.captions[ex.index], config.mlm_rate, config.mean_span,
+                   config.max_span, Config.MASK_ID, ex.span_mask_seed)
+        for ex in examples))
+    lengths = np.array([len(c) for c in captions])
+    # Padding slots read token 0 and are masked out of every softmax.
+    token_valid = np.arange(lengths.max()) < lengths[:, None]
+    tokens = np.zeros(token_valid.shape, dtype=np.int64)
+    tokens[token_valid] = np.concatenate(captions)
+    t_out = text_encode(tokens, params.text, token_valid)
+
+    retrieved_ids, subgraphs, held_outs, node_weights = [], [], [], []
     linkpred_count = 0
-    image_vecs: list[Tensor] = []
-    text_vecs: list[Tensor] = []
-    retrieved_ids: list[list[int]] = []
-
-    for ex in plan.examples:
-        image = corpus.images[ex.index]
-        caption = corpus.captions[ex.index]
-
-        seq = patchify(image, config.patch_size)
-        patch_positions, patch_record = mask_patches(seq, config.mvm_rate,
-                                                     ex.patch_mask_seed)
-        v_out, queries = vision_encode(seq, params.vision,
-                                       masked_positions=patch_positions)
-
-        masked_tokens, token_record = mask_spans(
-            caption, config.mlm_rate, config.mean_span, config.max_span,
-            Config.MASK_ID, ex.span_mask_seed)
-        t_out = text_encode(TokenSequence(masked_tokens), params.text)
-
-        entity_embs = None
-        subgraph = None
-        node_embeddings = None
-        if need_entities:
-            scores = score_patches(queries, memory)
+    if need_fusion or "linkpred" in active:
+        for i, ex in enumerate(examples):
+            scores = score_patches(queries[i], memory)
             rset = retrieve_from_scores(scores, memory, config.k_per_patch,
                                         config.k_final)
             retrieved_ids.append(rset.ids)
-            weight_vec = relevance_weights(gather_retrieved_scores(scores, rset),
-                                           config.relevance_temperature)
             subgraph = expand_subgraph(kg, rset.ids, config.per_node_cap,
                                        ex.subgraph_seed)
             visible, held_out = split_triplet_list(subgraph.triplets_local,
-                                                   config.edge_drop,
-                                                   ex.holdout_seed)
-            sub_visible = subgraph.with_triplets(visible)
+                                                   config.edge_drop, ex.holdout_seed)
+            subgraphs.append(subgraph.with_triplets(visible))
+            held_outs.append(held_out)
+            # Seeds are scaled by their relevance, neighbours by exactly 1.
+            node_weights += [
+                relevance_weights(gather_retrieved_scores(scores, rset),
+                                  config.relevance_temperature),
+                T.constant(np.ones(subgraph.num_nodes - len(rset.ids)))]
+        union, offsets = disjoint_union(subgraphs)
+        e0 = entity_encode(union.entity_ids, memory, T.concat(node_weights),
+                           params.entity)
+        nodes = gnn_encode(union, e0, params.gnn)
 
-            seed_embs = entity_encode(rset.ids, memory, weight_vec, params.entity)
-            neighbor_ids = subgraph.entity_ids[len(rset.ids):]
-            if neighbor_ids:
-                e0 = T.concat([seed_embs,
-                               project_memory_rows(neighbor_ids, memory,
-                                                   params.entity)], axis=0)
-            else:
-                e0 = seed_embs
-            node_embeddings = gnn_encode(sub_visible, e0, params.gnn)
-            entity_embs = T.take_rows(node_embeddings,
-                                      np.arange(len(rset.ids)))
+    if "linkpred" in active and any(held_outs):
+        # Subgraph entities score from their GNN rows, the rest from the
+        # fallback rows after them.
+        table = T.concat([nodes, entity_fallback_table(params, memory)], axis=0)
+        fallback_rows = {e: union.num_nodes + r for e, r in memory.row_of.items()}
+        relation_rows = forward_relation_rows(params.gnn)
+        parts = []
+        for ex, sub, offset, held_out in zip(examples, subgraphs, offsets, held_outs):
+            if not held_out:
+                continue
+            entity_row = {**fallback_rows,
+                          **{e: offset + i for i, e in enumerate(sub.entity_ids)}}
+            tables = ScoringTables(table, entity_row, params.gnn.relation_table,
+                                   relation_rows, config.gamma, config.n_negatives)
+            positives = [Triplet(sub.entity_ids[h], r, sub.entity_ids[t])
+                         for h, r, t in held_out]
+            parts.append(T.mul(linkpred_loss(positives, tables, kg, ex.negative_seed),
+                               float(len(positives))))
+            linkpred_count += len(positives)
+        linkpred = T.mul(reduce(T.add, parts), 1.0 / linkpred_count)
 
-            if "linkpred" in active and held_out:
-                tables = _scoring_tables(params, memory, fallback,
-                                         node_embeddings, subgraph.entity_ids,
-                                         config)
-                positives = [Triplet(subgraph.entity_ids[h], r,
-                                     subgraph.entity_ids[t])
-                             for h, r, t in held_out]
-                linkpred_parts.append(
-                    T.mul(linkpred_loss(positives, tables, kg,
-                                        ex.negative_seed), float(len(positives))))
-                linkpred_count += len(positives)
+    if need_fusion:
+        counts = np.array([len(ids) for ids in retrieved_ids])
+        entity_valid = np.arange(counts.max()) < counts[:, None]
+        # Each example's seeds are the first nodes of its part of the union.
+        seed_rows = np.where(entity_valid,
+                             np.asarray(offsets)[:, None] + np.arange(counts.max()), 0)
+        fused = assemble(v_out, t_out, T.take_rows(nodes, seed_rows), params.fusion,
+                         token_valid, entity_valid)
+        out = heads(fuse(fused, params.fusion), fused,
+                    [r.token_positions for r in token_records],
+                    [r.patch_positions for r in patch_records], params.heads)
+        if "mlm" in active:
+            mlm = mlm_loss(out.mlm_logits, *token_records)
+        if "mvm" in active:
+            mvm = mvm_loss(out.mvm_pred, *patch_records)
 
-        if need_fusion:
-            fused_seq = assemble(v_out, t_out, entity_embs, params.fusion)
-            hidden = fuse(fused_seq, params.fusion)
-            out = heads(hidden, fused_seq, token_record.token_positions,
-                        patch_record.patch_positions, params.heads)
-            if "mlm" in active:
-                mlm_parts.append(mlm_loss(out.mlm_logits, token_record))
-            if "mvm" in active:
-                mvm_parts.append(mvm_loss(out.mvm_pred, patch_record))
-
-        if "itc" in active:
-            image_vecs.append(T.tensor_mean(v_out, axis=0, keepdims=True))
-            text_vecs.append(t_out[0:1, :])
-
-    zero = T.constant(0.0)
-    b = len(plan.examples)
-    mlm = T.mul(_sum_parts(mlm_parts), 1.0 / b) if mlm_parts else zero
-    mvm = T.mul(_sum_parts(mvm_parts), 1.0 / b) if mvm_parts else zero
-    if linkpred_parts:
-        linkpred = T.mul(_sum_parts(linkpred_parts), 1.0 / linkpred_count)
-    else:
-        linkpred = zero
     if "itc" in active:
-        itc = itc_loss(T.concat(image_vecs, axis=0), T.concat(text_vecs, axis=0),
-                       params.itc)
-    else:
-        itc = zero
+        itc = itc_loss(T.tensor_mean(v_out, axis=1), t_out[:, 0], params.itc)
 
     weights = (config.w_mlm if "mlm" in active else 0.0,
                config.w_mvm if "mvm" in active else 0.0,
@@ -246,13 +229,6 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                config.w_itc if "itc" in active else 0.0)
     bundle = total_loss(mlm, mvm, linkpred, itc, weights)
     return StepOutput(bundle, linkpred_count, retrieved_ids)
-
-
-def _sum_parts(parts: list[Tensor]) -> Tensor:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = T.add(acc, p)
-    return acc
 
 
 def single_loss_objective(params: ModelParams, corpus: SyntheticCorpus,

@@ -163,28 +163,41 @@ def mask_patches(patches, rate: float, seed: int) -> tuple[list[int], MaskingRec
 # ---- losses --------------------------------------------------------------------
 
 
-def mlm_loss(logits: Tensor, record: MaskingRecord) -> Tensor:
-    """Mean cross-entropy of masked-token predictions against the originals."""
-    if logits.shape[0] != len(record.token_positions):
+def mlm_loss(logits: Tensor, *records: MaskingRecord) -> Tensor:
+    """Cross-entropy of masked-token predictions against the originals: the
+    mean over ``records`` of each example's mean, with the ``logits`` rows
+    running example by example."""
+    counts = np.array([len(r.token_positions) for r in records], dtype=np.int64)
+    if not (counts.size and counts.all()) or logits.ndim != 2 \
+            or logits.shape[0] != counts.sum():
         raise ValidationError(
-            f"{logits.shape[0]} logit rows for {len(record.token_positions)} masked tokens")
-    return T.cross_entropy(logits, record.original_tokens)
+            f"{logits.shape[0]} logit rows for masked token counts {counts.tolist()}")
+    targets = [t for r in records for t in r.original_tokens]
+    picked = T.take_pairs(T.log_softmax(logits, axis=1), np.arange(len(targets)), targets)
+    return T.neg(T.dot(picked, T.constant(np.repeat(1.0 / (len(records) * counts), counts))))
 
 
-def mvm_loss(predictions: Tensor, record: MaskingRecord) -> Tensor:
-    """Mean squared error against the original raw patch vectors."""
-    targets = record.original_patches
-    if targets is None or predictions.shape[0] != targets.shape[0]:
+def mvm_loss(predictions: Tensor, *records: MaskingRecord) -> Tensor:
+    """Mean squared error against the original raw patch vectors, rows
+    running example by example; every example masks as many patches, so
+    this is also the mean of the examples' means."""
+    targets = [r.original_patches for r in records]
+    if not targets or any(t is None for t in targets) \
+            or predictions.shape[0] != sum(len(t) for t in targets):
         raise ValidationError("prediction rows do not match masked patch count")
-    return T.mse(predictions, T.constant(targets))
+    return T.mse(predictions, T.constant(np.concatenate(targets)))
 
 
 def distmult(h: Tensor, r: Tensor, t: Tensor) -> Tensor:
     """Trilinear score sum_d h_d * r_d * t_d over the last axis, one per row;
-    symmetric in head and tail."""
-    if h.shape != r.shape or r.shape != t.shape:
-        raise ValidationError(
-            f"distmult width mismatch: {h.shape}, {r.shape}, {t.shape}")
+    leading axes broadcast, and the score is symmetric in head and tail."""
+    if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:
+        raise ValidationError(f"distmult width mismatch: {h.shape}, {r.shape}, {t.shape}")
+    try:
+        np.broadcast_shapes(h.shape, r.shape, t.shape)
+    except ValueError:
+        raise ValidationError(f"distmult leading axes do not broadcast: "
+                              f"{h.shape}, {r.shape}, {t.shape}") from None
     return T.tensor_sum(T.mul(T.mul(h, r), t), axis=-1)
 
 
@@ -228,13 +241,11 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
     # negative tails.
     entity_rows = _entity_rows(tables, kg, np.concatenate(
         [dense[:, :1], neg_heads, dense[:, 2:], neg_tails], axis=1))
-    head_rows = entity_rows[:, :1 + n].ravel()
-    tail_rows = entity_rows[:, 1 + n:].ravel()
-
-    h = T.take_rows(tables.entity_matrix, head_rows)
-    t = T.take_rows(tables.entity_matrix, tail_rows)
-    r = T.take_rows(tables.relation_matrix, np.repeat(rel_rows, 1 + n))
-    grid = T.reshape(distmult(h, r, t), (len(positives), 1 + n))
+    # (P, 1 + n) candidate rows against one (P, 1) relation row per positive.
+    h = T.take_rows(tables.entity_matrix, entity_rows[:, :1 + n])
+    t = T.take_rows(tables.entity_matrix, entity_rows[:, 1 + n:])
+    r = T.take_rows(tables.relation_matrix, np.asarray(rel_rows)[:, None])
+    grid = distmult(h, r, t)
 
     pos_scores = grid[:, 0]
     neg_scores = grid[:, 1:]

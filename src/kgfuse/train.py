@@ -154,22 +154,14 @@ def filtered_ranks(entity_matrix: np.ndarray, relation_matrix: np.ndarray,
     ranks: list[int] = []
     for h, r, t in held_out:
         rel = relation_matrix[relation_row[r]]
-        # tail side: rank t among all candidates scored by phi_r(h, .)
-        scores = all_vecs @ (entity_matrix[entity_row[h]] * rel)
-        keep = np.ones(len(ids), dtype=bool)
-        for other in true_tails.get((h, r), ()):  # filter other positives
-            if other != t:
-                keep[id_pos[other]] = False
-        target = scores[id_pos[t]]
-        ranks.append(int(np.sum(scores[keep] >= target)))
-        # head side
-        scores = all_vecs @ (rel * entity_matrix[entity_row[t]])
-        keep = np.ones(len(ids), dtype=bool)
-        for other in true_heads.get((r, t), ()):
-            if other != h:
-                keep[id_pos[other]] = False
-        target = scores[id_pos[h]]
-        ranks.append(int(np.sum(scores[keep] >= target)))
+        # Tail side: rank t among all candidates scored by phi_r(h, .); then
+        # the head side.  Other true triplets are filtered out.
+        for anchor, target, others in ((h, t, true_tails.get((h, r), ())),
+                                       (t, h, true_heads.get((r, t), ()))):
+            scores = all_vecs @ (entity_matrix[entity_row[anchor]] * rel)
+            keep = np.ones(len(ids), dtype=bool)
+            keep[[id_pos[other] for other in others if other != target]] = False
+            ranks.append(int(np.sum(scores[keep] >= scores[id_pos[target]])))
     return ranks
 
 
@@ -281,11 +273,8 @@ def eval_retrieval(params: ModelParams, memory: EntityMemory,
     config = corpus.config
     k = config.k_final if k is None else k
     k_per_patch = config.k_per_patch if k_per_patch is None else k_per_patch
-    hits = 0
-    for image, gt in zip(corpus.images, corpus.ground_truth):
-        seq = patchify(image, config.patch_size)
-        _, queries = vision_encode(seq, params.vision)
-        rset = retrieve(queries.data, memory, k_per_patch, k)
-        if set(rset.ids) & set(gt):
-            hits += 1
+    patches = patchify(np.stack(corpus.images), config.patch_size).patches
+    _, queries = vision_encode(patches, params.vision)
+    hits = sum(bool(set(retrieve(q, memory, k_per_patch, k).ids) & set(gt))
+               for q, gt in zip(queries.data, corpus.ground_truth))
     return hits / len(corpus)

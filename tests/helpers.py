@@ -2,7 +2,9 @@
 
 Everything here is written with explicit Python loops against plain numpy
 arrays, deliberately avoiding the library's own vectorized paths, so a test
-comparing the two is a genuine dual-route check.
+comparing the two is a genuine dual-route check.  The one exception is
+``reference_compute_step``: it runs the library's stages one example at a
+time, the reference for the batched training step.
 """
 
 from __future__ import annotations
@@ -100,14 +102,14 @@ def attention_rows(x, layer) -> list[np.ndarray]:
     return rows
 
 
-def reassemble(seq) -> np.ndarray:
-    """Inverse of ``patchify``; the round-trip oracle."""
-    rows, cols = seq.grid
-    p, c = seq.patch_size, seq.channels
+def reassemble(patches, grid, p, c) -> np.ndarray:
+    """Inverse of ``patchify`` for one image of ``grid`` (rows, cols)
+    patches of p x p x c; the round-trip oracle."""
+    rows, cols = grid
     image = np.empty((rows * p, cols * p, c))
     for r in range(rows):
         for col in range(cols):
-            block = seq.patches[r * cols + col].reshape(p, p, c)
+            block = patches[r * cols + col].reshape(p, p, c)
             image[r * p:(r + 1) * p, col * p:(col + 1) * p, :] = block
     return image
 
@@ -137,6 +139,27 @@ def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
             agg += a * msg
         out[i] = agg @ layer.f_n_w.data + layer.f_n_b.data + embeddings[i]
     return out
+
+
+def reference_edge_lists(sub, gp):
+    """Per-node lists of (src, relation-row), self term first, flattened.
+
+    Returns the (dst, src, relation-row, slot) arrays and the widest
+    in-degree, as ``gnn._edge_lists`` does.
+    """
+    per_node = [[(i, SELF_ROW)] for i in range(sub.num_nodes)]
+    for src, dst, rel, direction in sub.edges():
+        per_node[dst].append((src, gp.relation_rows[(rel, direction)]))
+    dst_idx, src_idx, rel_idx, slot_idx = [], [], [], []
+    for i, entries in enumerate(per_node):
+        for slot, (src, rel_row) in enumerate(entries):
+            dst_idx.append(i)
+            src_idx.append(src)
+            rel_idx.append(rel_row)
+            slot_idx.append(slot)
+    max_deg = max(len(entries) for entries in per_node)
+    return (np.array(dst_idx), np.array(src_idx), np.array(rel_idx),
+            np.array(slot_idx), max_deg)
 
 
 def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
@@ -197,3 +220,102 @@ def reference_expand_edges(kg, nodes: list[int]) -> list[tuple[int, int, int]]:
     local = {e: i for i, e in enumerate(nodes)}
     return [(local[h], r, local[t]) for h, r, t in kg.triplets
             if h in local and t in local]
+
+
+def reference_compute_step(params, corpus, memory, plan, config=None):
+    """The training step as a loop over examples, each its own chain of ops.
+
+    Every example is encoded, message-passed over its own visible subgraph,
+    fused without padding and scored on its own; the batch losses are then
+    averaged as ``model.compute_step`` averages them.  Returns the loss
+    bundle.
+    """
+    from kgfuse import tensor as T
+    from kgfuse.config import Config
+    from kgfuse.encoders import (entity_encode, patchify, project_memory_rows,
+                                 text_encode, vision_encode)
+    from kgfuse.fusion import assemble, fuse, heads
+    from kgfuse.gnn import forward_relation_rows, gnn_encode
+    from kgfuse.kg import Triplet, expand_subgraph, split_triplet_list
+    from kgfuse.model import entity_fallback_table
+    from kgfuse.objectives import (ScoringTables, itc_loss, linkpred_loss,
+                                   mask_patches, mask_spans, mlm_loss, mvm_loss,
+                                   total_loss)
+    from kgfuse.retriever import (gather_retrieved_scores, relevance_weights,
+                                  retrieve_from_scores, score_patches)
+
+    config = corpus.config if config is None else config
+    kg = corpus.kg
+    fallback = entity_fallback_table(params, memory)
+    mlm_parts, mvm_parts, linkpred_parts = [], [], []
+    image_vecs, text_vecs = [], []
+    linkpred_count = 0
+    for ex in plan.examples:
+        seq = patchify(corpus.images[ex.index], config.patch_size)
+        positions, patch_record = mask_patches(seq, config.mvm_rate, ex.patch_mask_seed)
+        masked = np.zeros(seq.count, dtype=bool)
+        masked[positions] = True
+        v_out, queries = vision_encode(seq.patches, params.vision, masked)
+        tokens, token_record = mask_spans(
+            corpus.captions[ex.index], config.mlm_rate, config.mean_span,
+            config.max_span, Config.MASK_ID, ex.span_mask_seed)
+        t_out = text_encode(tokens, params.text)
+
+        scores = score_patches(queries, memory)
+        rset = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
+        weights = relevance_weights(gather_retrieved_scores(scores, rset),
+                                    config.relevance_temperature)
+        subgraph = expand_subgraph(kg, rset.ids, config.per_node_cap, ex.subgraph_seed)
+        visible, held_out = split_triplet_list(subgraph.triplets_local,
+                                               config.edge_drop, ex.holdout_seed)
+        e0 = entity_encode(rset.ids, memory, weights, params.entity)
+        neighbor_ids = subgraph.entity_ids[len(rset.ids):]
+        if neighbor_ids:
+            e0 = T.concat([e0, project_memory_rows(neighbor_ids, memory, params.entity)])
+        nodes = gnn_encode(subgraph.with_triplets(visible), e0, params.gnn)
+
+        if held_out:
+            entity_row = {e: len(subgraph.entity_ids) + i for e, i in memory.row_of.items()}
+            entity_row.update((e, i) for i, e in enumerate(subgraph.entity_ids))
+            tables = ScoringTables(T.concat([nodes, fallback]), entity_row,
+                                   params.gnn.relation_table,
+                                   forward_relation_rows(params.gnn),
+                                   gamma=config.gamma, n=config.n_negatives)
+            positives = [Triplet(subgraph.entity_ids[h], r, subgraph.entity_ids[t])
+                         for h, r, t in held_out]
+            loss = linkpred_loss(positives, tables, kg, ex.negative_seed)
+            linkpred_parts.append(T.mul(loss, float(len(positives))))
+            linkpred_count += len(positives)
+
+        fused = assemble(v_out, t_out, T.take_rows(nodes, np.arange(len(rset.ids))),
+                         params.fusion)
+        out = heads(fuse(fused, params.fusion), fused, [token_record.token_positions],
+                    [patch_record.patch_positions], params.heads)
+        mlm_parts.append(mlm_loss(out.mlm_logits, token_record))
+        mvm_parts.append(mvm_loss(out.mvm_pred, patch_record))
+        image_vecs.append(T.tensor_mean(v_out, axis=0, keepdims=True))
+        text_vecs.append(t_out[0:1, :])
+
+    def mean(parts, count):
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = T.add(acc, part)
+        return T.mul(acc, 1.0 / count)
+
+    b = len(plan.examples)
+    linkpred = mean(linkpred_parts, linkpred_count) if linkpred_parts else T.constant(0.0)
+    itc = itc_loss(T.concat(image_vecs), T.concat(text_vecs), params.itc)
+    return total_loss(mean(mlm_parts, b), mean(mvm_parts, b), linkpred, itc,
+                      (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
+
+
+def count_vjp_nodes(loss) -> int:
+    """Autodiff nodes reachable from ``loss`` that carry a VJP."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._vjp is not None
+            stack.extend(node._parents)
+    return count

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from kgfuse import tensor as T
-from kgfuse.encoders import (EntityParams, PatchSequence, TokenSequence,
-                             entity_encode, init_entity, init_matrix, init_text,
+from kgfuse.encoders import (EntityParams, entity_encode, init_entity, init_matrix, init_text,
                              init_transformer_layer, init_vision, patchify,
                              project_memory_rows, text_encode,
                              transformer_layer, vision_encode)
@@ -28,7 +27,7 @@ class TestPatchify:
         image = np.arange(64, dtype=float).reshape(8, 8, 1)
         seq = patchify(image, 4)
         assert seq.patches.shape == (4, 16)
-        assert seq.grid == (2, 2)
+        assert seq.count == 4
 
     def test_constant_image_identical_patches(self):
         seq = patchify(np.full((8, 8, 2), 3.0), 4)
@@ -37,7 +36,7 @@ class TestPatchify:
     def test_reassembly_roundtrip(self):
         image = np.random.default_rng(1).standard_normal((16, 16, 3))
         seq = patchify(image, 8)
-        np.testing.assert_array_equal(reassemble(seq), image)
+        np.testing.assert_array_equal(reassemble(seq.patches, (2, 2), 8, 3), image)
 
     def test_row_major_order(self):
         image = np.zeros((8, 8, 1))
@@ -45,6 +44,14 @@ class TestPatchify:
         seq = patchify(image, 4)
         assert np.all(seq.patches[1] == 5.0)
         assert np.all(seq.patches[0] == 0.0)
+
+    def test_batch_of_images_patchifies_each_alone(self):
+        images = np.random.default_rng(2).standard_normal((2, 3, 8, 12, 2))
+        batch = patchify(images, 4)
+        assert batch.patches.shape == (2, 3, 6, 32) and batch.count == 6
+        for index in np.ndindex(2, 3):
+            np.testing.assert_array_equal(batch.patches[index],
+                                          patchify(images[index], 4).patches)
 
     def test_indivisible_dimensions_error(self):
         with pytest.raises(ValidationError, match="9x8.*4"):
@@ -107,6 +114,23 @@ class TestTransformerLayer:
                                    valid_mask=mask).data
         np.testing.assert_allclose(padded[:4], unpadded, atol=1e-12)
 
+        # A (B, L) batch with a different padding length per sequence.
+        rng = np.random.default_rng(8)
+        lengths = [6, 2, 4]
+        batch = np.full((3, 6, 4), 9.9)
+        singles = []
+        for b, n in enumerate(lengths):
+            singles.append(rng.standard_normal((n, 4)))
+            batch[b, :n] = singles[-1]
+        valid = np.arange(6) < np.array(lengths)[:, None]
+        out = transformer_layer(T.Tensor(batch), layer, valid_mask=valid).data
+        for b, single in enumerate(singles):
+            np.testing.assert_allclose(
+                out[b, :lengths[b]], transformer_layer(T.Tensor(single), layer).data,
+                atol=1e-12)
+        with pytest.raises(ValidationError, match="valid_mask"):
+            transformer_layer(T.Tensor(batch), layer, valid_mask=valid[0])
+
     def test_gradients_pass_fd(self):
         params, layer = make_layer(seed=8)
         rng = np.random.default_rng(9)
@@ -136,7 +160,7 @@ class TestVisionEncode:
 
     def test_output_shapes(self):
         _, vp, seq = self._setup()
-        x, queries = vision_encode(seq, vp)
+        x, queries = vision_encode(seq.patches, vp)
         assert x.shape == (4, 8)
         assert queries.shape == (4, 6)
 
@@ -145,7 +169,7 @@ class TestVisionEncode:
         rng = np.random.default_rng(11)
         vp = init_vision(params, rng, 16, 4, 8, 6, depth=0, heads=2, d_ff=16)
         seq = patchify(np.random.default_rng(12).standard_normal((8, 8, 1)), 4)
-        x, queries = vision_encode(seq, vp)
+        x, queries = vision_encode(seq.patches, vp)
         expected = seq.patches @ vp.patch_w.data + vp.patch_b.data + vp.pos.data
         np.testing.assert_allclose(x.data, expected, atol=1e-12)
         np.testing.assert_allclose(
@@ -154,22 +178,35 @@ class TestVisionEncode:
 
     def test_mask_substitution_hides_content(self):
         _, vp, seq = self._setup(depth=0)
-        x_masked, _ = vision_encode(seq, vp, masked_positions=[1])
-        tampered = PatchSequence(seq.patches.copy(), seq.grid, seq.patch_size,
-                                 seq.channels)
-        tampered.patches[1] = 123.0
-        x_tampered, _ = vision_encode(tampered, vp, masked_positions=[1])
+        masked = np.array([False, True, False, False])
+        x_masked, _ = vision_encode(seq.patches, vp, masked)
+        tampered = seq.patches.copy()
+        tampered[1] = 123.0
+        x_tampered, _ = vision_encode(tampered, vp, masked)
         np.testing.assert_array_equal(x_masked.data, x_tampered.data)
         # unmasked rows are untouched by masking
-        x_plain, _ = vision_encode(seq, vp)
+        x_plain, _ = vision_encode(seq.patches, vp)
         np.testing.assert_array_equal(x_masked.data[[0, 2, 3]],
                                       x_plain.data[[0, 2, 3]])
+
+    def test_batch_equals_each_image_alone(self):
+        _, vp, seq = self._setup(depth=2)
+        images = np.random.default_rng(13).standard_normal((3, 8, 8, 1))
+        batch = patchify(images, 4).patches
+        masked = np.array([[False, True, False, False], [False] * 4,
+                           [True, False, False, True]])
+        x, queries = vision_encode(batch, vp, masked)
+        assert x.shape == (3, 4, 8) and queries.shape == (3, 4, 6)
+        for b in range(3):
+            x_one, q_one = vision_encode(batch[b], vp, masked[b])
+            np.testing.assert_allclose(x.data[b], x_one.data, atol=1e-12)
+            np.testing.assert_allclose(queries.data[b], q_one.data, atol=1e-12)
 
     def test_projection_gradient_passes_fd(self):
         params, vp, seq = self._setup(depth=1)
 
         def objective():
-            _, queries = vision_encode(seq, vp)
+            _, queries = vision_encode(seq.patches, vp)
             return T.tensor_sum(T.power(queries, 2.0))
 
         err = T.finite_difference_check(objective, params, eps=1e-4,
@@ -187,33 +224,44 @@ class TestTextEncode:
 
     def test_cls_only(self):
         _, tp = self._setup()
-        out = text_encode(TokenSequence([0]), tp)
+        out = text_encode([0], tp)
         assert out.shape == (1, 8)
 
     def test_permutation_equivariance_without_positions(self):
         _, tp = self._setup(depth=2)
         tp.pos.data[...] = 0.0
         tokens = [0, 5, 9, 14, 3]
-        base = text_encode(TokenSequence(tokens), tp).data
+        base = text_encode(tokens, tp).data
         perm = [0, 3, 14, 5, 9]  # the same non-CLS tokens, reordered
-        permuted = text_encode(TokenSequence(perm), tp).data
+        permuted = text_encode(perm, tp).data
         # token 5 moved to position 3, 9 to 4, 14 to 2, 3 to 1
         np.testing.assert_allclose(permuted[[0, 3, 4, 2, 1]], base, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         _, tp = self._setup(depth=1, seed=21)
         tokens = [0, 7, 7, 2]
-        out = text_encode(TokenSequence(tokens), tp).data
+        out = text_encode(tokens, tp).data
         x0 = tp.token_embed.data[tokens] + tp.pos.data[:4]
         expected = scalar_transformer_layer(x0, tp.layers[0])
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
+    def test_padded_batch_equals_each_sequence_alone(self):
+        _, tp = self._setup(depth=2, seed=22)
+        sequences = [[0, 4, 8, 15, 16], [0, 23], [0, 42, 42]]
+        valid = np.arange(5) < np.array([len(t) for t in sequences])[:, None]
+        tokens = np.zeros((3, 5), dtype=np.int64)
+        tokens[valid] = np.concatenate(sequences)
+        out = text_encode(tokens, tp, valid).data
+        for b, one in enumerate(sequences):
+            np.testing.assert_allclose(out[b, :len(one)], text_encode(one, tp).data,
+                                       atol=1e-12)
+
     def test_vocabulary_and_length_errors(self):
         _, tp = self._setup()
         with pytest.raises(ValidationError):
-            text_encode(TokenSequence([0, 51]), tp)
+            text_encode([0, 51], tp)
         with pytest.raises(ValidationError):
-            text_encode(TokenSequence([0] * 12), tp)
+            text_encode([0] * 12, tp)
 
 
 class TestEntityEncode:

@@ -146,10 +146,33 @@ class TestFuse:
         length = seq.elements.shape[0]
         padded_elements = T.concat(
             [seq.elements, T.constant(np.full((3, 4), 7.7))], axis=0)
-        padded_seq = type(seq)(padded_elements, seq.segment_types, seq.spans)
         mask = np.array([True] * length + [False] * 3)
-        padded = fuse(padded_seq, fp, valid_mask=mask).data
+        padded_seq = type(seq)(padded_elements, seq.segment_types, seq.spans, mask)
+        padded = fuse(padded_seq, fp).data
         np.testing.assert_allclose(padded[:length], base, atol=1e-12)
+
+        # A (B, L) batch: unequal token and entity counts share one layout.
+        counts = [(3, 2), (1, 0), (2, 1)]  # (tokens, entities) per example
+        singles = [random_inputs(rng, 2, n_tok, k) for n_tok, k in counts]
+        n_tok, k = 3, 2
+
+        def filled(part, width):  # one example's rows, then 9.9 up to width
+            data = np.zeros((0, 4)) if part is None else part.data
+            return np.vstack([data, np.full((width - len(data), 4), 9.9)])
+
+        stacked = [Tensor(np.stack([filled(one[i], width) for one in singles]))
+                   for i, width in enumerate((2, n_tok, k))]
+        token_valid = np.arange(n_tok) < np.array([c[0] for c in counts])[:, None]
+        entity_valid = np.arange(k) < np.array([c[1] for c in counts])[:, None]
+        batch = assemble(*stacked, fp, token_valid, entity_valid)
+        assert batch.valid.shape == (3, 1 + 2 + 1 + n_tok + 1 + k)
+        hidden = fuse(batch, fp).data
+        for b, one in enumerate(singles):
+            single = assemble(*one, fp)
+            expected = fuse(single, fp).data
+            rows = np.flatnonzero(batch.valid[b])
+            assert len(rows) == single.elements.shape[0]
+            np.testing.assert_allclose(hidden[b, rows], expected, atol=1e-12)
 
 
 class TestHeads:
@@ -158,7 +181,7 @@ class TestHeads:
         rng = np.random.default_rng(17)
         seq = assemble(*random_inputs(rng, 3, 3, 1), fp)
         hidden = fuse(seq, fp)
-        out = heads(hidden, seq, [], [], hp)
+        out = heads(hidden, seq, [[]], [[]], hp)
         assert out.mlm_logits.shape == (0, 11)
         assert out.mvm_pred.shape == (0, 6)
 
@@ -166,7 +189,7 @@ class TestHeads:
         _, fp, hp = make_fusion(seed=18)
         rng = np.random.default_rng(19)
         seq = assemble(*random_inputs(rng, 3, 4, 1), fp)
-        out = heads(fuse(seq, fp), seq, [0, 2], [1], hp)
+        out = heads(fuse(seq, fp), seq, [[0, 2]], [[1]], hp)
         probs = T.softmax(out.mlm_logits, axis=1).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert out.mlm_logits.shape == (2, 11)
@@ -178,9 +201,32 @@ class TestHeads:
         seq = assemble(*random_inputs(rng, 3, 2, 1), fp)
         hidden = fuse(seq, fp)
         with pytest.raises(ValidationError, match="token position"):
-            heads(hidden, seq, [2], [], hp)
+            heads(hidden, seq, [[2]], [[]], hp)
         with pytest.raises(ValidationError, match="patch position"):
-            heads(hidden, seq, [], [3], hp)
+            heads(hidden, seq, [[]], [[3]], hp)
+
+    def test_batch_rows_run_example_by_example(self):
+        _, fp, hp = make_fusion(seed=24)
+        rng = np.random.default_rng(25)
+        patches = Tensor(rng.standard_normal((2, 3, 4)))
+        tokens = Tensor(rng.standard_normal((2, 4, 4)))
+        entities = Tensor(rng.standard_normal((2, 1, 4)))
+        token_valid = np.array([[True] * 4, [True, True, False, False]])
+        seq = assemble(patches, tokens, entities, fp, token_valid)
+        hidden = fuse(seq, fp)
+        out = heads(hidden, seq, [[1, 3], [1]], [[0], [2]], hp)
+        length = seq.elements.shape[1]
+        flat = hidden.data.reshape(2 * length, 4)
+        tok_rows = [seq.spans.textual[0] + p for p in (1, 3)] + [length + seq.spans.textual[0] + 1]
+        patch_rows = [seq.spans.visual[0], length + seq.spans.visual[0] + 2]
+        np.testing.assert_allclose(
+            out.mlm_logits.data, flat[tok_rows] @ hp.mlm_w.data + hp.mlm_b.data, atol=1e-12)
+        np.testing.assert_allclose(
+            out.mvm_pred.data, flat[patch_rows] @ hp.mvm_w.data + hp.mvm_b.data, atol=1e-12)
+        with pytest.raises(ValidationError, match="token position 2"):
+            heads(hidden, seq, [[], [2]], [[], []], hp)  # a padding slot
+        with pytest.raises(ValidationError, match="one list per example"):
+            heads(hidden, seq, [[1]], [[0]], hp)
 
     def test_head_gradients_pass_fd(self):
         params, fp, hp = make_fusion(seed=22)
@@ -191,7 +237,7 @@ class TestHeads:
 
         def objective():
             seq = assemble(patches, tokens, entities, fp)
-            out = heads(fuse(seq, fp), seq, [1], [0], hp)
+            out = heads(fuse(seq, fp), seq, [[1]], [[0]], hp)
             return T.add(T.tensor_sum(T.mul(out.mlm_logits, probe_l)),
                          T.tensor_sum(T.mul(out.mvm_pred, probe_p)))
 

@@ -5,13 +5,13 @@ import pytest
 
 from kgfuse import tensor as T
 from kgfuse.errors import ValidationError
-from kgfuse.gnn import (GnnParams, attention_weights, gnn_encode, gnn_layer,
-                        init_gnn)
+from kgfuse.gnn import (GnnParams, _edge_lists, attention_weights, gnn_encode,
+                        gnn_layer, init_gnn)
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Subgraph,
-                       Triplet)
+                       Triplet, disjoint_union)
 from kgfuse.tensor import Parameters, Tensor
 
-from helpers import scalar_gnn_layer
+from helpers import reference_edge_lists, scalar_gnn_layer
 
 
 def make_kg(n_entities=6, n_relations=2):
@@ -118,7 +118,43 @@ class TestGnnLayer:
             gnn_layer(sub, Tensor(np.zeros((2, 4))), gp.layers[0], gp)
 
 
+class TestEdgeLists:
+    def test_matches_per_node_loop(self):
+        kg = make_kg(n_relations=3)
+        params, gp = make_gnn(kg, depth=1, seed=20)
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            parts = []
+            for _ in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(1, 9))
+                parts.append(random_subgraph(
+                    rng, n, 3, int(rng.integers(0, n * (n - 1) // 2 + 1))))
+            sub = parts[0] if trial % 2 else disjoint_union(parts)[0]
+            got = _edge_lists(sub, gp)
+            want = reference_edge_lists(sub, gp)
+            for g, w in zip(got[:4], want[:4]):
+                np.testing.assert_array_equal(g, w)
+                assert g.dtype == np.int64
+            assert got[4] == want[4]
+
+
 class TestGnnEncode:
+    def test_union_equals_each_subgraph_alone(self):
+        kg = make_kg(n_relations=3)
+        params, gp = make_gnn(kg, depth=2, seed=22)
+        rng = np.random.default_rng(23)
+        parts = [random_subgraph(rng, 5, 3, 6), Subgraph([4], [True], []),
+                 random_subgraph(rng, 3, 3, 0), random_subgraph(rng, 7, 3, 12)]
+        union, offsets = disjoint_union(parts)
+        assert offsets == [0, 5, 6, 9]
+        assert union.num_nodes == 16
+        embeddings = [rng.standard_normal((p.num_nodes, 4)) for p in parts]
+        out = gnn_encode(union, Tensor(np.vstack(embeddings)), gp).data
+        for part, offset, emb in zip(parts, offsets, embeddings):
+            alone = gnn_encode(part, Tensor(emb), gp).data
+            np.testing.assert_allclose(out[offset:offset + part.num_nodes], alone,
+                                       atol=1e-12)
+
     def test_permutation_equivariance(self):
         kg = make_kg(n_relations=3)
         params, gp = make_gnn(kg, depth=2, seed=12)

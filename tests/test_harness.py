@@ -11,7 +11,7 @@ from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus, oracle_patch_projection
 from kgfuse.encoders import patchify
 from kgfuse.errors import ValidationError
-from kgfuse.kg import Triplet, holdout_edges
+from kgfuse.kg import Triplet, expand_subgraph, holdout_edges, split_triplet_list
 from kgfuse.model import build_model, compute_step, make_batch_plan
 from kgfuse.optim import AdamState, optimizer_step
 from kgfuse.retriever import retrieve
@@ -19,6 +19,8 @@ from kgfuse.tensor import Parameters, Tensor
 from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           format_metrics, parse_metrics, pretrain,
                           random_baseline_mrr, train_kg_embeddings)
+
+from helpers import count_vjp_nodes, reference_compute_step
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
             corpus_examples=12, batch_size=3, per_node_cap=3, n_negatives=4,
@@ -346,3 +348,55 @@ class TestStepStructure:
         assert a.examples[0].span_mask_seed == b.examples[0].span_mask_seed
         assert (a.examples[0].index != c.examples[0].index
                 or a.examples[0].span_mask_seed != c.examples[0].span_mask_seed)
+
+    def test_batched_step_matches_per_example_reference(self):
+        # Captions of 4 and 9 tokens, 2 to 4 of k_final = 4 entities
+        # retrieved, and a subgraph without visible edges.
+        config = Config(d=8, d_e=8, attn_width=8, ff_dim=16, vision_layers=1,
+                        text_layers=1, gnn_layers=2, fusion_layers=1, image_h=8,
+                        image_w=8, patch_size=4, k_per_patch=1, k_final=4,
+                        batch_size=4, corpus_entities=30, corpus_relations=3,
+                        corpus_triplets=20, corpus_examples=8, caption_min_len=3,
+                        caption_max_len=8, max_text_len=8, vocab=64,
+                        per_node_cap=3, n_negatives=4, edge_drop=0.3, seed=23)
+        corpus = generate_corpus(config)
+        params = build_model(config, corpus.kg)
+        memory = corpus_memory(corpus)
+        plan = make_batch_plan(config, len(corpus), step=1)
+
+        batched = compute_step(params, corpus, memory, plan)
+        visible_edges = []
+        for ex, ids in zip(plan.examples, batched.retrieved):
+            sub = expand_subgraph(corpus.kg, ids, config.per_node_cap, ex.subgraph_seed)
+            visible_edges.append(len(split_triplet_list(
+                sub.triplets_local, config.edge_drop, ex.holdout_seed)[0]))
+        assert len({len(corpus.captions[ex.index]) for ex in plan.examples}) > 1
+        assert min(len(ids) for ids in batched.retrieved) < config.k_final
+        assert 0 in visible_edges and batched.linkpred_positive_count > 0
+
+        got = T.backward(batched.bundle.total)
+        reference = reference_compute_step(params, corpus, memory, plan)
+        want = T.backward(reference.total)
+        for name, value in batched.bundle.values().items():
+            expected = reference.values()[name]
+            assert abs(value - expected) <= 1e-12 * abs(expected), name
+        for name, tensor in params.store.items():
+            g = got.get(tensor, np.zeros_like(tensor.data))
+            w = want.get(tensor, np.zeros_like(tensor.data))
+            # The floor covers gradients that are zero up to rounding, such
+            # as the GNN key bias, which shifts a whole softmax row.
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)) + 1e-18, name
+
+    def test_default_step_values_and_node_budget(self):
+        config = Config(seed=17, lr=2e-3)
+        corpus = generate_corpus(config)
+        params = build_model(config, corpus.kg)
+        plan = make_batch_plan(config, len(corpus), step=1)
+        out = compute_step(params, corpus, corpus_memory(corpus), plan)
+        expected = {"mlm": 7.131708326719035, "mvm": 0.43799786794521806,
+                    "linkpred": 1.3847969503602748, "itc": 3.1984313271811704,
+                    "total": 12.152934472205697}
+        for name, value in out.bundle.values().items():
+            assert abs(value - expected[name]) <= 1e-12 * expected[name], name
+        # One chain of ops per batch, not per example (2,866 nodes before).
+        assert count_vjp_nodes(out.bundle.total) <= 1000

@@ -117,6 +117,21 @@ class TestMlmLoss:
         with pytest.raises(ValidationError):
             mlm_loss(Tensor(np.zeros((2, 5))), record)
 
+    def test_batch_is_mean_of_example_means(self):
+        rng = np.random.default_rng(3)
+        records = [MaskingRecord(token_positions=list(range(1, 1 + m)),
+                                 original_tokens=rng.integers(0, 7, size=m).tolist())
+                   for m in (1, 4, 2)]
+        logits = rng.standard_normal((7, 7))
+        loss = mlm_loss(Tensor(logits), *records).item()
+        starts = [0, 1, 5]
+        expected = np.mean([
+            mlm_loss(Tensor(logits[lo:lo + len(r.token_positions)]), r).item()
+            for lo, r in zip(starts, records)])
+        assert abs(loss - expected) < 1e-12
+        with pytest.raises(ValidationError):
+            mlm_loss(Tensor(logits[:0]), MaskingRecord())
+
 
 class TestMaskPatches:
     def test_count_and_rate(self):
@@ -171,6 +186,17 @@ class TestMvmLoss:
         with pytest.raises(ValidationError):
             mvm_loss(Tensor(np.zeros((2, 4))), record)
 
+    def test_batch_is_mean_of_example_means(self):
+        rng = np.random.default_rng(9)
+        targets = rng.standard_normal((3, 2, 4))
+        preds = rng.standard_normal((6, 4))
+        records = [MaskingRecord(patch_positions=[0, 1], original_patches=t)
+                   for t in targets]
+        loss = mvm_loss(Tensor(preds), *records).item()
+        expected = np.mean([mvm_loss(Tensor(preds[2 * b:2 * b + 2]), r).item()
+                            for b, r in enumerate(records)])
+        assert abs(loss - expected) < 1e-12
+
 
 class TestDistmult:
     def test_worked_example(self):
@@ -195,6 +221,17 @@ class TestDistmult:
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):
             distmult(Tensor(np.zeros(3)), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+    def test_relation_row_broadcasts_over_candidates(self):
+        rng = np.random.default_rng(8)
+        h, t = rng.standard_normal((2, 3, 4, 5))
+        r = rng.standard_normal((3, 1, 5))
+        grid = distmult(Tensor(h), Tensor(r), Tensor(t))
+        assert grid.shape == (3, 4)
+        tiled = distmult(Tensor(h), Tensor(np.repeat(r, 4, axis=1)), Tensor(t))
+        np.testing.assert_array_equal(grid.data, tiled.data)
+        with pytest.raises(ValidationError):
+            distmult(Tensor(h), Tensor(rng.standard_normal((2, 1, 5))), Tensor(t))
 
     def test_rows_score_like_single_vectors(self):
         rng = np.random.default_rng(7)
@@ -288,12 +325,14 @@ class TestLinkpredLoss:
                 negatives = reference_sample_negatives(kg, pos, n, seed + i)
                 head_rows += [entity_row[x.head] for x in [pos] + negatives]
                 tail_rows += [entity_row[x.tail] for x in [pos] + negatives]
-                rel_rows += [relation_row[pos.relation]] * (1 + n)
-            h = T.take_rows(ref_entities, head_rows)
-            t = T.take_rows(ref_entities, tail_rows)
+                rel_rows.append([relation_row[pos.relation]])
+            # One relation row per positive, broadcast over its 1 + n
+            # candidates, so the relation gradient sums them per positive.
+            shape = (len(positives), 1 + n)
+            h = T.take_rows(ref_entities, np.reshape(head_rows, shape))
+            t = T.take_rows(ref_entities, np.reshape(tail_rows, shape))
             r = T.take_rows(ref_relations, rel_rows)
-            grid = T.reshape(T.tensor_sum(T.mul(T.mul(h, r), t), axis=1),
-                             (len(positives), 1 + n))
+            grid = T.tensor_sum(T.mul(T.mul(h, r), t), axis=2)
             pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))
             neg_term = T.tensor_mean(
                 T.neg(T.log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
