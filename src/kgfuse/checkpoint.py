@@ -12,6 +12,7 @@ the header) are rejected: their parameter names no longer exist.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,21 +57,31 @@ def _write_tensor(fh, name: str, data: np.ndarray) -> None:
 
 def save_checkpoint(path, config: Config, step: int, params: Parameters,
                     state: AdamState) -> None:
+    """Write ``<path>.tmp``, sync it and rename it over ``path``, so that a
+    save cut off part-way leaves the previous checkpoint whole."""
     tensors: list[tuple[str, np.ndarray]] = []
     for name, tensor in params.items():
         tensors.append((name, tensor.data))
     for name in params.names():
         tensors.append((f"opt_m.{name}", state.m[name]))
         tensors.append((f"opt_v.{name}", state.v[name]))
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        config_blob = config.to_text().encode("utf-8")
-        fh.write(struct.pack("<I", len(config_blob)))
-        fh.write(config_blob)
-        fh.write(struct.pack("<Q", step))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, data in tensors:
-            _write_tensor(fh, name, data)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            config_blob = config.to_text().encode("utf-8")
+            fh.write(struct.pack("<I", len(config_blob)))
+            fh.write(config_blob)
+            fh.write(struct.pack("<Q", step))
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, data in tensors:
+                _write_tensor(fh, name, data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

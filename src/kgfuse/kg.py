@@ -343,37 +343,38 @@ def split_triplet_list(triplets: list, drop_rate: float, seed: int):
 
 
 def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
-                     seed: int, max_retries: int = 1000
+                     seed, max_retries: int = 1000
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense head and tail indices, each ``(len(positives), n)``, of the
-    corruptions that :func:`sample_negatives` returns for each positive.
+    """Dense head and tail indices, each ``(len(positives), n)``, of ``n``
+    corruptions per positive, all drawn from one ``default_rng(seed)``.
 
-    Positive ``i`` draws from its own ``default_rng(seed + i)``.  Candidates
-    are drawn in chunks with array bounds, which consume the generator
-    exactly as the one-coin-then-one-replacement scalar calls do, and are
-    checked against the graph's triplet keys in one ``searchsorted`` per
-    chunk for all positives.  Drawing past the n-th acceptance is harmless:
-    each generator is discarded afterwards.
+    A candidate is a coin (1 corrupts the head) and a replacement indexing
+    the entities in ascending id order; the relation is never touched.  Each
+    round draws one ``(short, m, 2)`` block of (coin, replacement) pairs for
+    the positives still short of ``n``, in positive order, and rejects the
+    candidates that are triplets of ``kg``.  Each positive keeps its first
+    ``n`` accepted candidates in stream order.  A positive that is still
+    short after ``max_retries`` rejections in total is on a graph too dense
+    to sample, and ``ValidationError`` is raised.
     """
     if n < 1:
         raise ValidationError("negative sample count must be >= 1")
-    positives = [Triplet(*p) for p in positives]
+    if max_retries < 1:
+        raise ValidationError(f"max_retries must be >= 1, got {max_retries}")
     dense = kg.index_triplets(positives)
     count, n_e = len(positives), len(kg._entity_ids)
-    rngs = [np.random.default_rng(int(seed) + i) for i in range(count)]
+    rng = np.random.default_rng(seed)
     heads = np.empty((count, n), dtype=np.int64)
     tails = np.empty((count, n), dtype=np.int64)
     got = np.zeros(count, dtype=np.int64)
-    run = np.zeros(count, dtype=np.int64)   # rejections since the last acceptance
-    failed = np.full(count, max_retries < 1)
-    active = np.flatnonzero(~failed)
+    rejected = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
     while active.size:
         need = n - got[active]
         # 1.25 candidates per missing negative cover the 6-13% rejection
         # rates of the synthetic graphs in one round; rarer shortfalls redraw.
         m = int(need.max()) * 5 // 4 + 8
-        bounds = np.tile([2, n_e], m)
-        draws = np.stack([rngs[i].integers(0, bounds) for i in active]).reshape(-1, m, 2)
+        draws = rng.integers(0, [2, n_e], size=(active.size, m, 2))
         coin, pick = draws[..., 0] == 1, draws[..., 1]
         h, r, t = (dense[active, k, None] for k in range(3))
         cand_h = np.where(coin, pick, h)
@@ -381,45 +382,27 @@ def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
         ok = ~kg._known(kg._triplet_keys(np.stack(
             [cand_h, np.broadcast_to(r, cand_h.shape), cand_t], axis=-1)))
         accepted = np.cumsum(ok, axis=1)
-        # Length of the rejection run ending at each candidate.
-        position = np.arange(m)
-        last = np.maximum.accumulate(np.where(ok, position, -1 - run[active, None]), axis=1)
-        streak = position - last
-        # A run of max_retries rejections fails only if it comes before the
-        # n-th acceptance.
-        before = accepted - ok < need[:, None]
-        failed[active] = np.any(before & (streak >= max_retries), axis=1)
-        keep = ok & (accepted <= need[:, None]) & ~failed[active, None]
-        rows, cols = np.nonzero(keep)
+        # Candidates past the n-th acceptance are drawn but neither kept nor
+        # counted against the retry limit.
+        short = accepted - ok < need[:, None]
+        rejected[active] += np.sum(short & ~ok, axis=1)
+        failed = active[rejected[active] >= max_retries]
+        if failed.size:
+            raise ValidationError(
+                f"no valid negative found for {Triplet(*positives[failed[0]])} "
+                f"after {max_retries} retries")
+        rows, cols = np.nonzero(ok & short)
         slots = got[active[rows]] + accepted[rows, cols] - 1
         heads[active[rows], slots] = cand_h[rows, cols]
         tails[active[rows], slots] = cand_t[rows, cols]
         got[active] += accepted[:, -1]
-        run[active] = streak[:, -1]
-        # Positives after the first failed one are never sampled.
-        stop = np.flatnonzero(failed)[0] if failed.any() else count
-        active = np.flatnonzero((got < n) & ~failed & (np.arange(count) < stop))
-    if failed.any():
-        first = positives[int(np.flatnonzero(failed)[0])]
-        raise ValidationError(
-            f"no valid negative found for {first} after {max_retries} retries")
+        active = active[got[active] < n]
     return heads, tails
 
 
 def sample_negatives(kg: KnowledgeGraph, positive: Triplet, n: int,
-                     seed: int, max_retries: int = 1000) -> list[Triplet]:
-    """Corrupt head or tail (fair coin each sample) with a uniform entity.
-
-    The stream of ``default_rng(seed)`` is read as one candidate after
-    another: a coin ``integers(0, 2)`` (1 corrupts the head), then a
-    replacement ``integers(0, E)`` indexing the entities in ascending id
-    order.  A candidate that is a triplet of ``kg`` is rejected; the result
-    is the first ``n`` accepted candidates in stream order.  If
-    ``max_retries`` consecutive candidates are rejected before the n-th
-    acceptance, the graph is deemed too dense and ``ValidationError`` is
-    raised; ``max_retries < 1`` always raises.  The relation is never
-    touched.
-    """
+                     seed, max_retries: int = 1000) -> list[Triplet]:
+    """The :func:`negative_indices` corruptions of one positive, as triplets."""
     positive = Triplet(*positive)
     heads, tails = negative_indices(kg, [positive], n, seed, max_retries)
     ids = kg._entity_ids

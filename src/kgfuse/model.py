@@ -7,7 +7,8 @@ one-hop subgraph and hold out a fraction of its edges; message-pass over the
 disjoint union of the visible subgraphs; fuse CLS + patches + SEP + tokens +
 SEP + retrieved entities in one padded layout; and apply the four
 objectives.  The random choices (masks, subgraph sampling, the holdout
-split, negatives) stay per example, each from its own seed.  Held-out
+split) stay per example, each from its own seed; the step's negatives come
+from one generator seeded with every example's negative seed.  Held-out
 subgraph edges are the link-prediction positives and never participate in
 message passing in the same step.
 """
@@ -15,7 +16,6 @@ message passing in the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .kg import (KnowledgeGraph, Triplet, disjoint_union, expand_subgraph,
                  split_triplet_list)
 from .objectives import (ItcParams, LossBundle, ScoringTables, init_itc,
                          itc_loss, linkpred_loss, mask_patches, mask_spans,
-                         mlm_loss, mvm_loss, total_loss)
+                         mlm_loss, mvm_loss, row_map, total_loss)
 from .retriever import (EntityMemory, gather_retrieved_scores,
                         relevance_weights, retrieve_from_scores, score_patches)
 from .tensor import Parameters, Tensor
@@ -184,25 +184,23 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
         nodes = gnn_encode(union, e0, params.gnn)
 
     if "linkpred" in active and any(held_outs):
-        # Subgraph entities score from their GNN rows, the rest from the
-        # fallback rows after them.
-        table = T.concat([nodes, entity_fallback_table(params, memory)], axis=0)
-        fallback_rows = {e: union.num_nodes + r for e, r in memory.row_of.items()}
-        relation_rows = forward_relation_rows(params.gnn)
-        parts = []
-        for ex, sub, offset, held_out in zip(examples, subgraphs, offsets, held_outs):
-            if not held_out:
-                continue
-            entity_row = {**fallback_rows,
-                          **{e: offset + i for i, e in enumerate(sub.entity_ids)}}
-            tables = ScoringTables(table, entity_row, params.gnn.relation_table,
-                                   relation_rows, config.gamma, config.n_negatives)
-            positives = [Triplet(sub.entity_ids[h], r, sub.entity_ids[t])
-                         for h, r, t in held_out]
-            parts.append(T.mul(linkpred_loss(positives, tables, kg, ex.negative_seed),
-                               float(len(positives))))
-            linkpred_count += len(positives)
-        linkpred = T.mul(reduce(T.add, parts), 1.0 / linkpred_count)
+        # The score table holds the fallback rows, then the union's GNN rows;
+        # each example scores only its own subgraph's entities from GNN rows.
+        ids = kg.entity_ids()
+        entity_row = np.tile(row_map(memory.row_of, ids), (len(examples), 1))
+        node_example = np.repeat(np.arange(len(examples)), [s.num_nodes for s in subgraphs])
+        entity_row[node_example, np.searchsorted(ids, union.entity_ids)] = \
+            len(memory) + np.arange(union.num_nodes)
+        positives = [Triplet(sub.entity_ids[h], r, sub.entity_ids[t])
+                     for sub, held_out in zip(subgraphs, held_outs) for h, r, t in held_out]
+        positive_example = np.repeat(np.arange(len(examples)), [len(h) for h in held_outs])
+        tables = ScoringTables(
+            T.concat([entity_fallback_table(params, memory), nodes], axis=0),
+            entity_row[positive_example], params.gnn.relation_table,
+            forward_relation_rows(params.gnn), config.gamma, config.n_negatives)
+        linkpred = linkpred_loss(positives, tables, kg,
+                                 [ex.negative_seed for ex in examples])
+        linkpred_count = len(positives)
 
     if need_fusion:
         counts = np.array([len(ids) for ids in retrieved_ids])

@@ -60,15 +60,18 @@ class LossBundle:
 class ScoringTables:
     """Embeddings and scalars used by the triplet scorer.
 
-    ``entity_matrix`` holds one row per scoreable entity and ``entity_row``
-    maps global entity ids into it; relations work the same way.  ``n`` is
+    ``entity_row`` maps dense entity indices (ascending id order) to rows of
+    ``entity_matrix``: an int64 ``(E,)`` array shared by all positives, a
+    ``(P, E)`` array with one map per positive, or a dict from entity id to
+    row.  ``relation_row`` maps relations into ``relation_matrix`` as an
+    ``(R,)`` array or a dict.  A negative row marks a missing one.  ``n`` is
     the negative count and ``gamma`` the margin.
     """
 
     entity_matrix: Tensor
-    entity_row: dict[int, int]
+    entity_row: np.ndarray | dict[int, int]
     relation_matrix: Tensor
-    relation_row: dict[int, int]
+    relation_row: np.ndarray | dict[int, int]
     gamma: float = 0.0
     n: int = 128
 
@@ -198,53 +201,57 @@ def distmult(h: Tensor, r: Tensor, t: Tensor) -> Tensor:
     except ValueError:
         raise ValidationError(f"distmult leading axes do not broadcast: "
                               f"{h.shape}, {r.shape}, {t.shape}") from None
-    return T.tensor_sum(T.mul(T.mul(h, r), t), axis=-1)
+    # With t as the first factor, backward frees t's gradient before making h's.
+    return T.tensor_sum(T.mul(t, T.mul(h, r)), axis=-1)
 
 
-def _entity_rows(tables: ScoringTables, kg: KnowledgeGraph,
-                 dense: np.ndarray) -> np.ndarray:
-    """Scoring-table rows of dense entity indices, each distinct one looked up once."""
-    distinct, inverse = np.unique(dense, return_inverse=True)
-    ids = kg.entity_ids()
-    rows = np.empty(len(distinct), dtype=np.int64)
-    for k, index in enumerate(distinct.tolist()):
-        e = ids[index]
-        row = tables.entity_row.get(e)
-        if row is None:
-            raise ValidationError(f"entity {e} missing from scoring tables")
-        rows[k] = row
-    return rows[inverse]
+def row_map(rows: np.ndarray | dict[int, int], ids: list[int]) -> np.ndarray:
+    """``rows`` as an int64 array over the dense indices of ``ids``; a dict
+    gives -1 for an id it lacks."""
+    if isinstance(rows, dict):
+        return np.array([rows.get(i, -1) for i in ids], dtype=np.int64)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _table_rows(rows, ids: list[int], dense: np.ndarray, what: str) -> np.ndarray:
+    """Rows that the map ``rows`` (shared, or one per row of ``dense``)
+    gives the dense indices ``dense``; an index without one raises."""
+    rows = np.atleast_2d(row_map(rows, ids))
+    if rows.shape[1] != len(ids) or len(rows) not in (1, len(dense)):
+        raise ValidationError(f"{what} row map of shape {rows.shape} for "
+                              f"{len(dense)} positives over {len(ids)} ids")
+    found = np.take_along_axis(rows, dense, axis=1)
+    if (found < 0).any():
+        raise ValidationError(
+            f"{what} {ids[dense[found < 0][0]]} missing from scoring tables")
+    return found
 
 
 def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
-                  kg: KnowledgeGraph, seed: int) -> Tensor:
+                  kg: KnowledgeGraph, seed) -> Tensor:
     """Negative-sampling link prediction loss, mean over positives.
 
     Per positive: -log sigmoid(score + gamma) plus the mean over n sampled
     corruptions of -log sigmoid(-score' - gamma).  Negatives corrupt one
     endpoint and are rejected if they collide with a positive triplet of
-    ``kg``; positive ``i`` samples with seed ``seed + i``.
+    ``kg``; all positives sample from one :func:`negative_indices` call
+    with ``seed``.
     """
     if not positives:
         raise ValidationError("linkpred_loss needs at least one positive")
     gamma, n = tables.gamma, tables.n
-    positives = [Triplet(*p) for p in positives]
-    rel_rows = []
-    for pos in positives:
-        row = tables.relation_row.get(pos.relation)
-        if row is None:
-            raise ValidationError(f"relation {pos.relation} missing from scoring tables")
-        rel_rows.append(row)
     dense = kg.index_triplets(positives)
+    rel_rows = _table_rows(tables.relation_row, kg.relation_ids(), dense[:, 1:2],
+                           "relation")
     neg_heads, neg_tails = negative_indices(kg, positives, n, seed)
     # One row per positive: its head, the n negative heads, its tail, the n
     # negative tails.
-    entity_rows = _entity_rows(tables, kg, np.concatenate(
-        [dense[:, :1], neg_heads, dense[:, 2:], neg_tails], axis=1))
+    entity_rows = _table_rows(tables.entity_row, kg.entity_ids(), np.concatenate(
+        [dense[:, :1], neg_heads, dense[:, 2:], neg_tails], axis=1), "entity")
     # (P, 1 + n) candidate rows against one (P, 1) relation row per positive.
     h = T.take_rows(tables.entity_matrix, entity_rows[:, :1 + n])
     t = T.take_rows(tables.entity_matrix, entity_rows[:, 1 + n:])
-    r = T.take_rows(tables.relation_matrix, np.asarray(rel_rows)[:, None])
+    r = T.take_rows(tables.relation_matrix, rel_rows)
     grid = distmult(h, r, t)
 
     pos_scores = grid[:, 0]

@@ -254,7 +254,8 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
             gg = g
         else:
             gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        # A read-only view: VJPs only read the gradient they are given.
+        return (np.broadcast_to(gg, a.shape),)
 
     return Tensor._result(data, (a,), vjp, "sum")
 

@@ -232,15 +232,14 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
     relations = params.add("relations", Tensor(
         init_rng.uniform(-bound, bound, size=(len(rels), d))))
     state = AdamState.init(params)
+    tables = ScoringTables(entity_matrix=entities, entity_row=np.arange(len(ids)),
+                           relation_matrix=relations, relation_row=np.arange(len(rels)),
+                           gamma=gamma, n=n_negatives)
 
     for step in range(1, steps + 1):
         rng = np.random.default_rng([seed, 13, step])
         picks = rng.integers(0, len(visible), size=min(batch, len(visible)))
         positives = [visible[i] for i in picks]
-        tables = ScoringTables(entity_matrix=entities, entity_row=entity_row,
-                               relation_matrix=relations,
-                               relation_row=relation_row, gamma=gamma,
-                               n=n_negatives)
         loss = linkpred_loss(positives, tables, kg,
                              seed=int(rng.integers(0, 2 ** 62)))
         grads = backward(loss)
@@ -265,7 +264,7 @@ def model_linkpred_tables(params: ModelParams, memory: EntityMemory):
 def eval_retrieval(params: ModelParams, memory: EntityMemory,
                    corpus: SyntheticCorpus, k: int | None = None,
                    k_per_patch: int | None = None) -> float:
-    """Fraction of examples whose ground truth intersects the retrieved top-k.
+    """Recall@k: the mean over images of the share of their truth in the top-k.
 
     ``k_per_patch`` defaults to the config value; pass ``k`` for exhaustive
     coverage (e.g. k = number of entities gives recall 1 by construction).
@@ -275,6 +274,6 @@ def eval_retrieval(params: ModelParams, memory: EntityMemory,
     k_per_patch = config.k_per_patch if k_per_patch is None else k_per_patch
     patches = patchify(np.stack(corpus.images), config.patch_size).patches
     _, queries = vision_encode(patches, params.vision)
-    hits = sum(bool(set(retrieve(q, memory, k_per_patch, k).ids) & set(gt))
-               for q, gt in zip(queries.data, corpus.ground_truth))
-    return hits / len(corpus)
+    recalls = [len(set(retrieve(q, memory, k_per_patch, k).ids) & set(gt)) / len(gt)
+               for q, gt in zip(queries.data, corpus.ground_truth)]
+    return float(np.mean(recalls))

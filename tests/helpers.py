@@ -179,40 +179,56 @@ def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
     return [(ent, rec[0]) for ent, rec in final]
 
 
-def reference_sample_negatives(kg, positive, n: int, seed: int,
-                               max_retries: int = 1000):
+def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1000):
     """Scalar negative sampler: two RNG calls and one set probe per candidate.
 
-    A fair coin ``integers(0, 2)`` (1 corrupts the head) then a uniform
-    replacement over the entities in ascending id order; candidates that are
-    triplets of ``kg`` are redrawn, and ``max_retries`` rejections in a row
-    raise ``ValidationError``.
+    One ``default_rng(seed)`` serves all ``positives`` in rounds.  Each
+    round every positive still short of ``n`` draws, in positive order,
+    ``m = 5 * (largest shortfall) // 4 + 8`` candidates: a fair coin
+    ``integers(0, 2)`` (1 corrupts the head) then a uniform replacement over
+    the entities in ascending id order.  Candidates that are triplets of
+    ``kg`` are rejected, and so are those after the n-th acceptance; a
+    positive with ``max_retries`` rejections while short raises
+    ``ValidationError`` at the end of the round.  Returns one list of
+    negative triplets per positive.
     """
     from kgfuse.errors import ValidationError
     from kgfuse.kg import Triplet
 
     if n < 1:
         raise ValidationError("negative sample count must be >= 1")
-    positive = Triplet(*positive)
+    if max_retries < 1:
+        raise ValidationError(f"max_retries must be >= 1, got {max_retries}")
+    positives = [Triplet(*p) for p in positives]
     triplets = set(kg.triplets)
     rng = np.random.default_rng(seed)
     ids = sorted(kg.entities)
-    out = []
-    for _ in range(n):
-        for attempt in range(max_retries + 1):
-            if attempt == max_retries:
-                raise ValidationError(
-                    f"no valid negative found for {positive} after {max_retries} retries")
-            corrupt_head = bool(rng.integers(0, 2))
-            replacement = ids[int(rng.integers(0, len(ids)))]
-            if corrupt_head:
-                candidate = Triplet(replacement, positive.relation, positive.tail)
-            else:
-                candidate = Triplet(positive.head, positive.relation, replacement)
-            if candidate not in triplets:
-                out.append(candidate)
-                break
-    return out
+    out = [[] for _ in positives]
+    rejected = [0] * len(positives)
+    while True:
+        short = [i for i in range(len(positives)) if len(out[i]) < n]
+        if not short:
+            return out
+        m = 5 * max(n - len(out[i]) for i in short) // 4 + 8
+        for i in short:
+            positive = positives[i]
+            for _ in range(m):
+                corrupt_head = bool(rng.integers(0, 2))
+                replacement = ids[int(rng.integers(0, len(ids)))]
+                if len(out[i]) == n:
+                    continue
+                if corrupt_head:
+                    candidate = Triplet(replacement, positive.relation, positive.tail)
+                else:
+                    candidate = Triplet(positive.head, positive.relation, replacement)
+                if candidate in triplets:
+                    rejected[i] += 1
+                else:
+                    out[i].append(candidate)
+        for i in short:
+            if rejected[i] >= max_retries:
+                raise ValidationError(f"no valid negative found for {positives[i]} "
+                                      f"after {max_retries} retries")
 
 
 def reference_expand_edges(kg, nodes: list[int]) -> list[tuple[int, int, int]]:
@@ -226,9 +242,10 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
     """The training step as a loop over examples, each its own chain of ops.
 
     Every example is encoded, message-passed over its own visible subgraph,
-    fused without padding and scored on its own; the batch losses are then
-    averaged as ``model.compute_step`` averages them.  Returns the loss
-    bundle.
+    fused without padding and scored on its own, with its own dict row map;
+    only the link-prediction negatives come from one draw over the whole
+    step.  The batch losses are then averaged as ``model.compute_step``
+    averages them.  Returns the loss bundle.
     """
     from kgfuse import tensor as T
     from kgfuse.config import Config
@@ -236,11 +253,10 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
                                  text_encode, vision_encode)
     from kgfuse.fusion import assemble, fuse, heads
     from kgfuse.gnn import forward_relation_rows, gnn_encode
-    from kgfuse.kg import Triplet, expand_subgraph, split_triplet_list
+    from kgfuse.kg import Triplet, expand_subgraph, negative_indices, split_triplet_list
     from kgfuse.model import entity_fallback_table
-    from kgfuse.objectives import (ScoringTables, itc_loss, linkpred_loss,
-                                   mask_patches, mask_spans, mlm_loss, mvm_loss,
-                                   total_loss)
+    from kgfuse.objectives import (itc_loss, mask_patches, mask_spans, mlm_loss,
+                                   mvm_loss, total_loss)
     from kgfuse.retriever import (gather_retrieved_scores, relevance_weights,
                                   retrieve_from_scores, score_patches)
 
@@ -249,7 +265,6 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
     fallback = entity_fallback_table(params, memory)
     mlm_parts, mvm_parts, linkpred_parts = [], [], []
     image_vecs, text_vecs = [], []
-    linkpred_count = 0
     for ex in plan.examples:
         seq = patchify(corpus.images[ex.index], config.patch_size)
         positions, patch_record = mask_patches(seq, config.mvm_rate, ex.patch_mask_seed)
@@ -275,17 +290,12 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
         nodes = gnn_encode(subgraph.with_triplets(visible), e0, params.gnn)
 
         if held_out:
-            entity_row = {e: len(subgraph.entity_ids) + i for e, i in memory.row_of.items()}
-            entity_row.update((e, i) for i, e in enumerate(subgraph.entity_ids))
-            tables = ScoringTables(T.concat([nodes, fallback]), entity_row,
-                                   params.gnn.relation_table,
-                                   forward_relation_rows(params.gnn),
-                                   gamma=config.gamma, n=config.n_negatives)
+            fallback_rows = {e: len(subgraph.entity_ids) + i for e, i in memory.row_of.items()}
+            entity_row = {**fallback_rows,
+                          **{e: i for i, e in enumerate(subgraph.entity_ids)}}
             positives = [Triplet(subgraph.entity_ids[h], r, subgraph.entity_ids[t])
                          for h, r, t in held_out]
-            loss = linkpred_loss(positives, tables, kg, ex.negative_seed)
-            linkpred_parts.append(T.mul(loss, float(len(positives))))
-            linkpred_count += len(positives)
+            linkpred_parts.append((T.concat([nodes, fallback]), entity_row, positives))
 
         fused = assemble(v_out, t_out, T.take_rows(nodes, np.arange(len(rset.ids))),
                          params.fusion)
@@ -303,7 +313,32 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
         return T.mul(acc, 1.0 / count)
 
     b = len(plan.examples)
-    linkpred = mean(linkpred_parts, linkpred_count) if linkpred_parts else T.constant(0.0)
+    linkpred = T.constant(0.0)
+    if linkpred_parts:
+        # Each example's positives score against their slice of one draw
+        # over the whole step.
+        ids, n, gamma = kg.entity_ids(), config.n_negatives, config.gamma
+        relation_row = forward_relation_rows(params.gnn)
+        heads, tails = negative_indices(
+            kg, [p for _, _, positives in linkpred_parts for p in positives], n,
+            [ex.negative_seed for ex in plan.examples])
+        sums, start = [], 0
+        for table, entity_row, positives in linkpred_parts:
+            rows = slice(start, start + len(positives))
+            start += len(positives)
+            head_rows = [[entity_row[p.head]] + [entity_row[ids[i]] for i in negs]
+                         for p, negs in zip(positives, heads[rows].tolist())]
+            tail_rows = [[entity_row[p.tail]] + [entity_row[ids[i]] for i in negs]
+                         for p, negs in zip(positives, tails[rows].tolist())]
+            r = T.take_rows(params.gnn.relation_table,
+                            [[relation_row[p.relation]] for p in positives])
+            grid = T.tensor_sum(T.mul(T.mul(T.take_rows(table, head_rows), r),
+                                      T.take_rows(table, tail_rows)), axis=2)
+            pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))
+            neg_term = T.tensor_mean(
+                T.neg(T.log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
+            sums.append(T.tensor_sum(T.add(pos_term, neg_term)))
+        linkpred = mean(sums, start)
     itc = itc_loss(T.concat(image_vecs), T.concat(text_vecs), params.itc)
     return total_loss(mean(mlm_parts, b), mean(mvm_parts, b), linkpred, itc,
                       (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))

@@ -1,5 +1,7 @@
 """Knowledge graph store: ingestion, adjacency, expansion, holdout, negatives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
-                       expand_subgraph, holdout_edges, load_kg,
+                       expand_subgraph, holdout_edges, load_kg, negative_indices,
                        sample_negatives, save_kg, split_triplet_list)
 
 from helpers import reference_expand_edges, reference_sample_negatives
@@ -246,7 +248,9 @@ class TestSampleNegatives:
         positive = Triplet(0, 0, 1)
         head_corruptions = 0
         draws = 10_000
-        negs = sample_negatives(kg, positive, draws, seed=11)
+        # The retry limit is a total per positive: about one candidate in
+        # six collides here, so the default 1,000 would run out.
+        negs = sample_negatives(kg, positive, draws, seed=11, max_retries=draws)
         for neg in negs:
             # A corruption that keeps both endpoints cannot occur: it would
             # equal the positive and be resampled.
@@ -272,42 +276,73 @@ class TestSampleNegatives:
         else:
             kg = generate_corpus(Config(), seed=17).kg
         for seed in range(200):
-            positive = kg.triplets[(7 * seed) % len(kg.triplets)]
             n = (1, 5, 32, 128)[seed % 4]
-            assert (sample_negatives(kg, positive, n, seed=seed)
-                    == reference_sample_negatives(kg, positive, n, seed=seed))
+            count = (1, 3, 9, 40)[seed // 4 % 4]
+            positives = [kg.triplets[(7 * seed + 11 * i) % len(kg.triplets)]
+                         for i in range(count)]
+            assert (_as_triplets(kg, positives, n, seed)
+                    == reference_sample_negatives(kg, positives, n, seed=seed))
 
     def test_n_equals_one(self):
         kg = toy_corpus_kg()
         for seed in range(50):
             got = sample_negatives(kg, kg.triplets[seed], 1, seed=seed)
             assert len(got) == 1
-            assert got == reference_sample_negatives(kg, kg.triplets[seed], 1, seed=seed)
+            assert got == reference_sample_negatives(kg, [kg.triplets[seed]], 1, seed=seed)[0]
 
-    def test_retry_limit_counts_consecutive_rejections(self):
+    def test_retry_limit_counts_total_rejections(self):
         # Three entities, one relation and every triplet but those touching
-        # (2, 0, 2): most candidates collide, so rejection runs are long.
+        # (20, 0, 20): most candidates collide.
         entities = {e: NamedRecord(f"e{e}", "d") for e in (10, 20, 30)}
         relations = {0: NamedRecord("r", "d")}
         triplets = [Triplet(h, 0, t) for h in (10, 20, 30) for t in (10, 20, 30)
                     if (h, t) not in ((30, 30), (30, 20), (20, 30))]
         kg = KnowledgeGraph(entities, relations, triplets)
         positive = Triplet(20, 0, 20)
-        checked = 0
+        longer_than_any_run = 0
         for seed in range(40):
             n = 1 + seed % 3
-            # The longest rejection run before the n-th acceptance is the
-            # smallest limit the oracle survives, minus one.
-            limit = next(k for k in range(1, 200) if _survives(kg, positive, n, seed, k))
-            if limit < 3:
-                continue
-            checked += 1
-            assert (sample_negatives(kg, positive, n, seed, max_retries=limit)
-                    == reference_sample_negatives(kg, positive, n, seed, max_retries=limit))
-            with pytest.raises(ValidationError,
-                               match=rf"after {limit - 1} retries"):
-                sample_negatives(kg, positive, n, seed, max_retries=limit - 1)
-        assert checked >= 10
+            # Replay the scalar stream: rejections before the n-th acceptance,
+            # and the longest run of them.
+            rng = np.random.default_rng(seed)
+            accepted = rejected = run = longest = 0
+            while accepted < n:
+                coin, pick = int(rng.integers(0, 2)), (10, 20, 30)[int(rng.integers(0, 3))]
+                candidate = (pick, 0, 20) if coin else (20, 0, pick)
+                if Triplet(*candidate) in triplets:
+                    rejected, run = rejected + 1, run + 1
+                    longest = max(longest, run)
+                else:
+                    accepted, run = accepted + 1, 0
+            longer_than_any_run += rejected > longest
+            assert (sample_negatives(kg, positive, n, seed, max_retries=rejected + 1)
+                    == reference_sample_negatives(kg, [positive], n, seed,
+                                                  max_retries=rejected + 1)[0])
+            if rejected:
+                with pytest.raises(ValidationError, match=rf"after {rejected} retries"):
+                    sample_negatives(kg, positive, n, seed, max_retries=rejected)
+            # Several positives: the first one to reach the limit is named.
+            positives = [positive, Triplet(30, 0, 30), Triplet(20, 0, 20)]
+            limit = next(k for k in range(1, 400)
+                         if _survives(kg, positives, n, seed, k))
+            assert (_as_triplets(kg, positives, n, seed, max_retries=limit)
+                    == reference_sample_negatives(kg, positives, n, seed,
+                                                  max_retries=limit))
+            if limit > 1:
+                with pytest.raises(ValidationError) as want:
+                    reference_sample_negatives(kg, positives, n, seed, max_retries=limit - 1)
+                with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+                    negative_indices(kg, positives, n, seed, max_retries=limit - 1)
+        assert longer_than_any_run >= 10
+
+    def test_retry_limit_below_one(self):
+        kg = small_kg()
+        for limit in (0, -3):
+            with pytest.raises(ValidationError, match="max_retries"):
+                sample_negatives(kg, Triplet(0, 0, 1), 4, seed=0, max_retries=limit)
+            with pytest.raises(ValidationError, match="max_retries"):
+                reference_sample_negatives(kg, [Triplet(0, 0, 1)], 4, seed=0,
+                                           max_retries=limit)
 
     def test_unknown_endpoint(self):
         kg = small_kg()
@@ -316,9 +351,16 @@ class TestSampleNegatives:
                 sample_negatives(kg, positive, 4, seed=0)
 
 
-def _survives(kg, positive, n, seed, max_retries) -> bool:
+def _as_triplets(kg, positives, n, seed, max_retries=1000):
+    heads, tails = negative_indices(kg, positives, n, seed, max_retries)
+    ids = kg.entity_ids()
+    return [[Triplet(ids[h], p.relation, ids[t]) for h, t in zip(hs, ts)]
+            for p, hs, ts in zip(positives, heads.tolist(), tails.tolist())]
+
+
+def _survives(kg, positives, n, seed, max_retries) -> bool:
     try:
-        reference_sample_negatives(kg, positive, n, seed, max_retries=max_retries)
+        reference_sample_negatives(kg, positives, n, seed, max_retries=max_retries)
     except ValidationError:
         return False
     return True

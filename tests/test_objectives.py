@@ -12,7 +12,7 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.encoders import patchify
 from kgfuse.errors import NumericsError, ValidationError
-from kgfuse.kg import KnowledgeGraph, NamedRecord, Triplet
+from kgfuse.kg import KnowledgeGraph, NamedRecord, Triplet, negative_indices
 from kgfuse.objectives import (ItcParams, MaskingRecord, ScoringTables,
                                distmult, itc_loss, linkpred_loss,
                                mask_patches, mask_spans, mlm_loss, mvm_loss,
@@ -321,8 +321,8 @@ class TestLinkpredLoss:
             ref_entities = Tensor(entities.data.copy(), requires_grad=True)
             ref_relations = Tensor(relations.data.copy(), requires_grad=True)
             head_rows, tail_rows, rel_rows = [], [], []
-            for i, pos in enumerate(positives):
-                negatives = reference_sample_negatives(kg, pos, n, seed + i)
+            oracle = reference_sample_negatives(kg, positives, n, seed)
+            for pos, negatives in zip(positives, oracle):
                 head_rows += [entity_row[x.head] for x in [pos] + negatives]
                 tail_rows += [entity_row[x.tail] for x in [pos] + negatives]
                 rel_rows.append([relation_row[pos.relation]])
@@ -343,10 +343,65 @@ class TestLinkpredLoss:
             assert np.array_equal(grads[entities], ref_grads[ref_entities])
             assert np.array_equal(grads[relations], ref_grads[ref_relations])
 
+    def test_array_row_maps_equal_dicts(self):
+        config = Config(corpus_entities=50, corpus_relations=4,
+                        corpus_triplets=300, corpus_examples=4)
+        kg = generate_corpus(config, seed=5).kg
+        rng = np.random.default_rng(9)
+        entity_ids, relation_ids = sorted(kg.entities), sorted(kg.relations)
+        entity_perm = rng.permutation(len(entity_ids))
+        relation_perm = rng.permutation(len(relation_ids))
+        positives = [kg.triplets[i] for i in rng.choice(len(kg.triplets), 7, replace=False)]
+        entities = rng.standard_normal((len(entity_ids), 5))
+        relations = rng.standard_normal((len(relation_ids), 5))
+        as_dicts = (dict(zip(entity_ids, entity_perm.tolist())),
+                    dict(zip(relation_ids, relation_perm.tolist())))
+        results = []
+        for entity_row, relation_row in (
+                as_dicts, (entity_perm, relation_perm),
+                (np.tile(entity_perm, (len(positives), 1)), relation_perm)):
+            tables = ScoringTables(Tensor(entities.copy(), requires_grad=True), entity_row,
+                                   Tensor(relations.copy(), requires_grad=True),
+                                   relation_row, gamma=0.3, n=8)
+            loss = linkpred_loss(positives, tables, kg, seed=[4, 2])
+            grads = T.backward(loss)
+            results.append((loss.item(), grads[tables.entity_matrix],
+                            grads[tables.relation_matrix]))
+        for loss, entity_grad, relation_grad in results[1:]:
+            assert loss == results[0][0]
+            assert np.array_equal(entity_grad, results[0][1])
+            assert np.array_equal(relation_grad, results[0][2])
+
+    def test_per_positive_row_maps(self):
+        # Each positive reads its own map; entity ids equal dense indices here.
+        kg, tables = scoring_fixture(n_entities=6, n=3)
+        rng = np.random.default_rng(2)
+        e = tables.entity_matrix.data
+        r = tables.relation_matrix.data
+        e[...], r[...] = rng.standard_normal((6, 4)), rng.standard_normal((2, 4))
+        positives = [Triplet(0, 0, 1), Triplet(2, 1, 3)]
+        maps = np.array([[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
+        tables.entity_row = maps
+        loss = linkpred_loss(positives, tables, kg, seed=[6, 0]).item()
+        heads, tails = negative_indices(kg, positives, 3, [6, 0])
+        terms = []
+        for p, pos in enumerate(positives):
+            h, t = maps[p, [pos.head, *heads[p]]], maps[p, [pos.tail, *tails[p]]]
+            scores = np.sum(e[h] * r[pos.relation] * e[t], axis=1)
+            terms.append(np.log1p(np.exp(-scores[0]))
+                         + np.mean(np.log1p(np.exp(scores[1:]))))
+        assert abs(loss - np.mean(terms)) < 1e-12
+        tables.entity_row = np.vstack([maps, maps[:1]])
+        with pytest.raises(ValidationError, match="entity row map"):
+            linkpred_loss(positives, tables, kg, seed=0)
+
     def test_missing_entity_errors(self):
         kg, tables = scoring_fixture()
         del tables.entity_row[1]
         with pytest.raises(ValidationError, match="entity 1"):
+            linkpred_loss([Triplet(0, 0, 1)], tables, kg, seed=0)
+        del tables.relation_row[0]
+        with pytest.raises(ValidationError, match="relation 0"):
             linkpred_loss([Triplet(0, 0, 1)], tables, kg, seed=0)
 
     def test_empty_positives(self):
