@@ -60,12 +60,13 @@ class LossBundle:
 class ScoringTables:
     """Embeddings and scalars used by the triplet scorer.
 
-    ``entity_row`` maps dense entity indices (ascending id order) to rows of
-    ``entity_matrix``: an int64 ``(E,)`` array shared by all positives, a
-    ``(P, E)`` array with one map per positive, or a dict from entity id to
-    row.  ``relation_row`` maps relations into ``relation_matrix`` as an
-    ``(R,)`` array or a dict.  A negative row marks a missing one.  ``n`` is
-    the negative count and ``gamma`` the margin.
+    Every row of ``entity_matrix`` is scored.  ``entity_row`` maps dense
+    entity indices (ascending id order) to its rows: an int64 ``(E,)`` array
+    shared by all positives, a ``(P, E)`` array with one map per positive,
+    or a dict from entity id to row.  ``relation_row`` maps relations into
+    ``relation_matrix`` as an ``(R,)`` array or a dict.  A negative row
+    marks a missing one.  ``n`` is the negative count and ``gamma`` the
+    margin.
     """
 
     entity_matrix: Tensor
@@ -193,7 +194,8 @@ def mvm_loss(predictions: Tensor, *records: MaskingRecord) -> Tensor:
 
 def distmult(h: Tensor, r: Tensor, t: Tensor) -> Tensor:
     """Trilinear score sum_d h_d * r_d * t_d over the last axis, one per row;
-    leading axes broadcast, and the score is symmetric in head and tail."""
+    leading axes broadcast, and the score is symmetric in head and tail.
+    It is the per-triplet rule that :func:`linkpred_loss` reproduces."""
     if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:
         raise ValidationError(f"distmult width mismatch: {h.shape}, {r.shape}, {t.shape}")
     try:
@@ -201,8 +203,7 @@ def distmult(h: Tensor, r: Tensor, t: Tensor) -> Tensor:
     except ValueError:
         raise ValidationError(f"distmult leading axes do not broadcast: "
                               f"{h.shape}, {r.shape}, {t.shape}") from None
-    # With t as the first factor, backward frees t's gradient before making h's.
-    return T.tensor_sum(T.mul(t, T.mul(h, r)), axis=-1)
+    return T.tensor_sum(T.mul(T.mul(h, r), t), axis=-1)
 
 
 def row_map(rows: np.ndarray | dict[int, int], ids: list[int]) -> np.ndarray:
@@ -235,7 +236,8 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
     corruptions of -log sigmoid(-score' - gamma).  Negatives corrupt one
     endpoint and are rejected if they collide with a positive triplet of
     ``kg``; all positives sample from one :func:`negative_indices` call
-    with ``seed``.
+    with ``seed``.  Each candidate reads its :func:`distmult` score from one
+    product of the endpoint queries h * r and t * r with the whole table.
     """
     if not positives:
         raise ValidationError("linkpred_loss needs at least one positive")
@@ -244,15 +246,22 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
     rel_rows = _table_rows(tables.relation_row, kg.relation_ids(), dense[:, 1:2],
                            "relation")
     neg_heads, neg_tails = negative_indices(kg, positives, n, seed)
-    # One row per positive: its head, the n negative heads, its tail, the n
-    # negative tails.
+    # A candidate corrupts the head exactly when its head differs, as a copy
+    # of a positive of kg is rejected; a copy of a positive outside kg scores
+    # the same from either side, up to rounding.
+    corrupts_head = neg_heads != dense[:, :1]
+    # Per positive: its head, its tail, each candidate's replacement entity.
     entity_rows = _table_rows(tables.entity_row, kg.entity_ids(), np.concatenate(
-        [dense[:, :1], neg_heads, dense[:, 2:], neg_tails], axis=1), "entity")
-    # (P, 1 + n) candidate rows against one (P, 1) relation row per positive.
-    h = T.take_rows(tables.entity_matrix, entity_rows[:, :1 + n])
-    t = T.take_rows(tables.entity_matrix, entity_rows[:, 1 + n:])
+        [dense[:, ::2], np.where(corrupts_head, neg_heads, neg_tails)], axis=1), "entity")
+    # Query 2p is h * r, which scores tails and the positive, and 2p + 1 is
+    # t * r, which scores heads; each is scored against every table row.
+    ends = T.take_rows(tables.entity_matrix, entity_rows[:, :2])
     r = T.take_rows(tables.relation_matrix, rel_rows)
-    grid = distmult(h, r, t)
+    queries = T.reshape(T.mul(ends, r), (2 * len(positives), -1))
+    scores = T.matmul(queries, T.transpose(tables.entity_matrix))
+    query = 2 * np.arange(len(positives))[:, None] + np.pad(corrupts_head, ((0, 0), (1, 0)))
+    grid = T.reshape(T.take_pairs(scores, query.ravel(), entity_rows[:, 1:].ravel()),
+                     query.shape)
 
     pos_scores = grid[:, 0]
     neg_scores = grid[:, 1:]

@@ -28,7 +28,7 @@ _GELU_A = 0.044715
 
 
 def _check_finite_leaf(data: Array) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise ValidationError("leaf tensor rejected: contains NaN or Inf")
 
 
@@ -58,7 +58,7 @@ class Tensor:
     def _result(cls, data: Array, parents: tuple["Tensor", ...],
                 vjp: Callable[[Array], tuple], op: str) -> "Tensor":
         data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             # Overflow and domain errors surface here as a typed error
             # naming the primitive; numpy warnings stay suppressed.
             raise NumericsError(f"non-finite values produced by primitive '{op}'")

@@ -344,13 +344,18 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
                       (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
 
 
-def count_vjp_nodes(loss) -> int:
-    """Autodiff nodes reachable from ``loss`` that carry a VJP."""
-    seen, stack, count = set(), [loss], 0
+def graph_nodes(loss) -> list:
+    """Every tensor reachable from ``loss`` through its parents."""
+    seen, stack, nodes = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            count += node._vjp is not None
+            nodes.append(node)
             stack.extend(node._parents)
-    return count
+    return nodes
+
+
+def count_vjp_nodes(loss) -> int:
+    """Autodiff nodes reachable from ``loss`` that carry a VJP."""
+    return sum(node._vjp is not None for node in graph_nodes(loss))

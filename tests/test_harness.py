@@ -21,7 +21,7 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           format_metrics, parse_metrics, pretrain,
                           random_baseline_mrr, train_kg_embeddings)
 
-from helpers import count_vjp_nodes, reference_compute_step
+from helpers import count_vjp_nodes, graph_nodes, reference_compute_step
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
             corpus_examples=12, batch_size=3, per_node_cap=3, n_negatives=4,
@@ -434,10 +434,15 @@ class TestStepStructure:
         plan = make_batch_plan(config, len(corpus), step=1)
         out = compute_step(params, corpus, corpus_memory(corpus), plan)
         expected = {"mlm": 7.131708326719035, "mvm": 0.43799786794521806,
-                    "linkpred": 1.3847900160537583, "itc": 3.1984313271811704,
-                    "total": 12.152927537899185}
+                    "linkpred": 1.384790016053758, "itc": 3.1984313271811704,
+                    "total": 12.152927537899183}
         for name, value in out.bundle.values().items():
             assert abs(value - expected[name]) <= 1e-12 * expected[name], name
         # One chain of ops per batch and one link-prediction call per step
         # (2,866 nodes per example chain, 590 with one call per example).
         assert count_vjp_nodes(out.bundle.total) <= 500
+        # Link prediction scores its candidates against the whole table and
+        # gathers no (P, 1 + n, d) candidate rows.
+        gathered = (1 + config.n_negatives, config.d)
+        assert not any(node.shape[-2:] == gathered
+                       for node in graph_nodes(out.bundle.total))

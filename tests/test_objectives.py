@@ -257,6 +257,20 @@ def scoring_fixture(n_entities=6, d=4, fill=0.0, n=4, gamma=0.0):
     return kg, tables
 
 
+def negative_sampling_loss(grid, gamma):
+    """The link-prediction loss of a (P, 1 + n) grid of scores whose first
+    column holds the positives."""
+    pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))
+    neg_term = T.tensor_mean(
+        T.neg(T.log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
+    return T.tensor_mean(T.add(pos_term, neg_term))
+
+
+def assert_close(got, want):
+    """Equal within 1e-12 of the largest magnitude of ``want``."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestLinkpredLoss:
     def test_all_zero_scores_give_two_log_two(self):
         kg, tables = scoring_fixture(fill=0.0)
@@ -332,16 +346,64 @@ class TestLinkpredLoss:
             h = T.take_rows(ref_entities, np.reshape(head_rows, shape))
             t = T.take_rows(ref_entities, np.reshape(tail_rows, shape))
             r = T.take_rows(ref_relations, rel_rows)
-            grid = T.tensor_sum(T.mul(T.mul(h, r), t), axis=2)
-            pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))
-            neg_term = T.tensor_mean(
-                T.neg(T.log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
-            ref_loss = T.tensor_mean(T.add(pos_term, neg_term))
+            ref_loss = negative_sampling_loss(
+                T.tensor_sum(T.mul(T.mul(h, r), t), axis=2), gamma)
             ref_grads = T.backward(ref_loss)
 
-            assert loss.item() == ref_loss.item()
-            assert np.array_equal(grads[entities], ref_grads[ref_entities])
-            assert np.array_equal(grads[relations], ref_grads[ref_relations])
+            # The loss's matmul VJP sums each table row's candidate
+            # gradients in another order than this gather's scatter does.
+            assert_close(loss.data, ref_loss.data)
+            assert_close(grads[entities], ref_grads[ref_entities])
+            assert_close(grads[relations], ref_grads[ref_relations])
+
+    def test_positives_outside_the_graph(self):
+        # A positive that is not a triplet of kg can draw an accepted copy
+        # of itself; the loss scores that copy from the tail side.
+        config = Config(corpus_entities=50, corpus_relations=4,
+                        corpus_triplets=300, corpus_examples=4)
+        kg = generate_corpus(config, seed=5).kg
+        rng = np.random.default_rng(11)
+        entity_ids, relation_ids = kg.entity_ids(), kg.relation_ids()
+        positives = []
+        while len(positives) < 12:
+            triplet = Triplet(*(int(rng.choice(ids))
+                                for ids in (entity_ids, relation_ids, entity_ids)))
+            if not kg.has_triplet(triplet) and triplet not in positives:
+                positives.append(triplet)
+        n, seed, gamma = 16, [3, 1], 0.4
+        dense = kg.index_triplets(positives)
+        heads, tails = negative_indices(kg, positives, n, seed)
+        assert ((heads == dense[:, :1]) & (tails == dense[:, 2:])).any()
+        # More table rows than entities, so some rows are never scored.
+        n_rows = len(entity_ids) + 5
+        entities = rng.standard_normal((n_rows, 6))
+        relations = rng.standard_normal((len(relation_ids), 6))
+        shared = rng.permutation(n_rows)[:len(entity_ids)]
+        per_positive = np.array([rng.permutation(n_rows)[:len(entity_ids)]
+                                 for _ in positives])
+        relation_perm = rng.permutation(len(relation_ids))
+        for entity_row in (dict(zip(entity_ids, shared.tolist())), shared, per_positive):
+            tables = ScoringTables(Tensor(entities, requires_grad=True), entity_row,
+                                   Tensor(relations, requires_grad=True),
+                                   relation_perm, gamma=gamma, n=n)
+            loss = linkpred_loss(positives, tables, kg, seed)
+            grads = T.backward(loss)
+
+            maps = np.broadcast_to(per_positive if entity_row is per_positive
+                                   else shared, per_positive.shape)
+            ref_entities = Tensor(entities, requires_grad=True)
+            ref_relations = Tensor(relations, requires_grad=True)
+            h = T.take_rows(ref_entities, np.take_along_axis(
+                maps, np.concatenate([dense[:, :1], heads], axis=1), axis=1))
+            t = T.take_rows(ref_entities, np.take_along_axis(
+                maps, np.concatenate([dense[:, 2:], tails], axis=1), axis=1))
+            r = T.take_rows(ref_relations, relation_perm[dense[:, 1:2]])
+            ref_loss = negative_sampling_loss(distmult(h, r, t), gamma)
+            ref_grads = T.backward(ref_loss)
+
+            assert_close(loss.data, ref_loss.data)
+            assert_close(grads[tables.entity_matrix], ref_grads[ref_entities])
+            assert_close(grads[tables.relation_matrix], ref_grads[ref_relations])
 
     def test_array_row_maps_equal_dicts(self):
         config = Config(corpus_entities=50, corpus_relations=4,
