@@ -12,6 +12,7 @@ the header) are rejected: their parameter names no longer exist.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -39,9 +40,13 @@ class Checkpoint:
     def load_into(self, params: Parameters, state: AdamState | None = None) -> None:
         params.load_data({n: self.tensors[n] for n in self.parameter_names()})
         if state is not None:
-            for name in params.names():
-                state.m[name] = self.tensors[f"opt_m.{name}"].copy()
-                state.v[name] = self.tensors[f"opt_v.{name}"].copy()
+            for name, tensor in params.items():
+                for kind, moments in (("opt_m", state.m), ("opt_v", state.v)):
+                    moment = self.tensors.get(f"{kind}.{name}")
+                    if moment is None or moment.shape != tensor.shape:
+                        raise ValidationError(f"checkpoint optimizer moment {kind}.{name} "
+                                              f"is missing or not of shape {tensor.shape}")
+                    moments[name] = moment.copy()
             state.t = self.step
 
 
@@ -103,6 +108,14 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def text(self, count: int, what: str) -> str:
+        start = self.offset
+        try:
+            return self.take(count).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(
+                f"checkpoint {what} at byte offset {start} is not UTF-8") from None
+
 
 def load_checkpoint(path) -> Checkpoint:
     blob = Path(path).read_bytes()
@@ -114,19 +127,22 @@ def load_checkpoint(path) -> Checkpoint:
     if magic != CHECKPOINT_MAGIC:
         raise ValidationError(f"bad checkpoint magic at offset 0: {magic!r}")
     config_len = reader.u32()
-    config = Config.from_text(reader.take(config_len).decode("utf-8"),
-                              source=str(path))
+    config = Config.from_text(reader.text(config_len, "config"), source=str(path))
     step = reader.u64()
     count = reader.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = reader.u32()
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len, "tensor name")
         ndim = reader.u32()
         shape = tuple(reader.u64() for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        payload = reader.take(8 * size)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        # math.prod of Python ints cannot wrap, so a huge shape fails take().
+        payload = reader.take(8 * math.prod(shape))
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise ValidationError(
+                f"checkpoint tensor {name!r} has shape {shape}: {exc}") from None
     if reader.offset != len(blob):
         raise ValidationError(
             f"trailing bytes in checkpoint at offset {reader.offset}")

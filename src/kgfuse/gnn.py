@@ -9,7 +9,9 @@ scores by softmax, mixes messages f_m(e_j, r_ij), and adds the residual:
 f_k and f_m read the concatenation of the node and relation vectors.  Edges
 are typed and directed: every relation owns separate forward and reverse
 embedding rows, and a dedicated row serves the self term.  One relation
-table is shared by all layers.
+table is shared by all layers.  Every self and edge term is one row of a
+destination-sorted edge list, so the softmax and the sum over j are segment
+operations over that list's runs.
 """
 
 from __future__ import annotations
@@ -97,12 +99,11 @@ def forward_relation_rows(gp: GnnParams) -> dict[int, int]:
 
 
 def _edge_lists(sub: Subgraph, gp: GnnParams):
-    """Flattened (dst, src, relation-row, slot) arrays and the widest in-degree.
-
-    Each node's self term takes slot 0; its incident edges follow in
-    :meth:`Subgraph.edges` order.
-    """
+    """Flattened (dst, src, relation-row) arrays sorted by destination: each
+    node's self term, then its incident edges in :meth:`Subgraph.edges` order."""
     k = sub.num_nodes
+    if k == 0:
+        raise ValidationError("subgraph has no nodes")
     heads, rels, tails = np.asarray(sub.triplets_local, dtype=np.int64).reshape(-1, 3).T
     distinct, inverse = np.unique(rels, return_inverse=True)
     try:
@@ -118,25 +119,22 @@ def _edge_lists(sub: Subgraph, gp: GnnParams):
     src = np.concatenate([nodes, np.stack([heads, tails], axis=1).ravel()])
     rel = np.concatenate([np.full(k, SELF_ROW), rows[inverse].ravel()])
     order = np.argsort(dst, kind="stable")
-    degree = np.bincount(dst, minlength=k)
-    slot = np.arange(len(dst)) - np.repeat(np.cumsum(degree) - degree, degree)
-    return dst[order], src[order], rel[order], slot, int(degree.max())
+    return dst[order], src[order], rel[order]
 
 
 def _attention(k: int, edges, embeddings: Tensor, layer: GnnLayerParams,
                gp: GnnParams) -> tuple[Tensor, Tensor]:
-    """Each node's softmax weights over its self term and incident edges,
-    padded to (k, widest in-degree), and the (node, relation) pair input of
-    every edge in ``edges``, the :func:`_edge_lists` arrays."""
-    dst_idx, src_idx, rel_idx, slot_idx, max_deg = edges
+    """Each term's softmax weight among its destination's self term and
+    incident edges, and the (node, relation) pair input of every term in
+    ``edges``, the :func:`_edge_lists` arrays."""
+    dst_idx, src_idx, rel_idx = edges
     pair_input = T.concat([T.take_rows(embeddings, src_idx),
                            T.take_rows(gp.relation_table, rel_idx)], axis=1)
     queries = T.add(T.matmul(embeddings, layer.f_q_w), layer.f_q_b)
     keys = T.add(T.matmul(pair_input, layer.f_k_w), layer.f_k_b)
     logits = T.mul(T.tensor_sum(T.mul(T.take_rows(queries, dst_idx), keys), axis=1),
                    1.0 / np.sqrt(layer.attn_width))
-    padded = T.pairs_to_padded(logits, dst_idx, slot_idx, (k, max_deg), fill=-1e30)
-    return T.softmax(padded, axis=1), pair_input
+    return T.segment_softmax(logits, dst_idx, k), pair_input
 
 
 def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
@@ -146,19 +144,10 @@ def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
     if embeddings.shape != (k, gp.width):
         raise ValidationError(
             f"embeddings shape {embeddings.shape} does not match {k} nodes x {gp.width}")
-    dst_idx, _, _, slot_idx, max_deg = edges
     alpha, pair_input = _attention(k, edges, embeddings, layer, gp)
-
     messages = T.add(T.matmul(pair_input, layer.f_m_w), layer.f_m_b)
-    # Route each message into its (node, slot) cell; padding slots point at a
-    # zero row and receive zero attention.
-    ext = T.concat([messages, T.constant(np.zeros((1, gp.width)))], axis=0)
-    slot_map = np.full((k, max_deg), len(dst_idx), dtype=np.int64)
-    slot_map[dst_idx, slot_idx] = np.arange(len(dst_idx))
-    routed = T.take_rows(ext, slot_map)  # k x max_deg x d
-    weighted = T.mul(routed, T.reshape(alpha, (k, max_deg, 1)))
-    aggregated = T.tensor_sum(weighted, axis=1)
-
+    weighted = T.mul(messages, T.reshape(alpha, (-1, 1)))
+    aggregated = T.segment_sum(weighted, edges[0], k)
     return T.add(T.add(T.matmul(aggregated, layer.f_n_w), layer.f_n_b), embeddings)
 
 
@@ -184,5 +173,4 @@ def attention_weights(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
     """Per-node softmax weights over self + incident edges (for invariants)."""
     edges = _edge_lists(sub, gp)
     alpha, _ = _attention(sub.num_nodes, edges, embeddings, layer, gp)
-    degree = np.bincount(edges[0], minlength=sub.num_nodes)
-    return [alpha.data[i, :n] for i, n in enumerate(degree)]
+    return np.split(alpha.data, np.flatnonzero(np.diff(edges[0])) + 1)

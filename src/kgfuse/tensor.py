@@ -405,25 +405,36 @@ def take_pairs(a, rows, cols) -> Tensor:
     return Tensor._result(data, (a,), vjp, "take_pairs")
 
 
-def pairs_to_padded(values, rows, cols, shape: tuple[int, int], fill: float) -> Tensor:
-    """Scatter a 1-D tensor into a fresh (rows x cols) matrix filled with ``fill``.
+def _segment_runs(segments, count: int, values: Tensor) -> tuple[Array, Array]:
+    """The segment id of each row of ``values``, which must be sorted runs of
+    every id 0..count-1, and the row at which each run starts."""
+    seg = np.asarray(segments, dtype=np.int64)
+    if seg.ndim == 1 and seg.shape == values.shape[:1] and seg.size and seg[-1] == count - 1:
+        step = np.diff(seg, prepend=-1)
+        if np.all((step == 0) | (step == 1)):
+            return seg, np.flatnonzero(step)
+    raise ValidationError(f"segment ids must be sorted runs of every id 0..{count - 1}, "
+                          f"one per row of values of shape {values.shape}")
 
-    Each (rows[i], cols[i]) destination must be unique.  Used to lay
-    variable-length attention neighborhoods into a padded matrix so a row
-    softmax can normalize them in one shot.
-    """
+
+def segment_softmax(values, segments, count: int) -> Tensor:
+    """Softmax over the rows of each segment, the scatter-softmax of a
+    destination-sorted edge list; each run's max is subtracted first."""
     v = as_tensor(values)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if v.ndim != 1 or rows.shape != v.shape or cols.shape != v.shape:
-        raise ValidationError("pairs_to_padded expects 1-D values and matching indices")
-    data = np.full(shape, float(fill), dtype=np.float64)
-    data[rows, cols] = v.data
+    seg, starts = _segment_runs(segments, count, v)
+    e = np.exp(v.data - np.maximum.reduceat(v.data, starts)[seg])
+    data = e / np.add.reduceat(e, starts)[seg]
+    return Tensor._result(data, (v,), lambda g: (
+        data * (g - np.add.reduceat(g * data, starts)[seg]),), "segment_softmax")
 
-    def vjp(g):
-        return (g[rows, cols],)
 
-    return Tensor._result(data, (v,), vjp, "pairs_to_padded")
+def segment_sum(values, segments, count: int) -> Tensor:
+    """Sum the rows of each segment into one of ``count`` rows; a run is summed
+    pairwise, so a sum can differ from ``np.add.at``'s in the last bits."""
+    v = as_tensor(values)
+    seg, starts = _segment_runs(segments, count, v)
+    data = np.add.reduceat(v.data, starts, axis=0)
+    return Tensor._result(data, (v,), lambda g: (g[seg],), "segment_sum")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

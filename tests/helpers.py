@@ -10,6 +10,7 @@ time, the reference for the batched training step.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -144,22 +145,18 @@ def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
 def reference_edge_lists(sub, gp):
     """Per-node lists of (src, relation-row), self term first, flattened.
 
-    Returns the (dst, src, relation-row, slot) arrays and the widest
-    in-degree, as ``gnn._edge_lists`` does.
+    Returns the (dst, src, relation-row) arrays, as ``gnn._edge_lists`` does.
     """
     per_node = [[(i, SELF_ROW)] for i in range(sub.num_nodes)]
     for src, dst, rel, direction in sub.edges():
         per_node[dst].append((src, gp.relation_rows[(rel, direction)]))
-    dst_idx, src_idx, rel_idx, slot_idx = [], [], [], []
+    dst_idx, src_idx, rel_idx = [], [], []
     for i, entries in enumerate(per_node):
-        for slot, (src, rel_row) in enumerate(entries):
+        for src, rel_row in entries:
             dst_idx.append(i)
             src_idx.append(src)
             rel_idx.append(rel_row)
-            slot_idx.append(slot)
-    max_deg = max(len(entries) for entries in per_node)
-    return (np.array(dst_idx), np.array(src_idx), np.array(rel_idx),
-            np.array(slot_idx), max_deg)
+    return np.array(dst_idx), np.array(src_idx), np.array(rel_idx)
 
 
 def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
@@ -359,3 +356,17 @@ def graph_nodes(loss) -> list:
 def count_vjp_nodes(loss) -> int:
     """Autodiff nodes reachable from ``loss`` that carry a VJP."""
     return sum(node._vjp is not None for node in graph_nodes(loss))
+
+
+def checkpoint_bytes(config_text: bytes, tensors, step: int = 1) -> bytes:
+    """An RVLCKPT2 file built by hand from raw parts, which may be malformed.
+
+    ``tensors`` holds (name bytes, dims, payload bytes) triples; dims are
+    written as given, whatever the payload's length.
+    """
+    out = [b"RVLCKPT2", struct.pack("<I", len(config_text)), config_text,
+           struct.pack("<QI", step, len(tensors))]
+    for name, dims, payload in tensors:
+        out += [struct.pack("<I", len(name)), name, struct.pack("<I", len(dims))]
+        out += [struct.pack("<Q", d) for d in dims] + [payload]
+    return b"".join(out)

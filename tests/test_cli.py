@@ -12,6 +12,8 @@ from kgfuse.kg import holdout_edges, save_kg
 from kgfuse.model import build_model
 from kgfuse.train import eval_linkpred, model_linkpred_tables
 
+from helpers import checkpoint_bytes
+
 TINY_CFG = """
 corpus_entities = 30
 corpus_relations = 3
@@ -119,6 +121,15 @@ def test_retired_checkpoint_format_exits_one(tmp_path, capsys):
         load_checkpoint(old)
     assert main(["eval-linkpred", "--checkpoint", str(old)]) == 1
     assert "retired" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_exits_one(tmp_path, tiny_config_file, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint_bytes(tiny_config_file.read_bytes(),
+                                     [(b"w", (2 ** 40, 2 ** 40), b"")]))
+    assert main(["eval-linkpred", "--checkpoint", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncated" in err
 
 
 def test_pretrain_then_evals(tmp_path, tiny_config_file, capsys):

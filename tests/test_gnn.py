@@ -132,10 +132,10 @@ class TestEdgeLists:
             sub = parts[0] if trial % 2 else disjoint_union(parts)[0]
             got = _edge_lists(sub, gp)
             want = reference_edge_lists(sub, gp)
-            for g, w in zip(got[:4], want[:4]):
+            assert len(got) == 3
+            for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
                 assert g.dtype == np.int64
-            assert got[4] == want[4]
 
 
 class TestGnnEncode:
@@ -196,6 +196,15 @@ class TestGnnEncode:
         with pytest.raises(ValidationError):
             gnn_encode(Subgraph([0], [True], []), Tensor(np.zeros((1, 4))),
                        gp_empty)
+
+    def test_empty_subgraph_rejected(self):
+        kg = make_kg()
+        params, gp = make_gnn(kg, depth=2)
+        empty, nothing = Subgraph([], [], []), Tensor(np.zeros((0, 4)))
+        with pytest.raises(ValidationError, match="no nodes"):
+            gnn_encode(empty, nothing, gp)
+        with pytest.raises(ValidationError, match="no nodes"):
+            gnn_layer(empty, nothing, gp.layers[0], gp)
 
     def test_gradient_through_two_layers(self):
         kg = make_kg(n_relations=2)

@@ -21,7 +21,8 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           format_metrics, parse_metrics, pretrain,
                           random_baseline_mrr, train_kg_embeddings)
 
-from helpers import count_vjp_nodes, graph_nodes, reference_compute_step
+from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes,
+                     reference_compute_step)
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
             corpus_examples=12, batch_size=3, per_node_cap=3, n_negatives=4,
@@ -226,6 +227,39 @@ class TestCheckpoint:
         good.write_bytes(good.read_bytes()[:-9])
         with pytest.raises(ValidationError, match="offset"):
             load_checkpoint(good)
+
+    def test_malformed_headers_raise_validation_errors(self, tmp_path):
+        config_text = Config(**TINY).to_text().encode("utf-8")
+        path = tmp_path / "bad.ckpt"
+        cases = [
+            # 2**80 cells: a wrapping size product would read 0 bytes.
+            ([(b"w", (2 ** 40, 2 ** 40), b"")], config_text, "truncated"),
+            ([(b"\xff\xfe", (2,), bytes(16))], config_text, "name .* not UTF-8"),
+            ([(b"w", (2,), bytes(16))], b"\xc3(", "config .* not UTF-8"),
+            ([(b"w", (1,) * 65, bytes(8))], config_text, "'w' has shape"),
+            ([(b"w", (2 ** 64 - 1, 0), b"")], config_text, "'w' has shape"),
+        ]
+        for tensors, text, message in cases:
+            path.write_bytes(checkpoint_bytes(text, tensors))
+            with pytest.raises(ValidationError, match=message):
+                load_checkpoint(path)
+
+    def test_missing_optimizer_moments(self, tmp_path):
+        config = Config(**TINY)
+        params = Parameters()
+        params.add("w", Tensor(np.ones((2, 3))))
+        path = tmp_path / "m.ckpt"
+        weights = (b"w", (2, 3), np.full(6, 0.5).tobytes())
+        moment = (b"opt_m.w", (2, 3), bytes(48))
+        cases = [([weights], "opt_m.w"), ([weights, moment], "opt_v.w"),
+                 ([weights, moment, (b"opt_v.w", (3, 2), bytes(48))], "opt_v.w")]
+        for tensors, message in cases:
+            path.write_bytes(checkpoint_bytes(config.to_text().encode("utf-8"), tensors))
+            loaded = load_checkpoint(path)
+            loaded.load_into(params)
+            np.testing.assert_array_equal(params["w"].data, np.full((2, 3), 0.5))
+            with pytest.raises(ValidationError, match=message):
+                loaded.load_into(params, AdamState.init(params))
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         config = Config(**TINY)

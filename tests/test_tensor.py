@@ -105,16 +105,24 @@ class TestPrimitiveGradients:
         _check_op_gradient(
             lambda t: T.tensor_sum(T.power(T.take_rows(t, idx), 2.0)), (3, 4), 19)
 
-    def test_take_pairs_and_padded_scatter(self):
+    def test_take_pairs_and_segment_ops(self):
         rows = [0, 1, 1]
         cols = [2, 0, 3]
         _check_op_gradient(
             lambda t: T.tensor_sum(T.power(T.take_pairs(t, rows, cols), 2.0)),
             (3, 4), 20)
-        _check_op_gradient(
-            lambda t: T.tensor_sum(T.softmax(T.pairs_to_padded(
-                T.take_pairs(t, rows, cols), [0, 0, 1], [0, 1, 0], (2, 3),
-                fill=-1e30), axis=1)[:, :2]), (3, 4), 21)
+        # Segments of 3, 1 and 2 rows: the softmax weights each row of the
+        # gathered messages, and the weighted rows are summed per segment.
+        segments = [0, 0, 0, 1, 2, 2]
+        probe = np.random.default_rng(21).standard_normal((3, 4))
+
+        def build(t):
+            alpha = T.segment_softmax(T.tensor_sum(t, axis=1), segments, 3)
+            weighted = T.mul(T.reshape(alpha, (6, 1)), T.power(t, 2.0))
+            return T.tensor_sum(T.mul(T.segment_sum(weighted, segments, 3),
+                                      T.constant(probe)))
+
+        _check_op_gradient(build, (6, 4), 21)
 
     def test_concat(self):
         rng = np.random.default_rng(22)
@@ -137,7 +145,8 @@ class TestPrimitiveGradients:
 
 
 class TestScatterMatchesAddAt:
-    """The gather VJPs sum into each cell in index order, exactly as np.add.at."""
+    """The gather VJPs sum into each cell in index order, exactly as np.add.at;
+    segment_sum, a scatter-add forward, agrees with it up to rounding."""
 
     @staticmethod
     def _input_grad(build, shape, probe):
@@ -169,6 +178,25 @@ class TestScatterMatchesAddAt:
         np.add.at(expected, (rows, cols), probe)
         got = self._input_grad(lambda t: T.take_pairs(t, rows, cols), (4, 6), probe)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", [(900,), (900, 16), (300, 2, 3), (5, 4)])
+    def test_segment_sum_forward(self, shape):
+        """Equal to np.add.at up to the rounding of a sum in another order:
+        |error| <= (run length - 1) * eps * sum of |terms|."""
+        rng = np.random.default_rng(shape[0] + len(shape))
+        segments = np.sort(rng.integers(0, min(40, shape[0]), size=shape[0]))
+        segments = np.unique(segments, return_inverse=True)[1]
+        count = int(segments[-1]) + 1
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        expected, magnitude = np.zeros((2, count) + shape[1:])
+        np.add.at(expected, segments, values)
+        np.add.at(magnitude, segments, np.abs(values))
+        got = T.segment_sum(T.Tensor(values), segments, count).data
+        longest = np.bincount(segments).max()
+        assert np.all(np.abs(got - expected) <= (longest - 1) * 2.0 ** -52 * magnitude)
+        got_grad = self._input_grad(lambda t: T.segment_sum(t, segments, count),
+                                    shape, expected)
+        assert np.array_equal(got_grad, expected[segments])
 
 
 class TestClosedForms:
@@ -275,6 +303,21 @@ class TestErrorContracts:
     def test_take_rows_bounds(self):
         with pytest.raises(ValidationError):
             T.take_rows(T.Tensor(np.ones((2, 2))), [0, 2])
+
+    @pytest.mark.parametrize("shape,segments,count", [
+        ((4, 2), [1, 0, 0, 2], 3),   # unsorted
+        ((4, 2), [0, 0, 2, 2], 3),   # skips segment 1
+        ((4, 2), [1, 1, 2, 2], 3),   # skips segment 0
+        ((4, 2), [0, 0, 1, 1], 3),   # misses the last segment
+        ((4, 2), [0, 1, 2], 3),      # one id short of the rows
+        ((4, 2), [[0, 1], [1, 2]], 3),
+        ((), 0, 1),                  # a scalar has no rows
+    ])
+    def test_segment_ids_must_be_sorted_runs(self, shape, segments, count):
+        values = T.Tensor(np.ones(shape))
+        for op in (T.segment_softmax, T.segment_sum):
+            with pytest.raises(ValidationError, match="sorted runs"):
+                op(values, segments, count)
 
 
 class TestParameters:
