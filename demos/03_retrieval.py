@@ -4,6 +4,7 @@ Run:  python demos/03_retrieval.py
 """
 
 from kgfuse import Config, corpus_memory, generate_corpus, oracle_patch_projection
+from kgfuse import tensor as T
 from kgfuse.encoders import patchify
 from kgfuse.retriever import relevance_weights, retrieve
 
@@ -26,6 +27,6 @@ for entity_id, score in result.entries:
     marker = "  <- ground truth" if entity_id in gt else ""
     print(f"  {entity_id:4d}  {score:+.4f}{marker}")
 
-weights = relevance_weights(result, temperature=1.0)
+weights = relevance_weights(T.constant(result.scores), result.example, temperature=1.0)
 print(f"\nrelevance weights (sum {weights.data.sum():.6f}):")
 print("  " + "  ".join(f"{w:.3f}" for w in weights.data))

@@ -63,7 +63,14 @@ def _cmd_retrieve(args) -> int:
     ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
     config = ckpt.config if ckpt else _load_config(args)
     memory = load_memory(args.memory)
-    seq = patchify(np.load(args.image), config.patch_size)
+    try:
+        image = np.asarray(np.load(args.image), dtype=np.float64)
+    except ValueError as exc:
+        raise ValidationError(f"cannot read image {args.image}: {exc}") from None
+    seq = patchify(image, config.patch_size)
+    if seq.patches.shape[-1] != config.patch_dim:
+        raise ValidationError(f"image has {image.shape[-1]} channels; the config "
+                              f"needs {config.image_c}")
     if ckpt:
         corpus = generate_corpus(config)
         params = build_model(config, corpus.kg)

@@ -33,8 +33,9 @@ SELF_ROW = 0
 class GnnLayerParams:
     f_q_w: Tensor
     f_q_b: Tensor
+    # f_k has no bias: q_i . b would add one constant to all of node i's
+    # logits, which the softmax cancels.
     f_k_w: Tensor  # (d + d) x D, over concat(node, relation)
-    f_k_b: Tensor
     f_m_w: Tensor  # (d + d) x d
     f_m_b: Tensor
     f_n_w: Tensor  # d x d
@@ -57,7 +58,6 @@ def init_gnn_layer(params: Parameters, prefix: str, rng: np.random.Generator,
         f_q_w=params.add(f"{prefix}.f_q_w", Tensor(init_matrix(rng, d, attn_width))),
         f_q_b=params.add(f"{prefix}.f_q_b", Tensor(np.zeros(attn_width))),
         f_k_w=params.add(f"{prefix}.f_k_w", Tensor(init_matrix(rng, 2 * d, attn_width))),
-        f_k_b=params.add(f"{prefix}.f_k_b", Tensor(np.zeros(attn_width))),
         f_m_w=params.add(f"{prefix}.f_m_w", Tensor(init_matrix(rng, 2 * d, d))),
         f_m_b=params.add(f"{prefix}.f_m_b", Tensor(np.zeros(d))),
         f_n_w=params.add(f"{prefix}.f_n_w", Tensor(init_matrix(rng, d, d))),
@@ -131,7 +131,7 @@ def _attention(k: int, edges, embeddings: Tensor, layer: GnnLayerParams,
     pair_input = T.concat([T.take_rows(embeddings, src_idx),
                            T.take_rows(gp.relation_table, rel_idx)], axis=1)
     queries = T.add(T.matmul(embeddings, layer.f_q_w), layer.f_q_b)
-    keys = T.add(T.matmul(pair_input, layer.f_k_w), layer.f_k_b)
+    keys = T.matmul(pair_input, layer.f_k_w)
     logits = T.mul(T.tensor_sum(T.mul(T.take_rows(queries, dst_idx), keys), axis=1),
                    1.0 / np.sqrt(layer.attn_width))
     return T.segment_softmax(logits, dst_idx, k), pair_input

@@ -2,15 +2,16 @@
 
 One training step runs each stage once over the whole batch: patchify and
 mask the images, encode them; encode the masked captions, padded to the
-longest; retrieve entities from each example's patch queries, expand their
-one-hop subgraph and hold out a fraction of its edges; message-pass over the
-disjoint union of the visible subgraphs; fuse CLS + patches + SEP + tokens +
-SEP + retrieved entities in one padded layout; and apply the four
-objectives.  The random choices (masks, subgraph sampling, the holdout
-split) stay per example, each from its own seed; the step's negatives come
-from one generator seeded with every example's negative seed.  Held-out
-subgraph edges are the link-prediction positives and never participate in
-message passing in the same step.
+longest; score every patch query against the entity memory and select
+each example's entities in one pass, expand their one-hop subgraph and hold
+out a fraction of its edges; message-pass over the disjoint union of the
+visible subgraphs; fuse CLS + patches + SEP + tokens + SEP + retrieved
+entities in one padded layout; and apply the four objectives.  The random
+choices (masks, subgraph sampling, the holdout split) stay per example, each
+from its own seed; the step's negatives come from one generator seeded with
+every example's negative seed.  Held-out subgraph edges are the
+link-prediction positives and never participate in message passing in the
+same step.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .kg import (KnowledgeGraph, Triplet, disjoint_union, expand_subgraph,
 from .objectives import (ItcParams, LossBundle, ScoringTables, init_itc,
                          itc_loss, linkpred_loss, mask_patches, mask_spans,
                          mlm_loss, mvm_loss, row_map, total_loss)
-from .retriever import (EntityMemory, gather_retrieved_scores,
-                        relevance_weights, retrieve_from_scores, score_patches)
+from .retriever import (EntityMemory, relevance_weights, retrieve_from_scores,
+                        score_patches)
 from .tensor import Parameters, Tensor
 
 ALL_LOSSES = ("mlm", "mvm", "linkpred", "itc")
@@ -159,27 +160,35 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     tokens[token_valid] = np.concatenate(captions)
     t_out = text_encode(tokens, params.text, token_valid)
 
-    retrieved_ids, subgraphs, held_outs, node_weights = [], [], [], []
+    retrieved_ids, subgraphs, held_outs = [], [], []
     linkpred_count = 0
     if need_fusion or "linkpred" in active:
-        for i, ex in enumerate(examples):
-            scores = score_patches(queries[i], memory)
-            rset = retrieve_from_scores(scores, memory, config.k_per_patch,
-                                        config.k_final)
-            retrieved_ids.append(rset.ids)
-            subgraph = expand_subgraph(kg, rset.ids, config.per_node_cap,
-                                       ex.subgraph_seed)
+        scores = score_patches(queries, memory)
+        found = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
+        retrieved_ids = found.per_example()
+        for ids, ex in zip(retrieved_ids, examples):
+            subgraph = expand_subgraph(kg, ids, config.per_node_cap, ex.subgraph_seed)
             visible, held_out = split_triplet_list(subgraph.triplets_local,
                                                    config.edge_drop, ex.holdout_seed)
             subgraphs.append(subgraph.with_triplets(visible))
             held_outs.append(held_out)
-            # Seeds are scaled by their relevance, neighbours by exactly 1.
-            node_weights += [
-                relevance_weights(gather_retrieved_scores(scores, rset),
-                                  config.relevance_temperature),
-                T.constant(np.ones(subgraph.num_nodes - len(rset.ids)))]
         union, offsets = disjoint_union(subgraphs)
-        e0 = entity_encode(union.entity_ids, memory, T.concat(node_weights),
+        # Each example's seeds are the first nodes of its part of the union.
+        counts = np.bincount(found.example)
+        entity_valid = np.arange(counts.max()) < counts[:, None]
+        seed_rows = np.where(entity_valid,
+                             np.asarray(offsets)[:, None] + np.arange(counts.max()), 0)
+        b, p, e = scores.shape
+        relevance = relevance_weights(
+            T.take_pairs(T.reshape(scores, (b * p, e)), found.example * p + found.patch,
+                         found.column),
+            found.example, config.relevance_temperature)
+        # Seeds are scaled by their relevance, neighbours by the appended 1.
+        node_weight = np.full(union.num_nodes, len(found.ids))
+        node_weight[seed_rows[entity_valid]] = np.arange(len(found.ids))
+        e0 = entity_encode(union.entity_ids, memory,
+                           T.take_rows(T.concat([relevance, T.constant(np.ones(1))]),
+                                       node_weight),
                            params.entity)
         nodes = gnn_encode(union, e0, params.gnn)
 
@@ -203,11 +212,6 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
         linkpred_count = len(positives)
 
     if need_fusion:
-        counts = np.array([len(ids) for ids in retrieved_ids])
-        entity_valid = np.arange(counts.max()) < counts[:, None]
-        # Each example's seeds are the first nodes of its part of the union.
-        seed_rows = np.where(entity_valid,
-                             np.asarray(offsets)[:, None] + np.arange(counts.max()), 0)
         fused = assemble(v_out, t_out, T.take_rows(nodes, seed_rows), params.fusion,
                          token_valid, entity_valid)
         out = heads(fuse(fused, params.fusion), fused,

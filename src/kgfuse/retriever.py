@@ -134,123 +134,107 @@ def load_memory(path) -> EntityMemory:
 
 @dataclass
 class RetrievedEntitySet:
-    """Top-k entities for one image, sorted by score (ties: ascending id).
+    """Retrieved entities, one row per (example, entity), example by example
+    and within one by score (ties: ascending id).
 
-    ``sources[i]`` records the (patch row, memory column) where entry i
-    achieved its maximum score, so the differentiable score can be re-read
-    from the score matrix.
+    ``patch`` and ``column`` locate where each entity scored its maximum in
+    the (example, patch, memory column) scores, so the differentiable score
+    can be re-read from them.
     """
 
-    entries: list[tuple[int, float]]
-    sources: list[tuple[int, int]]
+    example: np.ndarray
+    patch: np.ndarray
+    column: np.ndarray
+    ids: list[int]
+    scores: np.ndarray
 
     @property
-    def ids(self) -> list[int]:
-        return [e for e, _ in self.entries]
+    def entries(self) -> list[tuple[int, float]]:
+        return list(zip(self.ids, self.scores.tolist()))
 
-    @property
-    def scores(self) -> list[float]:
-        return [s for _, s in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def per_example(self) -> list[list[int]]:
+        """Each example's ids; every example retrieves at least one entity."""
+        ends = np.flatnonzero(np.diff(self.example)) + 1
+        return [part.tolist() for part in np.split(np.asarray(self.ids), ends)]
 
 
 def score_patches(patch_embeddings, memory: EntityMemory) -> T.Tensor:
-    """Inner products of each patch query against every memory row.
+    """Inner products of every patch query, (..., P, d_e), with every memory
+    row, in one matmul giving (..., P, E).
 
     Differentiable with respect to the patch embeddings; the memory is a
     frozen constant.
     """
-    queries = patch_embeddings if isinstance(patch_embeddings, T.Tensor) \
-        else T.Tensor(patch_embeddings)
-    if queries.ndim != 2 or queries.shape[1] != memory.d_e:
+    queries = T.as_tensor(patch_embeddings)
+    if queries.ndim < 2 or queries.shape[-1] != memory.d_e:
         raise ValidationError(
             f"patch embedding width {queries.shape} does not match memory width {memory.d_e}")
     return T.matmul(queries, T.constant(memory.matrix.T))
 
 
-def _top_per_row(row: np.ndarray, ids: np.ndarray, k: int) -> list[int]:
-    order = np.lexsort((ids, -row))
-    return order[:k].tolist()
-
-
 def retrieve(patch_embeddings, memory: EntityMemory, k_per_patch: int,
              k_final: int) -> RetrievedEntitySet:
-    """Top-``k_per_patch`` entities per patch, pooled, deduplicated, re-ranked.
-
-    Deduplication keeps each entity's maximum score; ties everywhere break
-    toward the ascending entity id, and equal-score duplicates keep the
-    earliest patch.
-    """
+    """:func:`retrieve_from_scores` for one image's finite patch queries."""
     queries = patch_embeddings.data if isinstance(patch_embeddings, T.Tensor) \
         else np.asarray(patch_embeddings, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != memory.d_e:
         raise ValidationError(
             f"patch embedding shape {queries.shape} does not match memory width {memory.d_e}")
-    if len(memory) == 0:
-        raise ValidationError("retrieve against an empty memory")
-    return retrieve_from_scores(queries @ memory.matrix.T, memory,
+    if not np.all(np.isfinite(queries)):
+        raise ValidationError("patch queries must be finite")
+    return retrieve_from_scores((queries @ memory.matrix.T)[None], memory,
                                 k_per_patch, k_final)
 
 
 def retrieve_from_scores(score_matrix, memory: EntityMemory, k_per_patch: int,
                          k_final: int) -> RetrievedEntitySet:
-    """Selection step of :func:`retrieve`, given the full patch-by-entity scores."""
+    """Each example's top-``k_per_patch`` entities per patch, pooled at their
+    best score and re-ranked to the top ``k_final``, from finite
+    (B, P, E) scores.
+
+    Ties everywhere break toward the ascending entity id, and an entity that
+    reaches its best score on several patches keeps the earliest.
+    """
     if k_per_patch < 1 or k_final < 1:
         raise ValidationError("k_per_patch and k_final must be >= 1")
     if len(memory) == 0:
         raise ValidationError("retrieve against an empty memory")
     scores = score_matrix.data if isinstance(score_matrix, T.Tensor) \
         else np.asarray(score_matrix, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != len(memory):
+    if scores.ndim != 3 or scores.shape[1] == 0 or scores.shape[2] != len(memory):
         raise ValidationError(
-            f"score matrix shape {scores.shape} does not match memory size {len(memory)}")
+            f"score array shape {scores.shape} is not (batch, patches, {len(memory)})")
 
-    ids = np.asarray(memory.ids, dtype=np.int64)
-    best: dict[int, tuple[float, int, int]] = {}
-    for patch_idx in range(scores.shape[0]):
-        row = scores[patch_idx]
-        for col in _top_per_row(row, ids, k_per_patch):
-            ent = int(ids[col])
-            score = float(row[col])
-            prev = best.get(ent)
-            if prev is None or score > prev[0]:
-                best[ent] = (score, patch_idx, col)
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))[:k_final]
-    entries = [(ent, rec[0]) for ent, rec in ranked]
-    sources = [(rec[1], rec[2]) for _, rec in ranked]
-    return RetrievedEntitySet(entries, sources)
-
-
-def gather_retrieved_scores(score_matrix: T.Tensor,
-                            retrieved: RetrievedEntitySet) -> T.Tensor:
-    """Differentiable (k,) vector of the retrieved entities' winning scores."""
-    if len(retrieved) == 0:
-        raise ValidationError("empty retrieved set")
-    rows = [r for r, _ in retrieved.sources]
-    cols = [c for _, c in retrieved.sources]
-    return T.take_pairs(score_matrix, rows, cols)
+    # In ascending-id column order, a stable sort breaks score ties toward the lower id.
+    by_id = np.argsort(memory.ids)
+    scores = scores[..., by_id]
+    top = np.argsort(-scores, axis=-1, kind="stable")[..., :k_per_patch]
+    picked = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(picked, top, True, axis=-1)
+    pooled = np.where(picked, scores, -np.inf)
+    patch = pooled.argmax(axis=1)
+    best = pooled.max(axis=1)
+    order = np.argsort(-best, axis=-1, kind="stable")[:, :k_final]
+    # Pooled entities are finite, so they lead each row of ``order``.
+    example, slot = np.nonzero(np.take_along_axis(picked.any(axis=1), order, axis=1))
+    col = order[example, slot]
+    column = by_id[col]
+    return RetrievedEntitySet(example, patch[example, col], column,
+                              [memory.ids[c] for c in column.tolist()], best[example, col])
 
 
-def relevance_weights(scores, temperature: float) -> T.Tensor:
-    """Softmax of retrieval scores over the retrieved set.
+def relevance_weights(scores, segments, temperature: float) -> T.Tensor:
+    """Softmax of retrieval scores over each example's retrieved set.
 
-    Accepts either the differentiable score vector from
-    :func:`gather_retrieved_scores` or a :class:`RetrievedEntitySet` (whose
-    stored float scores become a constant input).  Weights sum to one and
-    keep the retrieval scores on the gradient path when given a tensor.
+    ``segments`` holds each score's example, in sorted runs of every example
+    index.  Each example's weights sum to one and keep the retrieval scores
+    on the gradient path.
     """
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
-    if isinstance(scores, RetrievedEntitySet):
-        if len(scores) == 0:
-            raise ValidationError("empty retrieved set")
-        vec = T.constant(np.asarray(scores.scores))
-    else:
-        vec = scores if isinstance(scores, T.Tensor) else T.Tensor(scores)
-        if vec.size == 0:
-            raise ValidationError("empty score vector")
-    if vec.ndim != 1:
-        raise ValidationError(f"relevance_weights expects a 1-D score vector, got {vec.shape}")
-    return T.softmax(T.mul(vec, 1.0 / temperature), axis=0)
+    vec = T.as_tensor(scores)
+    segments = np.asarray(segments, dtype=np.int64)
+    if vec.ndim != 1 or segments.size == 0:
+        raise ValidationError(f"relevance_weights expects a non-empty score vector, "
+                              f"got shape {vec.shape}")
+    return T.segment_softmax(T.mul(vec, 1.0 / temperature), segments, int(segments[-1]) + 1)

@@ -25,7 +25,7 @@ from .model import (ALL_LOSSES, ModelParams, build_model, compute_step,
                     single_loss_objective)
 from .objectives import TAU_MAX, TAU_MIN, ScoringTables, linkpred_loss
 from .optim import AdamState, optimizer_step
-from .retriever import EntityMemory, retrieve
+from .retriever import EntityMemory, retrieve_from_scores, score_patches
 from .tensor import Parameters, Tensor, backward, finite_difference_check
 
 METRICS_HEADER = "step\tmlm\tmvm\tlinkpred\titc\ttotal"
@@ -274,6 +274,7 @@ def eval_retrieval(params: ModelParams, memory: EntityMemory,
     k_per_patch = config.k_per_patch if k_per_patch is None else k_per_patch
     patches = patchify(np.stack(corpus.images), config.patch_size).patches
     _, queries = vision_encode(patches, params.vision)
-    recalls = [len(set(retrieve(q, memory, k_per_patch, k).ids) & set(gt)) / len(gt)
-               for q, gt in zip(queries.data, corpus.ground_truth)]
+    found = retrieve_from_scores(score_patches(queries, memory), memory, k_per_patch, k)
+    recalls = [len(set(ids) & set(gt)) / len(gt)
+               for ids, gt in zip(found.per_example(), corpus.ground_truth)]
     return float(np.mean(recalls))

@@ -131,7 +131,7 @@ def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
         messages = []
         for j, rel_row in candidates[i]:
             pair = np.concatenate([embeddings[j], table[rel_row]])
-            key = pair @ layer.f_k_w.data + layer.f_k_b.data
+            key = pair @ layer.f_k_w.data
             logits.append(float(query @ key) / sqrt_d)
             messages.append(pair @ layer.f_m_w.data + layer.f_m_b.data)
         alpha = scalar_softmax(logits)
@@ -160,8 +160,12 @@ def reference_edge_lists(sub, gp):
 
 
 def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
-                        k_final: int):
-    """Exhaustive per-patch sort, pool, max-dedup, global sort."""
+                        k_final: int, with_sources: bool = False):
+    """Exhaustive per-patch sort, pool, max-dedup, global sort.
+
+    Returns the (id, score) entries; with ``with_sources``, also the
+    (patch, column) at which each entry first reached its score.
+    """
     pooled: dict[int, tuple[float, int, int]] = {}
     n_patches = scores.shape[0]
     for p in range(n_patches):
@@ -173,7 +177,10 @@ def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
             if prev is None or score > prev[0]:
                 pooled[ent] = (score, p, col)
     final = sorted(pooled.items(), key=lambda kv: (-kv[1][0], kv[0]))[:k_final]
-    return [(ent, rec[0]) for ent, rec in final]
+    entries = [(ent, rec[0]) for ent, rec in final]
+    if with_sources:
+        return entries, [(rec[1], rec[2]) for _, rec in final]
+    return entries
 
 
 def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1000):
@@ -238,7 +245,8 @@ def reference_expand_edges(kg, nodes: list[int]) -> list[tuple[int, int, int]]:
 def reference_compute_step(params, corpus, memory, plan, config=None):
     """The training step as a loop over examples, each its own chain of ops.
 
-    Every example is encoded, message-passed over its own visible subgraph,
+    Every example is encoded, retrieves its entities through
+    :func:`exhaustive_retrieve`, is message-passed over its own visible subgraph,
     fused without padding and scored on its own, with its own dict row map;
     only the link-prediction negatives come from one draw over the whole
     step.  The batch losses are then averaged as ``model.compute_step``
@@ -254,8 +262,7 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
     from kgfuse.model import entity_fallback_table
     from kgfuse.objectives import (itc_loss, mask_patches, mask_spans, mlm_loss,
                                    mvm_loss, total_loss)
-    from kgfuse.retriever import (gather_retrieved_scores, relevance_weights,
-                                  retrieve_from_scores, score_patches)
+    from kgfuse.retriever import score_patches
 
     config = corpus.config if config is None else config
     kg = corpus.kg
@@ -274,14 +281,17 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
         t_out = text_encode(tokens, params.text)
 
         scores = score_patches(queries, memory)
-        rset = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
-        weights = relevance_weights(gather_retrieved_scores(scores, rset),
-                                    config.relevance_temperature)
-        subgraph = expand_subgraph(kg, rset.ids, config.per_node_cap, ex.subgraph_seed)
+        entries, sources = exhaustive_retrieve(scores.data, memory.ids, config.k_per_patch,
+                                               config.k_final, with_sources=True)
+        retrieved = [e for e, _ in entries]
+        rows, cols = zip(*sources)
+        weights = T.softmax(T.mul(T.take_pairs(scores, rows, cols),
+                                  1.0 / config.relevance_temperature), axis=0)
+        subgraph = expand_subgraph(kg, retrieved, config.per_node_cap, ex.subgraph_seed)
         visible, held_out = split_triplet_list(subgraph.triplets_local,
                                                config.edge_drop, ex.holdout_seed)
-        e0 = entity_encode(rset.ids, memory, weights, params.entity)
-        neighbor_ids = subgraph.entity_ids[len(rset.ids):]
+        e0 = entity_encode(retrieved, memory, weights, params.entity)
+        neighbor_ids = subgraph.entity_ids[len(retrieved):]
         if neighbor_ids:
             e0 = T.concat([e0, project_memory_rows(neighbor_ids, memory, params.entity)])
         nodes = gnn_encode(subgraph.with_triplets(visible), e0, params.gnn)
@@ -294,7 +304,7 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
                          for h, r, t in held_out]
             linkpred_parts.append((T.concat([nodes, fallback]), entity_row, positives))
 
-        fused = assemble(v_out, t_out, T.take_rows(nodes, np.arange(len(rset.ids))),
+        fused = assemble(v_out, t_out, T.take_rows(nodes, np.arange(len(retrieved))),
                          params.fusion)
         out = heads(fuse(fused, params.fusion), fused, [token_record.token_positions],
                     [patch_record.patch_positions], params.heads)

@@ -69,3 +69,6 @@ def test_every_forward_stage_gets_a_span(monkeypatch):
     silent = [stage for stage in run.FORWARD_STAGES
               if stage not in UNSPANNED_STAGES and stage not in calls]
     assert not silent, f"stages without a span call: {silent}"
+    # The batch is scored and its entities selected in one call each.
+    assert calls["retriever.score"]["calls"] == 1
+    assert calls["retriever.topk"]["calls"] == 1

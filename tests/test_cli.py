@@ -114,6 +114,28 @@ def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(
     assert len(capsys.readouterr().out.strip().splitlines()) == config.k_final
 
 
+@pytest.mark.parametrize("image, reason", [
+    (np.zeros((16, 16, 3)), "3 channels"),          # the config has image_c = 1
+    (np.full((16, 16, 1), np.nan), "finite"),
+    (np.array([[None]], dtype=object), "cannot read image"),
+    (np.full((16, 16, 1), "a"), "cannot read image"),
+])
+def test_retrieve_bad_image_exits_one(tmp_path, tiny_config_file, kg_files, capsys,
+                                      image, reason):
+    assert main(["build-memory", "--entities", str(kg_files[0]),
+                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2]),
+                 "--config", str(tiny_config_file), "--out", str(tmp_path)]) == 0
+    image_path = tmp_path / "image.npy"
+    np.save(image_path, image, allow_pickle=True)
+    capsys.readouterr()
+    code = main(["retrieve", "--image", str(image_path),
+                 "--memory", str(tmp_path / "memory.embv"),
+                 "--config", str(tiny_config_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
+
+
 def test_retired_checkpoint_format_exits_one(tmp_path, capsys):
     old = tmp_path / "old.ckpt"
     old.write_bytes(b"RVLCKPT1" + b"\x00" * 24)

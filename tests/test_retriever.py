@@ -8,11 +8,10 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.retriever import (EntityMemory, build_memory, embed_description,
-                              gather_retrieved_scores, load_memory,
-                              relevance_weights, retrieve,
+                              load_memory, relevance_weights, retrieve,
                               retrieve_from_scores, save_memory, score_patches)
 
-from helpers import exhaustive_retrieve
+from helpers import exhaustive_retrieve, fd_input_grad
 
 
 def random_memory(rng, count, d_e) -> EntityMemory:
@@ -147,16 +146,21 @@ class TestRetrieve:
 
     def test_equal_scores_tie_to_smallest_ids(self):
         memory = EntityMemory([11, 3, 7, 5], np.eye(4), 4)
-        scores = np.zeros((2, 4))
+        scores = np.zeros((1, 2, 4))
         result = retrieve_from_scores(scores, memory, k_per_patch=4, k_final=3)
         assert result.ids == [3, 5, 7]
 
     def test_dedup_keeps_max_score(self):
         memory = EntityMemory([1, 2], np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
-        scores = np.array([[0.9, 0.1], [0.4, 0.8]])
+        scores = np.array([[[0.9, 0.1], [0.4, 0.8]]])
         result = retrieve_from_scores(scores, memory, k_per_patch=2, k_final=2)
         assert result.entries == [(1, 0.9), (2, 0.8)]
-        assert result.sources == [(0, 0), (1, 1)]
+        assert result.patch.tolist() == [0, 1] and result.column.tolist() == [0, 1]
+
+    def test_non_finite_queries_rejected(self):
+        memory = random_memory(np.random.default_rng(15), 4, 3)
+        with pytest.raises(ValidationError, match="finite"):
+            retrieve(np.full((2, 3), np.nan), memory, 1, 1)
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(10)
@@ -188,46 +192,123 @@ class TestRetrieve:
             retrieve(np.ones((1, 3)), memory, 1, 1)
 
 
+def assert_matches_oracle(scores, memory, k_per_patch, k_final):
+    """Every example of the batched selection equals the exhaustive oracle."""
+    found = retrieve_from_scores(scores, memory, k_per_patch, k_final)
+    assert np.all(np.diff(found.example) >= 0)
+    for b, ids in enumerate(found.per_example()):
+        entries, sources = exhaustive_retrieve(scores[b], memory.ids, k_per_patch,
+                                               k_final, with_sources=True)
+        mine = found.example == b
+        assert ids == [e for e, _ in entries]
+        assert found.scores[mine].tolist() == [s for _, s in entries]
+        assert list(zip(found.patch[mine].tolist(), found.column[mine].tolist())) == sources
+    assert len(found.per_example()) == scores.shape[0]
+    return found
+
+
+class TestBatchedSelection:
+    def test_random_batches_match_oracle(self):
+        rng = np.random.default_rng(16)
+        for trial in range(60):
+            memory = random_memory(rng, int(rng.integers(1, 40)), 4)
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 7)), len(memory))
+            scores = rng.standard_normal(shape)
+            if trial % 2:  # coarse values force ties within and across patches
+                scores = np.round(scores, 1)
+            assert_matches_oracle(scores, memory, int(rng.integers(1, 6)),
+                                  int(rng.integers(1, 12)))
+
+    def test_all_tied_scores(self):
+        memory = random_memory(np.random.default_rng(17), 9, 3)
+        found = assert_matches_oracle(np.ones((3, 4, 9)), memory, 2, 5)
+        # Every patch picks the same two lowest ids, from the first patch.
+        assert found.per_example() == [sorted(memory.ids)[:2]] * 3
+        assert np.all(found.patch == 0)
+
+    def test_unsorted_memory_ids(self):
+        rng = np.random.default_rng(18)
+        memory = EntityMemory([11, 3, 7, 5, 40, 1], np.eye(6), 6)
+        for _ in range(20):
+            scores = np.round(rng.standard_normal((3, 4, 6)), 0)
+            assert_matches_oracle(scores, memory, int(rng.integers(1, 4)), 4)
+
+    def test_short_pools_give_each_example_its_own_count(self):
+        # Two patches pick two entities each, so no pool reaches k_final = 6;
+        # the pools overlap in 0, 2 and 1 entities.
+        memory = random_memory(np.random.default_rng(19), 6, 3)
+        scores = np.zeros((3, 2, 6))
+        scores[:, 0, :2] = [6.0, 5.0]
+        scores[0, 1, 2:4] = scores[1, 1, :2] = scores[2, 1, 1:3] = [6.0, 5.0]
+        found = assert_matches_oracle(scores, memory, 2, 6)
+        assert [len(ids) for ids in found.per_example()] == [4, 2, 3]
+
+    def test_rejects_bad_shapes_and_k(self):
+        memory = random_memory(np.random.default_rng(21), 5, 3)
+        for bad in (np.zeros((2, 5)), np.zeros((1, 2, 4)), np.zeros((1, 0, 5))):
+            with pytest.raises(ValidationError):
+                retrieve_from_scores(bad, memory, 1, 1)
+        with pytest.raises(ValidationError):
+            retrieve_from_scores(np.zeros((1, 2, 5)), memory, 0, 1)
+
+
 class TestRelevanceWeights:
     def test_equal_scores_uniform(self):
-        w = relevance_weights(T.Tensor(np.zeros(4)), temperature=1.0)
+        w = relevance_weights(T.Tensor(np.zeros(4)), [0] * 4, temperature=1.0)
         np.testing.assert_allclose(w.data, [0.25] * 4, atol=1e-15)
 
     def test_low_temperature_concentrates(self):
-        w = relevance_weights(T.Tensor([2.0, 1.0, 0.0]), temperature=1e-3)
+        w = relevance_weights(T.Tensor([2.0, 1.0, 0.0]), [0] * 3, temperature=1e-3)
         assert w.data[0] > 1.0 - 1e-9
         assert w.data[1] < 1e-9 and w.data[2] < 1e-9
 
     def test_matches_scalar_softmax(self):
-        w = relevance_weights(T.Tensor([2.0, 1.0, 0.0]), temperature=1.0).data
+        w = relevance_weights(T.Tensor([2.0, 1.0, 0.0, 3.0, 3.0]), [0, 0, 0, 1, 1],
+                              temperature=1.0).data
         exps = np.exp([2.0, 1.0, 0.0])
-        np.testing.assert_allclose(w, exps / exps.sum(), atol=1e-12)
+        np.testing.assert_allclose(w[:3], exps / exps.sum(), atol=1e-12)
+        np.testing.assert_allclose(w[3:], [0.5, 0.5], atol=1e-15)
 
     def test_sums_to_one_and_permutation_equivariant(self):
         rng = np.random.default_rng(12)
         scores = rng.standard_normal(7)
-        w = relevance_weights(T.Tensor(scores), temperature=0.7).data
+        w = relevance_weights(T.Tensor(scores), [0] * 7, temperature=0.7).data
         assert abs(w.sum() - 1.0) < 1e-9
         perm = rng.permutation(7)
-        w_perm = relevance_weights(T.Tensor(scores[perm]), temperature=0.7).data
+        w_perm = relevance_weights(T.Tensor(scores[perm]), [0] * 7, temperature=0.7).data
         np.testing.assert_allclose(w_perm, w[perm], atol=1e-12)
 
     def test_accepts_retrieved_set_and_rejects_empty(self):
         rng = np.random.default_rng(13)
         memory = random_memory(rng, 8, 4)
         result = retrieve(rng.standard_normal((2, 4)), memory, 2, 3)
-        w = relevance_weights(result, temperature=1.0)
+        w = relevance_weights(T.constant(result.scores), result.example, temperature=1.0)
         assert abs(float(w.data.sum()) - 1.0) < 1e-9
         with pytest.raises(ValidationError):
-            relevance_weights(T.Tensor(np.zeros(3)), temperature=0.0)
+            relevance_weights(T.Tensor(np.zeros(3)), [0] * 3, temperature=0.0)
+        with pytest.raises(ValidationError):
+            relevance_weights(T.Tensor(np.zeros(0)), [], temperature=1.0)
+        with pytest.raises(ValidationError):
+            relevance_weights(T.Tensor(np.zeros(3)), [1, 0, 0], temperature=1.0)
 
     def test_gradient_reaches_patches_through_scores(self):
+        # The path compute_step takes: (B, P, E) scores, one selection, one
+        # take_pairs over the (B * P, E) rows, one segment softmax.
         rng = np.random.default_rng(14)
         memory = random_memory(rng, 8, 4)
-        patches = T.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        scores = score_patches(patches, memory)
-        result = retrieve_from_scores(scores, memory, 2, 3)
-        weights = relevance_weights(gather_retrieved_scores(scores, result), 1.0)
-        probe = T.constant(rng.standard_normal(3))
-        grads = T.backward(T.dot(weights, probe))
-        assert np.any(grads[patches] != 0.0)
+        patches = rng.standard_normal((3, 2, 4))
+        found = retrieve_from_scores(patches @ memory.matrix.T, memory, 2, 3)
+        probe = rng.standard_normal(len(found.ids))
+
+        def objective(x):
+            scores = T.reshape(score_patches(x, memory), (6, len(memory)))
+            weights = relevance_weights(
+                T.take_pairs(scores, found.example * 2 + found.patch, found.column),
+                found.example, temperature=0.5)
+            return T.dot(weights, T.constant(probe))
+
+        x = T.Tensor(patches.copy(), requires_grad=True)
+        grads = T.backward(objective(x))
+        numeric = fd_input_grad(lambda a: objective(T.Tensor(a)).item(), patches.copy())
+        assert np.any(grads[x] != 0.0)
+        np.testing.assert_allclose(grads[x], numeric, atol=1e-8)
