@@ -59,10 +59,9 @@ def _cmd_build_memory(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    # A checkpoint's own patch size and k apply, whatever --config says.
+    # A checkpoint's own config and corpus memory apply, whatever --config says.
     ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
     config = ckpt.config if ckpt else _load_config(args)
-    memory = load_memory(args.memory)
     try:
         image = np.asarray(np.load(args.image), dtype=np.float64)
     except ValueError as exc:
@@ -73,6 +72,7 @@ def _cmd_retrieve(args) -> int:
                               f"needs {config.image_c}")
     if ckpt:
         corpus = generate_corpus(config)
+        memory = corpus_memory(corpus)
         params = build_model(config, corpus.kg)
         ckpt.load_into(params.store)
         _, queries = vision_encode(seq.patches, params.vision)
@@ -80,6 +80,7 @@ def _cmd_retrieve(args) -> int:
     else:
         # Untrained fallback: the fixed averaging projection that inverts
         # the synthetic tiling.
+        memory = load_memory(args.memory)
         queries = seq.patches @ oracle_patch_projection(config)
     rset = retrieve(queries, memory, config.k_per_patch, config.k_final)
     for entity_id, score in rset.entries:
@@ -147,8 +148,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as bad input does
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgfuse",
         description="Retrieval-augmented vision-language pretraining over a toy KG")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -169,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("retrieve", help="top-k entities for an image (.npy)")
     p.add_argument("--image", required=True)
-    p.add_argument("--memory", required=True)
-    p.add_argument("--checkpoint", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--memory", help="EMBV memory, scored by the untrained projection")
+    source.add_argument("--checkpoint", help="trained model, scored against its corpus memory")
     _add_common(p)
     p.set_defaults(fn=_cmd_retrieve)
 

@@ -100,7 +100,8 @@ def forward_relation_rows(gp: GnnParams) -> dict[int, int]:
 
 def _edge_lists(sub: Subgraph, gp: GnnParams):
     """Flattened (dst, src, relation-row) arrays sorted by destination: each
-    node's self term, then its incident edges in :meth:`Subgraph.edges` order."""
+    node's self term, then its incident edges in triplet order, where each
+    triplet sends head to tail (DIR_OUT) and tail to head (DIR_IN)."""
     k = sub.num_nodes
     if k == 0:
         raise ValidationError("subgraph has no nodes")

@@ -40,8 +40,12 @@ class KnowledgeGraph:
     """Immutable multi-relational graph with a bidirectional adjacency index.
 
     Entities and relations also carry dense indices, their positions in
-    ascending id order, and every triplet is indexed as the int64 key
-    ``(hi * R + ri) * E + ti`` of its dense indices in one sorted array.
+    ascending id order.  Every triplet is indexed twice in one sorted int64
+    array: by its h-major key ``(hi * R + ri) * E + ti`` and, above all of
+    those, by its t-major key ``E * R * E + (ti * R + ri) * E + hi``.  The
+    triplets sharing a head and relation, or a tail and relation, are thus
+    one run of keys within an E-wide range, which :meth:`known_mask` reads;
+    it is the one membership rule.
     """
 
     def __init__(self, entities: dict[int, NamedRecord],
@@ -62,14 +66,13 @@ class KnowledgeGraph:
         self._entity_index = {e: i for i, e in enumerate(self._entity_ids)}
         self._relation_index = {r: i for i, r in enumerate(self._relation_ids)}
         n_e, n_r = len(self._entity_ids), len(self._relation_ids)
-        if n_e * n_e * n_r > np.iinfo(np.int64).max:
+        if 2 * n_e * n_e * n_r > np.iinfo(np.int64).max:
             raise ValidationError(
                 f"{n_e} entities and {n_r} relations overflow the int64 triplet key")
-        # A sentinel above every valid key ends the sorted array, so a
-        # searchsorted position always indexes it.
-        keys = self._triplet_keys(self.index_triplets(self.triplets))
-        self._keys = np.sort(np.append(keys, np.iinfo(np.int64).max))
-        if np.any(self._keys[1:] == self._keys[:-1]):
+        h, r, t = self.index_triplets(self.triplets).T
+        self._keys = np.sort(np.concatenate(
+            [(h * n_r + r) * n_e + t, ((n_e + t) * n_r + r) * n_e + h]))
+        if np.any(np.diff(self._keys) == 0):
             raise ValidationError("duplicate triplets in knowledge graph")
         # Each record is (relation, neighbor, direction, triplet index).
         adjacency: dict[int, list[tuple[int, int, int, int]]] = {e: [] for e in self.entities}
@@ -98,20 +101,27 @@ class KnowledgeGraph:
                 f"unknown entity or relation {exc.args[0]} in triplet") from None
         return np.array(dense, dtype=np.int64).reshape(-1, 3)
 
-    def _triplet_keys(self, dense: np.ndarray) -> np.ndarray:
+    def known_mask(self, dense: np.ndarray) -> np.ndarray:
+        """``(2P, E)`` bool mask of the graph's triplets around the ``(P, 3)``
+        dense triplets ``dense``: row ``2p`` marks every tail ``t'`` with
+        ``(h_p, r_p, t')`` in the graph, row ``2p + 1`` every head ``h'`` with
+        ``(h', r_p, t_p)``.  Columns are dense entity indices."""
         n_e, n_r = len(self._entity_ids), len(self._relation_ids)
-        return (dense[..., 0] * n_r + dense[..., 1]) * n_e + dense[..., 2]
-
-    def _known(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean mask of the keys that are triplets of the graph."""
-        return self._keys[np.searchsorted(self._keys, keys)] == keys
+        start = (((dense[:, ::2] + [0, n_e]) * n_r + dense[:, 1:2]) * n_e).ravel()
+        lo, hi = np.searchsorted(self._keys, np.stack([start, start + n_e]))
+        counts = hi - lo
+        # Position of every key in every run, run after run.
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        mask = np.zeros((len(start), n_e), dtype=bool)
+        mask[np.repeat(np.arange(len(start)), counts), self._keys[at] % n_e] = True
+        return mask
 
     def has_triplet(self, triplet: Triplet) -> bool:
         try:
             dense = self.index_triplets([triplet])
         except ValidationError:
             return False
-        return bool(self._known(self._triplet_keys(dense))[0])
+        return bool(self.known_mask(dense)[0, dense[0, 2]])
 
     def neighbors(self, entity: int) -> list[tuple[int, int, int]]:
         """All (relation, neighbor, direction) records incident to ``entity``.
@@ -144,18 +154,6 @@ class Subgraph:
     @property
     def num_nodes(self) -> int:
         return len(self.entity_ids)
-
-    def edges(self) -> list[tuple[int, int, int, int]]:
-        """Directed message edges (src_local, dst_local, relation, direction).
-
-        Every triplet yields two entries: head-to-tail tagged DIR_OUT and
-        tail-to-head tagged DIR_IN, so each node sees all incident edges.
-        """
-        out = []
-        for h, r, t in self.triplets_local:
-            out.append((h, t, r, DIR_OUT))
-            out.append((t, h, r, DIR_IN))
-        return out
 
     def with_triplets(self, triplets_local: list[tuple[int, int, int]]) -> "Subgraph":
         """Same nodes, different edge set (used to drop held-out edges)."""
@@ -352,7 +350,8 @@ def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
     the entities in ascending id order; the relation is never touched.  Each
     round draws one ``(short, m, 2)`` block of (coin, replacement) pairs for
     the positives still short of ``n``, in positive order, and rejects the
-    candidates that are triplets of ``kg``.  Each positive keeps its first
+    candidates that are triplets of ``kg``: row ``2p + coin`` of
+    ``kg.known_mask`` at the replacement.  Each positive keeps its first
     ``n`` accepted candidates in stream order.  A positive that is still
     short after ``max_retries`` rejections in total is on a graph too dense
     to sample, and ``ValidationError`` is raised.
@@ -362,6 +361,7 @@ def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
     if max_retries < 1:
         raise ValidationError(f"max_retries must be >= 1, got {max_retries}")
     dense = kg.index_triplets(positives)
+    known = kg.known_mask(dense)
     count, n_e = len(positives), len(kg._entity_ids)
     rng = np.random.default_rng(seed)
     heads = np.empty((count, n), dtype=np.int64)
@@ -375,12 +375,10 @@ def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
         # rates of the synthetic graphs in one round; rarer shortfalls redraw.
         m = int(need.max()) * 5 // 4 + 8
         draws = rng.integers(0, [2, n_e], size=(active.size, m, 2))
-        coin, pick = draws[..., 0] == 1, draws[..., 1]
-        h, r, t = (dense[active, k, None] for k in range(3))
-        cand_h = np.where(coin, pick, h)
-        cand_t = np.where(coin, t, pick)
-        ok = ~kg._known(kg._triplet_keys(np.stack(
-            [cand_h, np.broadcast_to(r, cand_h.shape), cand_t], axis=-1)))
+        coin, pick = draws[..., 0], draws[..., 1]
+        cand_h = np.where(coin == 1, pick, dense[active, 0, None])
+        cand_t = np.where(coin == 1, dense[active, 2, None], pick)
+        ok = ~known[2 * active[:, None] + coin, pick]
         accepted = np.cumsum(ok, axis=1)
         # Candidates past the n-th acceptance are drawn but neither kept nor
         # counted against the retry limit.

@@ -23,7 +23,7 @@ from .kg import EdgeHoldout, KnowledgeGraph, Triplet, holdout_edges
 from .model import (ALL_LOSSES, ModelParams, build_model, compute_step,
                     entity_fallback_table, make_batch_plan,
                     single_loss_objective)
-from .objectives import TAU_MAX, TAU_MIN, ScoringTables, linkpred_loss
+from .objectives import TAU_MAX, TAU_MIN, ScoringTables, _table_rows, linkpred_loss
 from .optim import AdamState, optimizer_step
 from .retriever import EntityMemory, retrieve_from_scores, score_patches
 from .tensor import Parameters, Tensor, backward, finite_difference_check
@@ -133,36 +133,28 @@ def gradient_report(config: Config, sample_count: int = 200,
 
 
 def filtered_ranks(entity_matrix: np.ndarray, relation_matrix: np.ndarray,
-                   entity_row: dict[int, int], relation_row: dict[int, int],
-                   held_out: list[Triplet], kg: KnowledgeGraph) -> list[int]:
+                   entity_row, relation_row, held_out: list[Triplet],
+                   kg: KnowledgeGraph) -> list[int]:
     """Pessimal filtered ranks for both directions of each held-out triplet.
 
-    Candidates that form other true triplets of ``kg`` are removed before
-    ranking; within a tied score group the true entity takes the largest
-    rank.
+    Query ``2p`` (h * r) ranks the tail and ``2p + 1`` (t * r) the head among
+    every entity of ``kg``, all scored in one product with the table in dense
+    order.  Candidates that ``kg.known_mask`` marks, the target apart, are
+    filtered out, and a tie ranks the target last.  A row map (dict or array)
+    lacking an entity of ``kg`` or a held-out relation, or a held-out id
+    unknown to ``kg``, raises ``ValidationError``.
     """
-    ids = sorted(entity_row)
-    rows = np.array([entity_row[e] for e in ids])
-    all_vecs = entity_matrix[rows]
-    id_pos = {e: i for i, e in enumerate(ids)}
-    true_tails: dict[tuple[int, int], set[int]] = {}
-    true_heads: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in kg.triplets:
-        true_tails.setdefault((h, r), set()).add(t)
-        true_heads.setdefault((r, t), set()).add(h)
-
-    ranks: list[int] = []
-    for h, r, t in held_out:
-        rel = relation_matrix[relation_row[r]]
-        # Tail side: rank t among all candidates scored by phi_r(h, .); then
-        # the head side.  Other true triplets are filtered out.
-        for anchor, target, others in ((h, t, true_tails.get((h, r), ())),
-                                       (t, h, true_heads.get((r, t), ()))):
-            scores = all_vecs @ (entity_matrix[entity_row[anchor]] * rel)
-            keep = np.ones(len(ids), dtype=bool)
-            keep[[id_pos[other] for other in others if other != target]] = False
-            ranks.append(int(np.sum(scores[keep] >= scores[id_pos[target]])))
-    return ranks
+    dense = kg.index_triplets(held_out)
+    ids = kg.entity_ids()
+    table = entity_matrix[_table_rows(entity_row, ids, np.arange(len(ids))[None], "entity")[0]]
+    rel = relation_matrix[_table_rows(relation_row, kg.relation_ids(), dense[:, 1:2],
+                                      "relation")]
+    scores = (table[dense[:, ::2]] * rel).reshape(2 * len(dense), -1) @ table.T
+    query, target = np.arange(2 * len(dense)), dense[:, ::-2].ravel()
+    filtered = kg.known_mask(dense)
+    filtered[query, target] = False
+    beats = scores >= scores[query, target][:, None]
+    return np.sum(beats & ~filtered, axis=1).tolist()
 
 
 def ranking_metrics(ranks: list[int]) -> dict[str, float]:
@@ -185,15 +177,12 @@ def random_baseline_mrr(kg: KnowledgeGraph, held_out: list[Triplet], d: int,
                         seeds: int = 20) -> float:
     """Monte-Carlo filtered MRR of random embedding tables."""
     totals = []
-    ids = kg.entity_ids()
-    rels = kg.relation_ids()
-    entity_row = {e: i for i, e in enumerate(ids)}
-    relation_row = {r: i for i, r in enumerate(rels)}
+    n_e, n_r = len(kg.entities), len(kg.relations)
     for s in range(seeds):
         rng = np.random.default_rng([987, s])
-        em = rng.standard_normal((len(ids), d))
-        rm = rng.standard_normal((len(rels), d))
-        totals.append(eval_linkpred(em, rm, entity_row, relation_row,
+        em = rng.standard_normal((n_e, d))
+        rm = rng.standard_normal((n_r, d))
+        totals.append(eval_linkpred(em, rm, np.arange(n_e), np.arange(n_r),
                                     held_out, kg)["MRR"])
     return float(np.mean(totals))
 

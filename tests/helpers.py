@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 from kgfuse.gnn import SELF_ROW
+from kgfuse.kg import DIR_IN, DIR_OUT
 
 
 def fd_input_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -115,12 +116,25 @@ def reassemble(patches, grid, p, c) -> np.ndarray:
     return image
 
 
+def subgraph_edges(sub) -> list[tuple[int, int, int, int]]:
+    """Directed message edges (src_local, dst_local, relation, direction).
+
+    Every triplet yields two entries: head-to-tail tagged DIR_OUT and
+    tail-to-head tagged DIR_IN, so each node sees all incident edges.
+    """
+    out = []
+    for h, r, t in sub.triplets_local:
+        out.append((h, t, r, DIR_OUT))
+        out.append((t, h, r, DIR_IN))
+    return out
+
+
 def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
     """Adjacency-loop re-implementation of one message-passing round."""
     k = sub.num_nodes
     table = gp.relation_table.data
     candidates: list[list[tuple[int, int]]] = [[(i, SELF_ROW)] for i in range(k)]
-    for src, dst, rel, direction in sub.edges():
+    for src, dst, rel, direction in subgraph_edges(sub):
         candidates[dst].append((src, gp.relation_rows[(rel, direction)]))
 
     out = np.zeros_like(embeddings)
@@ -148,7 +162,7 @@ def reference_edge_lists(sub, gp):
     Returns the (dst, src, relation-row) arrays, as ``gnn._edge_lists`` does.
     """
     per_node = [[(i, SELF_ROW)] for i in range(sub.num_nodes)]
-    for src, dst, rel, direction in sub.edges():
+    for src, dst, rel, direction in subgraph_edges(sub):
         per_node[dst].append((src, gp.relation_rows[(rel, direction)]))
     dst_idx, src_idx, rel_idx = [], [], []
     for i, entries in enumerate(per_node):
@@ -233,6 +247,35 @@ def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1
             if rejected[i] >= max_retries:
                 raise ValidationError(f"no valid negative found for {positives[i]} "
                                       f"after {max_retries} retries")
+
+
+def reference_filtered_ranks(entity_matrix, relation_matrix, entity_row: dict,
+                             relation_row: dict, held_out, kg) -> list[int]:
+    """Per-triplet filtered ranking over the ids of ``entity_row``.
+
+    For each held-out (h, r, t), the tail side scores every candidate by
+    phi_r(h, .), drops the other true tails of (h, r) found in a dict of
+    sets over ``kg.triplets``, and counts the candidates scoring at least
+    the target's score; then the head side by phi_r(., t).
+    """
+    ids = sorted(entity_row)
+    all_vecs = entity_matrix[np.array([entity_row[e] for e in ids])]
+    id_pos = {e: i for i, e in enumerate(ids)}
+    true_tails: dict[tuple[int, int], set[int]] = {}
+    true_heads: dict[tuple[int, int], set[int]] = {}
+    for h, r, t in kg.triplets:
+        true_tails.setdefault((h, r), set()).add(t)
+        true_heads.setdefault((r, t), set()).add(h)
+    ranks = []
+    for h, r, t in held_out:
+        rel = relation_matrix[relation_row[r]]
+        for anchor, target, others in ((h, t, true_tails.get((h, r), ())),
+                                       (t, h, true_heads.get((r, t), ()))):
+            scores = all_vecs @ (entity_matrix[entity_row[anchor]] * rel)
+            keep = np.ones(len(ids), dtype=bool)
+            keep[[id_pos[other] for other in others if other != target]] = False
+            ranks.append(int(np.sum(scores[keep] >= scores[id_pos[target]])))
+    return ranks
 
 
 def reference_expand_edges(kg, nodes: list[int]) -> list[tuple[int, int, int]]:

@@ -7,9 +7,11 @@ from kgfuse.checkpoint import load_checkpoint
 from kgfuse.cli import main
 from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus
+from kgfuse.encoders import patchify, vision_encode
 from kgfuse.errors import ValidationError
 from kgfuse.kg import holdout_edges, save_kg
 from kgfuse.model import build_model
+from kgfuse.retriever import retrieve
 from kgfuse.train import eval_linkpred, model_linkpred_tables
 
 from helpers import checkpoint_bytes
@@ -91,27 +93,74 @@ def test_build_memory_and_retrieve(tmp_path, tiny_config_file, kg_files, capsys)
         float(score)
 
 
-def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(
-        tmp_path, tiny_config_file, kg_files, capsys):
+def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
     # Trained with 8-pixel patches; --config is not repeated at retrieval,
     # whose defaults (4-pixel patches, k_final 8) would not fit the model.
     trained_cfg = tmp_path / "patch8.cfg"
     trained_cfg.write_text(TINY_CFG + "patch_size = 8\n")
-    run, artifacts = tmp_path / "run", tmp_path / "artifacts"
+    run = tmp_path / "run"
     assert main(["pretrain", "--config", str(trained_cfg), "--out", str(run)]) == 0
-    assert main(["build-memory", "--entities", str(kg_files[0]),
-                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2]),
-                 "--config", str(tiny_config_file), "--out", str(artifacts)]) == 0
     capsys.readouterr()
 
     config = Config.load(trained_cfg)
+    corpus = generate_corpus(config)
     image_path = tmp_path / "image.npy"
-    np.save(image_path, generate_corpus(config).images[0])
+    np.save(image_path, corpus.images[0])
     code = main(["retrieve", "--image", str(image_path),
-                 "--memory", str(artifacts / "memory.embv"),
                  "--checkpoint", str(run / "checkpoint.bin")])
     assert code == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == config.k_final
+    printed = capsys.readouterr().out
+
+    # The entities are scored against the checkpoint corpus's own memory.
+    params = build_model(config, corpus.kg)
+    load_checkpoint(run / "checkpoint.bin").load_into(params.store)
+    _, queries = vision_encode(patchify(corpus.images[0], config.patch_size).patches,
+                               params.vision)
+    found = retrieve(queries.data, corpus_memory(corpus), config.k_per_patch,
+                     config.k_final)
+    assert len(found.entries) == config.k_final
+    assert printed == "".join(f"{e}\t{score:.6f}\n" for e, score in found.entries)
+
+
+def test_retrieve_takes_either_memory_or_checkpoint(tmp_path, tiny_config_file,
+                                                    kg_files, capsys):
+    assert main(["build-memory", "--entities", str(kg_files[0]),
+                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2]),
+                 "--config", str(tiny_config_file), "--out", str(tmp_path)]) == 0
+    assert main(["pretrain", "--config", str(tiny_config_file),
+                 "--out", str(tmp_path)]) == 0
+    image_path = tmp_path / "image.npy"
+    np.save(image_path, generate_corpus(Config.load(tiny_config_file)).images[0])
+    capsys.readouterr()
+    code = main(["retrieve", "--image", str(image_path),
+                 "--memory", str(tmp_path / "memory.embv"),
+                 "--checkpoint", str(tmp_path / "checkpoint.bin")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["retrieve"], "required"),
+    (["retrieve", "--image", "x.npy"], "one of the arguments --memory --checkpoint"),
+    (["pretrain", "--bogus"], "unrecognized arguments"),
+    (["gradcheck", "--samples", "x"], "invalid int value"),
+    (["nope"], "invalid choice"),
+    ([], "required"),
+])
+def test_usage_errors_exit_one(argv, reason, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: kgfuse" in captured.err
+    assert "error: " in captured.err and reason in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["retrieve", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: kgfuse" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("image, reason", [

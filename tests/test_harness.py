@@ -22,7 +22,7 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           random_baseline_mrr, train_kg_embeddings)
 
 from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes,
-                     reference_compute_step)
+                     reference_compute_step, reference_filtered_ranks)
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
             corpus_examples=12, batch_size=3, per_node_cap=3, n_negatives=4,
@@ -327,6 +327,57 @@ class TestLinkpredEval:
         ranks = filtered_ranks(em, rm, erow, {0: 0}, [kg.triplets[0]], kg)
         # all four candidates tie; nothing is filtered except other positives
         assert ranks == [4, 4]
+
+    @pytest.mark.parametrize("graph", ["criterion5", "default"])
+    def test_filtered_ranks_equal_the_per_triplet_reference(self, graph):
+        if graph == "criterion5":
+            config = Config(corpus_entities=50, corpus_relations=4,
+                            corpus_triplets=300, corpus_examples=4)
+            kg = generate_corpus(config, seed=5).kg
+        else:
+            kg = generate_corpus(Config(), seed=17).kg
+        held_out = holdout_edges(kg, 0.15, seed=0).held_out
+        ids, rels = kg.entity_ids(), kg.relation_ids()
+        # Rows out of dense order, so the maps are read, not assumed.
+        perm = np.random.default_rng(1).permutation(len(ids))
+        erow = {e: int(perm[i]) for i, e in enumerate(ids)}
+        rrow = {r: len(rels) - 1 - i for i, r in enumerate(rels)}
+        rng = np.random.default_rng(len(ids))
+        pairs = [(rng.standard_normal((len(ids), 16)), rng.standard_normal((len(rels), 16)))
+                 for _ in range(6)]
+        for em, rm in pairs:
+            assert (filtered_ranks(em, rm, erow, rrow, held_out, kg)
+                    == reference_filtered_ranks(em, rm, erow, rrow, held_out, kg))
+        # All-ones tables tie every candidate, so each rank counts every
+        # candidate left after filtering, the target included.
+        em, rm = np.ones((len(ids), 4)), np.ones((len(rels), 4))
+        ranks = filtered_ranks(em, rm, erow, rrow, held_out, kg)
+        assert ranks == reference_filtered_ranks(em, rm, erow, rrow, held_out, kg)
+        filtered = kg.known_mask(kg.index_triplets(held_out)).sum(axis=1)
+        assert ranks == (len(ids) - filtered + 1).tolist()
+
+    def test_ranks_cover_every_entity_of_the_graph(self):
+        kg = self._paired_kg(2)
+        erow = {e: e for e in range(4)}
+        del erow[3]
+        with pytest.raises(ValidationError, match="entity 3 missing"):
+            eval_linkpred(np.ones((4, 3)), np.ones((1, 3)), erow, {0: 0},
+                          [kg.triplets[0]], kg)
+
+    def test_missing_relation_row_raises(self):
+        kg = self._paired_kg(2)
+        erow = {e: e for e in range(4)}
+        with pytest.raises(ValidationError, match="relation 0 missing"):
+            eval_linkpred(np.ones((4, 3)), np.ones((1, 3)), erow, {5: 0},
+                          [kg.triplets[0]], kg)
+
+    @pytest.mark.parametrize("triplet", [Triplet(0, 0, 9), Triplet(9, 0, 1),
+                                         Triplet(0, 7, 1)])
+    def test_unknown_held_out_ids_raise(self, triplet):
+        kg = self._paired_kg(2)
+        erow = {e: e for e in range(4)}
+        with pytest.raises(ValidationError, match="unknown entity or relation"):
+            eval_linkpred(np.ones((4, 3)), np.ones((1, 3)), erow, {0: 0}, [triplet], kg)
 
     def test_random_embeddings_match_monte_carlo_baseline(self):
         config = Config(**TINY)

@@ -377,6 +377,27 @@ class TestIdCaches:
         rels.clear()
         assert kg.relation_ids() == [0, 1]
 
+    @pytest.mark.parametrize("graph_seed", [3, 4])
+    def test_known_mask_matches_set_probe(self, graph_seed):
+        kg = toy_corpus_kg(graph_seed)
+        ids, rels = kg.entity_ids(), kg.relation_ids()
+        triplets = set(kg.triplets)
+        rng = np.random.default_rng(graph_seed)
+        # Random triplets, most not in the graph, and some of the graph's own.
+        dense = np.concatenate([
+            rng.integers(0, [len(ids), len(rels), len(ids)], size=(40, 3)),
+            kg.index_triplets(kg.triplets[::40])])
+        mask = kg.known_mask(dense)
+        assert mask.shape == (2 * len(dense), len(ids)) and mask.dtype == bool
+        for p, (h, r, t) in enumerate(dense.tolist()):
+            for e in range(len(ids)):
+                assert mask[2 * p, e] == (Triplet(ids[h], rels[r], ids[e]) in triplets)
+                assert mask[2 * p + 1, e] == (Triplet(ids[e], rels[r], ids[t]) in triplets)
+
+    def test_known_mask_of_no_triplets_is_empty(self):
+        kg = small_kg()
+        assert kg.known_mask(kg.index_triplets([])).shape == (0, 6)
+
     def test_has_triplet_of_unknown_ids_is_false(self):
         kg = small_kg()
         assert kg.has_triplet(Triplet(0, 0, 1))
