@@ -205,12 +205,17 @@ def retrieve_from_scores(score_matrix, memory: EntityMemory, k_per_patch: int,
         raise ValidationError(
             f"score array shape {scores.shape} is not (batch, patches, {len(memory)})")
 
-    # In ascending-id column order, a stable sort breaks score ties toward the lower id.
+    # In ascending-id column order, each patch picks every score above its
+    # k-th largest, then the lowest-id columns equal to it until k are picked.
     by_id = np.argsort(memory.ids)
     scores = scores[..., by_id]
-    top = np.argsort(-scores, axis=-1, kind="stable")[..., :k_per_patch]
-    picked = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(picked, top, True, axis=-1)
+    n = scores.shape[-1]
+    k = min(k_per_patch, n)
+    kth = np.partition(scores, n - k, axis=-1)[..., n - k, None]
+    above = scores > kth
+    tied = scores == kth
+    room = k - above.sum(axis=-1, keepdims=True)
+    picked = above | (tied & (np.cumsum(tied, axis=-1) <= room))
     pooled = np.where(picked, scores, -np.inf)
     patch = pooled.argmax(axis=1)
     best = pooled.max(axis=1)

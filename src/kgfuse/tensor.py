@@ -306,12 +306,15 @@ def gelu(a) -> Tensor:
     """GELU, tanh approximation; the single canonical formula used everywhere."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    # The cubic in Horner form: ``x ** 3`` would send every negative entry
+    # to libm's scalar pow, which is far slower than two multiplies.
+    x2 = x * x
+    inner = _GELU_C * x * (1.0 + _GELU_A * x2)
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
         dgelu = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * dgelu,)
 
@@ -471,14 +474,24 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     ``eps`` is added to the variance before the square root, so a constant
-    row maps to exact zeros before the affine shift.
+    row maps to exact zeros before the affine shift.  One node: the forward
+    takes the float steps of the composed mean / variance / power chain in
+    its order, and the VJP is the closed form for ``(x, gain, bias)``.
     """
-    x = as_tensor(x)
-    mu = tensor_mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tensor_mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    scale = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    normed = centered * inv
+    data = normed * gain.data + bias.data
+
+    def vjp(g):
+        gn = g * gain.data
+        gx = inv * (gn - gn.mean(axis=-1, keepdims=True)
+                    - normed * (gn * normed).mean(axis=-1, keepdims=True))
+        return gx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape)
+
+    return Tensor._result(data, (x, gain, bias), vjp, "layer_norm")
 
 
 def mse(pred, target) -> Tensor:

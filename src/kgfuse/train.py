@@ -109,11 +109,14 @@ def gradient_report(config: Config, sample_count: int = 200,
                     eps: float = 3e-4) -> dict[str, float]:
     """Max finite-difference relative error for each loss and the total.
 
-    The default step is sized for full-model losses: coordinates whose true
-    gradient sits near the relative-error denominator floor (1e-8) measure
-    pure float64 quantization noise, ulp(loss)/(2 eps), so eps must be large
-    enough to keep that below the floor yet small enough that curvature and
-    the discrete retrieval selection stay out of the difference quotient.
+    The step trades rounding against truncation.  One ulp of the loss moves
+    the central difference by ulp(loss) / (2 eps): at the default eps and a
+    loss in [4, 8) that is about 1.5e-12, or 1.5e-4 relative at the 1e-8
+    floor of the relative-error denominator, above criterion 1's 1e-4 bound.
+    So a sampled coordinate with a gradient below about 1.5e-8 in magnitude
+    passes only when its two evaluations round alike.  A larger eps would
+    shrink that noise but let curvature and the discrete retrieval selection
+    into the difference quotient.
     """
     seed = config.seed if seed is None else seed
     corpus = generate_corpus(config)

@@ -2,9 +2,12 @@
 
 Everything here is written with explicit Python loops against plain numpy
 arrays, deliberately avoiding the library's own vectorized paths, so a test
-comparing the two is a genuine dual-route check.  The one exception is
-``reference_compute_step``: it runs the library's stages one example at a
-time, the reference for the batched training step.
+comparing the two is a genuine dual-route check.  The exceptions are
+references kept from an earlier form of a library path:
+``reference_compute_step`` runs the library's stages one example at a time,
+the reference for the batched training step; ``reference_layer_norm`` is
+LayerNorm composed from autodiff primitives; ``reference_retrieve_from_scores``
+selects each patch's entities by a stable sort.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import struct
 
 import numpy as np
 
+from kgfuse import tensor as T
 from kgfuse.gnn import SELF_ROW
 from kgfuse.kg import DIR_IN, DIR_OUT
+from kgfuse.retriever import RetrievedEntitySet
 
 
 def fd_input_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -46,6 +51,17 @@ def scalar_layer_norm(row, gain, bias, eps=1e-5):
     var = sum((v - mu) ** 2 for v in row) / len(row)
     inv = 1.0 / math.sqrt(var + eps)
     return [(v - mu) * inv * g + b for v, g, b in zip(row, gain, bias)]
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    """LayerNorm as a chain of autodiff primitives: the mean, the centred
+    square mean, ``(var + eps) ** -0.5`` and the affine map, each its own node."""
+    x = T.as_tensor(x)
+    mu = T.tensor_mean(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.tensor_mean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = T.power(T.add(var, eps), -0.5)
+    return T.add(T.mul(T.mul(centered, inv), gain), bias)
 
 
 def scalar_gelu(v: float) -> float:
@@ -195,6 +211,27 @@ def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
     if with_sources:
         return entries, [(rec[1], rec[2]) for _, rec in final]
     return entries
+
+
+def reference_retrieve_from_scores(scores, memory, k_per_patch: int,
+                                   k_final: int) -> RetrievedEntitySet:
+    """Batched selection with a stable per-patch sort: in ascending-id column
+    order, each patch picks the first ``k_per_patch`` columns of a stable
+    descending sort, so ties go to the lower id."""
+    by_id = np.argsort(memory.ids)
+    scores = np.asarray(scores, dtype=np.float64)[..., by_id]
+    top = np.argsort(-scores, axis=-1, kind="stable")[..., :k_per_patch]
+    picked = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(picked, top, True, axis=-1)
+    pooled = np.where(picked, scores, -np.inf)
+    patch = pooled.argmax(axis=1)
+    best = pooled.max(axis=1)
+    order = np.argsort(-best, axis=-1, kind="stable")[:, :k_final]
+    example, slot = np.nonzero(np.take_along_axis(picked.any(axis=1), order, axis=1))
+    col = order[example, slot]
+    column = by_id[col]
+    return RetrievedEntitySet(example, patch[example, col], column,
+                              [memory.ids[c] for c in column.tolist()], best[example, col])
 
 
 def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1000):

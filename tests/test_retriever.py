@@ -11,7 +11,7 @@ from kgfuse.retriever import (EntityMemory, build_memory, embed_description,
                               load_memory, relevance_weights, retrieve,
                               retrieve_from_scores, save_memory, score_patches)
 
-from helpers import exhaustive_retrieve, fd_input_grad
+from helpers import exhaustive_retrieve, fd_input_grad, reference_retrieve_from_scores
 
 
 def random_memory(rng, count, d_e) -> EntityMemory:
@@ -242,6 +242,29 @@ class TestBatchedSelection:
         scores[0, 1, 2:4] = scores[1, 1, :2] = scores[2, 1, 1:3] = [6.0, 5.0]
         found = assert_matches_oracle(scores, memory, 2, 6)
         assert [len(ids) for ids in found.per_example()] == [4, 2, 3]
+
+    def test_equals_stable_sort_reference(self):
+        # 300 batches with ties forced by rounding (and signed zeros), half of
+        # them over unsorted ids; k_final exceeds every pool, so all pooled
+        # entities are returned and compared.
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n = int(rng.integers(1, 30))
+            memory = random_memory(rng, n, 3)
+            if trial % 2:
+                order = rng.permutation(n)
+                memory = EntityMemory([memory.ids[i] for i in order],
+                                      memory.matrix[order], 3)
+            scores = np.round(rng.standard_normal(
+                (int(rng.integers(1, 5)), int(rng.integers(1, 7)), n)), trial % 3)
+            for k in sorted({1, 4, n}):
+                want = reference_retrieve_from_scores(scores, memory, k, n + 1)
+                got = retrieve_from_scores(scores, memory, k, n + 1)
+                for field in ("example", "patch", "column", "scores"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+                assert got.ids == want.ids
 
     def test_rejects_bad_shapes_and_k(self):
         memory = random_memory(np.random.default_rng(21), 5, 3)

@@ -8,7 +8,7 @@ import pytest
 from kgfuse import tensor as T
 from kgfuse.errors import NumericsError, ValidationError
 
-from helpers import fd_input_grad
+from helpers import fd_input_grad, reference_layer_norm, scalar_gelu
 
 
 def _check_op_gradient(build, x_shape, seed, rtol=1e-6, positive=False):
@@ -142,6 +142,36 @@ class TestPrimitiveGradients:
         _check_op_gradient(lambda t: T.cross_entropy(t, [0, 2, 1]), (3, 4), 27)
         _check_op_gradient(
             lambda t: T.tensor_sum(T.power(T.l2_normalize_rows(t), 3.0)), (3, 4), 28)
+
+
+class TestTransformerKernels:
+    """LayerNorm is one node that takes the composed chain's float steps in its
+    order; GELU's cubic in Horner form agrees with the scalar formula."""
+
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 5, 8), (2, 3, 4, 6)])
+    def test_layer_norm_equals_composed_chain(self, shape):
+        rng = np.random.default_rng(len(shape))
+        values = rng.standard_normal(shape) * 3.0 + 1.5
+        values[(0,) * (len(shape) - 1)] = 3.7   # one constant row
+        x = T.Tensor(values, requires_grad=True)
+        gain = T.Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        bias = T.Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        probe = T.constant(rng.standard_normal(shape))
+        out = T.layer_norm(x, gain, bias)
+        ref = reference_layer_norm(x, gain, bias)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert out.op == "layer_norm"
+        assert [id(p) for p in out._parents] == [id(x), id(gain), id(bias)]
+        got = T.backward(T.tensor_sum(T.mul(out, probe)))
+        want = T.backward(T.tensor_sum(T.mul(ref, probe)))
+        for leaf in (x, gain, bias):
+            np.testing.assert_allclose(got[leaf], want[leaf], rtol=0, atol=1e-12)
+
+    def test_gelu_matches_scalar_formula(self):
+        xs = np.concatenate([np.linspace(-12.0, 12.0, 4801), [0.0, -0.0, 50.0, -50.0]])
+        got = T.gelu(T.Tensor(xs)).data
+        want = np.array([scalar_gelu(v) for v in xs])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestScatterMatchesAddAt:
