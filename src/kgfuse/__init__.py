@@ -12,9 +12,9 @@ from .data import (SyntheticCorpus, corpus_memory, generate_corpus,
                    oracle_patch_projection)
 from .errors import KgfuseError, NumericsError, ValidationError
 from .kg import (KnowledgeGraph, Subgraph, Triplet, expand_subgraph,
-                 holdout_edges, load_kg, sample_negatives, save_kg)
+                 holdout_edges, load_kg, sample_negatives)
 from .model import BatchPlan, ModelParams, build_model, compute_step, make_batch_plan
-from .objectives import LossBundle, distmult, itc_loss, linkpred_loss, mask_patches, \
+from .objectives import LossBundle, itc_loss, linkpred_loss, mask_patches, \
     mask_spans, mlm_loss, mvm_loss, total_loss
 from .retriever import (EntityMemory, RetrievedEntitySet, build_memory,
                         embed_description, load_memory, relevance_weights,
@@ -30,9 +30,9 @@ __all__ = [
     "oracle_patch_projection",
     "KgfuseError", "NumericsError", "ValidationError",
     "KnowledgeGraph", "Subgraph", "Triplet", "expand_subgraph", "holdout_edges",
-    "load_kg", "sample_negatives", "save_kg",
+    "load_kg", "sample_negatives",
     "BatchPlan", "ModelParams", "build_model", "compute_step", "make_batch_plan",
-    "LossBundle", "distmult", "itc_loss", "linkpred_loss", "mask_patches",
+    "LossBundle", "itc_loss", "linkpred_loss", "mask_patches",
     "mask_spans", "mlm_loss", "mvm_loss", "total_loss",
     "EntityMemory", "RetrievedEntitySet", "build_memory", "embed_description",
     "load_memory", "relevance_weights", "retrieve", "save_memory", "score_patches",

@@ -143,6 +143,8 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as exc:
             raise ValidationError(
                 f"checkpoint tensor {name!r} has shape {shape}: {exc}") from None
+        if not np.isfinite(tensors[name]).all():
+            raise ValidationError(f"checkpoint tensor {name!r} holds non-finite values")
     if reader.offset != len(blob):
         raise ValidationError(
             f"trailing bytes in checkpoint at offset {reader.offset}")

@@ -17,7 +17,7 @@ from .config import Config
 from .data import corpus_memory, generate_corpus, oracle_patch_projection
 from .encoders import patchify, vision_encode
 from .errors import NumericsError, ValidationError
-from .kg import holdout_edges, load_kg, save_kg
+from .kg import holdout_edges, load_kg
 from .model import build_model
 from .retriever import build_memory, load_memory, retrieve, save_memory
 from .train import (eval_linkpred, eval_retrieval, format_metrics,
@@ -41,10 +41,8 @@ def _out_dir(args) -> Path:
 
 def _cmd_ingest(args) -> int:
     kg = load_kg(args.entities, args.relations, args.triplets)
-    out = _out_dir(args)
-    save_kg(kg, out / "entities.tsv", out / "relations.tsv", out / "triplets.tsv")
-    print(f"ingested {len(kg.entities)} entities, {len(kg.relations)} relations, "
-          f"{len(kg.triplets)} triplets -> {out}")
+    print(f"valid: {len(kg.entities)} entities, {len(kg.relations)} relations, "
+          f"{len(kg.triplets)} triplets")
     return 0
 
 
@@ -122,10 +120,10 @@ def _cmd_eval_linkpred(args) -> int:
     params = build_model(ckpt.config, corpus.kg)
     ckpt.load_into(params.store)
     memory = corpus_memory(corpus)
-    em, rm, erow, rrow = model_linkpred_tables(params, memory)
     # The split is the checkpoint's own, whatever --config or --seed say.
     holdout = holdout_edges(corpus.kg, ckpt.config.edge_drop, ckpt.config.seed)
-    metrics = eval_linkpred(em, rm, erow, rrow, holdout.held_out, corpus.kg)
+    metrics = eval_linkpred(model_linkpred_tables(params, memory), holdout.held_out,
+                            corpus.kg)
     for key, value in metrics.items():
         print(f"{key}\t{value:.4f}")
     return 0
@@ -160,11 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Retrieval-augmented vision-language pretraining over a toy KG")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("ingest", help="validate TSV files into a KG snapshot")
+    p = commands.add_parser("ingest", help="validate the three KG TSV files")
     p.add_argument("--entities", required=True)
     p.add_argument("--relations", required=True)
     p.add_argument("--triplets", required=True)
-    _add_common(p)
     p.set_defaults(fn=_cmd_ingest)
 
     p = commands.add_parser("build-memory", help="embed entity descriptions")

@@ -7,6 +7,7 @@ comments are allowed, unknown keys are errors.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,18 @@ class Config:
         return (self.image_h // self.patch_size) * (self.image_w // self.patch_size)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("heads", "patch_size", "image_h", "image_w", "image_c",
+                     "vision_layers", "text_layers", "gnn_layers", "fusion_layers",
+                     "k_per_patch", "k_final", "per_node_cap", "n_negatives",
+                     "steps", "batch_size", "mean_span", "max_span", "ff_dim",
+                     "attn_width", "corpus_entities", "corpus_relations",
+                     "corpus_triplets", "corpus_examples", "entities_per_example",
+                     "caption_min_len", "caption_max_len", "max_text_len"):
+            if getattr(self, name) < (0 if name == "steps" else 1):
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d < 2 or self.d % self.heads != 0:
             raise ValidationError(f"model width {self.d} must be divisible by {self.heads} heads")
         if self.d_e < 2:
@@ -98,16 +111,10 @@ class Config:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValidationError(f"{name} must be in (0,1), got {v}")
-        for name in ("vision_layers", "text_layers", "gnn_layers", "fusion_layers",
-                     "k_per_patch", "k_final", "per_node_cap", "n_negatives",
-                     "steps", "batch_size", "mean_span", "max_span", "ff_dim",
-                     "attn_width", "corpus_entities", "corpus_relations",
-                     "corpus_triplets", "corpus_examples", "entities_per_example",
-                     "caption_min_len", "caption_max_len", "max_text_len"):
-            if getattr(self, name) < (0 if name == "steps" else 1):
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("relevance_temperature", "tau_init", "lr", "beta1", "beta2",
-                     "adam_eps"):
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValidationError(f"{name} must be in [0,1), got {getattr(self, name)}")
+        for name in ("relevance_temperature", "tau_init", "lr", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
         for name in ("gamma", "weight_decay", "corpus_noise",

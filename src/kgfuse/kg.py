@@ -244,29 +244,6 @@ def load_kg(entities_path, relations_path, triplets_path) -> KnowledgeGraph:
     return KnowledgeGraph(entities, relations, triplets)
 
 
-def _check_field(text: str, what: str) -> str:
-    if "\t" in text or "\n" in text or "\r" in text:
-        raise ValidationError(f"{what} contains a tab or newline: {text!r}")
-    return text
-
-
-def save_kg(kg: KnowledgeGraph, entities_path, relations_path, triplets_path) -> None:
-    """Write a graph back to the three-file TSV format (ids ascending)."""
-    with open(entities_path, "w", encoding="utf-8") as fh:
-        for eid in sorted(kg.entities):
-            rec = kg.entities[eid]
-            fh.write(f"{eid}\t{_check_field(rec.name, 'entity name')}\t"
-                     f"{_check_field(rec.description, 'entity description')}\n")
-    with open(relations_path, "w", encoding="utf-8") as fh:
-        for rid in sorted(kg.relations):
-            rec = kg.relations[rid]
-            fh.write(f"{rid}\t{_check_field(rec.name, 'relation name')}\t"
-                     f"{_check_field(rec.description, 'relation description')}\n")
-    with open(triplets_path, "w", encoding="utf-8") as fh:
-        for h, r, t in kg.triplets:
-            fh.write(f"{h}\t{r}\t{t}\n")
-
-
 # ---- sampling operations -------------------------------------------------------
 
 

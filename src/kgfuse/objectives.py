@@ -58,7 +58,7 @@ class LossBundle:
 
 @dataclass
 class ScoringTables:
-    """Embeddings and scalars used by the triplet scorer.
+    """Embeddings and scalars of :func:`query_scores`, for training and ranking.
 
     Every row of ``entity_matrix`` is scored.  ``entity_row`` maps dense
     entity indices (ascending id order) to its rows: an int64 ``(E,)`` array
@@ -192,20 +192,6 @@ def mvm_loss(predictions: Tensor, *records: MaskingRecord) -> Tensor:
     return T.mse(predictions, T.constant(np.concatenate(targets)))
 
 
-def distmult(h: Tensor, r: Tensor, t: Tensor) -> Tensor:
-    """Trilinear score sum_d h_d * r_d * t_d over the last axis, one per row;
-    leading axes broadcast, and the score is symmetric in head and tail.
-    It is the per-triplet rule that :func:`linkpred_loss` reproduces."""
-    if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:
-        raise ValidationError(f"distmult width mismatch: {h.shape}, {r.shape}, {t.shape}")
-    try:
-        np.broadcast_shapes(h.shape, r.shape, t.shape)
-    except ValueError:
-        raise ValidationError(f"distmult leading axes do not broadcast: "
-                              f"{h.shape}, {r.shape}, {t.shape}") from None
-    return T.tensor_sum(T.mul(T.mul(h, r), t), axis=-1)
-
-
 def row_map(rows: np.ndarray | dict[int, int], ids: list[int]) -> np.ndarray:
     """``rows`` as an int64 array over the dense indices of ``ids``; a dict
     gives -1 for an id it lacks."""
@@ -228,6 +214,26 @@ def _table_rows(rows, ids: list[int], dense: np.ndarray, what: str) -> np.ndarra
     return found
 
 
+def query_scores(tables: ScoringTables, kg: KnowledgeGraph, dense: np.ndarray,
+                 candidates: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """DistMult scores of both endpoint queries of each dense triplet against
+    every row of ``tables.entity_matrix``, in one product.
+
+    Query ``2p`` is h * r, which scores tails, and ``2p + 1`` is t * r,
+    which scores heads.  Returns the ``(2P, rows)`` scores and the table rows
+    of each triplet's head, its tail and its ``(P, C)`` dense ``candidates``,
+    all read through that triplet's row map; an id without a row raises.
+    """
+    rel_rows = _table_rows(tables.relation_row, kg.relation_ids(), dense[:, 1:2],
+                           "relation")
+    entity_rows = _table_rows(tables.entity_row, kg.entity_ids(), np.concatenate(
+        [dense[:, ::2], candidates], axis=1), "entity")
+    ends = T.take_rows(tables.entity_matrix, entity_rows[:, :2])
+    r = T.take_rows(tables.relation_matrix, rel_rows)
+    queries = T.reshape(T.mul(ends, r), (2 * len(dense), -1))
+    return T.matmul(queries, T.transpose(tables.entity_matrix)), entity_rows
+
+
 def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
                   kg: KnowledgeGraph, seed) -> Tensor:
     """Negative-sampling link prediction loss, mean over positives.
@@ -236,29 +242,21 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
     corruptions of -log sigmoid(-score' - gamma).  Negatives corrupt one
     endpoint and are rejected if they collide with a positive triplet of
     ``kg``; all positives sample from one :func:`negative_indices` call
-    with ``seed``.  Each candidate reads its :func:`distmult` score from one
-    product of the endpoint queries h * r and t * r with the whole table.
+    with ``seed``.  Each candidate reads its score from :func:`query_scores`.
     """
     if not positives:
         raise ValidationError("linkpred_loss needs at least one positive")
     gamma, n = tables.gamma, tables.n
     dense = kg.index_triplets(positives)
-    rel_rows = _table_rows(tables.relation_row, kg.relation_ids(), dense[:, 1:2],
-                           "relation")
     neg_heads, neg_tails = negative_indices(kg, positives, n, seed)
     # A candidate corrupts the head exactly when its head differs, as a copy
     # of a positive of kg is rejected; a copy of a positive outside kg scores
     # the same from either side, up to rounding.
     corrupts_head = neg_heads != dense[:, :1]
-    # Per positive: its head, its tail, each candidate's replacement entity.
-    entity_rows = _table_rows(tables.entity_row, kg.entity_ids(), np.concatenate(
-        [dense[:, ::2], np.where(corrupts_head, neg_heads, neg_tails)], axis=1), "entity")
-    # Query 2p is h * r, which scores tails and the positive, and 2p + 1 is
-    # t * r, which scores heads; each is scored against every table row.
-    ends = T.take_rows(tables.entity_matrix, entity_rows[:, :2])
-    r = T.take_rows(tables.relation_matrix, rel_rows)
-    queries = T.reshape(T.mul(ends, r), (2 * len(positives), -1))
-    scores = T.matmul(queries, T.transpose(tables.entity_matrix))
+    scores, entity_rows = query_scores(
+        tables, kg, dense, np.where(corrupts_head, neg_heads, neg_tails))
+    # The positive is its tail under h * r; a candidate is its replacement
+    # under the query of the endpoint it keeps.
     query = 2 * np.arange(len(positives))[:, None] + np.pad(corrupts_head, ((0, 0), (1, 0)))
     grid = T.reshape(T.take_pairs(scores, query.ravel(), entity_rows[:, 1:].ravel()),
                      query.shape)

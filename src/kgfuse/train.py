@@ -23,7 +23,7 @@ from .kg import EdgeHoldout, KnowledgeGraph, Triplet, holdout_edges
 from .model import (ALL_LOSSES, ModelParams, build_model, compute_step,
                     entity_fallback_table, make_batch_plan,
                     single_loss_objective)
-from .objectives import TAU_MAX, TAU_MIN, ScoringTables, _table_rows, linkpred_loss
+from .objectives import TAU_MAX, TAU_MIN, ScoringTables, linkpred_loss, query_scores
 from .optim import AdamState, optimizer_step
 from .retriever import EntityMemory, retrieve_from_scores, score_patches
 from .tensor import Parameters, Tensor, backward, finite_difference_check
@@ -135,24 +135,21 @@ def gradient_report(config: Config, sample_count: int = 200,
 # ---- link prediction evaluation --------------------------------------------
 
 
-def filtered_ranks(entity_matrix: np.ndarray, relation_matrix: np.ndarray,
-                   entity_row, relation_row, held_out: list[Triplet],
+def filtered_ranks(tables: ScoringTables, held_out: list[Triplet],
                    kg: KnowledgeGraph) -> list[int]:
     """Pessimal filtered ranks for both directions of each held-out triplet.
 
     Query ``2p`` (h * r) ranks the tail and ``2p + 1`` (t * r) the head among
-    every entity of ``kg``, all scored in one product with the table in dense
-    order.  Candidates that ``kg.known_mask`` marks, the target apart, are
-    filtered out, and a tie ranks the target last.  A row map (dict or array)
-    lacking an entity of ``kg`` or a held-out relation, or a held-out id
+    every entity of ``kg``, each scored by :func:`query_scores` through the
+    triplet's own row map.  Candidates that ``kg.known_mask`` marks, the
+    target apart, are filtered out, and a tie ranks the target last.  A row
+    map lacking an entity of ``kg`` or a held-out relation, or a held-out id
     unknown to ``kg``, raises ``ValidationError``.
     """
     dense = kg.index_triplets(held_out)
-    ids = kg.entity_ids()
-    table = entity_matrix[_table_rows(entity_row, ids, np.arange(len(ids))[None], "entity")[0]]
-    rel = relation_matrix[_table_rows(relation_row, kg.relation_ids(), dense[:, 1:2],
-                                      "relation")]
-    scores = (table[dense[:, ::2]] * rel).reshape(2 * len(dense), -1) @ table.T
+    every = np.broadcast_to(np.arange(len(kg.entities)), (len(dense), len(kg.entities)))
+    scores, rows = query_scores(tables, kg, dense, every)
+    scores = np.take_along_axis(scores.data, np.repeat(rows[:, 2:], 2, axis=0), axis=1)
     query, target = np.arange(2 * len(dense)), dense[:, ::-2].ravel()
     filtered = kg.known_mask(dense)
     filtered[query, target] = False
@@ -167,13 +164,11 @@ def ranking_metrics(ranks: list[int]) -> dict[str, float]:
             "Hits@10": float(np.mean(arr <= 10))}
 
 
-def eval_linkpred(entity_matrix: np.ndarray, relation_matrix: np.ndarray,
-                  entity_row: dict[int, int], relation_row: dict[int, int],
-                  held_out: list[Triplet], kg: KnowledgeGraph) -> dict[str, float]:
+def eval_linkpred(tables: ScoringTables, held_out: list[Triplet],
+                  kg: KnowledgeGraph) -> dict[str, float]:
     if not held_out:
         raise ValidationError("no held-out triplets to evaluate")
-    return ranking_metrics(filtered_ranks(entity_matrix, relation_matrix,
-                                          entity_row, relation_row, held_out, kg))
+    return ranking_metrics(filtered_ranks(tables, held_out, kg))
 
 
 def random_baseline_mrr(kg: KnowledgeGraph, held_out: list[Triplet], d: int,
@@ -183,19 +178,15 @@ def random_baseline_mrr(kg: KnowledgeGraph, held_out: list[Triplet], d: int,
     n_e, n_r = len(kg.entities), len(kg.relations)
     for s in range(seeds):
         rng = np.random.default_rng([987, s])
-        em = rng.standard_normal((n_e, d))
-        rm = rng.standard_normal((n_r, d))
-        totals.append(eval_linkpred(em, rm, np.arange(n_e), np.arange(n_r),
-                                    held_out, kg)["MRR"])
+        tables = ScoringTables(Tensor(rng.standard_normal((n_e, d))), np.arange(n_e),
+                               Tensor(rng.standard_normal((n_r, d))), np.arange(n_r))
+        totals.append(eval_linkpred(tables, held_out, kg)["MRR"])
     return float(np.mean(totals))
 
 
 @dataclass
 class KgEmbeddingResult:
-    entity_matrix: np.ndarray
-    relation_matrix: np.ndarray
-    entity_row: dict[int, int]
-    relation_row: dict[int, int]
+    tables: ScoringTables
     holdout: EdgeHoldout
     metrics: dict[str, float]
 
@@ -211,21 +202,18 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
     """
     holdout = holdout_edges(kg, drop_rate, seed)
     visible = holdout.visible.triplets
-    ids = kg.entity_ids()
-    rels = kg.relation_ids()
-    entity_row = {e: i for i, e in enumerate(ids)}
-    relation_row = {r: i for i, r in enumerate(rels)}
+    n_e, n_r = len(kg.entities), len(kg.relations)
 
     init_rng = np.random.default_rng([seed, 11])
     params = Parameters()
     bound = 1.0 / np.sqrt(d)
     entities = params.add("entities", Tensor(
-        init_rng.uniform(-bound, bound, size=(len(ids), d))))
+        init_rng.uniform(-bound, bound, size=(n_e, d))))
     relations = params.add("relations", Tensor(
-        init_rng.uniform(-bound, bound, size=(len(rels), d))))
+        init_rng.uniform(-bound, bound, size=(n_r, d))))
     state = AdamState.init(params)
-    tables = ScoringTables(entity_matrix=entities, entity_row=np.arange(len(ids)),
-                           relation_matrix=relations, relation_row=np.arange(len(rels)),
+    tables = ScoringTables(entity_matrix=entities, entity_row=np.arange(n_e),
+                           relation_matrix=relations, relation_row=np.arange(n_r),
                            gamma=gamma, n=n_negatives)
 
     for step in range(1, steps + 1):
@@ -237,17 +225,14 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
         grads = backward(loss)
         optimizer_step(params, grads, state, lr=lr, weight_decay=0.0)
 
-    metrics = eval_linkpred(entities.data, relations.data, entity_row,
-                            relation_row, holdout.held_out, kg)
-    return KgEmbeddingResult(entities.data, relations.data, entity_row,
-                             relation_row, holdout, metrics)
+    return KgEmbeddingResult(tables, holdout, eval_linkpred(tables, holdout.held_out, kg))
 
 
-def model_linkpred_tables(params: ModelParams, memory: EntityMemory):
-    """Entity/relation score tables of a pretrained model (projection + GNN table)."""
-    return (entity_fallback_table(params, memory).data,
-            params.gnn.relation_table.data, memory.row_of,
-            forward_relation_rows(params.gnn))
+def model_linkpred_tables(params: ModelParams, memory: EntityMemory) -> ScoringTables:
+    """Scoring tables of a pretrained model: the projected memory rows and the
+    GNN's forward relation rows."""
+    return ScoringTables(entity_fallback_table(params, memory), memory.row_of,
+                         params.gnn.relation_table, forward_relation_rows(params.gnn))
 
 
 # ---- retrieval evaluation -----------------------------------------------------

@@ -6,8 +6,10 @@ comparing the two is a genuine dual-route check.  The exceptions are
 references kept from an earlier form of a library path:
 ``reference_compute_step`` runs the library's stages one example at a time,
 the reference for the batched training step; ``reference_layer_norm`` is
-LayerNorm composed from autodiff primitives; ``reference_retrieve_from_scores``
-selects each patch's entities by a stable sort.
+LayerNorm composed from autodiff primitives; ``distmult`` is the per-triplet
+DistMult score composed from them too; ``reference_retrieve_from_scores``
+selects each patch's entities by a stable sort.  ``write_kg_tsv`` writes
+graph fixtures in the TSV format that ``kgfuse.kg.load_kg`` reads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import struct
 import numpy as np
 
 from kgfuse import tensor as T
+from kgfuse.errors import ValidationError
 from kgfuse.gnn import SELF_ROW
 from kgfuse.kg import DIR_IN, DIR_OUT
 from kgfuse.retriever import RetrievedEntitySet
@@ -284,6 +287,30 @@ def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1
             if rejected[i] >= max_retries:
                 raise ValidationError(f"no valid negative found for {positives[i]} "
                                       f"after {max_retries} retries")
+
+
+def write_kg_tsv(kg, entities_path, relations_path, triplets_path) -> None:
+    """Write ``kg`` as the three TSV files, ids ascending."""
+    for path, records in ((entities_path, kg.entities), (relations_path, kg.relations)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{i}\t{records[i].name}\t{records[i].description}\n"
+                          for i in sorted(records))
+    with open(triplets_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in kg.triplets)
+
+
+def distmult(h, r, t):
+    """Trilinear score sum_d h_d * r_d * t_d over the last axis, one per row;
+    leading axes broadcast, and the score is symmetric in head and tail.
+    It is the per-triplet rule that ``linkpred_loss`` reproduces."""
+    if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:
+        raise ValidationError(f"distmult width mismatch: {h.shape}, {r.shape}, {t.shape}")
+    try:
+        np.broadcast_shapes(h.shape, r.shape, t.shape)
+    except ValueError:
+        raise ValidationError(f"distmult leading axes do not broadcast: "
+                              f"{h.shape}, {r.shape}, {t.shape}") from None
+    return T.tensor_sum(T.mul(T.mul(h, r), t), axis=-1)
 
 
 def reference_filtered_ranks(entity_matrix, relation_matrix, entity_row: dict,

@@ -9,12 +9,12 @@ from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus
 from kgfuse.encoders import patchify, vision_encode
 from kgfuse.errors import ValidationError
-from kgfuse.kg import holdout_edges, save_kg
+from kgfuse.kg import holdout_edges
 from kgfuse.model import build_model
 from kgfuse.retriever import retrieve
 from kgfuse.train import eval_linkpred, model_linkpred_tables
 
-from helpers import checkpoint_bytes
+from helpers import checkpoint_bytes, write_kg_tsv
 
 TINY_CFG = """
 corpus_entities = 30
@@ -43,18 +43,23 @@ def kg_files(tmp_path, tiny_config_file):
     corpus = generate_corpus(config)
     paths = (tmp_path / "entities.tsv", tmp_path / "relations.tsv",
              tmp_path / "triplets.tsv")
-    save_kg(corpus.kg, *paths)
+    write_kg_tsv(corpus.kg, *paths)
     return paths
 
 
-def test_ingest_roundtrip(tmp_path, kg_files, capsys):
-    out = tmp_path / "snapshot"
+def test_ingest_roundtrip(tmp_path, kg_files, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     code = main(["ingest", "--entities", str(kg_files[0]),
-                 "--relations", str(kg_files[1]),
-                 "--triplets", str(kg_files[2]), "--out", str(out)])
+                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2])])
     assert code == 0
-    assert "30 entities" in capsys.readouterr().out
-    assert (out / "triplets.tsv").exists()
+    assert capsys.readouterr().out == "valid: 30 entities, 3 relations, 90 triplets\n"
+    # ingest validates only: nothing is written.
+    assert sorted(tmp_path.rglob("*")) == before
+    assert main(["ingest", "--entities", str(kg_files[0]),
+                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2]),
+                 "--out", str(tmp_path / "snapshot")]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_ingest_bad_file_exits_one(tmp_path, kg_files, capsys):
@@ -203,6 +208,32 @@ def test_malformed_checkpoint_exits_one(tmp_path, tiny_config_file, capsys):
     assert err.startswith("error: ") and "truncated" in err
 
 
+def test_non_finite_checkpoint_exits_one(tmp_path, tiny_config_file, capsys):
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(checkpoint_bytes(tiny_config_file.read_bytes(),
+                                     [(b"w", (2,), np.array([1.0, np.nan]).tobytes())]))
+    assert main(["eval-linkpred", "--checkpoint", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'w' holds non-finite values" in err
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("lr = nan", "lr must be finite"),
+    ("beta1 = 1.0", "beta1 must be in [0,1)"),
+    ("heads = 0", "heads must be positive"),
+    ("heads = -2", "heads must be positive"),
+    ("image_c = 0", "image_c must be positive"),
+])
+def test_config_values_that_would_break_a_run_exit_one(tmp_path, line, reason, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG + "steps = 1\n" + line + "\n")
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert not out.exists()
+
+
 def test_pretrain_then_evals(tmp_path, tiny_config_file, capsys):
     out = tmp_path / "run"
     code = main(["pretrain", "--config", str(tiny_config_file),
@@ -239,7 +270,7 @@ def test_eval_linkpred_uses_the_checkpoint_split(tmp_path, tiny_config_file, cap
 
     def report(config):
         holdout = holdout_edges(corpus.kg, config.edge_drop, config.seed)
-        metrics = eval_linkpred(*tables, holdout.held_out, corpus.kg)
+        metrics = eval_linkpred(tables, holdout.held_out, corpus.kg)
         return "".join(f"{key}\t{value:.4f}\n" for key, value in metrics.items())
 
     assert ckpt.config.seed == 5

@@ -14,6 +14,7 @@ from kgfuse.encoders import patchify, vision_encode
 from kgfuse.errors import ValidationError
 from kgfuse.kg import Triplet, expand_subgraph, holdout_edges, split_triplet_list
 from kgfuse.model import build_model, compute_step, make_batch_plan
+from kgfuse.objectives import ScoringTables
 from kgfuse.optim import AdamState, optimizer_step
 from kgfuse.retriever import retrieve
 from kgfuse.tensor import Parameters, Tensor
@@ -48,6 +49,21 @@ class TestConfig:
             Config(d=15)  # not divisible by heads
         with pytest.raises(ValidationError):
             Config(image_h=15)
+        for name in ("lr", "gamma", "corpus_noise", "beta2", "tau_init"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                    Config(**{name: value})
+        with pytest.raises(ValidationError, match="lr must be finite"):
+            Config.from_text("lr = nan\n")
+        for name in ("beta1", "beta2"):
+            for value in (-0.1, 1.0, 1.5):
+                with pytest.raises(ValidationError, match=rf"{name} must be in \[0,1\)"):
+                    Config(**{name: value})
+            assert getattr(Config(**{name: 0.0}), name) == 0.0
+        for name in ("heads", "patch_size", "image_h", "image_w", "image_c"):
+            for value in (0, -2):
+                with pytest.raises(ValidationError, match=f"{name} must be positive"):
+                    Config(**{name: value})
 
     def test_comments_and_blank_lines(self):
         config = Config.from_text("# comment\n\nd = 16  # trailing\n")
@@ -238,6 +254,10 @@ class TestCheckpoint:
             ([(b"w", (2,), bytes(16))], b"\xc3(", "config .* not UTF-8"),
             ([(b"w", (1,) * 65, bytes(8))], config_text, "'w' has shape"),
             ([(b"w", (2 ** 64 - 1, 0), b"")], config_text, "'w' has shape"),
+            ([(b"w", (2,), np.array([0.5, np.nan]).tobytes())], config_text,
+             "'w' holds non-finite"),
+            ([(b"w", (2,), bytes(16)), (b"opt_v.w", (1,), np.array([-np.inf]).tobytes())],
+             config_text, "'opt_v.w' holds non-finite"),
         ]
         for tensors, text, message in cases:
             path.write_bytes(checkpoint_bytes(text, tensors))
@@ -314,17 +334,17 @@ class TestLinkpredEval:
             em[2 * i + 1, 2 * i:2 * i + 2] = [1.0, -1.0]
         rm = np.zeros((1, d))
         rm[0] = np.tile([1.0, -1.0], n_pairs)
-        erow = {e: e for e in range(2 * n_pairs)}
-        metrics = eval_linkpred(em, rm, erow, {0: 0}, kg.triplets, kg)
+        tables = ScoringTables(Tensor(em), {e: e for e in range(2 * n_pairs)},
+                               Tensor(rm), {0: 0})
+        metrics = eval_linkpred(tables, kg.triplets, kg)
         assert metrics["MRR"] == 1.0
         assert metrics["Hits@1"] == 1.0
 
     def test_tied_scores_take_pessimal_rank(self):
         kg = self._paired_kg(2)
-        em = np.ones((4, 3))
-        rm = np.ones((1, 3))
-        erow = {e: e for e in range(4)}
-        ranks = filtered_ranks(em, rm, erow, {0: 0}, [kg.triplets[0]], kg)
+        tables = ScoringTables(Tensor(np.ones((4, 3))), {e: e for e in range(4)},
+                               Tensor(np.ones((1, 3))), {0: 0})
+        ranks = filtered_ranks(tables, [kg.triplets[0]], kg)
         # all four candidates tie; nothing is filtered except other positives
         assert ranks == [4, 4]
 
@@ -346,38 +366,66 @@ class TestLinkpredEval:
         pairs = [(rng.standard_normal((len(ids), 16)), rng.standard_normal((len(rels), 16)))
                  for _ in range(6)]
         for em, rm in pairs:
-            assert (filtered_ranks(em, rm, erow, rrow, held_out, kg)
+            assert (filtered_ranks(ScoringTables(Tensor(em), erow, Tensor(rm), rrow),
+                                   held_out, kg)
                     == reference_filtered_ranks(em, rm, erow, rrow, held_out, kg))
         # All-ones tables tie every candidate, so each rank counts every
         # candidate left after filtering, the target included.
         em, rm = np.ones((len(ids), 4)), np.ones((len(rels), 4))
-        ranks = filtered_ranks(em, rm, erow, rrow, held_out, kg)
+        ranks = filtered_ranks(ScoringTables(Tensor(em), erow, Tensor(rm), rrow),
+                               held_out, kg)
         assert ranks == reference_filtered_ranks(em, rm, erow, rrow, held_out, kg)
         filtered = kg.known_mask(kg.index_triplets(held_out)).sum(axis=1)
         assert ranks == (len(ids) - filtered + 1).tolist()
+
+    @staticmethod
+    def _ones_tables(entity_row, relation_row):
+        return ScoringTables(Tensor(np.ones((4, 3))), entity_row,
+                             Tensor(np.ones((1, 3))), relation_row)
 
     def test_ranks_cover_every_entity_of_the_graph(self):
         kg = self._paired_kg(2)
         erow = {e: e for e in range(4)}
         del erow[3]
         with pytest.raises(ValidationError, match="entity 3 missing"):
-            eval_linkpred(np.ones((4, 3)), np.ones((1, 3)), erow, {0: 0},
-                          [kg.triplets[0]], kg)
+            eval_linkpred(self._ones_tables(erow, {0: 0}), [kg.triplets[0]], kg)
 
     def test_missing_relation_row_raises(self):
         kg = self._paired_kg(2)
         erow = {e: e for e in range(4)}
         with pytest.raises(ValidationError, match="relation 0 missing"):
-            eval_linkpred(np.ones((4, 3)), np.ones((1, 3)), erow, {5: 0},
-                          [kg.triplets[0]], kg)
+            eval_linkpred(self._ones_tables(erow, {5: 0}), [kg.triplets[0]], kg)
 
     @pytest.mark.parametrize("triplet", [Triplet(0, 0, 9), Triplet(9, 0, 1),
                                          Triplet(0, 7, 1)])
     def test_unknown_held_out_ids_raise(self, triplet):
         kg = self._paired_kg(2)
-        erow = {e: e for e in range(4)}
+        tables = self._ones_tables({e: e for e in range(4)}, {0: 0})
         with pytest.raises(ValidationError, match="unknown entity or relation"):
-            eval_linkpred(np.ones((4, 3)), np.ones((1, 3)), erow, {0: 0}, [triplet], kg)
+            eval_linkpred(tables, [triplet], kg)
+
+    def test_per_positive_row_maps_rank_like_each_own_map(self):
+        # Criterion 5's graph: each held-out edge ranks through its own
+        # permutation of a shared table, as training reads per-positive maps.
+        config = Config(corpus_entities=50, corpus_relations=4,
+                        corpus_triplets=300, corpus_examples=4)
+        kg = generate_corpus(config, seed=5).kg
+        held_out = holdout_edges(kg, 0.3, seed=0).held_out
+        ids, rels = kg.entity_ids(), kg.relation_ids()
+        rng = np.random.default_rng(4)
+        maps = np.array([rng.permutation(len(ids) + 3)[:len(ids)] for _ in held_out])
+        em = rng.standard_normal((len(ids) + 3, 8))
+        rm = rng.standard_normal((len(rels), 8))
+        ranks = filtered_ranks(ScoringTables(Tensor(em), maps, Tensor(rm),
+                                             np.arange(len(rels))), held_out, kg)
+        rrow = dict(zip(rels, range(len(rels))))
+        expected = [rank for triplet, rows in zip(held_out, maps)
+                    for rank in reference_filtered_ranks(
+                        em, rm, dict(zip(ids, rows.tolist())), rrow, [triplet], kg)]
+        assert len(held_out) >= 80 and ranks == expected
+        with pytest.raises(ValidationError, match="entity row map"):
+            filtered_ranks(ScoringTables(Tensor(em), maps[1:], Tensor(rm),
+                                         np.arange(len(rels))), held_out, kg)
 
     def test_random_embeddings_match_monte_carlo_baseline(self):
         config = Config(**TINY)
@@ -389,7 +437,8 @@ class TestLinkpredEval:
         rm = rng.standard_normal((len(corpus.kg.relations), 8))
         erow = {e: i for i, e in enumerate(corpus.kg.entity_ids())}
         rrow = {r: i for i, r in enumerate(corpus.kg.relation_ids())}
-        single = eval_linkpred(em, rm, erow, rrow, holdout.held_out, corpus.kg)
+        single = eval_linkpred(ScoringTables(Tensor(em), erow, Tensor(rm), rrow),
+                               holdout.held_out, corpus.kg)
         assert 0.2 * baseline < single["MRR"] < 5.0 * baseline
 
     def test_training_beats_random_baseline(self):
@@ -400,6 +449,8 @@ class TestLinkpredEval:
         baseline = random_baseline_mrr(corpus.kg, result.holdout.held_out,
                                        d=8, seeds=10)
         assert result.metrics["MRR"] > baseline
+        assert result.metrics == eval_linkpred(result.tables, result.holdout.held_out,
+                                               corpus.kg)
 
 
 class TestRetrievalEval:

@@ -10,9 +10,9 @@ from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
                        expand_subgraph, holdout_edges, load_kg, negative_indices,
-                       sample_negatives, save_kg, split_triplet_list)
+                       sample_negatives, split_triplet_list)
 
-from helpers import reference_expand_edges, reference_sample_negatives
+from helpers import reference_expand_edges, reference_sample_negatives, write_kg_tsv
 
 
 def small_kg() -> KnowledgeGraph:
@@ -58,12 +58,12 @@ class TestTsvRoundTrip:
     def test_load_save_load_identity(self, tmp_path):
         kg = toy_corpus_kg()
         paths = [tmp_path / n for n in ("entities.tsv", "relations.tsv", "triplets.tsv")]
-        save_kg(kg, *paths)
+        write_kg_tsv(kg, *paths)
         loaded = load_kg(*paths)
         assert loaded.entities == kg.entities
         assert loaded.relations == kg.relations
         assert loaded.triplets == kg.triplets
-        save_kg(loaded, *paths)
+        write_kg_tsv(loaded, *paths)
         again = load_kg(*paths)
         assert again.triplets == kg.triplets
 

@@ -14,12 +14,11 @@ from kgfuse.encoders import patchify
 from kgfuse.errors import NumericsError, ValidationError
 from kgfuse.kg import KnowledgeGraph, NamedRecord, Triplet, negative_indices
 from kgfuse.objectives import (ItcParams, MaskingRecord, ScoringTables,
-                               distmult, itc_loss, linkpred_loss,
-                               mask_patches, mask_spans, mlm_loss, mvm_loss,
-                               total_loss)
+                               itc_loss, linkpred_loss, mask_patches,
+                               mask_spans, mlm_loss, mvm_loss, total_loss)
 from kgfuse.tensor import Tensor
 
-from helpers import reference_sample_negatives
+from helpers import distmult, reference_sample_negatives
 
 MASK = 1
 
