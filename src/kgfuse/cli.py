@@ -120,7 +120,7 @@ def _cmd_eval_linkpred(args) -> int:
     params = build_model(ckpt.config, corpus.kg)
     ckpt.load_into(params.store)
     memory = corpus_memory(corpus)
-    # The split is the checkpoint's own, whatever --config or --seed say.
+    # The split is the checkpoint's own.
     holdout = holdout_edges(corpus.kg, ckpt.config.edge_drop, ckpt.config.seed)
     metrics = eval_linkpred(model_linkpred_tables(params, memory), holdout.held_out,
                             corpus.kg)
@@ -140,10 +140,12 @@ def _cmd_eval_retrieval(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser, out: bool = False) -> None:
+    """``--config`` and ``--seed``, and ``--out`` for a command that writes."""
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
-    sub.add_argument("--out", default=None, help="output directory")
+    if out:
+        sub.add_argument("--out", default=None, help="output directory")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entities", required=True)
     p.add_argument("--relations", required=True)
     p.add_argument("--triplets", required=True)
-    _add_common(p)
+    _add_config_flags(p, out=True)
     p.set_defaults(fn=_cmd_build_memory)
 
     p = commands.add_parser("retrieve", help="top-k entities for an image (.npy)")
@@ -176,26 +178,27 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--memory", help="EMBV memory, scored by the untrained projection")
     source.add_argument("--checkpoint", help="trained model, scored against its corpus memory")
-    _add_common(p)
+    # --config and --seed apply with --memory; a checkpoint carries its own.
+    _add_config_flags(p)
     p.set_defaults(fn=_cmd_retrieve)
 
     p = commands.add_parser("pretrain", help="run the pretraining loop")
-    _add_common(p)
+    _add_config_flags(p, out=True)
     p.set_defaults(fn=_cmd_pretrain)
 
     p = commands.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--samples", type=int, default=200)
-    _add_common(p)
+    _add_config_flags(p)
     p.set_defaults(fn=_cmd_gradcheck)
 
+    # The evaluations read the checkpoint's own config, so they take no
+    # --config or --seed, and they write nothing.
     p = commands.add_parser("eval-linkpred", help="filtered ranking metrics")
     p.add_argument("--checkpoint", required=True)
-    _add_common(p)
     p.set_defaults(fn=_cmd_eval_linkpred)
 
     p = commands.add_parser("eval-retrieval", help="ground-truth recall@k")
     p.add_argument("--checkpoint", required=True)
-    _add_common(p)
     p.set_defaults(fn=_cmd_eval_retrieval)
     return parser
 

@@ -120,7 +120,10 @@ def _edge_lists(sub: Subgraph, gp: GnnParams):
     src = np.concatenate([nodes, np.stack([heads, tails], axis=1).ravel()])
     rel = np.concatenate([np.full(k, SELF_ROW), rows[inverse].ravel()])
     order = np.argsort(dst, kind="stable")
-    return dst[order], src[order], rel[order]
+    edges = dst[order], src[order], rel[order]
+    for array in edges:
+        array.setflags(write=False)
+    return edges
 
 
 def _attention(k: int, edges, embeddings: Tensor, layer: GnnLayerParams,
@@ -159,10 +162,13 @@ def gnn_layer(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
 
 
 def gnn_encode(sub: Subgraph, initial: Tensor, gp: GnnParams) -> Tensor:
-    """Apply the full layer stack in order; the edge lists are built once."""
+    """Apply the full layer stack in order.  The edge lists are built once
+    per subgraph and parameter set, and kept on ``sub`` for later calls."""
     if not gp.layers:
         raise ValidationError("GNN stack is empty")
-    edges = _edge_lists(sub, gp)
+    if sub.edge_lists is None or sub.edge_lists[0] is not gp:
+        sub.edge_lists = (gp, _edge_lists(sub, gp))
+    edges = sub.edge_lists[1]
     x = initial
     for layer in gp.layers:
         x = _propagate(sub, edges, x, layer, gp)

@@ -8,7 +8,7 @@ decimal u64; fields must not contain tabs or newlines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -145,11 +145,15 @@ class Subgraph:
     first, in their given order.  ``triplets_local`` lists each contained
     triplet once as (head_local, relation_id, tail_local).  Self-loops are
     never stored; message passing adds an implicit self term instead.
+    A subgraph is not changed once built: :func:`gnn.gnn_encode` keeps its
+    edge lists on it.
     """
 
     entity_ids: list[int]
     seed_flags: list[bool]
     triplets_local: list[tuple[int, int, int]]
+    # (GNN parameters, their edge lists) of the last gnn_encode call.
+    edge_lists: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_nodes(self) -> int:

@@ -12,6 +12,14 @@ from its own seed; the step's negatives come from one generator seeded with
 every example's negative seed.  Held-out subgraph edges are the
 link-prediction positives and never participate in message passing in the
 same step.
+
+A plan's host-side work, which no parameter changes, is computed once and
+kept on the plan: its :class:`BatchInputs` (patches, masks and padded
+tokens) and, while retrieval returns the same entities, its
+:class:`GraphSample` (subgraphs, holdout split, their union and its edge
+lists, and the link-prediction rows).  Every forward pass over one plan
+after the first reuses them, so a finite-difference check pays for that
+work once per distinct retrieval rather than once per evaluation.
 """
 
 from __future__ import annotations
@@ -32,11 +40,11 @@ from .errors import ValidationError
 from .fusion import (FusionParams, HeadParams, assemble, fuse, heads,
                      init_fusion, init_heads)
 from .gnn import GnnParams, forward_relation_rows, gnn_encode, init_gnn
-from .kg import (KnowledgeGraph, Triplet, disjoint_union, expand_subgraph,
-                 split_triplet_list)
-from .objectives import (ItcParams, LossBundle, ScoringTables, init_itc,
-                         itc_loss, linkpred_loss, mask_patches, mask_spans,
-                         mlm_loss, mvm_loss, row_map, total_loss)
+from .kg import (KnowledgeGraph, Subgraph, Triplet, disjoint_union,
+                 expand_subgraph, split_triplet_list)
+from .objectives import (ItcParams, LossBundle, MaskingRecord, ScoringTables,
+                         init_itc, itc_loss, linkpred_loss, mask_patches,
+                         mask_spans, mlm_loss, mvm_loss, row_map, total_loss)
 from .retriever import (EntityMemory, relevance_weights, retrieve_from_scores,
                         score_patches)
 from .tensor import Parameters, Tensor
@@ -77,7 +85,7 @@ def build_model(config: Config, kg: KnowledgeGraph, seed: int | None = None) -> 
                        itc, store)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExamplePlan:
     """Which example to use and the seeds for each of its random choices."""
 
@@ -90,9 +98,46 @@ class ExamplePlan:
 
 
 @dataclass
+class BatchInputs:
+    """A plan's patchified images and masked, padded captions, built for one
+    corpus, config and example list, which key its reuse."""
+
+    corpus: SyntheticCorpus
+    config: Config                    # a copy, so a later edit misses the key
+    examples: list[ExamplePlan]
+    patches: np.ndarray               # (B, N, patch_dim)
+    masked: np.ndarray                # (B, N) patches the vision encoder masks
+    patch_records: list[MaskingRecord]
+    token_records: list[MaskingRecord]
+    tokens: np.ndarray                # (B, L) masked captions, padding reads 0
+    token_valid: np.ndarray           # (B, L) real tokens
+
+
+@dataclass
+class GraphSample:
+    """Each example's subgraph for one retrieval, split and joined: built for
+    one ``BatchInputs``, graph, memory and tuple of retrieved ids, which key
+    its reuse."""
+
+    inputs: BatchInputs
+    kg: KnowledgeGraph
+    memory: EntityMemory
+    retrieved: tuple[tuple[int, ...], ...]
+    union: Subgraph                   # the visible subgraphs side by side
+    seed_rows: np.ndarray             # (B, K) union row of each retrieved entity
+    entity_valid: np.ndarray          # (B, K) filled seed slots
+    node_weight: np.ndarray           # union row -> relevance slot, last is 1
+    positives: list[Triplet]          # held-out edges, example by example
+    positive_rows: np.ndarray         # (P, E) entity row map of each positive
+
+
+@dataclass
 class BatchPlan:
     step: int
     examples: list[ExamplePlan] = field(default_factory=list)
+    # The host-side work of the plan's last forward pass; see compute_step.
+    inputs: BatchInputs | None = field(default=None, compare=False, repr=False)
+    sample: GraphSample | None = field(default=None, compare=False, repr=False)
 
 
 def make_batch_plan(config: Config, corpus_size: int, step: int) -> BatchPlan:
@@ -125,30 +170,28 @@ class StepOutput:
     retrieved: list[list[int]]
 
 
-def compute_step(params: ModelParams, corpus: SyntheticCorpus,
-                 memory: EntityMemory, plan: BatchPlan,
-                 config: Config | None = None,
-                 active: tuple[str, ...] = ALL_LOSSES) -> StepOutput:
-    """Forward pass for one batch, returning the loss bundle.
+def _read_only(*arrays: np.ndarray) -> None:
+    """Freeze arrays kept for reuse: a write into one raises instead of
+    changing a later forward pass."""
+    for array in arrays:
+        array.setflags(write=False)
 
-    ``active`` limits which objectives are computed (the others contribute
-    exact zeros); inactive stages of the pipeline are skipped entirely so
-    single-loss gradient checks stay cheap.
-    """
-    config = corpus.config if config is None else config
-    kg = corpus.kg
-    need_fusion = "mlm" in active or "mvm" in active
+
+def batch_inputs(corpus: SyntheticCorpus, config: Config, plan: BatchPlan) -> BatchInputs:
+    """The plan's patches, patch masks and masked, padded tokens, computed
+    on its first forward pass and kept on the plan while its corpus, config
+    and examples stay the same."""
+    cached = plan.inputs
+    if (cached is not None and cached.corpus is corpus and cached.config == config
+            and cached.examples == plan.examples):
+        return cached
     examples = plan.examples
-    mlm = mvm = linkpred = itc = T.constant(0.0)
-
     patches = patchify(np.stack([corpus.images[ex.index] for ex in examples]),
                        config.patch_size).patches
     patch_records = [mask_patches(p, config.mvm_rate, ex.patch_mask_seed)[1]
                      for p, ex in zip(patches, examples)]
     masked = np.array([np.isin(np.arange(patches.shape[1]), r.patch_positions)
                        for r in patch_records])
-    v_out, queries = vision_encode(patches, params.vision, masked)
-
     captions, token_records = zip(*(
         mask_spans(corpus.captions[ex.index], config.mlm_rate, config.mean_span,
                    config.max_span, Config.MASK_ID, ex.span_mask_seed)
@@ -158,69 +201,117 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     token_valid = np.arange(lengths.max()) < lengths[:, None]
     tokens = np.zeros(token_valid.shape, dtype=np.int64)
     tokens[token_valid] = np.concatenate(captions)
-    t_out = text_encode(tokens, params.text, token_valid)
+    _read_only(patches, masked, tokens, token_valid,
+               *(r.original_patches for r in patch_records))
+    plan.inputs = BatchInputs(corpus, config.replace(), list(examples), patches,
+                              masked, patch_records, list(token_records), tokens,
+                              token_valid)
+    return plan.inputs
 
-    retrieved_ids, subgraphs, held_outs = [], [], []
+
+def graph_sample(inputs: BatchInputs, kg: KnowledgeGraph, memory: EntityMemory,
+                 retrieved_ids: list[list[int]], plan: BatchPlan) -> GraphSample:
+    """Expand each example's retrieved entities into a subgraph, hold out a
+    fraction of its edges, and join the visible parts; computed on the
+    plan's first forward pass and again only when a key changes, such as a
+    parameter change that flips retrieval."""
+    key = tuple(map(tuple, retrieved_ids))
+    cached = plan.sample
+    if (cached is not None and cached.inputs is inputs and cached.kg is kg
+            and cached.memory is memory and cached.retrieved == key):
+        return cached
+    config, examples = inputs.config, inputs.examples
+    subgraphs, held_outs = [], []
+    for ids, ex in zip(retrieved_ids, examples):
+        subgraph = expand_subgraph(kg, ids, config.per_node_cap, ex.subgraph_seed)
+        visible, held_out = split_triplet_list(subgraph.triplets_local,
+                                               config.edge_drop, ex.holdout_seed)
+        subgraphs.append(subgraph.with_triplets(visible))
+        held_outs.append(held_out)
+    union, offsets = disjoint_union(subgraphs)
+    # Each example's seeds are the first nodes of its part of the union.
+    counts = np.array([len(ids) for ids in retrieved_ids])
+    entity_valid = np.arange(counts.max()) < counts[:, None]
+    seed_rows = np.where(entity_valid,
+                         np.asarray(offsets)[:, None] + np.arange(counts.max()), 0)
+    # Seeds are scaled by their relevance, neighbours by the appended 1.
+    node_weight = np.full(union.num_nodes, counts.sum())
+    node_weight[seed_rows[entity_valid]] = np.arange(counts.sum())
+    # The score table holds the fallback rows, then the union's GNN rows;
+    # each example scores only its own subgraph's entities from GNN rows.
+    ids = kg.entity_ids()
+    entity_row = np.tile(row_map(memory.row_of, ids), (len(examples), 1))
+    node_example = np.repeat(np.arange(len(examples)), [s.num_nodes for s in subgraphs])
+    entity_row[node_example, np.searchsorted(ids, union.entity_ids)] = \
+        len(memory) + np.arange(union.num_nodes)
+    positives = [Triplet(sub.entity_ids[h], r, sub.entity_ids[t])
+                 for sub, held_out in zip(subgraphs, held_outs) for h, r, t in held_out]
+    positive_rows = entity_row[np.repeat(np.arange(len(examples)),
+                                         [len(h) for h in held_outs])]
+    _read_only(seed_rows, entity_valid, node_weight, positive_rows)
+    plan.sample = GraphSample(inputs, kg, memory, key, union, seed_rows, entity_valid,
+                              node_weight, positives, positive_rows)
+    return plan.sample
+
+
+def compute_step(params: ModelParams, corpus: SyntheticCorpus,
+                 memory: EntityMemory, plan: BatchPlan,
+                 config: Config | None = None,
+                 active: tuple[str, ...] = ALL_LOSSES) -> StepOutput:
+    """Forward pass for one batch, returning the loss bundle.
+
+    ``active`` limits which objectives are computed (the others contribute
+    exact zeros); inactive stages of the pipeline are skipped entirely so
+    single-loss gradient checks stay cheap.  The plan's
+    :func:`batch_inputs` and :func:`graph_sample` are reused from an
+    earlier pass over it when their keys match.
+    """
+    config = corpus.config if config is None else config
+    kg = corpus.kg
+    need_fusion = "mlm" in active or "mvm" in active
+    mlm = mvm = linkpred = itc = T.constant(0.0)
+
+    inputs = batch_inputs(corpus, config, plan)
+    v_out, queries = vision_encode(inputs.patches, params.vision, inputs.masked)
+    t_out = text_encode(inputs.tokens, params.text, inputs.token_valid)
+
+    retrieved_ids = []
     linkpred_count = 0
     if need_fusion or "linkpred" in active:
         scores = score_patches(queries, memory)
         found = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
         retrieved_ids = found.per_example()
-        for ids, ex in zip(retrieved_ids, examples):
-            subgraph = expand_subgraph(kg, ids, config.per_node_cap, ex.subgraph_seed)
-            visible, held_out = split_triplet_list(subgraph.triplets_local,
-                                                   config.edge_drop, ex.holdout_seed)
-            subgraphs.append(subgraph.with_triplets(visible))
-            held_outs.append(held_out)
-        union, offsets = disjoint_union(subgraphs)
-        # Each example's seeds are the first nodes of its part of the union.
-        counts = np.bincount(found.example)
-        entity_valid = np.arange(counts.max()) < counts[:, None]
-        seed_rows = np.where(entity_valid,
-                             np.asarray(offsets)[:, None] + np.arange(counts.max()), 0)
+        sample = graph_sample(inputs, kg, memory, retrieved_ids, plan)
         b, p, e = scores.shape
         relevance = relevance_weights(
             T.take_pairs(T.reshape(scores, (b * p, e)), found.example * p + found.patch,
                          found.column),
             found.example, config.relevance_temperature)
-        # Seeds are scaled by their relevance, neighbours by the appended 1.
-        node_weight = np.full(union.num_nodes, len(found.ids))
-        node_weight[seed_rows[entity_valid]] = np.arange(len(found.ids))
-        e0 = entity_encode(union.entity_ids, memory,
+        e0 = entity_encode(sample.union.entity_ids, memory,
                            T.take_rows(T.concat([relevance, T.constant(np.ones(1))]),
-                                       node_weight),
+                                       sample.node_weight),
                            params.entity)
-        nodes = gnn_encode(union, e0, params.gnn)
+        nodes = gnn_encode(sample.union, e0, params.gnn)
 
-    if "linkpred" in active and any(held_outs):
-        # The score table holds the fallback rows, then the union's GNN rows;
-        # each example scores only its own subgraph's entities from GNN rows.
-        ids = kg.entity_ids()
-        entity_row = np.tile(row_map(memory.row_of, ids), (len(examples), 1))
-        node_example = np.repeat(np.arange(len(examples)), [s.num_nodes for s in subgraphs])
-        entity_row[node_example, np.searchsorted(ids, union.entity_ids)] = \
-            len(memory) + np.arange(union.num_nodes)
-        positives = [Triplet(sub.entity_ids[h], r, sub.entity_ids[t])
-                     for sub, held_out in zip(subgraphs, held_outs) for h, r, t in held_out]
-        positive_example = np.repeat(np.arange(len(examples)), [len(h) for h in held_outs])
+    if "linkpred" in active and sample.positives:
         tables = ScoringTables(
             T.concat([entity_fallback_table(params, memory), nodes], axis=0),
-            entity_row[positive_example], params.gnn.relation_table,
+            sample.positive_rows, params.gnn.relation_table,
             forward_relation_rows(params.gnn), config.gamma, config.n_negatives)
-        linkpred = linkpred_loss(positives, tables, kg,
-                                 [ex.negative_seed for ex in examples])
-        linkpred_count = len(positives)
+        linkpred = linkpred_loss(sample.positives, tables, kg,
+                                 [ex.negative_seed for ex in plan.examples])
+        linkpred_count = len(sample.positives)
 
     if need_fusion:
-        fused = assemble(v_out, t_out, T.take_rows(nodes, seed_rows), params.fusion,
-                         token_valid, entity_valid)
+        fused = assemble(v_out, t_out, T.take_rows(nodes, sample.seed_rows),
+                         params.fusion, inputs.token_valid, sample.entity_valid)
         out = heads(fuse(fused, params.fusion), fused,
-                    [r.token_positions for r in token_records],
-                    [r.patch_positions for r in patch_records], params.heads)
+                    [r.token_positions for r in inputs.token_records],
+                    [r.patch_positions for r in inputs.patch_records], params.heads)
         if "mlm" in active:
-            mlm = mlm_loss(out.mlm_logits, *token_records)
+            mlm = mlm_loss(out.mlm_logits, *inputs.token_records)
         if "mvm" in active:
-            mvm = mvm_loss(out.mvm_pred, *patch_records)
+            mvm = mvm_loss(out.mvm_pred, *inputs.patch_records)
 
     if "itc" in active:
         itc = itc_loss(T.tensor_mean(v_out, axis=1), t_out[:, 0], params.itc)
@@ -236,7 +327,13 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
 def single_loss_objective(params: ModelParams, corpus: SyntheticCorpus,
                           memory: EntityMemory, plan: BatchPlan,
                           loss_name: str):
-    """A pure function of the parameters suitable for finite differences."""
+    """A pure function of the parameters suitable for finite differences.
+
+    Every call runs :func:`compute_step` on the same ``plan``, so the plan's
+    host-side work (patches, masks, tokens, and the graph sample while
+    retrieval is unchanged) is computed on the first call and reused by the
+    rest; a call whose perturbation flips retrieval rebuilds the sample.
+    """
     if loss_name == "total":
         active: tuple[str, ...] = ALL_LOSSES
     elif loss_name in ALL_LOSSES:

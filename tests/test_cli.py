@@ -152,6 +152,12 @@ def test_retrieve_takes_either_memory_or_checkpoint(tmp_path, tiny_config_file,
     (["gradcheck", "--samples", "x"], "invalid int value"),
     (["nope"], "invalid choice"),
     ([], "required"),
+    # Each command takes only the flags it reads.
+    (["gradcheck", "--out", "x"], "unrecognized arguments"),
+    (["retrieve", "--image", "x.npy", "--memory", "m", "--out", "x"],
+     "unrecognized arguments"),
+    (["eval-linkpred", "--checkpoint", "c", "--config", "x"], "unrecognized arguments"),
+    (["eval-retrieval", "--checkpoint", "c", "--seed", "3"], "unrecognized arguments"),
 ])
 def test_usage_errors_exit_one(argv, reason, capsys):
     assert main(argv) == 1
@@ -244,14 +250,26 @@ def test_pretrain_then_evals(tmp_path, tiny_config_file, capsys):
     assert metrics[0] == "step\tmlm\tmvm\tlinkpred\titc\ttotal"
     assert len(metrics) == 3  # header + 2 steps
 
-    code = main(["eval-linkpred", "--checkpoint", str(out / "checkpoint.bin"),
-                 "--config", str(tiny_config_file)])
+    code = main(["eval-linkpred", "--checkpoint", str(out / "checkpoint.bin")])
     assert code == 0
     assert "MRR" in capsys.readouterr().out
 
     code = main(["eval-retrieval", "--checkpoint", str(out / "checkpoint.bin")])
     assert code == 0
     assert "recall@" in capsys.readouterr().out
+
+
+def test_eval_retrieval_rejects_out_and_writes_nothing(tmp_path, tiny_config_file,
+                                                      capsys):
+    run = tmp_path / "run"
+    assert main(["pretrain", "--config", str(tiny_config_file), "--out", str(run)]) == 0
+    capsys.readouterr()
+    never_made = tmp_path / "never_made"
+    assert main(["eval-retrieval", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--out", str(never_made)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --out" in captured.err
+    assert not never_made.exists()
 
 
 def test_eval_linkpred_uses_the_checkpoint_split(tmp_path, tiny_config_file, capsys):

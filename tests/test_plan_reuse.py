@@ -1,0 +1,161 @@
+"""A plan's host-side work is built once and reused across forward passes.
+
+``model.compute_step`` keeps a plan's batch inputs (patches, masks, tokens)
+and its graph sample (subgraphs, holdout split, union, edge lists) on the
+plan.  Reuse must not change a single bit of any loss or gradient, must
+rebuild the sample when retrieval changes, and must actually happen: the
+seeded sampling runs once per retrieval, not once per evaluation.
+"""
+
+import numpy as np
+import pytest
+
+from kgfuse import gnn, model
+from kgfuse import tensor as T
+from kgfuse.config import Config
+from kgfuse.data import corpus_memory, generate_corpus
+from kgfuse.model import (ALL_LOSSES, build_model, compute_step, make_batch_plan,
+                          single_loss_objective)
+from kgfuse.train import gradient_report
+
+SMALL = Config(d=8, d_e=8, attn_width=8, ff_dim=16, vision_layers=1, text_layers=1,
+               gnn_layers=2, fusion_layers=1, corpus_entities=40, corpus_relations=4,
+               corpus_triplets=160, corpus_examples=8, batch_size=3, per_node_cap=3,
+               n_negatives=4, k_final=4)
+
+
+@pytest.fixture
+def setting():
+    corpus = generate_corpus(SMALL)
+    return corpus, build_model(SMALL, corpus.kg), corpus_memory(corpus)
+
+
+def fresh_plan():
+    return make_batch_plan(SMALL, SMALL.corpus_examples, step=1)
+
+
+def evaluate(params, corpus, memory, plan, loss_name):
+    """The objective's value and every parameter's gradient, as arrays."""
+    loss = single_loss_objective(params, corpus, memory, plan, loss_name)()
+    grads = T.backward(loss)
+    return loss.item(), {name: grads.get(t, np.zeros_like(t.data))
+                         for name, t in params.store.items()}
+
+
+def assert_bitwise_equal(got, want):
+    assert got[0] == want[0]
+    for name, grad in want[1].items():
+        assert np.array_equal(got[1][name], grad), name
+
+
+@pytest.mark.parametrize("loss_name", ALL_LOSSES + ("total",))
+def test_reused_plan_equals_fresh_plans_bitwise(setting, loss_name):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    for _ in range(2):
+        assert_bitwise_equal(evaluate(params, corpus, memory, plan, loss_name),
+                             evaluate(params, corpus, memory, fresh_plan(), loss_name))
+    assert plan.inputs is not None
+    if loss_name != "itc":
+        assert plan.sample is not None
+
+
+def test_reused_plan_gives_fresh_bundle_values(setting):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    first = compute_step(params, corpus, memory, plan)
+    inputs, sample = plan.inputs, plan.sample
+    again = compute_step(params, corpus, memory, plan)
+    fresh = compute_step(params, corpus, memory, fresh_plan())
+    assert plan.inputs is inputs and plan.sample is sample
+    assert first.linkpred_positive_count > 0
+    assert again.bundle.values() == fresh.bundle.values() == first.bundle.values()
+    assert again.retrieved == fresh.retrieved
+
+
+def test_changed_retrieval_rebuilds_the_sample(setting):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    before = compute_step(params, corpus, memory, plan)
+    inputs, sample = plan.inputs, plan.sample
+
+    # A large change to the retrieval head moves which entities are retrieved.
+    weights = params.vision.retrieval_w.data
+    weights += 5.0 * np.random.default_rng(0).standard_normal(weights.shape)
+    after = compute_step(params, corpus, memory, plan)
+    assert after.retrieved != before.retrieved
+    assert plan.inputs is inputs and plan.sample is not sample
+    assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
+                         evaluate(params, corpus, memory, fresh_plan(), "total"))
+
+    # A change that keeps retrieval keeps the sample.
+    rebuilt = plan.sample
+    params.fusion.cls_vec.data += 0.1
+    compute_step(params, corpus, memory, plan)
+    assert plan.sample is rebuilt
+
+
+def test_a_changed_config_rebuilds_the_inputs(setting):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    compute_step(params, corpus, memory, plan)
+    inputs = plan.inputs
+    compute_step(params, corpus, memory, plan, config=SMALL.replace(mlm_rate=0.5))
+    assert plan.inputs is not inputs
+    assert compute_step(params, corpus, memory, plan).bundle.values() == \
+        compute_step(params, corpus, memory, fresh_plan()).bundle.values()
+
+
+def test_cached_arrays_are_read_only(setting):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    compute_step(params, corpus, memory, plan)
+    inputs, sample = plan.inputs, plan.sample
+    arrays = [inputs.patches, inputs.masked, inputs.tokens, inputs.token_valid,
+              inputs.patch_records[0].original_patches, sample.seed_rows,
+              sample.entity_valid, sample.node_weight, sample.positive_rows,
+              *sample.union.edge_lists[1]]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_sampling_runs_once_per_retrieval(monkeypatch):
+    calls = {name: 0 for name in ("expand_subgraph", "split_triplet_list",
+                                  "mask_spans", "mask_patches", "_edge_lists")}
+    retrievals = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("expand_subgraph", "split_triplet_list", "mask_spans", "mask_patches"):
+        counted(model, name)
+    counted(gnn, "_edge_lists")
+    step = model.compute_step
+
+    def recorded(*args, **kwargs):
+        out = step(*args, **kwargs)
+        if out.retrieved:
+            retrievals.append(out.retrieved)
+        return out
+    monkeypatch.setattr(model, "compute_step", recorded)
+
+    gradient_report(SMALL, sample_count=2)
+
+    # 5 objectives x (2 x 2 + 1) evaluations; itc retrieves nothing.
+    assert len(retrievals) == 20
+    # The plan keeps one sample, so a retrieval that differs from the last
+    # one rebuilds it.
+    changes = sum(1 for i, ids in enumerate(retrievals)
+                  if i == 0 or ids != retrievals[i - 1])
+    assert changes < len(retrievals)
+    batch = SMALL.batch_size
+    assert calls == {"expand_subgraph": batch * changes,
+                     "split_triplet_list": batch * changes,
+                     "mask_spans": batch, "mask_patches": batch,
+                     "_edge_lists": changes}
