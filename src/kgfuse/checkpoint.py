@@ -38,15 +38,22 @@ class Checkpoint:
         return [n for n in self.tensors if not n.startswith("opt_")]
 
     def load_into(self, params: Parameters, state: AdamState | None = None) -> None:
-        params.load_data({n: self.tensors[n] for n in self.parameter_names()})
+        """Copy the parameters, and with ``state`` the moments and step, in
+        place.  Everything is checked before anything is written, so a
+        rejected checkpoint leaves ``params`` and ``state`` as they were."""
+        moments = []
         if state is not None:
             for name, tensor in params.items():
-                for kind, moments in (("opt_m", state.m), ("opt_v", state.v)):
+                for kind, dest in (("opt_m", state.m), ("opt_v", state.v)):
                     moment = self.tensors.get(f"{kind}.{name}")
                     if moment is None or moment.shape != tensor.shape:
                         raise ValidationError(f"checkpoint optimizer moment {kind}.{name} "
                                               f"is missing or not of shape {tensor.shape}")
-                    moments[name] = moment.copy()
+                    moments.append((dest[name], moment))
+        params.load_data({n: self.tensors[n] for n in self.parameter_names()})
+        for dest, moment in moments:
+            dest[...] = moment
+        if state is not None:
             state.t = self.step
 
 

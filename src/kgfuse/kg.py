@@ -321,11 +321,42 @@ def split_triplet_list(triplets: list, drop_rate: float, seed: int):
     return kept, held
 
 
-def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
+_WORD = 2 ** 32
+
+
+def _coins_and_picks(rng: np.random.Generator, rows: int, m: int,
+                     n_e: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rng.integers(0, [2, n_e], size=(rows, m, 2))`` as its coins and its
+    picks, each ``(rows, m)``, and the same draws from the stream.
+
+    numpy draws each integer below a bound of at most 2**32 from one 32-bit
+    half of a PCG64 word, low half first, by Lemire's multiply: the value is
+    the high word of ``half * bound``, redrawn while the low word is below
+    ``2**32 % bound``.  The coin's bound 2 never redraws, so while no pick
+    does, each pair is one word: the coin from its low half, the pick from
+    its high half.  When a pick would redraw, the generator is not PCG64 or
+    holds a buffered half, or ``n_e`` is outside [2, 2**32), the generator
+    is rewound and numpy draws the block itself.
+    """
+    bits = rng.bit_generator
+    saved = bits.state
+    if type(bits) is np.random.PCG64 and not saved["has_uint32"] and 2 <= n_e < _WORD:
+        words = bits.random_raw(rows * m).reshape(rows, m)
+        scaled = (words >> 32) * np.uint64(n_e)
+        if not ((scaled & (_WORD - 1)) < _WORD % n_e).any():
+            return (words >> 31 & 1).astype(np.int64), (scaled >> 32).astype(np.int64)
+        bits.state = saved
+    draws = rng.integers(0, [2, n_e], size=(rows, m, 2))
+    return draws[..., 0], draws[..., 1]
+
+
+def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
                      seed, max_retries: int = 1000
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense head and tail indices, each ``(len(positives), n)``, of ``n``
-    corruptions per positive, all drawn from one ``default_rng(seed)``.
+    """Dense head and tail indices, each ``(len(dense), n)``, of ``n``
+    corruptions of each positive of the ``(P, 3)`` dense triplets ``dense``
+    (as :meth:`KnowledgeGraph.index_triplets` gives), all drawn from one
+    ``default_rng(seed)``.
 
     A candidate is a coin (1 corrupts the head) and a replacement indexing
     the entities in ascending id order; the relation is never touched.  Each
@@ -341,12 +372,11 @@ def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
         raise ValidationError("negative sample count must be >= 1")
     if max_retries < 1:
         raise ValidationError(f"max_retries must be >= 1, got {max_retries}")
-    dense = kg.index_triplets(positives)
-    known = kg.known_mask(dense)
-    count, n_e = len(positives), len(kg._entity_ids)
+    known = kg.known_mask(dense).ravel()
+    count, n_e = len(dense), len(kg._entity_ids)
     rng = np.random.default_rng(seed)
-    heads = np.empty((count, n), dtype=np.int64)
-    tails = np.empty((count, n), dtype=np.int64)
+    heads = np.empty(count * n, dtype=np.int64)
+    tails = np.empty(count * n, dtype=np.int64)
     got = np.zeros(count, dtype=np.int64)
     rejected = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
@@ -355,35 +385,39 @@ def negative_indices(kg: KnowledgeGraph, positives: list[Triplet], n: int,
         # 1.25 candidates per missing negative cover the 6-13% rejection
         # rates of the synthetic graphs in one round; rarer shortfalls redraw.
         m = int(need.max()) * 5 // 4 + 8
-        draws = rng.integers(0, [2, n_e], size=(active.size, m, 2))
-        coin, pick = draws[..., 0], draws[..., 1]
-        cand_h = np.where(coin == 1, pick, dense[active, 0, None])
-        cand_t = np.where(coin == 1, dense[active, 2, None], pick)
-        ok = ~known[2 * active[:, None] + coin, pick]
+        coin, pick = _coins_and_picks(rng, active.size, m, n_e)
+        ok = ~known.take((2 * active[:, None] + coin) * n_e + pick)
         accepted = np.cumsum(ok, axis=1)
         # Candidates past the n-th acceptance are drawn but neither kept nor
         # counted against the retry limit.
         short = accepted - ok < need[:, None]
-        rejected[active] += np.sum(short & ~ok, axis=1)
+        kept = np.minimum(accepted[:, -1], need)
+        rejected[active] += np.count_nonzero(short, axis=1) - kept
         failed = active[rejected[active] >= max_retries]
         if failed.size:
+            h, r, t = dense[failed[0]].tolist()
             raise ValidationError(
-                f"no valid negative found for {Triplet(*positives[failed[0]])} "
+                f"no valid negative found for "
+                f"{Triplet(kg._entity_ids[h], kg._relation_ids[r], kg._entity_ids[t])} "
                 f"after {max_retries} retries")
-        rows, cols = np.nonzero(ok & short)
-        slots = got[active[rows]] + accepted[rows, cols] - 1
-        heads[active[rows], slots] = cand_h[rows, cols]
-        tails[active[rows], slots] = cand_t[rows, cols]
-        got[active] += accepted[:, -1]
+        at = np.flatnonzero(ok & short)
+        coin, pick = coin.take(at), pick.take(at)
+        head, tail = np.repeat(dense[active, 0], kept), np.repeat(dense[active, 2], kept)
+        # Kept candidates run row after row; row p fills slots got[p] onward.
+        start = active * n + got[active]
+        slots = np.repeat(start - np.cumsum(kept) + kept, kept) + np.arange(at.size)
+        heads[slots] = head + coin * (pick - head)
+        tails[slots] = pick + coin * (tail - pick)
+        got[active] += kept
         active = active[got[active] < n]
-    return heads, tails
+    return heads.reshape(count, n), tails.reshape(count, n)
 
 
 def sample_negatives(kg: KnowledgeGraph, positive: Triplet, n: int,
                      seed, max_retries: int = 1000) -> list[Triplet]:
     """The :func:`negative_indices` corruptions of one positive, as triplets."""
     positive = Triplet(*positive)
-    heads, tails = negative_indices(kg, [positive], n, seed, max_retries)
+    heads, tails = negative_indices(kg, kg.index_triplets([positive]), n, seed, max_retries)
     ids = kg._entity_ids
     return [Triplet(ids[h], positive.relation, ids[t])
             for h, t in zip(heads[0].tolist(), tails[0].tolist())]

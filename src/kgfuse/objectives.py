@@ -248,7 +248,7 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
         raise ValidationError("linkpred_loss needs at least one positive")
     gamma, n = tables.gamma, tables.n
     dense = kg.index_triplets(positives)
-    neg_heads, neg_tails = negative_indices(kg, positives, n, seed)
+    neg_heads, neg_tails = negative_indices(kg, dense, n, seed)
     # A candidate corrupts the head exactly when its head differs, as a copy
     # of a positive of kg is rejected; a copy of a positive outside kg scores
     # the same from either side, up to rounding.

@@ -2,12 +2,15 @@
 
 Moments update with bias correction as usual; decay is applied directly to
 the weights rather than through the gradient, so with zero gradients a
-parameter shrinks by exactly (1 - lr * weight_decay) per step.
+parameter shrinks by exactly (1 - lr * weight_decay) per step.  One step is a
+handful of numpy passes over flat buffers laid out as
+:meth:`Parameters.flat`, each element taking the same operations, in the
+same order, as a per-tensor update would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,44 +20,85 @@ from .tensor import Parameters, Tensor
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Moments laid out as :meth:`Parameters.flat`: ``m[name]`` and
+    ``v[name]`` are views into ``m_flat`` and ``v_flat``, so they are
+    written in place, never rebound."""
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
     def init(cls, params: Parameters) -> "AdamState":
-        state = cls()
-        for name, tensor in params.items():
-            state.m[name] = np.zeros_like(tensor.data)
-            state.v[name] = np.zeros_like(tensor.data)
-        return state
+        m_flat, v_flat = np.zeros(params.flat_size()), np.zeros(params.flat_size())
+        return cls(m_flat, v_flat, params.views(m_flat), params.views(v_flat))
+
+
+def _check_finite(params: Parameters, grad: np.ndarray) -> None:
+    """Name the first parameter whose stretch of the flat ``grad`` is not finite."""
+    bad = ~np.isfinite(grad)
+    if bad.any():
+        name, _ = params.locate(int(np.argmax(bad)))
+        raise NumericsError(f"non-finite gradient for parameter {name!r}")
+
+
+def _flat_gradient(params: Parameters, grads: dict[Tensor, np.ndarray]) -> np.ndarray:
+    """``grads`` laid out as :meth:`Parameters.flat`, zero for a parameter
+    without one.  Raises for the first parameter, in order, whose gradient
+    is non-finite or of the wrong shape."""
+    flat = np.zeros(params.flat_size())
+    start = 0
+    for name, tensor in params.items():
+        stop = start + tensor.size
+        grad = grads.get(tensor)
+        if grad is not None:
+            if grad.shape != tensor.shape:
+                _check_finite(params, flat[:start])
+                if not np.isfinite(grad).all():
+                    raise NumericsError(f"non-finite gradient for parameter {name!r}")
+                raise ValidationError(
+                    f"gradient shape {grad.shape} does not match {name!r} {tensor.shape}")
+            flat[start:stop] = grad.reshape(-1)
+        start = stop
+    _check_finite(params, flat)
+    return flat
 
 
 def optimizer_step(params: Parameters, grads: dict[Tensor, np.ndarray],
                    state: AdamState, lr: float, weight_decay: float,
                    betas: tuple[float, float] = (0.9, 0.999),
                    eps: float = 1e-8) -> None:
-    """One in-place AdamW update; parameters without a gradient still decay."""
+    """One in-place AdamW update; parameters without a gradient still decay.
+
+    Every gradient is checked before anything is written, so a step that
+    raises leaves the parameters and ``state`` as they were.
+    """
     if lr <= 0 or eps <= 0:
         raise ValidationError("lr and eps must be positive")
+    grad = _flat_gradient(params, grads)
+    data = params.flat()
+    m, v = state.m_flat, state.v_flat
+    if m.shape != data.shape or v.shape != data.shape:
+        raise ValidationError("optimizer state does not match the parameters")
     beta1, beta2 = betas
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, tensor in params.items():
-        grad = grads.get(tensor)
-        if grad is None:
-            grad = np.zeros_like(tensor.data)
-        elif not np.all(np.isfinite(grad)):
-            raise NumericsError(f"non-finite gradient for parameter {name!r}")
-        if grad.shape != tensor.data.shape:
-            raise ValidationError(
-                f"gradient shape {grad.shape} does not match {name!r} {tensor.data.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        tensor.data -= lr * (update + weight_decay * tensor.data)
+    scratch = np.empty_like(grad)
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, out=scratch)
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=scratch)
+    v += np.multiply(scratch, grad, out=scratch)
+    # update = (m / bc1) / (sqrt(v / bc2) + eps), written over grad.
+    denom = np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+    denom += eps
+    update = np.divide(m, bc1, out=grad)
+    update /= denom
+    # data -= lr * (update + weight_decay * data)
+    step = np.multiply(data, weight_decay, out=scratch)
+    step += update
+    step *= lr
+    data -= step

@@ -280,24 +280,23 @@ def dot(a, b) -> Tensor:
 # ---- transcendental primitives ---------------------------------------------
 
 
-def _sigmoid_values(d: Array) -> Array:
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def log_sigmoid(a) -> Tensor:
-    """Numerically stable log(sigmoid(x)) via the softplus identity."""
+    """Numerically stable log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)).
+
+    Branch-free: the forward and the VJP, sigmoid(-x) = exp(min(-x, 0)) /
+    (1 + exp(-|x|)), need no masks.  The VJP recomputes exp(-|x|) rather
+    than keep it alive until backward.
+    """
     a = as_tensor(a)
     d = a.data
-    softplus = np.log1p(np.exp(-np.abs(d)))
-    data = np.where(d >= 0, -softplus, d - softplus)
+    data = np.log1p(np.exp(-np.abs(d)))
+    data -= np.minimum(d, 0.0)
+    np.negative(data, out=data)
 
     def vjp(g):
-        return (g * _sigmoid_values(-d),)
+        sig = np.exp(np.minimum(-d, 0.0))
+        sig /= 1.0 + np.exp(-np.abs(d))
+        return (g * sig,)
 
     return Tensor._result(data, (a,), vjp, "log_sigmoid")
 
@@ -586,12 +585,13 @@ class Parameters:
     """Ordered name -> leaf-tensor mapping with a flat scalar enumeration.
 
     The flat enumeration (insertion order, row-major within each tensor) is
-    what the finite-difference harness samples from and what checkpoints
-    serialize.
+    what the finite-difference harness samples from, what checkpoints
+    serialize and how :meth:`flat` lays the data out for the optimizer.
     """
 
     def __init__(self):
         self._items: dict[str, Tensor] = {}
+        self._flat: Array | None = None
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._items:
@@ -620,6 +620,30 @@ class Parameters:
     def flat_size(self) -> int:
         return sum(t.size for t in self._items.values())
 
+    def views(self, buffer: Array) -> dict[str, Array]:
+        """``buffer``, laid out in the flat enumeration, as one view per name."""
+        out, start = {}, 0
+        for name, t in self._items.items():
+            out[name] = buffer[start:start + t.size].reshape(t.shape)
+            start += t.size
+        return out
+
+    def flat(self) -> Array:
+        """Every parameter's data as one float64 buffer in the flat enumeration.
+
+        Each tensor's ``data`` is a view into it, so an in-place update of the
+        buffer updates every parameter.  The buffer is built on first use, and
+        again if a parameter was added or had its ``data`` rebound since.
+        """
+        flat = self._flat
+        if flat is None or any(t.data.base is not flat for t in self._items.values()):
+            flat = np.empty(self.flat_size())
+            for t, view in zip(self._items.values(), self.views(flat).values()):
+                view[...] = t.data
+                t.data = view
+            self._flat = flat
+        return flat
+
     def locate(self, flat_index: int) -> tuple[str, int]:
         """Map a flat scalar index to (parameter name, offset within it)."""
         if flat_index < 0:
@@ -632,15 +656,17 @@ class Parameters:
         raise ValidationError(f"flat index {flat_index} out of range")
 
     def load_data(self, values: dict[str, Array]) -> None:
+        """Copy ``values`` into the parameters' data in place; every value is
+        checked before any is written."""
         missing = set(self._items) ^ set(values)
         if missing:
             raise ValidationError(f"parameter name mismatch on load: {sorted(missing)}")
         for name, t in self._items.items():
-            arr = np.asarray(values[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValidationError(
-                    f"parameter {name!r} shape mismatch: {arr.shape} vs {t.data.shape}")
-            t.data[...] = arr
+            if np.shape(values[name]) != t.data.shape:
+                raise ValidationError(f"parameter {name!r} shape mismatch: "
+                                      f"{np.shape(values[name])} vs {t.data.shape}")
+        for name, t in self._items.items():
+            t.data[...] = values[name]
 
 
 def finite_difference_check(fn: Callable[[], Tensor], params: Parameters,

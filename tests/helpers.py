@@ -8,7 +8,10 @@ references kept from an earlier form of a library path:
 the reference for the batched training step; ``reference_layer_norm`` is
 LayerNorm composed from autodiff primitives; ``distmult`` is the per-triplet
 DistMult score composed from them too; ``reference_retrieve_from_scores``
-selects each patch's entities by a stable sort.  ``write_kg_tsv`` writes
+selects each patch's entities by a stable sort; ``reference_log_sigmoid``
+and ``reference_optimizer_step`` are the masked log-sigmoid and the
+per-tensor AdamW loop that the branch-free and flat forms replaced, and
+must match bit for bit.  ``write_kg_tsv`` writes
 graph fixtures in the TSV format that ``kgfuse.kg.load_kg`` reads.
 """
 
@@ -54,6 +57,41 @@ def scalar_layer_norm(row, gain, bias, eps=1e-5):
     var = sum((v - mu) ** 2 for v in row) / len(row)
     inv = 1.0 / math.sqrt(var + eps)
     return [(v - mu) * inv * g + b for v, g, b in zip(row, gain, bias)]
+
+
+def reference_log_sigmoid(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(sigmoid(x)) and its VJP ``g * sigmoid(-x)``, each side of zero
+    evaluated on its own mask."""
+    softplus = np.log1p(np.exp(-np.abs(x)))
+    value = np.where(x >= 0, -softplus, x - softplus)
+    d = -x
+    sig = np.empty_like(d)
+    pos = d >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    sig[~pos] = ex / (1.0 + ex)
+    return value, g * sig
+
+
+def reference_optimizer_step(params, grads, state, lr: float, weight_decay: float,
+                             betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+    """One AdamW step, one parameter at a time, on ``state.m`` / ``state.v``."""
+    beta1, beta2 = betas
+    state.t += 1
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    for name, tensor in params.items():
+        grad = grads.get(tensor)
+        if grad is None:
+            grad = np.zeros_like(tensor.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        tensor.data -= lr * (update + weight_decay * tensor.data)
 
 
 def reference_layer_norm(x, gain, bias, eps=1e-5):
@@ -434,7 +472,8 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
         ids, n, gamma = kg.entity_ids(), config.n_negatives, config.gamma
         relation_row = forward_relation_rows(params.gnn)
         heads, tails = negative_indices(
-            kg, [p for _, _, positives in linkpred_parts for p in positives], n,
+            kg, kg.index_triplets([p for _, _, positives in linkpred_parts
+                                   for p in positives]), n,
             [ex.negative_seed for ex in plan.examples])
         sums, start = [], 0
         for table, entity_row, positives in linkpred_parts:

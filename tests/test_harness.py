@@ -11,7 +11,7 @@ from kgfuse.checkpoint import load_checkpoint, save_checkpoint
 from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus, oracle_patch_projection
 from kgfuse.encoders import patchify, vision_encode
-from kgfuse.errors import ValidationError
+from kgfuse.errors import NumericsError, ValidationError
 from kgfuse.kg import Triplet, expand_subgraph, holdout_edges, split_triplet_list
 from kgfuse.model import build_model, compute_step, make_batch_plan
 from kgfuse.objectives import ScoringTables
@@ -23,7 +23,8 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           random_baseline_mrr, train_kg_embeddings)
 
 from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes,
-                     reference_compute_step, reference_filtered_ranks)
+                     reference_compute_step, reference_filtered_ranks,
+                     reference_optimizer_step)
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
             corpus_examples=12, batch_size=3, per_node_cap=3, n_negatives=4,
@@ -165,6 +166,65 @@ class TestOptimizer:
             optimizer_step(params, {theta: np.array([np.nan])}, state,
                            lr=1e-3, weight_decay=0.0)
 
+    def test_rejected_step_writes_nothing(self):
+        params = Parameters()
+        a = params.add("a", Tensor(np.array([1.0, 2.0])))
+        b = params.add("b", Tensor(np.ones((2, 2))))
+        state = AdamState.init(params)
+        optimizer_step(params, {a: np.array([0.5, -0.5]), b: np.ones((2, 2))}, state,
+                       lr=1e-2, weight_decay=0.1)
+        before = (params.flat().copy(), state.m_flat.copy(), state.v_flat.copy(), state.t)
+        bad = [({a: np.array([0.1, 0.2]), b: np.full((2, 2), np.nan)}, NumericsError, "'b'"),
+               ({a: np.array([0.1, 0.2]), b: np.ones(4)}, ValidationError, "'b'"),
+               ({a: np.array([np.inf, 0.2]), b: np.ones(4)}, NumericsError, "'a'"),
+               ({a: np.array([0.1, 0.2]), b: np.full(4, np.nan)}, NumericsError, "'b'")]
+        for grads, error, name in bad:
+            with pytest.raises(error, match=name):
+                optimizer_step(params, grads, state, lr=1e-2, weight_decay=0.1)
+            assert a.data.tobytes() + b.data.tobytes() == before[0].tobytes()
+            assert state.m_flat.tobytes() == before[1].tobytes()
+            assert state.v_flat.tobytes() == before[2].tobytes()
+            assert state.t == before[3]
+
+    def test_equals_per_tensor_loop(self):
+        def model():
+            rng = np.random.default_rng(41)
+            params = Parameters()
+            for name, shape in (("w", (3, 4)), ("frozen", (5,)), ("b", (4,)), ("s", ())):
+                params.add(name, Tensor(rng.standard_normal(shape)))
+            return params
+
+        flat, looped = model(), model()
+        flat_state, looped_state = AdamState.init(flat), AdamState.init(looped)
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            # "frozen" never gets a gradient and only decays.
+            grads = {name: rng.standard_normal(flat[name].shape) * 10.0 ** rng.integers(-9, 3)
+                     for name in ("w", "b", "s")}
+            optimizer_step(flat, {flat[n]: g for n, g in grads.items()}, flat_state,
+                           lr=3e-3, weight_decay=0.05, betas=(0.8, 0.99), eps=1e-7)
+            reference_optimizer_step(looped, {looped[n]: g for n, g in grads.items()},
+                                     looped_state, lr=3e-3, weight_decay=0.05,
+                                     betas=(0.8, 0.99), eps=1e-7)
+        assert flat_state.t == looped_state.t == 5
+        for name in flat.names():
+            assert flat[name].data.tobytes() == looped[name].data.tobytes()
+            assert flat_state.m[name].tobytes() == looped_state.m[name].tobytes()
+            assert flat_state.v[name].tobytes() == looped_state.v[name].tobytes()
+
+    def test_parameters_and_moments_view_flat_buffers(self):
+        params = Parameters()
+        w = params.add("w", Tensor(np.arange(6.0).reshape(2, 3)))
+        state = AdamState.init(params)
+        optimizer_step(params, {w: np.ones((2, 3))}, state, lr=0.1, weight_decay=0.0)
+        assert np.shares_memory(w.data, params.flat())
+        assert np.shares_memory(state.m["w"], state.m_flat)
+        np.testing.assert_array_equal(state.m["w"], np.full((2, 3), 1.0 - 0.9))
+        # A rebound parameter is copied back into a new buffer.
+        w.data = np.zeros((2, 3))
+        optimizer_step(params, {}, state, lr=0.1, weight_decay=0.0)
+        assert np.shares_memory(w.data, params.flat())
+
 
 class TestPretrain:
     def test_zero_steps_keeps_initialization(self):
@@ -278,8 +338,18 @@ class TestCheckpoint:
             loaded = load_checkpoint(path)
             loaded.load_into(params)
             np.testing.assert_array_equal(params["w"].data, np.full((2, 3), 0.5))
+            params["w"].data[...] = 1.0
+            state = AdamState.init(params)
+            state.m["w"][...], state.v["w"][...], state.t = 2.0, 3.0, 7
+            m_view = state.m["w"]
             with pytest.raises(ValidationError, match=message):
-                loaded.load_into(params, AdamState.init(params))
+                loaded.load_into(params, state)
+            # A rejected load writes nothing.
+            np.testing.assert_array_equal(params["w"].data, np.ones((2, 3)))
+            assert state.m["w"] is m_view
+            np.testing.assert_array_equal(state.m_flat, np.full(6, 2.0))
+            np.testing.assert_array_equal(state.v_flat, np.full(6, 3.0))
+            assert state.t == 7
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         config = Config(**TINY)

@@ -9,8 +9,8 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
-                       expand_subgraph, holdout_edges, load_kg, negative_indices,
-                       sample_negatives, split_triplet_list)
+                       _coins_and_picks, expand_subgraph, holdout_edges, load_kg,
+                       negative_indices, sample_negatives, split_triplet_list)
 
 from helpers import reference_expand_edges, reference_sample_negatives, write_kg_tsv
 
@@ -282,6 +282,31 @@ class TestSampleNegatives:
                          for i in range(count)]
             assert (_as_triplets(kg, positives, n, seed)
                     == reference_sample_negatives(kg, positives, n, seed=seed))
+        if graph == "default":
+            # A default training step's size: 176 held-out positives, n = 128.
+            positives = [kg.triplets[(7 * i) % len(kg.triplets)] for i in range(176)]
+            assert (_as_triplets(kg, positives, 128, 23)
+                    == reference_sample_negatives(kg, positives, 128, seed=23))
+
+    @pytest.mark.parametrize("n_e", [1, 2, 3, 50, 200, 3 * 2 ** 30, 2 ** 32 - 1,
+                                     2 ** 32, 2 ** 33])
+    def test_coins_and_picks_equal_numpy_draws(self, n_e):
+        # 3 * 2**30 rejects a quarter of all words, so most blocks redraw.
+        for seed in range(60):
+            rows, m = 1 + seed % 7, 1 + seed * 5 % 41
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if seed % 3 == 0:
+                # Enter holding a buffered 32-bit half.
+                ours.integers(0, 2), theirs.integers(0, 2)
+            coin, pick = _coins_and_picks(ours, rows, m, n_e)
+            want = theirs.integers(0, [2, n_e], size=(rows, m, 2))
+            assert coin.dtype == pick.dtype == np.int64
+            np.testing.assert_array_equal(coin, want[..., 0])
+            np.testing.assert_array_equal(pick, want[..., 1])
+            # Both generators go on with the same stream, a lone half included.
+            assert ours.integers(0, 2) == theirs.integers(0, 2)
+            np.testing.assert_array_equal(ours.integers(0, 2 ** 40, size=3),
+                                          theirs.integers(0, 2 ** 40, size=3))
 
     def test_n_equals_one(self):
         kg = toy_corpus_kg()
@@ -332,7 +357,8 @@ class TestSampleNegatives:
                 with pytest.raises(ValidationError) as want:
                     reference_sample_negatives(kg, positives, n, seed, max_retries=limit - 1)
                 with pytest.raises(ValidationError, match=re.escape(str(want.value))):
-                    negative_indices(kg, positives, n, seed, max_retries=limit - 1)
+                    negative_indices(kg, kg.index_triplets(positives), n, seed,
+                                     max_retries=limit - 1)
         assert longer_than_any_run >= 10
 
     def test_retry_limit_below_one(self):
@@ -352,7 +378,7 @@ class TestSampleNegatives:
 
 
 def _as_triplets(kg, positives, n, seed, max_retries=1000):
-    heads, tails = negative_indices(kg, positives, n, seed, max_retries)
+    heads, tails = negative_indices(kg, kg.index_triplets(positives), n, seed, max_retries)
     ids = kg.entity_ids()
     return [[Triplet(ids[h], p.relation, ids[t]) for h, t in zip(hs, ts)]
             for p, hs, ts in zip(positives, heads.tolist(), tails.tolist())]

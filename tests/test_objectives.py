@@ -371,7 +371,7 @@ class TestLinkpredLoss:
                 positives.append(triplet)
         n, seed, gamma = 16, [3, 1], 0.4
         dense = kg.index_triplets(positives)
-        heads, tails = negative_indices(kg, positives, n, seed)
+        heads, tails = negative_indices(kg, kg.index_triplets(positives), n, seed)
         assert ((heads == dense[:, :1]) & (tails == dense[:, 2:])).any()
         # More table rows than entities, so some rows are never scored.
         n_rows = len(entity_ids) + 5
@@ -444,7 +444,7 @@ class TestLinkpredLoss:
         maps = np.array([[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
         tables.entity_row = maps
         loss = linkpred_loss(positives, tables, kg, seed=[6, 0]).item()
-        heads, tails = negative_indices(kg, positives, 3, [6, 0])
+        heads, tails = negative_indices(kg, kg.index_triplets(positives), 3, [6, 0])
         terms = []
         for p, pos in enumerate(positives):
             h, t = maps[p, [pos.head, *heads[p]]], maps[p, [pos.tail, *tails[p]]]

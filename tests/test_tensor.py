@@ -8,7 +8,7 @@ import pytest
 from kgfuse import tensor as T
 from kgfuse.errors import NumericsError, ValidationError
 
-from helpers import fd_input_grad, reference_layer_norm, scalar_gelu
+from helpers import fd_input_grad, reference_layer_norm, reference_log_sigmoid, scalar_gelu
 
 
 def _check_op_gradient(build, x_shape, seed, rtol=1e-6, positive=False):
@@ -263,6 +263,19 @@ class TestClosedForms:
         out = T.log_sigmoid(T.Tensor([-800.0, 800.0])).data
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out[0], -800.0)
+
+    def test_log_sigmoid_bitwise_equals_masked_form(self):
+        # Zeros of either sign, subnormal-adjacent inputs, where exp(-|x|)
+        # drops below ulp(1), where it underflows, and a dense sweep.
+        edges = np.array([0.0, 1e-300, 36.7, 745.2, 746.0, 900.0])
+        x = np.concatenate([edges, -edges, np.linspace(-800.0, 800.0, 100_001)])
+        g = np.random.default_rng(36).standard_normal(x.shape)
+        g[:4] = [0.0, -0.0, 1.0, -1.0]
+        t = T.Tensor(x, requires_grad=True)
+        out = T.log_sigmoid(t)
+        value, grad = reference_log_sigmoid(x, g)
+        assert out.data.tobytes() == value.tobytes()
+        assert out._vjp(g)[0].tobytes() == grad.tobytes()
 
 
 class TestBackwardSemantics:
