@@ -321,35 +321,6 @@ def split_triplet_list(triplets: list, drop_rate: float, seed: int):
     return kept, held
 
 
-_WORD = 2 ** 32
-
-
-def _coins_and_picks(rng: np.random.Generator, rows: int, m: int,
-                     n_e: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rng.integers(0, [2, n_e], size=(rows, m, 2))`` as its coins and its
-    picks, each ``(rows, m)``, and the same draws from the stream.
-
-    numpy draws each integer below a bound of at most 2**32 from one 32-bit
-    half of a PCG64 word, low half first, by Lemire's multiply: the value is
-    the high word of ``half * bound``, redrawn while the low word is below
-    ``2**32 % bound``.  The coin's bound 2 never redraws, so while no pick
-    does, each pair is one word: the coin from its low half, the pick from
-    its high half.  When a pick would redraw, the generator is not PCG64 or
-    holds a buffered half, or ``n_e`` is outside [2, 2**32), the generator
-    is rewound and numpy draws the block itself.
-    """
-    bits = rng.bit_generator
-    saved = bits.state
-    if type(bits) is np.random.PCG64 and not saved["has_uint32"] and 2 <= n_e < _WORD:
-        words = bits.random_raw(rows * m).reshape(rows, m)
-        scaled = (words >> 32) * np.uint64(n_e)
-        if not ((scaled & (_WORD - 1)) < _WORD % n_e).any():
-            return (words >> 31 & 1).astype(np.int64), (scaled >> 32).astype(np.int64)
-        bits.state = saved
-    draws = rng.integers(0, [2, n_e], size=(rows, m, 2))
-    return draws[..., 0], draws[..., 1]
-
-
 def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
                      seed, max_retries: int = 1000
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +356,8 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
         # 1.25 candidates per missing negative cover the 6-13% rejection
         # rates of the synthetic graphs in one round; rarer shortfalls redraw.
         m = int(need.max()) * 5 // 4 + 8
-        coin, pick = _coins_and_picks(rng, active.size, m, n_e)
+        draws = rng.integers(0, [2, n_e], size=(active.size, m, 2))
+        coin, pick = draws[..., 0], draws[..., 1]
         ok = ~known.take((2 * active[:, None] + coin) * n_e + pick)
         accepted = np.cumsum(ok, axis=1)
         # Candidates past the n-th acceptance are drawn but neither kept nor

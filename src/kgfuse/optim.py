@@ -36,14 +36,6 @@ class AdamState:
         return cls(m_flat, v_flat, params.views(m_flat), params.views(v_flat))
 
 
-def _check_finite(params: Parameters, grad: np.ndarray) -> None:
-    """Name the first parameter whose stretch of the flat ``grad`` is not finite."""
-    bad = ~np.isfinite(grad)
-    if bad.any():
-        name, _ = params.locate(int(np.argmax(bad)))
-        raise NumericsError(f"non-finite gradient for parameter {name!r}")
-
-
 def _flat_gradient(params: Parameters, grads: dict[Tensor, np.ndarray]) -> np.ndarray:
     """``grads`` laid out as :meth:`Parameters.flat`, zero for a parameter
     without one.  Raises for the first parameter, in order, whose gradient
@@ -54,15 +46,13 @@ def _flat_gradient(params: Parameters, grads: dict[Tensor, np.ndarray]) -> np.nd
         stop = start + tensor.size
         grad = grads.get(tensor)
         if grad is not None:
+            if not np.isfinite(grad).all():
+                raise NumericsError(f"non-finite gradient for parameter {name!r}")
             if grad.shape != tensor.shape:
-                _check_finite(params, flat[:start])
-                if not np.isfinite(grad).all():
-                    raise NumericsError(f"non-finite gradient for parameter {name!r}")
                 raise ValidationError(
                     f"gradient shape {grad.shape} does not match {name!r} {tensor.shape}")
             flat[start:stop] = grad.reshape(-1)
         start = stop
-    _check_finite(params, flat)
     return flat
 
 

@@ -9,7 +9,7 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
-                       _coins_and_picks, expand_subgraph, holdout_edges, load_kg,
+                       expand_subgraph, holdout_edges, load_kg,
                        negative_indices, sample_negatives, split_triplet_list)
 
 from helpers import reference_expand_edges, reference_sample_negatives, write_kg_tsv
@@ -287,26 +287,6 @@ class TestSampleNegatives:
             positives = [kg.triplets[(7 * i) % len(kg.triplets)] for i in range(176)]
             assert (_as_triplets(kg, positives, 128, 23)
                     == reference_sample_negatives(kg, positives, 128, seed=23))
-
-    @pytest.mark.parametrize("n_e", [1, 2, 3, 50, 200, 3 * 2 ** 30, 2 ** 32 - 1,
-                                     2 ** 32, 2 ** 33])
-    def test_coins_and_picks_equal_numpy_draws(self, n_e):
-        # 3 * 2**30 rejects a quarter of all words, so most blocks redraw.
-        for seed in range(60):
-            rows, m = 1 + seed % 7, 1 + seed * 5 % 41
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            if seed % 3 == 0:
-                # Enter holding a buffered 32-bit half.
-                ours.integers(0, 2), theirs.integers(0, 2)
-            coin, pick = _coins_and_picks(ours, rows, m, n_e)
-            want = theirs.integers(0, [2, n_e], size=(rows, m, 2))
-            assert coin.dtype == pick.dtype == np.int64
-            np.testing.assert_array_equal(coin, want[..., 0])
-            np.testing.assert_array_equal(pick, want[..., 1])
-            # Both generators go on with the same stream, a lone half included.
-            assert ours.integers(0, 2) == theirs.integers(0, 2)
-            np.testing.assert_array_equal(ours.integers(0, 2 ** 40, size=3),
-                                          theirs.integers(0, 2 ** 40, size=3))
 
     def test_n_equals_one(self):
         kg = toy_corpus_kg()
