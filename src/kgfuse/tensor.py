@@ -14,6 +14,8 @@ throughout the test suite.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -25,6 +27,9 @@ Array = np.ndarray
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# Creation order of every tensor: a node is always made after its inputs.
+_next_seq = itertools.count().__next__
 
 
 def _check_finite_leaf(data: Array) -> None:
@@ -42,15 +47,15 @@ class Tensor:
     after the previous graph has been consumed.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "op", "_seq", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.array(values, dtype=np.float64)
         _check_finite_leaf(data)
         self.data = data
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
         self.op = "leaf"
+        self._seq = _next_seq()
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[Array], tuple] | None = None
 
@@ -64,8 +69,8 @@ class Tensor:
             raise NumericsError(f"non-finite values produced by primitive '{op}'")
         out = cls.__new__(cls)
         out.data = data
-        out.grad = None
         out.op = op
+        out._seq = _next_seq()
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -528,54 +533,47 @@ def l2_normalize_rows(x, eps: float = 1e-12) -> Tensor:
 # ---- backward pass -----------------------------------------------------------
 
 
+def _consumed(g):
+    raise ValidationError("backward reached a node whose graph an earlier backward consumed")
+
+
 def backward(loss: Tensor) -> dict[Tensor, Array]:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a mapping from each ``requires_grad`` leaf tensor to its
-    gradient array (same shape as the leaf) and also stores it on
-    ``leaf.grad``.  Every graph node is visited exactly once, in reverse
-    topological order; fan-out contributions accumulate by summation.
+    Returns a mapping from each ``requires_grad`` leaf tensor reached from
+    ``loss`` to its gradient array (same shape as the leaf).  Nodes are
+    visited in descending creation order, which runs a node's VJP only after
+    every node that consumes it; fan-out contributions accumulate by
+    summation in that order.  The sweep consumes the graph: once a node's VJP
+    has run, the node drops its inputs and VJP, so each activation is freed
+    as soon as nothing upstream needs it, and a later sweep that reaches a
+    consumed node raises :class:`ValidationError`.
     """
     if not isinstance(loss, Tensor):
         raise ValidationError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise ValidationError(f"backward expects a scalar loss, got shape {loss.shape}")
 
-    # Iterative post-order topological sort (graphs can exceed the Python
-    # recursion limit at training scale).
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
+    # A max-heap on creation order.  ``grads`` is the only visited set; as
+    # each VJP runs its node's entry is dropped, so only leaves' remain.
+    grads = {loss: np.ones_like(loss.data)} if loss.requires_grad else {}
+    heap = [(-loss._seq, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        if node._vjp is None:
             continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    leaf_grads: dict[Tensor, Array] = {}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is not None:
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        elif node.requires_grad:
-            node.grad = g
-            leaf_grads[node] = g
-    return leaf_grads
+        parent_grads = node._vjp(grads.pop(node))
+        for parent, pg in zip(node._parents, parent_grads):
+            if not parent.requires_grad:
+                continue
+            acc = grads.get(parent)
+            if acc is None:
+                grads[parent] = pg
+                heapq.heappush(heap, (-parent._seq, parent))
+            else:
+                grads[parent] = acc + pg
+        node._parents, node._vjp = (), _consumed
+    return grads
 
 
 # ---- parameter collections ----------------------------------------------------

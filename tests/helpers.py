@@ -11,7 +11,8 @@ DistMult score composed from them too; ``reference_retrieve_from_scores``
 selects each patch's entities by a stable sort; ``reference_log_sigmoid``
 and ``reference_optimizer_step`` are the masked log-sigmoid and the
 per-tensor AdamW loop that the branch-free and flat forms replaced, and
-must match bit for bit.  ``write_kg_tsv`` writes
+must match bit for bit; ``reference_backward`` is the depth-first sweep that
+the creation-ordered one replaced.  ``write_kg_tsv`` writes
 graph fixtures in the TSV format that ``kgfuse.kg.load_kg`` reads.
 """
 
@@ -497,8 +498,48 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
                       (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
 
 
+def reference_backward(loss) -> dict:
+    """The reverse-mode sweep as a depth-first topological sort and a reverse
+    sweep over it, keyed by ``id()``; it leaves the graph as it found it.
+
+    Returns the same leaf-to-gradient mapping as ``tensor.backward``, whose
+    fan-in sums may differ from it in the last bits.  Like
+    :func:`graph_nodes`, it must run before ``backward`` consumes the graph.
+    """
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((parent, False) for parent in node._parents
+                     if id(parent) not in seen)
+    grads = {id(loss): np.ones_like(loss.data)}
+    leaf_grads = {}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is not None:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if parent.requires_grad:
+                    acc = grads.get(id(parent))
+                    grads[id(parent)] = pg if acc is None else acc + pg
+        elif node.requires_grad:
+            leaf_grads[node] = g
+    return leaf_grads
+
+
 def graph_nodes(loss) -> list:
-    """Every tensor reachable from ``loss`` through its parents."""
+    """Every tensor reachable from ``loss`` through its parents.
+
+    ``tensor.backward`` consumes the graph it sweeps, so this must run
+    before it: afterwards the walk stops at ``loss``.
+    """
     seen, stack, nodes = set(), [loss], []
     while stack:
         node = stack.pop()
@@ -510,7 +551,8 @@ def graph_nodes(loss) -> list:
 
 
 def count_vjp_nodes(loss) -> int:
-    """Autodiff nodes reachable from ``loss`` that carry a VJP."""
+    """Autodiff nodes reachable from ``loss`` that carry a VJP; like
+    :func:`graph_nodes`, it must run before ``backward``."""
     return sum(node._vjp is not None for node in graph_nodes(loss))
 
 

@@ -1,6 +1,7 @@
 """Harness: config round trip, synthetic corpus, AdamW, checkpoints, training."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           format_metrics, parse_metrics, pretrain,
                           random_baseline_mrr, train_kg_embeddings)
 
-from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes,
+from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes, reference_backward,
                      reference_compute_step, reference_filtered_ranks,
                      reference_optimizer_step)
 
@@ -652,3 +653,43 @@ class TestStepStructure:
         gathered = (1 + config.n_negatives, config.d)
         assert not any(node.shape[-2:] == gathered
                        for node in graph_nodes(out.bundle.total))
+
+
+class TestBackwardSweep:
+    LOSSES = ("mlm", "mvm", "linkpred", "itc", "total")
+
+    @staticmethod
+    def _default_step():
+        config = Config(seed=17, lr=2e-3)
+        corpus = generate_corpus(config)
+        params = build_model(config, corpus.kg)
+        memory = corpus_memory(corpus)
+        plan = make_batch_plan(config, len(corpus), step=1)
+        return params, lambda: compute_step(params, corpus, memory, plan).bundle
+
+    @pytest.mark.parametrize("name", LOSSES)
+    def test_matches_depth_first_oracle(self, name):
+        # Backward consumes the graph, so each loss gets a fresh one; the
+        # oracle leaves it intact for the sweep under test.
+        params, step = self._default_step()
+        loss = getattr(step(), name)
+        want = reference_backward(loss)
+        got = T.backward(loss)
+        assert set(got) == set(want) and want
+        for pname, tensor in params.store.items():
+            if tensor in want:
+                g, w = got[tensor], want[tensor]
+                assert g.shape == w.shape, pname
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)) + 1e-18, pname
+
+    def test_backward_releases_the_graph(self):
+        # Tensor has no weakref slot, so the test watches every intermediate
+        # node's activation array instead; the node holds it while alive.
+        _, step = self._default_step()
+        bundle = step()
+        kept = {id(getattr(bundle, name)) for name in self.LOSSES}
+        activations = [weakref.ref(node.data) for node in graph_nodes(bundle.total)
+                       if node._vjp is not None and id(node) not in kept]
+        assert len(activations) > 200
+        T.backward(bundle.total)
+        assert sum(ref() is not None for ref in activations) == 0

@@ -308,6 +308,31 @@ class TestBackwardSemantics:
         with pytest.raises(ValidationError):
             T.backward(T.mul(x, 2.0))
 
+    def test_second_backward_of_a_loss_raises(self):
+        x = T.Tensor(np.arange(3.0), requires_grad=True)
+        loss = T.dot(x, x)
+        np.testing.assert_array_equal(T.backward(loss)[x], [0.0, 2.0, 4.0])
+        with pytest.raises(ValidationError, match="consumed"):
+            T.backward(loss)
+
+    def test_loss_sharing_a_consumed_subgraph_raises(self):
+        x = T.Tensor(np.arange(3.0), requires_grad=True)
+        shared = T.mul(x, x)
+        T.backward(T.tensor_sum(shared))
+        with pytest.raises(ValidationError, match="consumed"):
+            T.backward(T.tensor_sum(T.add(shared, x)))
+        # Leaves are never consumed: a new graph over them still works.
+        np.testing.assert_array_equal(T.backward(T.tensor_sum(x))[x], np.ones(3))
+
+    def test_long_add_chain_is_exact(self):
+        # 20,000 nodes deep: a recursive sweep would pass Python's recursion
+        # limit.  Every step adds ``x`` once more, so the gradient is 20,001.
+        x = T.Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        y = x
+        for _ in range(20_000):
+            y = T.add(y, x)
+        np.testing.assert_array_equal(T.backward(T.tensor_sum(y))[x], np.full(3, 20_001.0))
+
     def test_forward_determinism(self):
         def run():
             rng = np.random.default_rng(33)
