@@ -34,9 +34,6 @@ class Checkpoint:
     step: int
     tensors: dict[str, np.ndarray]
 
-    def parameter_names(self) -> list[str]:
-        return [n for n in self.tensors if not n.startswith("opt_")]
-
     def load_into(self, params: Parameters, state: AdamState | None = None) -> None:
         """Copy the parameters, and with ``state`` the moments and step, in
         place.  Everything is checked before anything is written, so a
@@ -50,7 +47,7 @@ class Checkpoint:
                         raise ValidationError(f"checkpoint optimizer moment {kind}.{name} "
                                               f"is missing or not of shape {tensor.shape}")
                     moments.append((dest[name], moment))
-        params.load_data({n: self.tensors[n] for n in self.parameter_names()})
+        params.load_data({n: t for n, t in self.tensors.items() if not n.startswith("opt_")})
         for dest, moment in moments:
             dest[...] = moment
         if state is not None:
@@ -59,24 +56,19 @@ class Checkpoint:
 
 def _write_tensor(fh, name: str, data: np.ndarray) -> None:
     encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<I", data.ndim))
-    for dim in data.shape:
-        fh.write(struct.pack("<Q", dim))
+    fh.write(struct.pack(f"<I{len(encoded)}sI{data.ndim}Q", len(encoded), encoded,
+                         data.ndim, *data.shape))
     fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
 def save_checkpoint(path, config: Config, step: int, params: Parameters,
                     state: AdamState) -> None:
-    """Write ``<path>.tmp``, sync it and rename it over ``path``, so that a
-    save cut off part-way leaves the previous checkpoint whole."""
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name, tensor in params.items():
-        tensors.append((name, tensor.data))
-    for name in params.names():
-        tensors.append((f"opt_m.{name}", state.m[name]))
-        tensors.append((f"opt_v.{name}", state.v[name]))
+    """Write ``<path>.tmp``, sync it, rename it over ``path`` and sync the
+    directory, so that a save cut off part-way leaves the previous
+    checkpoint whole and a finished one survives a power cut."""
+    tensors = [(name, tensor.data) for name, tensor in params.items()]
+    tensors += [(f"{kind}.{name}", moments[name]) for name in params.names()
+                for kind, moments in (("opt_m", state.m), ("opt_v", state.v))]
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -91,6 +83,11 @@ def save_checkpoint(path, config: Config, step: int, params: Parameters,
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        directory = os.open(Path(path).parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -139,8 +136,11 @@ def load_checkpoint(path) -> Checkpoint:
     count = reader.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len = reader.u32()
-        name = reader.text(name_len, "tensor name")
+        start = reader.offset
+        name = reader.text(reader.u32(), "tensor name")
+        if name in tensors:
+            raise ValidationError(f"checkpoint names tensor {name!r} twice, again at "
+                                  f"byte offset {start}")
         ndim = reader.u32()
         shape = tuple(reader.u64() for _ in range(ndim))
         # math.prod of Python ints cannot wrap, so a huge shape fails take().

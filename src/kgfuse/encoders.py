@@ -3,10 +3,10 @@
 The attention block computes, per head m, logits (Q_m x_i)^T (K_m x_j)
 scaled by 1/sqrt(d/M), normalizes each query row by softmax, mixes values
 V_m x_j, and maps back through W_m.  The M heads are stacked on a leading
-axis of each of Q, K, V and W, so every head runs in the same chain of
-batched matmuls.  Residual + LayerNorm wrap both the attention sum and the
-GELU feed-forward, so one implementation serves the unimodal encoders and
-the fusion stack alike.
+axis of each of Q, K, V and W, and all of it, summed over heads, is one
+autodiff node, :func:`tensor.attention`.  Residual + LayerNorm wrap both
+the attention sum and the GELU feed-forward, so one implementation serves
+the unimodal encoders and the fusion stack alike.
 """
 
 from __future__ import annotations
@@ -82,33 +82,14 @@ def transformer_layer(x: Tensor, layer: TransformerLayerParams,
                       valid_mask: np.ndarray | None = None) -> Tensor:
     """Apply one layer to a (..., L, d) batch of sequences.
 
-    ``valid_mask`` ((..., L), boolean) removes padding positions from every
-    softmax via a large negative additive logit; rows at padded positions
-    are then meaningless and must be ignored by the caller.
+    Attention is one :func:`tensor.attention` node.  ``valid_mask`` ((..., L),
+    boolean) takes padding positions out of every softmax through a large
+    negative additive logit; rows at padded positions are then meaningless
+    and must be ignored by the caller.
     """
-    if x.ndim < 2 or x.shape[-1] != layer.width:
-        raise ValidationError(
-            f"sequence shape {x.shape} does not match layer width {layer.width}")
-    scale = 1.0 / np.sqrt(layer.width / layer.heads)
-    additive = None
-    if valid_mask is not None:
-        valid_mask = np.asarray(valid_mask, dtype=bool)
-        if valid_mask.shape != x.shape[:-1]:
-            raise ValidationError(
-                f"valid_mask shape {valid_mask.shape} does not match sequence {x.shape[:-1]}")
-        additive = np.where(valid_mask, 0.0, NEG_ATTENTION)[..., None, None, :]
-
-    # A head axis goes before L: q, k, v are (..., M, L, d/M), logits (..., M, L, L).
-    xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-    q = T.matmul(xh, layer.wq)
-    k = T.matmul(xh, layer.wk)
-    v = T.matmul(xh, layer.wv)
-    logits = T.mul(T.matmul(q, T.transpose(k)), scale)
-    if additive is not None:
-        logits = T.add(logits, T.constant(additive))
-    attn = T.softmax(logits, axis=-1)
-    mixed = T.tensor_sum(T.matmul(T.matmul(attn, v), layer.wo), axis=-3)
-
+    additive = None if valid_mask is None else np.where(valid_mask, 0.0, NEG_ATTENTION)
+    mixed = T.attention(x, layer.wq, layer.wk, layer.wv, layer.wo, additive,
+                        1.0 / np.sqrt(layer.width / layer.heads))
     h = T.layer_norm(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
     ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, layer.ff_w1), layer.ff_b1)),
                         layer.ff_w2), layer.ff_b2)

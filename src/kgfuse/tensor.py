@@ -32,11 +32,6 @@ _GELU_A = 0.044715
 _next_seq = itertools.count().__next__
 
 
-def _check_finite_leaf(data: Array) -> None:
-    if not np.isfinite(data).all():
-        raise ValidationError("leaf tensor rejected: contains NaN or Inf")
-
-
 class Tensor:
     """A dense float64 array plus the bookkeeping needed for backprop.
 
@@ -51,7 +46,8 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.array(values, dtype=np.float64)
-        _check_finite_leaf(data)
+        if not np.isfinite(data).all():
+            raise ValidationError("leaf tensor rejected: contains NaN or Inf")
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
@@ -117,9 +113,7 @@ def as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
-def constant(value) -> Tensor:
-    """A non-trainable tensor (alias of ``as_tensor`` for readability)."""
-    return as_tensor(value)
+constant = as_tensor  # a non-trainable tensor, named for readability
 
 
 # ---- broadcasting helper -------------------------------------------------
@@ -203,6 +197,11 @@ def power(a, exponent: float) -> Tensor:
 # ---- linear algebra --------------------------------------------------------
 
 
+def _mT(a: Array) -> Array:
+    """The last two axes of ``a`` swapped, as a view."""
+    return np.swapaxes(a, -1, -2)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
@@ -218,8 +217,7 @@ def matmul(a, b) -> Tensor:
             f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}") from None
 
     def vjp(g):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        return _unbroadcast(g @ _mT(b.data), a.shape), _unbroadcast(_mT(a.data) @ g, b.shape)
 
     return Tensor._result(data, (a, b), vjp, "matmul")
 
@@ -229,19 +227,13 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim < 2:
         raise ValidationError(f"transpose expects 2 or more axes, got shape {a.shape}")
-    return Tensor._result(np.swapaxes(a.data, -1, -2).copy(), (a,),
-                          lambda g: (np.swapaxes(g, -1, -2),), "transpose")
+    return Tensor._result(_mT(a.data).copy(), (a,), lambda g: (_mT(g),), "transpose")
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    data = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.shape),)
-
-    return Tensor._result(data.copy(), (a,), vjp, "reshape")
+    data = a.data.reshape(tuple(int(s) for s in shape)).copy()
+    return Tensor._result(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
 
 
 # ---- reductions ------------------------------------------------------------
@@ -253,27 +245,18 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
     def vjp(g):
         g = np.asarray(g)
-        if axis is None:
-            gg = g.reshape((1,) * a.ndim)
-        elif keepdims:
-            gg = g
-        else:
-            gg = np.expand_dims(g, axis)
+        if not keepdims:
+            g = np.expand_dims(g, tuple(range(a.ndim)) if axis is None else axis)
         # A read-only view: VJPs only read the gradient they are given.
-        return (np.broadcast_to(gg, a.shape),)
+        return (np.broadcast_to(g, a.shape),)
 
     return Tensor._result(data, (a,), vjp, "sum")
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
+    axes = range(a.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
+    count = math.prod(a.shape[ax] for ax in axes)
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -326,21 +309,6 @@ def gelu(a) -> Tensor:
 
 
 # ---- softmax family ---------------------------------------------------------
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis`` (row max subtracted before exponentials)."""
-    a = as_tensor(a)
-    if not (-a.ndim <= axis < a.ndim):
-        raise ValidationError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (data * (g - (g * data).sum(axis=axis, keepdims=True)),)
-
-    return Tensor._result(data, (a,), vjp, "softmax")
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -496,6 +464,54 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return gx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape)
 
     return Tensor._result(data, (x, gain, bias), vjp, "layer_norm")
+
+
+def attention(x, wq, wk, wv, wo, additive, scale: float) -> Tensor:
+    """Multi-head attention over a (..., L, d) batch, summed over the M heads.
+
+    ``wq``, ``wk``, ``wv`` are (M, d, d/M) and ``wo`` (M, d/M, d): head m
+    reads slice m of each.  ``additive`` ((..., L) or None) is added to each
+    key's logit, so a large negative entry takes a padded key out of every
+    softmax.  One node: the forward takes the float steps of the matmul /
+    softmax chain in its order and keeps the weights P; the VJP's softmax
+    step is the closed form dS = P * (dP - rowsum(dP * P)).
+    """
+    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
+    m, d, dh = wq.shape if wq.ndim == 3 else (-1, -1, -1)
+    mask = None if additive is None else np.shape(additive)
+    if x.ndim < 2 or x.shape[-1] != d or {wk.shape, wv.shape} != {wq.shape} \
+            or wo.shape != (m, dh, d) or mask not in (None, x.shape[:-1]):
+        raise ValidationError(f"attention shapes do not conform: x {x.shape}, wq {wq.shape}, "
+                              f"wk {wk.shape}, wv {wv.shape}, wo {wo.shape}, "
+                              f"additive mask (a layer's valid_mask) {mask}")
+    xh = x.data.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
+    q, v = xh @ wq.data, xh @ wv.data
+    kt = _mT(xh @ wk.data).copy()
+    p = q @ kt
+    p *= scale
+    if additive is not None:
+        p += additive[..., None, None, :]
+    if not np.isfinite(p).all():
+        raise NumericsError("non-finite values produced by primitive 'attention'")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    mixed = p @ v
+
+    def vjp(g):
+        g = g[..., None, :, :]
+        gmixed = g @ _mT(wo.data)
+        gs = gmixed @ _mT(v)
+        gs -= (gmixed * mixed).sum(axis=-1, keepdims=True)   # rowsum(dP * P)
+        gs *= p
+        gs *= scale
+        gq, gk, gv = gs @ _mT(kt), _mT(gs) @ q, _mT(p) @ gmixed
+        gx = (gq @ _mT(wq.data) + gk @ _mT(wk.data) + gv @ _mT(wv.data)).sum(axis=-3)
+        return (gx, *(_unbroadcast(_mT(xh) @ gw, wq.shape) for gw in (gq, gk, gv)),
+                _unbroadcast(_mT(mixed) @ g, wo.shape))
+
+    return Tensor._result((mixed @ wo.data).sum(axis=-3), (x, wq, wk, wv, wo), vjp,
+                          "attention")
 
 
 def mse(pred, target) -> Tensor:

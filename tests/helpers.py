@@ -5,15 +5,17 @@ arrays, deliberately avoiding the library's own vectorized paths, so a test
 comparing the two is a genuine dual-route check.  The exceptions are
 references kept from an earlier form of a library path:
 ``reference_compute_step`` runs the library's stages one example at a time,
-the reference for the batched training step; ``reference_layer_norm`` is
-LayerNorm composed from autodiff primitives; ``distmult`` is the per-triplet
-DistMult score composed from them too; ``reference_retrieve_from_scores``
-selects each patch's entities by a stable sort; ``reference_log_sigmoid``
-and ``reference_optimizer_step`` are the masked log-sigmoid and the
-per-tensor AdamW loop that the branch-free and flat forms replaced, and
-must match bit for bit; ``reference_backward`` is the depth-first sweep that
-the creation-ordered one replaced.  ``write_kg_tsv`` writes
-graph fixtures in the TSV format that ``kgfuse.kg.load_kg`` reads.
+the reference for the batched training step; ``reference_layer_norm`` and
+``reference_attention`` are LayerNorm and multi-head attention composed
+from autodiff primitives, the latter on ``softmax``, the softmax node that
+left the library with it; ``distmult`` is the per-triplet DistMult score
+composed from them too; ``reference_retrieve_from_scores`` selects each
+patch's entities by a stable sort; ``reference_log_sigmoid`` and
+``reference_optimizer_step`` are the masked log-sigmoid and the per-tensor
+AdamW loop that the branch-free and flat forms replaced, and must match bit
+for bit; ``reference_backward`` is the depth-first sweep that the
+creation-ordered one replaced.  ``write_kg_tsv`` writes graph fixtures in
+the TSV format that ``kgfuse.kg.load_kg`` reads.
 """
 
 from __future__ import annotations
@@ -104,6 +106,36 @@ def reference_layer_norm(x, gain, bias, eps=1e-5):
     var = T.tensor_mean(T.mul(centered, centered), axis=-1, keepdims=True)
     inv = T.power(T.add(var, eps), -0.5)
     return T.add(T.mul(T.mul(centered, inv), gain), bias)
+
+
+def softmax(a, axis: int = -1):
+    """Stable softmax along ``axis`` as an autodiff node (row max subtracted
+    before exponentials); ``reference_attention`` and tests use it."""
+    a = T.as_tensor(a)
+    if not (-a.ndim <= axis < a.ndim):
+        raise ValidationError(f"softmax axis {axis} invalid for shape {a.shape}")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return (data * (g - (g * data).sum(axis=axis, keepdims=True)),)
+
+    return T.Tensor._result(data, (a,), vjp, "softmax")
+
+
+def reference_attention(x, wq, wk, wv, wo, additive, scale):
+    """Multi-head attention as a chain of autodiff primitives: the head-axis
+    reshape, three projections, transpose, scores, scale, mask, softmax, mix,
+    output projection and head sum, each its own node."""
+    x = T.as_tensor(x)
+    xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+    q, k, v = T.matmul(xh, wq), T.matmul(xh, wk), T.matmul(xh, wv)
+    logits = T.mul(T.matmul(q, T.transpose(k)), scale)
+    if additive is not None:
+        logits = T.add(logits, T.constant(np.asarray(additive)[..., None, None, :]))
+    attn = softmax(logits, axis=-1)
+    return T.tensor_sum(T.matmul(T.matmul(attn, v), wo), axis=-3)
 
 
 def scalar_gelu(v: float) -> float:
@@ -431,8 +463,8 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
                                                config.k_final, with_sources=True)
         retrieved = [e for e, _ in entries]
         rows, cols = zip(*sources)
-        weights = T.softmax(T.mul(T.take_pairs(scores, rows, cols),
-                                  1.0 / config.relevance_temperature), axis=0)
+        weights = softmax(T.mul(T.take_pairs(scores, rows, cols),
+                                1.0 / config.relevance_temperature), axis=0)
         subgraph = expand_subgraph(kg, retrieved, config.per_node_cap, ex.subgraph_seed)
         visible, held_out = split_triplet_list(subgraph.triplets_local,
                                                config.edge_drop, ex.holdout_seed)

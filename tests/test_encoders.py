@@ -12,7 +12,7 @@ from kgfuse.errors import ValidationError
 from kgfuse.retriever import EntityMemory
 from kgfuse.tensor import Parameters, Tensor
 
-from helpers import attention_rows, reassemble, scalar_transformer_layer
+from helpers import attention_rows, reassemble, scalar_transformer_layer, softmax
 
 
 def make_layer(seed=0, d=4, heads=2, d_ff=8):
@@ -297,7 +297,7 @@ class TestEntityEncode:
         raw = params.add("raw_scores", Tensor(np.array([0.3, -0.2, 0.9])))
 
         def objective():
-            weights = T.softmax(raw, axis=0)
+            weights = softmax(raw, axis=0)
             emb = entity_encode([10, 12, 14], memory, weights, ep)
             return T.tensor_sum(T.power(emb, 2.0))
 

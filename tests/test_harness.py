@@ -1,6 +1,8 @@
 """Harness: config round trip, synthetic corpus, AdamW, checkpoints, training."""
 
 import math
+import os
+import stat
 import weakref
 
 import numpy as np
@@ -324,6 +326,42 @@ class TestCheckpoint:
             path.write_bytes(checkpoint_bytes(text, tensors))
             with pytest.raises(ValidationError, match=message):
                 load_checkpoint(path)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        # Read in order, the second 'w' would replace the first: {'w': [1, 1, 1]}.
+        config_text = Config(**TINY).to_text().encode("utf-8")
+        path = tmp_path / "dup.ckpt"
+        path.write_bytes(checkpoint_bytes(config_text, [
+            (b"w", (2,), np.ones(2).tobytes()), (b"w", (3,), np.ones(3).tobytes())]))
+        # magic, config length and text, step, count; then the first record:
+        # name length, name, ndim, one dim and two float64s.
+        second = 8 + 4 + len(config_text) + 8 + 4 + (4 + 1 + 4 + 8 + 16)
+        with pytest.raises(ValidationError, match=f"'w' twice, again at byte offset {second}$"):
+            load_checkpoint(path)
+
+    def test_save_syncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        params = Parameters()
+        params.add("w", Tensor(np.ones((2, 3))))
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(src), os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(tmp_path / "m.ckpt", Config(**TINY), 1, params, AdamState.init(params))
+        assert [e[:2] for e in events] == [("fsync", False), ("replace", "m.ckpt.tmp"),
+                                           ("fsync", True)]
+        assert events[1][2] == "m.ckpt"
+        assert events[2][2] == os.stat(tmp_path).st_ino
+        assert load_checkpoint(tmp_path / "m.ckpt").tensors["w"].shape == (2, 3)
 
     def test_missing_optimizer_moments(self, tmp_path):
         config = Config(**TINY)
@@ -681,6 +719,14 @@ class TestBackwardSweep:
                 g, w = got[tensor], want[tensor]
                 assert g.shape == w.shape, pname
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)) + 1e-18, pname
+
+    def test_default_step_node_count_is_pinned(self):
+        # 210 nodes carry a VJP, six of them one attention node per
+        # transformer layer; attention as a chain of primitives made it 274.
+        _, step = self._default_step()
+        nodes = [node for node in graph_nodes(step().total) if node._vjp is not None]
+        assert len(nodes) <= 210
+        assert sum(node.op == "attention" for node in nodes) == 6
 
     def test_backward_releases_the_graph(self):
         # Tensor has no weakref slot, so the test watches every intermediate

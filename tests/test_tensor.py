@@ -8,7 +8,8 @@ import pytest
 from kgfuse import tensor as T
 from kgfuse.errors import NumericsError, ValidationError
 
-from helpers import fd_input_grad, reference_layer_norm, reference_log_sigmoid, scalar_gelu
+from helpers import (fd_input_grad, reference_attention, reference_layer_norm,
+                     reference_log_sigmoid, scalar_gelu, softmax)
 
 
 def _check_op_gradient(build, x_shape, seed, rtol=1e-6, positive=False):
@@ -89,7 +90,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(15)
         probe = rng.standard_normal((3, 5))
         _check_op_gradient(
-            lambda t: T.tensor_sum(T.mul(T.softmax(t, axis=1), T.constant(probe))),
+            lambda t: T.tensor_sum(T.mul(softmax(t, axis=1), T.constant(probe))),
             (3, 5), 16)
         _check_op_gradient(
             lambda t: T.tensor_sum(T.mul(T.log_softmax(t, axis=1), T.constant(probe))),
@@ -144,9 +145,81 @@ class TestPrimitiveGradients:
             lambda t: T.tensor_sum(T.power(T.l2_normalize_rows(t), 3.0)), (3, 4), 28)
 
 
+def _attention_inputs(shape, heads, masked, seed):
+    """x, wq, wk, wv, wo (all trainable leaves) and the additive key mask of a
+    random attention problem; a masked one pads each sequence differently."""
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+    dh = d // heads
+    leaves = [T.Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in (shape, (heads, d, dh), (heads, d, dh), (heads, d, dh), (heads, dh, d))]
+    additive = None
+    if masked:
+        lengths = rng.integers(1, shape[-2] + 1, size=shape[:-2])
+        additive = np.where(np.arange(shape[-2]) < lengths[..., None], 0.0, -1e30)
+    return leaves, additive, 1.0 / math.sqrt(dh)
+
+
 class TestTransformerKernels:
-    """LayerNorm is one node that takes the composed chain's float steps in its
-    order; GELU's cubic in Horner form agrees with the scalar formula."""
+    """LayerNorm and attention are each one node that takes the composed
+    chain's float steps in its order; GELU's cubic in Horner form agrees with
+    the scalar formula."""
+
+    @pytest.mark.parametrize("shape,heads,masked", [
+        ((5, 8), 2, False),          # one sequence
+        ((3, 6, 8), 4, False),       # a batch
+        ((3, 6, 8), 2, True),        # a padded batch
+        ((2, 3, 5, 4), 1, True),     # two batch axes, one head
+    ])
+    def test_attention_equals_composed_chain(self, shape, heads, masked):
+        leaves, additive, scale = _attention_inputs(shape, heads, masked, len(shape) + heads)
+        probe = T.constant(np.random.default_rng(heads).standard_normal(shape))
+        out = T.attention(*leaves, additive, scale)
+        ref = reference_attention(*leaves, additive, scale)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert out.op == "attention"
+        assert [id(p) for p in out._parents] == [id(leaf) for leaf in leaves]
+        got = T.backward(T.tensor_sum(T.mul(out, probe)))
+        want = T.backward(T.tensor_sum(T.mul(ref, probe)))
+        for leaf in leaves:   # relative to the largest entry of each gradient
+            assert np.max(np.abs(got[leaf] - want[leaf])) <= 1e-12 * np.max(np.abs(want[leaf]))
+
+    def test_attention_passes_finite_differences(self):
+        (x, *weights), additive, scale = _attention_inputs((2, 4, 6), 3, True, 40)
+        params = T.Parameters()
+        for name, leaf in zip(("x", "wq", "wk", "wv", "wo"), (x, *weights)):
+            params.add(name, leaf)
+        probe = T.constant(np.random.default_rng(41).standard_normal((2, 4, 6)))
+        err = T.finite_difference_check(
+            lambda: T.tensor_sum(T.mul(T.attention(x, *weights, additive, scale), probe)),
+            params, eps=1e-5, sample_count=params.flat_size(), seed=0)
+        assert err < 1e-6
+
+    def test_attention_overflow_names_the_node(self):
+        (x, *weights), _, scale = _attention_inputs((4, 6), 2, False, 42)
+        x.data[0] = 1e160   # finite projections, logits beyond float64
+        with pytest.raises(NumericsError, match="attention"), np.errstate(over="ignore"):
+            T.attention(x, *weights, None, scale)
+
+    @pytest.mark.parametrize("which,shape", [
+        (1, (2, 6, 4)),    # wq of the wrong width
+        (2, (2, 6, 2)),    # wk unlike wq
+        (3, (3, 6, 3)),    # wv with another head count
+        (4, (2, 6, 3)),    # wo not (M, d/M, d)
+        (1, (6, 3)),       # wq without a head axis
+        (0, (6,)),         # x without a sequence axis
+    ])
+    def test_attention_rejects_misshapen_inputs(self, which, shape):
+        inputs, _, scale = _attention_inputs((4, 6), 2, False, 43)
+        inputs[which] = T.Tensor(np.ones(shape))
+        with pytest.raises(ValidationError, match="attention shapes"):
+            T.attention(*inputs, None, scale)
+
+    def test_attention_rejects_a_wrong_shape_mask(self):
+        inputs, additive, scale = _attention_inputs((3, 4, 6), 2, True, 44)
+        for bad in (additive[0], additive[..., None], np.zeros((3, 5))):
+            with pytest.raises(ValidationError, match="attention shapes.*valid_mask"):
+                T.attention(*inputs, bad, scale)
 
     @pytest.mark.parametrize("shape", [(3, 7), (2, 5, 8), (2, 3, 4, 6)])
     def test_layer_norm_equals_composed_chain(self, shape):
@@ -231,12 +304,12 @@ class TestScatterMatchesAddAt:
 
 class TestClosedForms:
     def test_softmax_symmetry(self):
-        out = T.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=0).data
+        out = softmax(T.Tensor([0.0, 0.0, 0.0]), axis=0).data
         np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_softmax_rows_stochastic(self):
         rng = np.random.default_rng(29)
-        out = T.softmax(T.Tensor(rng.standard_normal((6, 9)) * 20), axis=1).data
+        out = softmax(T.Tensor(rng.standard_normal((6, 9)) * 20), axis=1).data
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out >= 0) and np.all(out <= 1)
 
