@@ -10,8 +10,12 @@ f_k and f_m read the concatenation of the node and relation vectors.  Edges
 are typed and directed: every relation owns separate forward and reverse
 embedding rows, and a dedicated row serves the self term.  One relation
 table is shared by all layers.  Every self and edge term is one row of a
-destination-sorted edge list, so the softmax and the sum over j are segment
-operations over that list's runs.
+destination-sorted edge list, built once per subgraph, so the softmax and
+the sum over j are reductions over that list's runs.  Each layer is one
+autodiff node, :func:`tensor.graph_attention`, with a closed-form VJP: it
+projects the nodes and the relation rows through the node and relation
+halves of f_k and f_m first, then gathers the node terms per edge and reads
+the relation terms through (node, relation row) tables.
 """
 
 from __future__ import annotations
@@ -126,19 +130,9 @@ def _edge_lists(sub: Subgraph, gp: GnnParams):
     return edges
 
 
-def _attention(k: int, edges, embeddings: Tensor, layer: GnnLayerParams,
-               gp: GnnParams) -> tuple[Tensor, Tensor]:
-    """Each term's softmax weight among its destination's self term and
-    incident edges, and the (node, relation) pair input of every term in
-    ``edges``, the :func:`_edge_lists` arrays."""
-    dst_idx, src_idx, rel_idx = edges
-    pair_input = T.concat([T.take_rows(embeddings, src_idx),
-                           T.take_rows(gp.relation_table, rel_idx)], axis=1)
-    queries = T.add(T.matmul(embeddings, layer.f_q_w), layer.f_q_b)
-    keys = T.matmul(pair_input, layer.f_k_w)
-    logits = T.mul(T.tensor_sum(T.mul(T.take_rows(queries, dst_idx), keys), axis=1),
-                   1.0 / np.sqrt(layer.attn_width))
-    return T.segment_softmax(logits, dst_idx, k), pair_input
+def _layer_inputs(embeddings: Tensor, layer: GnnLayerParams, gp: GnnParams) -> tuple:
+    return (embeddings, gp.relation_table, layer.f_q_w, layer.f_q_b, layer.f_k_w,
+            layer.f_m_w, layer.f_m_b, layer.f_n_w, layer.f_n_b)
 
 
 def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
@@ -148,11 +142,8 @@ def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
     if embeddings.shape != (k, gp.width):
         raise ValidationError(
             f"embeddings shape {embeddings.shape} does not match {k} nodes x {gp.width}")
-    alpha, pair_input = _attention(k, edges, embeddings, layer, gp)
-    messages = T.add(T.matmul(pair_input, layer.f_m_w), layer.f_m_b)
-    weighted = T.mul(messages, T.reshape(alpha, (-1, 1)))
-    aggregated = T.segment_sum(weighted, edges[0], k)
-    return T.add(T.add(T.matmul(aggregated, layer.f_n_w), layer.f_n_b), embeddings)
+    return T.graph_attention(*_layer_inputs(embeddings, layer, gp), edges,
+                             1.0 / np.sqrt(layer.attn_width))
 
 
 def gnn_layer(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
@@ -179,5 +170,6 @@ def attention_weights(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
                       gp: GnnParams) -> list[np.ndarray]:
     """Per-node softmax weights over self + incident edges (for invariants)."""
     edges = _edge_lists(sub, gp)
-    alpha, _ = _attention(sub.num_nodes, edges, embeddings, layer, gp)
-    return np.split(alpha.data, np.flatnonzero(np.diff(edges[0])) + 1)
+    starts, *_, alpha = T.graph_attention_terms(
+        _layer_inputs(embeddings, layer, gp), edges, 1.0 / np.sqrt(layer.attn_width))
+    return np.split(alpha, starts[1:])

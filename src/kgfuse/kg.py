@@ -195,22 +195,26 @@ def _parse_id(text: str, path: str, line_no: int) -> int:
     return value
 
 
-def _load_records(path: str | Path) -> dict[int, NamedRecord]:
-    records: dict[int, NamedRecord] = {}
-    path = Path(path)
+def _tsv_rows(path: str | Path):
+    """(line number, fields) of each non-empty line of a three-field TSV file."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected 3 tab-separated fields, got {len(parts)}")
-            rec_id = _parse_id(parts[0], str(path), line_no)
-            if rec_id in records:
-                raise ValidationError(f"{path}:{line_no}: duplicate id {rec_id}")
-            records[rec_id] = NamedRecord(parts[1], parts[2])
+            if line:
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ValidationError(
+                        f"{path}:{line_no}: expected 3 tab-separated fields, got {len(parts)}")
+                yield line_no, parts
+
+
+def _load_records(path: str | Path) -> dict[int, NamedRecord]:
+    records: dict[int, NamedRecord] = {}
+    for line_no, (text, name, description) in _tsv_rows(path):
+        rec_id = _parse_id(text, str(path), line_no)
+        if rec_id in records:
+            raise ValidationError(f"{path}:{line_no}: duplicate id {rec_id}")
+        records[rec_id] = NamedRecord(name, description)
     return records
 
 
@@ -218,33 +222,19 @@ def load_kg(entities_path, relations_path, triplets_path) -> KnowledgeGraph:
     """Load and fully index a knowledge graph from three TSV files."""
     entities = _load_records(entities_path)
     relations = _load_records(relations_path)
-
     triplets: list[Triplet] = []
     seen: set[Triplet] = set()
-    tpath = Path(triplets_path)
-    with open(tpath, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(
-                    f"{tpath}:{line_no}: expected 3 tab-separated fields, got {len(parts)}")
-            h = _parse_id(parts[0], str(tpath), line_no)
-            r = _parse_id(parts[1], str(tpath), line_no)
-            t = _parse_id(parts[2], str(tpath), line_no)
-            if h not in entities:
-                raise ValidationError(f"{tpath}:{line_no}: unknown head entity {h}")
-            if r not in relations:
-                raise ValidationError(f"{tpath}:{line_no}: unknown relation {r}")
-            if t not in entities:
-                raise ValidationError(f"{tpath}:{line_no}: unknown tail entity {t}")
-            trip = Triplet(h, r, t)
-            if trip in seen:
-                raise ValidationError(f"{tpath}:{line_no}: duplicate triplet {trip}")
-            seen.add(trip)
-            triplets.append(trip)
+    for line_no, parts in _tsv_rows(triplets_path):
+        trip = Triplet(*(_parse_id(part, str(triplets_path), line_no) for part in parts))
+        for value, known, what in ((trip.head, entities, "head entity"),
+                                   (trip.relation, relations, "relation"),
+                                   (trip.tail, entities, "tail entity")):
+            if value not in known:
+                raise ValidationError(f"{triplets_path}:{line_no}: unknown {what} {value}")
+        if trip in seen:
+            raise ValidationError(f"{triplets_path}:{line_no}: duplicate triplet {trip}")
+        seen.add(trip)
+        triplets.append(trip)
     return KnowledgeGraph(entities, relations, triplets)
 
 

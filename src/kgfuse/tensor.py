@@ -211,7 +211,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValidationError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
     try:
-        data = a.data @ b.data
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = a.data @ b.data
     except ValueError:
         raise ValidationError(
             f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}") from None
@@ -339,6 +340,12 @@ def _scatter_add(cells: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
     return np.bincount(cells, weights=values.reshape(-1), minlength=size).reshape(shape)
 
 
+def _scatter_rows(idx: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
+    """Sum row i of ``values`` into row ``idx[i]`` of a zero array of ``shape``."""
+    width = math.prod(shape[1:])
+    return _scatter_add((idx.reshape(-1, 1) * width + np.arange(width)).ravel(), values, shape)
+
+
 def take_rows(a, indices) -> Tensor:
     """Select rows (axis 0) by an integer index array of any shape.
 
@@ -352,12 +359,7 @@ def take_rows(a, indices) -> Tensor:
             f"take_rows index out of range for axis of length {a.shape[0]}")
     data = a.data[idx]
 
-    def vjp(g):
-        width = int(np.prod(a.shape[1:]))
-        cells = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-        return (_scatter_add(cells, g, a.shape),)
-
-    return Tensor._result(data, (a,), vjp, "take_rows")
+    return Tensor._result(data, (a,), lambda g: (_scatter_rows(idx, g, a.shape),), "take_rows")
 
 
 def take_pairs(a, rows, cols) -> Tensor:
@@ -401,15 +403,6 @@ def segment_softmax(values, segments, count: int) -> Tensor:
     data = e / np.add.reduceat(e, starts)[seg]
     return Tensor._result(data, (v,), lambda g: (
         data * (g - np.add.reduceat(g * data, starts)[seg]),), "segment_softmax")
-
-
-def segment_sum(values, segments, count: int) -> Tensor:
-    """Sum the rows of each segment into one of ``count`` rows; a run is summed
-    pairwise, so a sum can differ from ``np.add.at``'s in the last bits."""
-    v = as_tensor(values)
-    seg, starts = _segment_runs(segments, count, v)
-    data = np.add.reduceat(v.data, starts, axis=0)
-    return Tensor._result(data, (v,), lambda g: (g[seg],), "segment_sum")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -485,10 +478,11 @@ def attention(x, wq, wk, wv, wo, additive, scale: float) -> Tensor:
                               f"wk {wk.shape}, wv {wv.shape}, wo {wo.shape}, "
                               f"additive mask (a layer's valid_mask) {mask}")
     xh = x.data.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
-    q, v = xh @ wq.data, xh @ wv.data
-    kt = _mT(xh @ wk.data).copy()
-    p = q @ kt
-    p *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, v = xh @ wq.data, xh @ wv.data
+        kt = _mT(xh @ wk.data).copy()
+        p = q @ kt
+        p *= scale
     if additive is not None:
         p += additive[..., None, None, :]
     if not np.isfinite(p).all():
@@ -496,7 +490,9 @@ def attention(x, wq, wk, wv, wo, additive, scale: float) -> Tensor:
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    mixed = p @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = p @ v
+        data = (mixed @ wo.data).sum(axis=-3)
 
     def vjp(g):
         g = g[..., None, :, :]
@@ -510,8 +506,102 @@ def attention(x, wq, wk, wv, wo, additive, scale: float) -> Tensor:
         return (gx, *(_unbroadcast(_mT(xh) @ gw, wq.shape) for gw in (gq, gk, gv)),
                 _unbroadcast(_mT(mixed) @ g, wo.shape))
 
-    return Tensor._result((mixed @ wo.data).sum(axis=-3), (x, wq, wk, wv, wo), vjp,
-                          "attention")
+    return Tensor._result(data, (x, wq, wk, wv, wo), vjp, "attention")
+
+
+def graph_attention_terms(inputs: Sequence[Tensor], edges, scale: float):
+    """Check :func:`graph_attention`'s inputs and run its forward up to the
+    softmax.  Returns the row at which each destination's run starts; each
+    edge's flat (destination, relation row) index into a (nodes, relation
+    rows) table; the queries of the nodes and of the edges' destinations;
+    the keys of the edges' sources and of the relation rows; and alpha."""
+    x, table, wq, bq, wk, wm, bm, wn, bn = inputs
+    k, d = x.shape if x.ndim == 2 else (0, 0)
+    width = wq.shape[-1] if wq.ndim else 0
+    shapes = [t.shape for t in inputs]
+    if k == 0 or shapes[1:] != [table.shape[:1] + (d,), (d, width), (width,), (2 * d, width),
+                                (2 * d, d), (d,), (d, d), (d,)]:
+        raise ValidationError("graph_attention shapes do not conform: x, relation_table, "
+                              f"f_q_w, f_q_b, f_k_w, f_m_w, f_m_b, f_n_w, f_n_b are {shapes}")
+    dst, src, rel = (np.asarray(a, dtype=np.int64) for a in edges)
+    dst, starts = _segment_runs(dst, k, dst)
+    if {src.shape, rel.shape} != {dst.shape} or min(src.min(), rel.min()) < 0 \
+            or src.max() >= k or rel.max() >= len(table.data):
+        raise ValidationError("graph_attention edges: src must index rows of x and rel rows "
+                              "of relation_table, one of each per dst")
+    pair = dst * len(table.data) + rel
+    with np.errstate(over="ignore", invalid="ignore"):
+        # f_k reads [node | relation]: the nodes and the relation rows go
+        # through its two halves, and the few relation rows' logit terms
+        # are read from one (nodes, relation rows) product.
+        q = x.data @ wq.data + bq.data
+        queries = np.take(q, dst, axis=0)
+        node_keys = np.take(x.data @ wk.data[:d], src, axis=0)
+        rel_keys = table.data @ wk.data[d:]
+        logits = np.einsum("ij,ij->i", queries, node_keys)
+        logits += np.take(q @ rel_keys.T, pair)
+        logits *= scale
+    if not np.isfinite(logits).all():
+        raise NumericsError("non-finite values produced by primitive 'graph_attention'")
+    alpha = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
+    alpha /= np.add.reduceat(alpha, starts)[dst]
+    return starts, pair, q, queries, node_keys, rel_keys, alpha
+
+
+def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges, scale: float) -> Tensor:
+    """One graph-attention layer with its residual over ``edges``, (dst, src,
+    rel) index arrays sorted by dst in which every row of ``x`` has a run.
+    Edge e = (i, j, r) carries the pair p_e = [x_j | table_r], and
+
+        out_i = (sum_e alpha_e * (p_e @ wm + bm)) @ wn + bn + x_i,
+        alpha_e = softmax over i's run of scale * (x_i @ wq + bq) . (p_e @ wk).
+
+    One node.  The forward projects the nodes and the relation rows through
+    each half of ``wk`` and ``wm`` before it gathers node terms per edge, so
+    no (edges, 2d) pair is formed; relation-row terms go through (nodes,
+    relation rows) tables, as the relation rows are few.  The VJP sums each
+    edge's terms into its destination by runs, into its source by a
+    scatter-add and into its relation row through those tables, and forms
+    the weight gradients as small matmuls.
+    """
+    inputs = tuple(as_tensor(t) for t in (x, table, wq, bq, wk, wm, bm, wn, bn))
+    x, table, wq, bq, wk, wm, bm, wn, bn = inputs
+    dst, src, rel = edges = tuple(np.asarray(a, dtype=np.int64) for a in edges)
+    starts, pair, q, queries, node_keys, rel_keys, alpha = graph_attention_terms(
+        inputs, edges, scale)
+    (k, d), width, rows = x.shape, wq.shape[1], len(table.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        node_messages = np.take(x.data @ wm.data[:d], src, axis=0)
+        rel_messages = table.data @ wm.data[d:] + bm.data
+        # Each destination's total weight on each relation row.
+        rel_alpha = np.bincount(pair, weights=alpha, minlength=k * rows).reshape(k, rows)
+        aggregated = np.add.reduceat(node_messages * alpha[:, None], starts, axis=0)
+        aggregated += rel_alpha @ rel_messages
+        data = aggregated @ wn.data + bn.data + x.data
+
+    def vjp(g):
+        gagg = g @ wn.data.T
+        gagg_e = np.take(gagg, dst, axis=0)
+        gs = np.einsum("ij,ij->i", gagg_e, node_messages)           # d loss / d alpha
+        gs += np.take(gagg @ rel_messages.T, pair)
+        gs = (gs - np.add.reduceat(gs * alpha, starts)[dst]) * alpha * scale   # d / d (q . k)
+        rel_gs = np.bincount(pair, weights=gs, minlength=k * rows).reshape(k, rows)
+        gq = np.add.reduceat(node_keys * gs[:, None], starts, axis=0) + rel_gs @ rel_keys
+        # The node-half key and message gradients side by side, so that one
+        # scatter-add serves both.
+        gterms = np.empty((len(dst), width + d))
+        np.multiply(queries, gs[:, None], out=gterms[:, :width])
+        np.multiply(gagg_e, alpha[:, None], out=gterms[:, width:])
+        gnodes = _scatter_rows(src, gterms, (k, width + d))
+        grels = np.concatenate([rel_gs.T @ q, rel_alpha.T @ gagg], axis=1)
+        wkm = np.concatenate([wk.data, wm.data], axis=1)
+        gwkm = np.concatenate([x.data.T @ gnodes, table.data.T @ grels])
+        # bm joined each relation row's message, so its gradient sums theirs.
+        return (g + gq @ wq.data.T + gnodes @ wkm[:d].T, grels @ wkm[d:].T, x.data.T @ gq,
+                gq.sum(axis=0), gwkm[:, :width], gwkm[:, width:], grels[:, width:].sum(axis=0),
+                aggregated.T @ g, g.sum(axis=0))
+
+    return Tensor._result(data, inputs, vjp, "graph_attention")
 
 
 def mse(pred, target) -> Tensor:
@@ -718,19 +808,18 @@ def finite_difference_check(fn: Callable[[], Tensor], params: Parameters,
             try:
                 out = float(fn().data.reshape(()))
             except NumericsError as exc:
-                tensor.data.flat[offset] = original
                 raise NumericsError(
                     f"objective non-finite at perturbed parameter {name}[{offset}]: {exc}"
                 ) from exc
-            if not math.isfinite(out):
+            finally:
                 tensor.data.flat[offset] = original
+            if not math.isfinite(out):
                 raise NumericsError(
                     f"objective non-finite at perturbed parameter {name}[{offset}]")
             return out
 
         f_plus = _eval(original + eps)
         f_minus = _eval(original - eps)
-        tensor.data.flat[offset] = original
 
         numeric = (f_plus - f_minus) / (2.0 * eps)
         grad = by_name.get(name)

@@ -17,7 +17,7 @@ from .config import Config
 from .checkpoint import Checkpoint
 from .data import SyntheticCorpus, corpus_memory, generate_corpus
 from .encoders import patchify, vision_encode
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .gnn import forward_relation_rows
 from .kg import EdgeHoldout, KnowledgeGraph, Triplet, holdout_edges
 from .model import (ALL_LOSSES, ModelParams, build_model, compute_step,
@@ -82,18 +82,8 @@ def pretrain(config: Config, corpus: SyntheticCorpus | None = None,
     metrics: list[tuple[int, float, float, float, float, float]] = []
     for step in range(start_step + 1, config.steps + 1):
         plan = make_batch_plan(config, len(corpus), step)
-        output = compute_step(params, corpus, memory, plan)
-        bundle = output.bundle
-        values = bundle.values()
-        if not all(np.isfinite(v) for v in values.values()):
-            norms: dict[str, float] = {}
-            for name, tensor in params.store.items():
-                group = name.split(".", 1)[0]
-                norms[group] = norms.get(group, 0.0) + float(np.sum(tensor.data ** 2))
-            norms = {g: float(np.sqrt(v)) for g, v in norms.items()}
-            raise NumericsError(
-                f"non-finite loss at step {step}: components {values}; "
-                f"parameter group norms {norms}")
+        bundle = compute_step(params, corpus, memory, plan).bundle
+        values = bundle.values()   # total_loss raises NumericsError on a non-finite loss
         grads = backward(bundle.total)
         optimizer_step(params.store, grads, state, config.lr,
                        config.weight_decay, (config.beta1, config.beta2),

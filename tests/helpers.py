@@ -8,14 +8,16 @@ references kept from an earlier form of a library path:
 the reference for the batched training step; ``reference_layer_norm`` and
 ``reference_attention`` are LayerNorm and multi-head attention composed
 from autodiff primitives, the latter on ``softmax``, the softmax node that
-left the library with it; ``distmult`` is the per-triplet DistMult score
-composed from them too; ``reference_retrieve_from_scores`` selects each
-patch's entities by a stable sort; ``reference_log_sigmoid`` and
-``reference_optimizer_step`` are the masked log-sigmoid and the per-tensor
-AdamW loop that the branch-free and flat forms replaced, and must match bit
-for bit; ``reference_backward`` is the depth-first sweep that the
-creation-ordered one replaced.  ``write_kg_tsv`` writes graph fixtures in
-the TSV format that ``kgfuse.kg.load_kg`` reads.
+left the library with it; ``reference_gnn_layer`` is the graph-attention
+layer composed from them, on ``segment_sum``, which left with it;
+``distmult`` is the per-triplet DistMult score composed from them too;
+``reference_retrieve_from_scores`` selects each patch's entities by a
+stable sort; ``reference_log_sigmoid`` and ``reference_optimizer_step`` are
+the masked log-sigmoid and the per-tensor AdamW loop that the branch-free
+and flat forms replaced, and must match bit for bit; ``reference_backward``
+is the depth-first sweep that the creation-ordered one replaced.
+``write_kg_tsv`` writes graph fixtures in the TSV format that
+``kgfuse.kg.load_kg`` reads.
 """
 
 from __future__ import annotations
@@ -136,6 +138,33 @@ def reference_attention(x, wq, wk, wv, wo, additive, scale):
         logits = T.add(logits, T.constant(np.asarray(additive)[..., None, None, :]))
     attn = softmax(logits, axis=-1)
     return T.tensor_sum(T.matmul(T.matmul(attn, v), wo), axis=-3)
+
+
+def segment_sum(values, segments, count: int):
+    """Sum the rows of each segment into one of ``count`` rows as an autodiff
+    node; a run is summed pairwise, so a sum can differ from ``np.add.at``'s
+    in the last bits.  ``reference_gnn_layer`` and tests use it."""
+    v = T.as_tensor(values)
+    seg, starts = T._segment_runs(segments, count, v)
+    data = np.add.reduceat(v.data, starts, axis=0)
+    return T.Tensor._result(data, (v,), lambda g: (g[seg],), "segment_sum")
+
+
+def reference_gnn_layer(x, table, wq, bq, wk, wm, bm, wn, bn, edges, scale):
+    """``tensor.graph_attention`` as a chain of autodiff primitives: three
+    gathers, the (edges, 2d) pair concat, four matmuls, four adds, three
+    products, the logit sum, ``segment_softmax``, a reshape and
+    ``segment_sum``, each its own node."""
+    dst, src, rel = edges
+    k = x.shape[0]
+    pair_input = T.concat([T.take_rows(x, src), T.take_rows(table, rel)], axis=1)
+    queries = T.add(T.matmul(x, wq), bq)
+    keys = T.matmul(pair_input, wk)
+    logits = T.mul(T.tensor_sum(T.mul(T.take_rows(queries, dst), keys), axis=1), scale)
+    alpha = T.segment_softmax(logits, dst, k)
+    messages = T.add(T.matmul(pair_input, wm), bm)
+    aggregated = segment_sum(T.mul(messages, T.reshape(alpha, (-1, 1))), dst, k)
+    return T.add(T.add(T.matmul(aggregated, wn), bn), x)
 
 
 def scalar_gelu(v: float) -> float:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from kgfuse import tensor as T
-from kgfuse.errors import ValidationError
+from kgfuse.errors import NumericsError, ValidationError
 from kgfuse.gnn import (GnnParams, _edge_lists, attention_weights, gnn_encode,
                         gnn_layer, init_gnn)
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Subgraph,
                        Triplet, disjoint_union)
 from kgfuse.tensor import Parameters, Tensor
 
-from helpers import reference_edge_lists, scalar_gnn_layer
+from helpers import (fd_input_grad, reference_edge_lists, reference_gnn_layer,
+                     scalar_gnn_layer)
 
 
 def make_kg(n_entities=6, n_relations=2):
@@ -40,6 +41,129 @@ def random_subgraph(rng, n_nodes, n_relations, n_edges) -> Subgraph:
             continue
         triplets.add((int(h), int(rng.integers(0, n_relations)), int(t)))
     return Subgraph(list(range(n_nodes)), [True] * n_nodes, sorted(triplets))
+
+
+def criterion_4_subgraph(rng) -> Subgraph:
+    """A subgraph drawn as acceptance criterion 4 draws them: 1 to 10 nodes and
+    up to 2n draws of an edge over 3 relations, self-loops dropped."""
+    n = int(rng.integers(1, 11))
+    triplets = set()
+    for _ in range(int(rng.integers(0, 2 * n))):
+        h, t = rng.integers(0, n, size=2)
+        if h != t:
+            triplets.add((int(h), int(rng.integers(0, 3)), int(t)))
+    return Subgraph(list(range(n)), [True] * n, sorted(triplets))
+
+
+def node_inputs(sub, seed, d=6, attn_width=5):
+    """The nine trainable leaves of one ``graph_attention`` call on ``sub``
+    (random biases, so that each gradient is exercised), its edges and scale."""
+    kg = make_kg(n_entities=12, n_relations=3)
+    params, gp = make_gnn(kg, d=d, depth=1, seed=seed)
+    layer = gp.layers[0]
+    rng = np.random.default_rng(seed)
+    for bias in (layer.f_q_b, layer.f_m_b, layer.f_n_b):
+        bias.data[...] = rng.standard_normal(bias.shape)
+    layer.attn_width = attn_width
+    layer.f_q_w.data = rng.standard_normal((d, attn_width))
+    layer.f_q_b.data = rng.standard_normal(attn_width)
+    layer.f_k_w.data = rng.standard_normal((2 * d, attn_width))
+    leaves = [Tensor(t.data, requires_grad=True) for t in (
+        gp.relation_table, layer.f_q_w, layer.f_q_b, layer.f_k_w, layer.f_m_w,
+        layer.f_m_b, layer.f_n_w, layer.f_n_b)]
+    x = Tensor(rng.standard_normal((sub.num_nodes, d)), requires_grad=True)
+    return [x, *leaves], _edge_lists(sub, gp), 1.0 / np.sqrt(attn_width)
+
+
+def assert_matches_chain(leaves, edges, scale):
+    """Forward and all nine gradients within 1e-12 of the largest entry of
+    the chain oracle's."""
+    out = T.graph_attention(*leaves, edges, scale)
+    ref = reference_gnn_layer(*leaves, edges, scale)
+    assert out.op == "graph_attention"
+    assert [id(p) for p in out._parents] == [id(leaf) for leaf in leaves]
+    assert np.max(np.abs(out.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+    probe = T.constant(np.random.default_rng(out.shape[0]).standard_normal(out.shape))
+    got = T.backward(T.tensor_sum(T.mul(out, probe)))
+    want = T.backward(T.tensor_sum(T.mul(ref, probe)))
+    for i, leaf in enumerate(leaves):
+        assert np.max(np.abs(got[leaf] - want[leaf])) <= 1e-12 * np.max(np.abs(want[leaf])), i
+
+
+class TestGraphAttentionNode:
+    """``tensor.graph_attention`` against the chain of primitives it replaced."""
+
+    def test_matches_chain_on_criterion_4_subgraphs(self):
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            assert_matches_chain(*node_inputs(criterion_4_subgraph(rng), trial))
+
+    @pytest.mark.parametrize("n,triplets", [
+        (3, [(0, 0, 1)]),                        # node 2 is isolated: self term only
+        (4, []),                                 # no triplets at all
+        (2, [(0, 0, 1), (0, 1, 1), (0, 0, 1)]),  # parallel and repeated edges
+        (3, [(0, 2, 1), (1, 2, 0), (1, 0, 2)]),  # both directions of one relation
+    ])
+    def test_matches_chain_on_edge_cases(self, n, triplets):
+        sub = Subgraph(list(range(n)), [True] * n, triplets)
+        leaves, edges, scale = node_inputs(sub, n + len(triplets))
+        assert_matches_chain(leaves, edges, scale)
+        alpha = T.graph_attention_terms(leaves, edges, scale)[-1]
+        np.testing.assert_allclose(np.add.reduceat(alpha, np.flatnonzero(
+            np.diff(edges[0], prepend=-1))), 1.0, rtol=0, atol=1e-15)
+        alone = [i for i in range(n) if not any(i in (h, t) for h, _, t in triplets)]
+        assert alpha[np.isin(edges[0], alone)].tolist() == [1.0] * len(alone)
+
+    def test_passes_finite_differences_on_every_coordinate(self):
+        sub = Subgraph(list(range(4)), [True] * 4, [(0, 0, 1), (1, 2, 2), (3, 1, 1)])
+        leaves, edges, scale = node_inputs(sub, 50, d=3, attn_width=2)
+        probe = T.constant(np.random.default_rng(51).standard_normal((4, 3)))
+
+        def objective():
+            return T.tensor_sum(T.mul(T.graph_attention(*leaves, edges, scale), probe))
+
+        grads = T.backward(objective())
+        for leaf in leaves:
+            numeric = fd_input_grad(lambda _: objective().item(), leaf.data, eps=1e-5)
+            np.testing.assert_allclose(grads[leaf], numeric, rtol=1e-6, atol=1e-9)
+
+    def test_overflow_names_the_node(self):
+        sub = Subgraph([0, 1], [True, True], [(0, 0, 1)])
+        leaves, edges, scale = node_inputs(sub, 52)
+        leaves[0].data[0] = 1e160   # finite projections, logits beyond float64
+        with pytest.raises(NumericsError, match="graph_attention"):
+            T.graph_attention(*leaves, edges, scale)
+
+    @pytest.mark.parametrize("which,shape", [
+        (0, (3, 5)),     # x of another width
+        (0, (18,)),      # x without a node axis
+        (1, (7, 5)),     # relation table of another width
+        (2, (6, 4)),     # f_q_w of a width unlike f_k_w
+        (3, (6,)),       # f_q_b of the model width
+        (4, (6, 5)),     # f_k_w over the node half only
+        (5, (12, 5)),    # f_m_w of the attention width
+        (6, (1, 6)),     # f_m_b with a row axis
+        (7, (6, 5)),     # f_n_w not square
+        (8, (5,)),       # f_n_b of the attention width
+    ])
+    def test_rejects_misshapen_inputs(self, which, shape):
+        leaves, edges, scale = node_inputs(Subgraph([0, 1, 2], [True] * 3, [(0, 0, 1)]), 53)
+        leaves[which] = Tensor(np.ones(shape))
+        with pytest.raises(ValidationError, match="graph_attention shapes"):
+            T.graph_attention(*leaves, edges, scale)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda dst, src, rel: (dst[::-1], src, rel), "sorted runs"),
+        (lambda dst, src, rel: (dst[:-1], src[:-1], rel[:-1]), "sorted runs"),
+        (lambda dst, src, rel: (dst, src[:-1], rel), "graph_attention edges"),
+        (lambda dst, src, rel: (dst, src + 1, rel), "graph_attention edges"),
+        (lambda dst, src, rel: (dst, src, rel + 7), "graph_attention edges"),
+        (lambda dst, src, rel: (dst, src, -rel), "graph_attention edges"),
+    ])
+    def test_rejects_malformed_edges(self, edit, message):
+        leaves, edges, scale = node_inputs(Subgraph([0, 1, 2], [True] * 3, [(0, 0, 1)]), 54)
+        with pytest.raises(ValidationError, match=message):
+            T.graph_attention(*leaves, edit(*edges), scale)
 
 
 class TestGnnLayer:

@@ -26,7 +26,7 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           random_baseline_mrr, train_kg_embeddings)
 
 from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes, reference_backward,
-                     reference_compute_step, reference_filtered_ranks,
+                     reference_compute_step, reference_filtered_ranks, reference_gnn_layer,
                      reference_optimizer_step)
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
@@ -721,12 +721,30 @@ class TestBackwardSweep:
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)) + 1e-18, pname
 
     def test_default_step_node_count_is_pinned(self):
-        # 210 nodes carry a VJP, six of them one attention node per
-        # transformer layer; attention as a chain of primitives made it 274.
+        # 174 nodes carry a VJP: six are one attention node per transformer
+        # layer and two one graph_attention node per GAT layer.  Attention
+        # as a chain of primitives made it 274, and the GAT as one 210.
         _, step = self._default_step()
         nodes = [node for node in graph_nodes(step().total) if node._vjp is not None]
-        assert len(nodes) <= 210
+        assert len(nodes) <= 174
         assert sum(node.op == "attention" for node in nodes) == 6
+        assert sum(node.op == "graph_attention" for node in nodes) == Config().gnn_layers
+
+    def test_default_step_gradients_match_the_gat_chain(self, monkeypatch):
+        # The GAT as one node against the chain of primitives it replaced, on
+        # every loss value and every leaf gradient of a default step.
+        params, step = self._default_step()
+        bundle = step()
+        got = T.backward(bundle.total)
+        monkeypatch.setattr(T, "graph_attention", reference_gnn_layer)
+        reference = step()
+        want = T.backward(reference.total)
+        for name, value in bundle.values().items():
+            assert abs(value - reference.values()[name]) <= 1e-12 * abs(value), name
+        assert set(got) == set(want)
+        for pname, tensor in params.store.items():
+            g, w = got[tensor], want[tensor]
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), pname
 
     def test_backward_releases_the_graph(self):
         # Tensor has no weakref slot, so the test watches every intermediate
@@ -736,6 +754,7 @@ class TestBackwardSweep:
         kept = {id(getattr(bundle, name)) for name in self.LOSSES}
         activations = [weakref.ref(node.data) for node in graph_nodes(bundle.total)
                        if node._vjp is not None and id(node) not in kept]
-        assert len(activations) > 200
+        # Every node with a VJP is watched but the five losses the bundle keeps.
+        assert len(activations) == count_vjp_nodes(bundle.total) - len(self.LOSSES) > 0
         T.backward(bundle.total)
         assert sum(ref() is not None for ref in activations) == 0
