@@ -17,8 +17,8 @@ from .model import BatchPlan, ModelParams, build_model, compute_step, make_batch
 from .objectives import LossBundle, itc_loss, linkpred_loss, mask_patches, \
     mask_spans, mlm_loss, mvm_loss, total_loss
 from .retriever import (EntityMemory, RetrievedEntitySet, build_memory,
-                        embed_description, load_memory, relevance_weights,
-                        retrieve, save_memory, score_patches)
+                        embed_description, relevance_weights, retrieve,
+                        score_patches)
 from .tensor import Parameters, Tensor, backward, finite_difference_check
 from .train import (eval_linkpred, eval_retrieval, gradient_report, pretrain,
                     train_kg_embeddings)
@@ -35,7 +35,7 @@ __all__ = [
     "LossBundle", "itc_loss", "linkpred_loss", "mask_patches",
     "mask_spans", "mlm_loss", "mvm_loss", "total_loss",
     "EntityMemory", "RetrievedEntitySet", "build_memory", "embed_description",
-    "load_memory", "relevance_weights", "retrieve", "save_memory", "score_patches",
+    "relevance_weights", "retrieve", "score_patches",
     "Parameters", "Tensor", "backward", "finite_difference_check",
     "eval_linkpred", "eval_retrieval", "gradient_report", "pretrain",
     "train_kg_embeddings",

@@ -14,12 +14,12 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import Config
-from .data import corpus_memory, generate_corpus, oracle_patch_projection
+from .data import corpus_memory, generate_corpus
 from .encoders import patchify, vision_encode
 from .errors import NumericsError, ValidationError
 from .kg import holdout_edges, load_kg
 from .model import build_model
-from .retriever import build_memory, load_memory, retrieve, save_memory
+from .retriever import retrieve
 from .train import (eval_linkpred, eval_retrieval, format_metrics,
                     gradient_report, model_linkpred_tables, pretrain)
 
@@ -33,12 +33,6 @@ def _load_config(args) -> Config:
     return config
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_ingest(args) -> int:
     kg = load_kg(args.entities, args.relations, args.triplets)
     print(f"valid: {len(kg.entities)} entities, {len(kg.relations)} relations, "
@@ -46,41 +40,25 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_build_memory(args) -> int:
-    config = _load_config(args)
-    kg = load_kg(args.entities, args.relations, args.triplets)
-    memory = build_memory(kg, config.d_e, config.seed)
-    out = _out_dir(args) / "memory.embv"
-    save_memory(memory, out)
-    print(f"wrote {len(memory)} x {memory.d_e} memory -> {out}")
-    return 0
-
-
 def _cmd_retrieve(args) -> int:
-    # A checkpoint's own config and corpus memory apply, whatever --config says.
-    ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    config = ckpt.config if ckpt else _load_config(args)
+    # The checkpoint's own config gives patch size and k, its corpus the memory.
+    ckpt = load_checkpoint(args.checkpoint)
+    config = ckpt.config
     try:
         image = np.asarray(np.load(args.image), dtype=np.float64)
     except ValueError as exc:
         raise ValidationError(f"cannot read image {args.image}: {exc}") from None
+    if not np.isfinite(image).all():
+        raise ValidationError(f"image {args.image} holds non-finite values")
     seq = patchify(image, config.patch_size)
     if seq.patches.shape[-1] != config.patch_dim:
         raise ValidationError(f"image has {image.shape[-1]} channels; the config "
                               f"needs {config.image_c}")
-    if ckpt:
-        corpus = generate_corpus(config)
-        memory = corpus_memory(corpus)
-        params = build_model(config, corpus.kg)
-        ckpt.load_into(params.store)
-        _, queries = vision_encode(seq.patches, params.vision)
-        queries = queries.data
-    else:
-        # Untrained fallback: the fixed averaging projection that inverts
-        # the synthetic tiling.
-        memory = load_memory(args.memory)
-        queries = seq.patches @ oracle_patch_projection(config)
-    rset = retrieve(queries, memory, config.k_per_patch, config.k_final)
+    corpus = generate_corpus(config)
+    params = build_model(config, corpus.kg)
+    ckpt.load_into(params.store)
+    _, queries = vision_encode(seq.patches, params.vision)
+    rset = retrieve(queries, corpus_memory(corpus), config.k_per_patch, config.k_final)
     for entity_id, score in rset.entries:
         print(f"{entity_id}\t{score:.6f}")
     return 0
@@ -88,7 +66,8 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     config = _load_config(args)
-    out = _out_dir(args)
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
     result = pretrain(config)
     (out / "metrics.tsv").write_text(format_metrics(result.metrics),
                                      encoding="utf-8")
@@ -140,12 +119,9 @@ def _cmd_eval_retrieval(args) -> int:
     return 0
 
 
-def _add_config_flags(sub: argparse.ArgumentParser, out: bool = False) -> None:
-    """``--config`` and ``--seed``, and ``--out`` for a command that writes."""
+def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
-    if out:
-        sub.add_argument("--out", default=None, help="output directory")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,24 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplets", required=True)
     p.set_defaults(fn=_cmd_ingest)
 
-    p = commands.add_parser("build-memory", help="embed entity descriptions")
-    p.add_argument("--entities", required=True)
-    p.add_argument("--relations", required=True)
-    p.add_argument("--triplets", required=True)
-    _add_config_flags(p, out=True)
-    p.set_defaults(fn=_cmd_build_memory)
-
     p = commands.add_parser("retrieve", help="top-k entities for an image (.npy)")
     p.add_argument("--image", required=True)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--memory", help="EMBV memory, scored by the untrained projection")
-    source.add_argument("--checkpoint", help="trained model, scored against its corpus memory")
-    # --config and --seed apply with --memory; a checkpoint carries its own.
-    _add_config_flags(p)
+    p.add_argument("--checkpoint", required=True,
+                   help="trained model, scored against its corpus memory")
     p.set_defaults(fn=_cmd_retrieve)
 
     p = commands.add_parser("pretrain", help="run the pretraining loop")
-    _add_config_flags(p, out=True)
+    _add_config_flags(p)
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=_cmd_pretrain)
 
     p = commands.add_parser("gradcheck", help="finite-difference gradient check")

@@ -136,6 +136,7 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
 
 def corpus_memory(corpus: SyntheticCorpus):
     """The entity memory matching a corpus (same description-embedding seed)."""
+    # Looked up per call: perfbench spans retriever.build_memory by attribute.
     from .retriever import build_memory
     return build_memory(corpus.kg, corpus.config.d_e, corpus.seed)
 

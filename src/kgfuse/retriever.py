@@ -10,7 +10,6 @@ and directly testable against an independent oracle.
 from __future__ import annotations
 
 import functools
-import struct
 import zlib
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ from .errors import ValidationError
 from .kg import KnowledgeGraph
 
 HASH_BUCKETS = 4096
-MEMORY_MAGIC = b"EMBV0001"
 
 
 @functools.cache
@@ -92,44 +90,6 @@ def build_memory(kg: KnowledgeGraph, d_e: int, seed: int) -> EntityMemory:
     matrix = np.stack([embed_description(kg.entities[e].description, d_e, seed)
                        for e in ids])
     return EntityMemory(ids, matrix, d_e)
-
-
-def save_memory(memory: EntityMemory, path) -> None:
-    """Write the EMBV0001 little-endian binary format (f32 payload)."""
-    with open(path, "wb") as fh:
-        fh.write(MEMORY_MAGIC)
-        fh.write(struct.pack("<II", len(memory.ids), memory.d_e))
-        for ent_id, row in zip(memory.ids, memory.matrix):
-            fh.write(struct.pack("<Q", ent_id))
-            fh.write(row.astype("<f4").tobytes())
-
-
-def load_memory(path) -> EntityMemory:
-    """Read an EMBV0001 file; rows are re-normalized after f32 round-off."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MEMORY_MAGIC:
-        raise ValidationError(f"bad magic bytes at offset 0: {blob[:8]!r}")
-    if len(blob) < 16:
-        raise ValidationError(f"truncated header at offset {len(blob)}")
-    count, dim = struct.unpack_from("<II", blob, 8)
-    record = 8 + 4 * dim
-    expected = 16 + count * record
-    if len(blob) != expected:
-        raise ValidationError(
-            f"payload length mismatch at offset {min(len(blob), expected)}: "
-            f"expected {expected} bytes for count={count} dim={dim}, got {len(blob)}")
-    ids: list[int] = []
-    rows = np.empty((count, dim))
-    for i in range(count):
-        off = 16 + i * record
-        (ent_id,) = struct.unpack_from("<Q", blob, off)
-        ids.append(ent_id)
-        rows[i] = np.frombuffer(blob, dtype="<f4", count=dim, offset=off + 8)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValidationError("zero-norm row in embedding file")
-    return EntityMemory(ids, rows / norms, dim)
 
 
 @dataclass

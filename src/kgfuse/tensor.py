@@ -3,8 +3,7 @@
 Every operation records its inputs and an exact vector-Jacobian product, so
 a single :func:`backward` call on a scalar loss yields gradients for all
 leaf tensors that were created with ``requires_grad=True``.  All math runs
-in 64-bit floats; 32-bit storage is only ever used by the binary embedding
-file format, never here.
+in 64-bit floats.
 
 The module also provides :class:`Parameters` (a named, ordered collection of
 trainable leaves with a flat scalar enumeration) and

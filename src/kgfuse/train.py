@@ -229,19 +229,14 @@ def model_linkpred_tables(params: ModelParams, memory: EntityMemory) -> ScoringT
 
 
 def eval_retrieval(params: ModelParams, memory: EntityMemory,
-                   corpus: SyntheticCorpus, k: int | None = None,
-                   k_per_patch: int | None = None) -> float:
-    """Recall@k: the mean over images of the share of their truth in the top-k.
-
-    ``k_per_patch`` defaults to the config value; pass ``k`` for exhaustive
-    coverage (e.g. k = number of entities gives recall 1 by construction).
-    """
+                   corpus: SyntheticCorpus) -> float:
+    """Recall@k_final: the mean over images of the share of their truth in
+    the top ``k_final``, retrieved with the corpus config's ``k_per_patch``."""
     config = corpus.config
-    k = config.k_final if k is None else k
-    k_per_patch = config.k_per_patch if k_per_patch is None else k_per_patch
     patches = patchify(np.stack(corpus.images), config.patch_size).patches
     _, queries = vision_encode(patches, params.vision)
-    found = retrieve_from_scores(score_patches(queries, memory), memory, k_per_patch, k)
+    found = retrieve_from_scores(score_patches(queries, memory), memory,
+                                 config.k_per_patch, config.k_final)
     recalls = [len(set(ids) & set(gt)) / len(gt)
                for ids, gt in zip(found.per_example(), corpus.ground_truth)]
     return float(np.mean(recalls))

@@ -1,10 +1,13 @@
 """CLI subcommands: happy paths and exit-code contracts."""
 
+import argparse
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kgfuse.checkpoint import load_checkpoint
-from kgfuse.cli import main
+from kgfuse.cli import build_parser, main
 from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus
 from kgfuse.encoders import patchify, vision_encode
@@ -35,6 +38,16 @@ def tiny_config_file(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CFG)
     return path
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """One checkpoint from a 2-step tiny pretrain, shared by the module."""
+    run = tmp_path_factory.mktemp("tiny_run")
+    config_path = run / "tiny.cfg"
+    config_path.write_text(TINY_CFG)
+    assert main(["pretrain", "--config", str(config_path), "--out", str(run)]) == 0
+    return run / "checkpoint.bin"
 
 
 @pytest.fixture
@@ -71,33 +84,6 @@ def test_ingest_bad_file_exits_one(tmp_path, kg_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_build_memory_and_retrieve(tmp_path, tiny_config_file, kg_files, capsys):
-    out = tmp_path / "artifacts"
-    code = main(["build-memory", "--entities", str(kg_files[0]),
-                 "--relations", str(kg_files[1]),
-                 "--triplets", str(kg_files[2]),
-                 "--config", str(tiny_config_file), "--out", str(out)])
-    assert code == 0
-    capsys.readouterr()  # flush the build-memory message
-    memory_path = out / "memory.embv"
-    assert memory_path.exists()
-
-    config = Config.load(tiny_config_file)
-    corpus = generate_corpus(config)
-    image_path = tmp_path / "image.npy"
-    np.save(image_path, corpus.images[0])
-    code = main(["retrieve", "--image", str(image_path),
-                 "--memory", str(memory_path),
-                 "--config", str(tiny_config_file)])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == config.k_final
-    for line in lines:
-        entity_id, score = line.split("\t")
-        int(entity_id)
-        float(score)
-
-
 def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
     # Trained with 8-pixel patches; --config is not repeated at retrieval,
     # whose defaults (4-pixel patches, k_final 8) would not fit the model.
@@ -127,37 +113,21 @@ def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
     assert printed == "".join(f"{e}\t{score:.6f}\n" for e, score in found.entries)
 
 
-def test_retrieve_takes_either_memory_or_checkpoint(tmp_path, tiny_config_file,
-                                                    kg_files, capsys):
-    assert main(["build-memory", "--entities", str(kg_files[0]),
-                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2]),
-                 "--config", str(tiny_config_file), "--out", str(tmp_path)]) == 0
-    assert main(["pretrain", "--config", str(tiny_config_file),
-                 "--out", str(tmp_path)]) == 0
-    image_path = tmp_path / "image.npy"
-    np.save(image_path, generate_corpus(Config.load(tiny_config_file)).images[0])
-    capsys.readouterr()
-    code = main(["retrieve", "--image", str(image_path),
-                 "--memory", str(tmp_path / "memory.embv"),
-                 "--checkpoint", str(tmp_path / "checkpoint.bin")])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert "not allowed with argument" in captured.err
-
-
 @pytest.mark.parametrize("argv, reason", [
     (["retrieve"], "required"),
-    (["retrieve", "--image", "x.npy"], "one of the arguments --memory --checkpoint"),
+    (["retrieve", "--image", "x.npy"], "required: --checkpoint"),
     (["pretrain", "--bogus"], "unrecognized arguments"),
     (["gradcheck", "--samples", "x"], "invalid int value"),
     (["nope"], "invalid choice"),
     ([], "required"),
     # Each command takes only the flags it reads.
     (["gradcheck", "--out", "x"], "unrecognized arguments"),
-    (["retrieve", "--image", "x.npy", "--memory", "m", "--out", "x"],
+    (["retrieve", "--image", "x.npy", "--checkpoint", "c", "--out", "x"],
      "unrecognized arguments"),
     (["eval-linkpred", "--checkpoint", "c", "--config", "x"], "unrecognized arguments"),
     (["eval-retrieval", "--checkpoint", "c", "--seed", "3"], "unrecognized arguments"),
+    (["retrieve", "--image", "x.npy", "--checkpoint", "c", "--config", "x"],
+     "unrecognized arguments"),
 ])
 def test_usage_errors_exit_one(argv, reason, capsys):
     assert main(argv) == 1
@@ -176,24 +146,29 @@ def test_help_exits_zero(argv, capsys):
 
 @pytest.mark.parametrize("image, reason", [
     (np.zeros((16, 16, 3)), "3 channels"),          # the config has image_c = 1
-    (np.full((16, 16, 1), np.nan), "finite"),
+    (np.full((16, 16, 1), np.nan), "finite"),       # "image ... holds non-finite values"
     (np.array([[None]], dtype=object), "cannot read image"),
     (np.full((16, 16, 1), "a"), "cannot read image"),
+    (np.zeros((32, 32, 1)), "position table"),      # 64 patches; the model has 16
 ])
-def test_retrieve_bad_image_exits_one(tmp_path, tiny_config_file, kg_files, capsys,
-                                      image, reason):
-    assert main(["build-memory", "--entities", str(kg_files[0]),
-                 "--relations", str(kg_files[1]), "--triplets", str(kg_files[2]),
-                 "--config", str(tiny_config_file), "--out", str(tmp_path)]) == 0
+def test_retrieve_bad_image_exits_one(tmp_path, tiny_checkpoint, capsys, image, reason):
     image_path = tmp_path / "image.npy"
     np.save(image_path, image, allow_pickle=True)
     capsys.readouterr()
-    code = main(["retrieve", "--image", str(image_path),
-                 "--memory", str(tmp_path / "memory.embv"),
-                 "--config", str(tiny_config_file)])
+    code = main(["retrieve", "--image", str(image_path), "--checkpoint", str(tiny_checkpoint)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and reason in captured.err
+
+
+def test_readme_lists_exactly_the_cli_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    advertised = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("kgfuse ")]
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert advertised == list(commands)
 
 
 def test_retired_checkpoint_format_exits_one(tmp_path, capsys):

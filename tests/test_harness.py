@@ -564,12 +564,13 @@ class TestLinkpredEval:
 
 class TestRetrievalEval:
     def test_full_coverage_recall_one(self):
-        config = Config(**TINY)
+        n = TINY["corpus_entities"]
+        config = Config(**{**TINY, "k_final": n, "k_per_patch": n})
         corpus = generate_corpus(config, seed=10)
         params = build_model(config, corpus.kg)
         memory = corpus_memory(corpus)
-        n = len(corpus.kg.entities)
-        assert eval_retrieval(params, memory, corpus, k=n, k_per_patch=n) == 1.0
+        assert len(corpus.kg.entities) == n
+        assert eval_retrieval(params, memory, corpus) == 1.0
 
     def test_zero_noise_oracle_projection_recall_one(self):
         config = Config(**TINY, corpus_noise=0.0)
@@ -585,11 +586,11 @@ class TestRetrievalEval:
         assert hits == len(corpus)
 
     def test_reports_recall_not_hit_rate(self):
-        config = Config(**TINY)
+        config = Config(**{**TINY, "k_final": 8})
         corpus = generate_corpus(config, seed=12)
         params = build_model(config, corpus.kg)
         memory = corpus_memory(corpus)
-        recall = eval_retrieval(params, memory, corpus, k=8)
+        recall = eval_retrieval(params, memory, corpus)
         found = []
         for image, gt in zip(corpus.images, corpus.ground_truth):
             queries = vision_encode(patchify(image, config.patch_size).patches,

@@ -1,4 +1,4 @@
-"""Retriever: description embeddings, memory files, scoring, top-k selection."""
+"""Retriever: description embeddings, entity memory, scoring, top-k selection."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.retriever import (EntityMemory, build_memory, embed_description,
-                              load_memory, relevance_weights, retrieve,
-                              retrieve_from_scores, save_memory, score_patches)
+                              relevance_weights, retrieve, retrieve_from_scores,
+                              score_patches)
 
 from helpers import exhaustive_retrieve, fd_input_grad, reference_retrieve_from_scores
 
@@ -62,41 +62,6 @@ class TestMemoryIO:
         memory = build_memory(corpus.kg, 16, seed=1)
         assert memory.matrix.shape == (200, 16)
         assert memory.ids == corpus.kg.entity_ids()
-
-    def test_save_load_roundtrip_within_f32(self, tmp_path):
-        memory = random_memory(np.random.default_rng(2), 50, 12)
-        path = tmp_path / "mem.embv"
-        save_memory(memory, path)
-        loaded = load_memory(path)
-        assert loaded.ids == memory.ids
-        assert loaded.d_e == 12
-        np.testing.assert_allclose(loaded.matrix, memory.matrix, atol=1e-6)
-        norms = np.linalg.norm(loaded.matrix, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
-    def test_bad_magic_reports_offset(self, tmp_path):
-        path = tmp_path / "bad.embv"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValidationError, match="offset 0"):
-            load_memory(path)
-
-    def test_dim_header_payload_mismatch(self, tmp_path):
-        memory = random_memory(np.random.default_rng(3), 4, 8)
-        path = tmp_path / "mem.embv"
-        save_memory(memory, path)
-        blob = bytearray(path.read_bytes())
-        blob[12:16] = (99).to_bytes(4, "little")  # corrupt the dim header
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValidationError, match="mismatch"):
-            load_memory(path)
-
-    def test_truncated_payload(self, tmp_path):
-        memory = random_memory(np.random.default_rng(4), 4, 8)
-        path = tmp_path / "mem.embv"
-        save_memory(memory, path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(ValidationError):
-            load_memory(path)
 
 
 class TestScorePatches:
