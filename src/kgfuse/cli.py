@@ -33,6 +33,16 @@ def _load_config(args) -> Config:
     return config
 
 
+def _load_trained(path):
+    """A checkpoint's corpus, its model with the trained weights, and the
+    corpus memory; the corpus carries the checkpoint's config."""
+    ckpt = load_checkpoint(path)
+    corpus = generate_corpus(ckpt.config)
+    params = build_model(ckpt.config, corpus.kg)
+    ckpt.load_into(params.store)
+    return corpus, params, corpus_memory(corpus)
+
+
 def _cmd_ingest(args) -> int:
     kg = load_kg(args.entities, args.relations, args.triplets)
     print(f"valid: {len(kg.entities)} entities, {len(kg.relations)} relations, "
@@ -42,8 +52,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     # The checkpoint's own config gives patch size and k, its corpus the memory.
-    ckpt = load_checkpoint(args.checkpoint)
-    config = ckpt.config
+    corpus, params, memory = _load_trained(args.checkpoint)
+    config = corpus.config
     try:
         image = np.asarray(np.load(args.image), dtype=np.float64)
     except ValueError as exc:
@@ -54,11 +64,8 @@ def _cmd_retrieve(args) -> int:
     if seq.patches.shape[-1] != config.patch_dim:
         raise ValidationError(f"image has {image.shape[-1]} channels; the config "
                               f"needs {config.image_c}")
-    corpus = generate_corpus(config)
-    params = build_model(config, corpus.kg)
-    ckpt.load_into(params.store)
     _, queries = vision_encode(seq.patches, params.vision)
-    rset = retrieve(queries, corpus_memory(corpus), config.k_per_patch, config.k_final)
+    rset = retrieve(queries, memory, config.k_per_patch, config.k_final)
     for entity_id, score in rset.entries:
         print(f"{entity_id}\t{score:.6f}")
     return 0
@@ -94,13 +101,9 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_eval_linkpred(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    corpus = generate_corpus(ckpt.config)
-    params = build_model(ckpt.config, corpus.kg)
-    ckpt.load_into(params.store)
-    memory = corpus_memory(corpus)
+    corpus, params, memory = _load_trained(args.checkpoint)
     # The split is the checkpoint's own.
-    holdout = holdout_edges(corpus.kg, ckpt.config.edge_drop, ckpt.config.seed)
+    holdout = holdout_edges(corpus.kg, corpus.config.edge_drop, corpus.config.seed)
     metrics = eval_linkpred(model_linkpred_tables(params, memory), holdout.held_out,
                             corpus.kg)
     for key, value in metrics.items():
@@ -109,13 +112,9 @@ def _cmd_eval_linkpred(args) -> int:
 
 
 def _cmd_eval_retrieval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    corpus = generate_corpus(ckpt.config)
-    params = build_model(ckpt.config, corpus.kg)
-    ckpt.load_into(params.store)
-    memory = corpus_memory(corpus)
+    corpus, params, memory = _load_trained(args.checkpoint)
     recall = eval_retrieval(params, memory, corpus)
-    print(f"recall@{ckpt.config.k_final}\t{recall:.4f}")
+    print(f"recall@{corpus.config.k_final}\t{recall:.4f}")
     return 0
 
 

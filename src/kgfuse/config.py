@@ -137,9 +137,6 @@ class Config:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n"
                        for f in dataclasses.fields(self))
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "Config":
         fields = {f.name: f for f in dataclasses.fields(cls)}

@@ -64,10 +64,9 @@ class ModelParams:
     store: Parameters
 
 
-def build_model(config: Config, kg: KnowledgeGraph, seed: int | None = None) -> ModelParams:
+def build_model(config: Config, kg: KnowledgeGraph) -> ModelParams:
     """Initialize every weight group under one flat parameter store."""
-    seed = config.seed if seed is None else seed
-    rng = np.random.default_rng([seed, 2])
+    rng = np.random.default_rng([config.seed, 2])
     store = Parameters()
     vision = init_vision(store, rng, config.patch_dim, config.n_patches,
                          config.d, config.d_e, config.vision_layers,
@@ -76,7 +75,7 @@ def build_model(config: Config, kg: KnowledgeGraph, seed: int | None = None) -> 
                      config.d, config.text_layers, config.heads, config.ff_dim)
     entity = init_entity(store, rng, config.d_e, config.d)
     gnn = init_gnn(store, rng, kg, config.d, config.d_e, config.attn_width,
-                   config.gnn_layers, description_seed=seed)
+                   config.gnn_layers, description_seed=config.seed)
     fusion_params = init_fusion(store, rng, config.d, config.fusion_layers,
                                 config.heads, config.ff_dim)
     head_params = init_heads(store, rng, config.d, config.vocab, config.patch_dim)
@@ -100,11 +99,9 @@ class ExamplePlan:
 @dataclass
 class BatchInputs:
     """A plan's patchified images and masked, padded captions, built for one
-    corpus, config and example list, which key its reuse."""
+    corpus, which keys their reuse."""
 
     corpus: SyntheticCorpus
-    config: Config                    # a copy, so a later edit misses the key
-    examples: list[ExamplePlan]
     patches: np.ndarray               # (B, N, patch_dim)
     masked: np.ndarray                # (B, N) patches the vision encoder masks
     patch_records: list[MaskingRecord]
@@ -116,11 +113,10 @@ class BatchInputs:
 @dataclass
 class GraphSample:
     """Each example's subgraph for one retrieval, split and joined: built for
-    one ``BatchInputs``, graph, memory and tuple of retrieved ids, which key
-    its reuse."""
+    one ``BatchInputs``, memory and tuple of retrieved ids, which key its
+    reuse.  The graph is the inputs' corpus graph."""
 
     inputs: BatchInputs
-    kg: KnowledgeGraph
     memory: EntityMemory
     retrieved: tuple[tuple[int, ...], ...]
     union: Subgraph                   # the visible subgraphs side by side
@@ -134,7 +130,8 @@ class GraphSample:
 @dataclass
 class BatchPlan:
     step: int
-    examples: list[ExamplePlan] = field(default_factory=list)
+    # A tuple, so the examples cannot change under the plan's inputs.
+    examples: tuple[ExamplePlan, ...] = ()
     # The host-side work of the plan's last forward pass; see compute_step.
     inputs: BatchInputs | None = field(default=None, compare=False, repr=False)
     sample: GraphSample | None = field(default=None, compare=False, repr=False)
@@ -144,17 +141,17 @@ def make_batch_plan(config: Config, corpus_size: int, step: int) -> BatchPlan:
     """Derive one step's batch and sampling seeds from (global seed, step)."""
     rng = np.random.default_rng([config.seed, step])
     indices = rng.integers(0, corpus_size, size=config.batch_size)
-    plan = BatchPlan(step=step)
+    examples = []
     for idx in indices:
         seeds = rng.integers(0, 2 ** 62, size=5)
-        plan.examples.append(ExamplePlan(
+        examples.append(ExamplePlan(
             index=int(idx),
             patch_mask_seed=int(seeds[0]),
             span_mask_seed=int(seeds[1]),
             subgraph_seed=int(seeds[2]),
             holdout_seed=int(seeds[3]),
             negative_seed=int(seeds[4])))
-    return plan
+    return BatchPlan(step, tuple(examples))
 
 
 def entity_fallback_table(params: ModelParams, memory: EntityMemory) -> Tensor:
@@ -177,15 +174,14 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
-def batch_inputs(corpus: SyntheticCorpus, config: Config, plan: BatchPlan) -> BatchInputs:
+def batch_inputs(corpus: SyntheticCorpus, plan: BatchPlan) -> BatchInputs:
     """The plan's patches, patch masks and masked, padded tokens, computed
-    on its first forward pass and kept on the plan while its corpus, config
-    and examples stay the same."""
+    on its first forward pass and kept on the plan while its corpus stays
+    the same."""
     cached = plan.inputs
-    if (cached is not None and cached.corpus is corpus and cached.config == config
-            and cached.examples == plan.examples):
+    if cached is not None and cached.corpus is corpus:
         return cached
-    examples = plan.examples
+    config, examples = corpus.config, plan.examples
     patches = patchify(np.stack([corpus.images[ex.index] for ex in examples]),
                        config.patch_size).patches
     patch_records = [mask_patches(p, config.mvm_rate, ex.patch_mask_seed)[1]
@@ -203,24 +199,24 @@ def batch_inputs(corpus: SyntheticCorpus, config: Config, plan: BatchPlan) -> Ba
     tokens[token_valid] = np.concatenate(captions)
     _read_only(patches, masked, tokens, token_valid,
                *(r.original_patches for r in patch_records))
-    plan.inputs = BatchInputs(corpus, config.replace(), list(examples), patches,
-                              masked, patch_records, list(token_records), tokens,
-                              token_valid)
+    plan.inputs = BatchInputs(corpus, patches, masked, patch_records,
+                              list(token_records), tokens, token_valid)
     return plan.inputs
 
 
-def graph_sample(inputs: BatchInputs, kg: KnowledgeGraph, memory: EntityMemory,
+def graph_sample(inputs: BatchInputs, memory: EntityMemory,
                  retrieved_ids: list[list[int]], plan: BatchPlan) -> GraphSample:
-    """Expand each example's retrieved entities into a subgraph, hold out a
-    fraction of its edges, and join the visible parts; computed on the
-    plan's first forward pass and again only when a key changes, such as a
+    """Expand each example's retrieved entities into a subgraph of the
+    corpus graph, hold out a fraction of its edges, and join the visible
+    parts; computed on the plan's first forward pass and again only when
+    the inputs, the memory or the retrieved ids change, such as on a
     parameter change that flips retrieval."""
     key = tuple(map(tuple, retrieved_ids))
     cached = plan.sample
-    if (cached is not None and cached.inputs is inputs and cached.kg is kg
-            and cached.memory is memory and cached.retrieved == key):
+    if (cached is not None and cached.inputs is inputs and cached.memory is memory
+            and cached.retrieved == key):
         return cached
-    config, examples = inputs.config, inputs.examples
+    config, kg, examples = inputs.corpus.config, inputs.corpus.kg, plan.examples
     subgraphs, held_outs = [], []
     for ids, ex in zip(retrieved_ids, examples):
         subgraph = expand_subgraph(kg, ids, config.per_node_cap, ex.subgraph_seed)
@@ -249,29 +245,29 @@ def graph_sample(inputs: BatchInputs, kg: KnowledgeGraph, memory: EntityMemory,
     positive_rows = entity_row[np.repeat(np.arange(len(examples)),
                                          [len(h) for h in held_outs])]
     _read_only(seed_rows, entity_valid, node_weight, positive_rows)
-    plan.sample = GraphSample(inputs, kg, memory, key, union, seed_rows, entity_valid,
+    plan.sample = GraphSample(inputs, memory, key, union, seed_rows, entity_valid,
                               node_weight, positives, positive_rows)
     return plan.sample
 
 
 def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                  memory: EntityMemory, plan: BatchPlan,
-                 config: Config | None = None,
                  active: tuple[str, ...] = ALL_LOSSES) -> StepOutput:
-    """Forward pass for one batch, returning the loss bundle.
+    """Forward pass for one batch under ``corpus.config``, returning the loss
+    bundle.
 
     ``active`` limits which objectives are computed (the others contribute
     exact zeros); inactive stages of the pipeline are skipped entirely so
     single-loss gradient checks stay cheap.  The plan's
-    :func:`batch_inputs` and :func:`graph_sample` are reused from an
-    earlier pass over it when their keys match.
+    :func:`batch_inputs` are reused from an earlier pass over it with the
+    same corpus, and its :func:`graph_sample` with the same inputs, memory
+    and retrieved ids.
     """
-    config = corpus.config if config is None else config
-    kg = corpus.kg
+    config, kg = corpus.config, corpus.kg
     need_fusion = "mlm" in active or "mvm" in active
     mlm = mvm = linkpred = itc = T.constant(0.0)
 
-    inputs = batch_inputs(corpus, config, plan)
+    inputs = batch_inputs(corpus, plan)
     v_out, queries = vision_encode(inputs.patches, params.vision, inputs.masked)
     t_out = text_encode(inputs.tokens, params.text, inputs.token_valid)
 
@@ -281,7 +277,7 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
         scores = score_patches(queries, memory)
         found = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
         retrieved_ids = found.per_example()
-        sample = graph_sample(inputs, kg, memory, retrieved_ids, plan)
+        sample = graph_sample(inputs, memory, retrieved_ids, plan)
         b, p, e = scores.shape
         relevance = relevance_weights(
             T.take_pairs(T.reshape(scores, (b * p, e)), found.example * p + found.patch,

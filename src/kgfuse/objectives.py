@@ -23,8 +23,6 @@ from .errors import NumericsError, ValidationError
 from .kg import KnowledgeGraph, Triplet, negative_indices, sample_negatives
 from .tensor import Parameters, Tensor
 
-LOSS_NAMES = ("mlm", "mvm", "linkpred", "itc")
-
 TAU_MIN = 0.001
 TAU_MAX = 0.5
 
@@ -47,7 +45,6 @@ class LossBundle:
     mvm: Tensor
     linkpred: Tensor
     itc: Tensor
-    weights: tuple[float, float, float, float]
     total: Tensor
 
     def values(self) -> dict[str, float]:
@@ -309,5 +306,4 @@ def total_loss(mlm: Tensor, mvm: Tensor, linkpred: Tensor, itc: Tensor,
             raise NumericsError(f"{name} loss is non-finite")
     total = T.add(T.add(T.mul(mlm, weights[0]), T.mul(mvm, weights[1])),
                   T.add(T.mul(linkpred, weights[2]), T.mul(itc, weights[3])))
-    return LossBundle(mlm=mlm, mvm=mvm, linkpred=linkpred, itc=itc,
-                      weights=tuple(weights), total=total)
+    return LossBundle(mlm=mlm, mvm=mvm, linkpred=linkpred, itc=itc, total=total)

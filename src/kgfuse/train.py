@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .config import Config
 from .checkpoint import Checkpoint
 from .data import SyntheticCorpus, corpus_memory, generate_corpus
@@ -35,7 +34,6 @@ METRICS_HEADER = "step\tmlm\tmvm\tlinkpred\titc\ttotal"
 class TrainResult:
     params: ModelParams
     state: AdamState
-    memory: EntityMemory
     metrics: list[tuple[int, float, float, float, float, float]]
     final_step: int
 
@@ -91,23 +89,23 @@ def pretrain(config: Config, corpus: SyntheticCorpus | None = None,
         _clamp_tau(params)
         metrics.append((step, values["mlm"], values["mvm"], values["linkpred"],
                         values["itc"], values["total"]))
-    return TrainResult(params, state, memory, metrics, config.steps)
+    return TrainResult(params, state, metrics, config.steps)
+
+
+# The finite-difference step of gradient_report trades rounding against
+# truncation.  One ulp of the loss moves the central difference by
+# ulp(loss) / (2 GRADCHECK_EPS): for a loss in [4, 8) that is about 1.5e-12,
+# or 1.5e-4 relative at the 1e-8 floor of the relative-error denominator,
+# above criterion 1's 1e-4 bound.  So a sampled coordinate with a gradient
+# below about 1.5e-8 in magnitude passes only when its two evaluations round
+# alike.  A larger step would shrink that noise but let curvature and the
+# discrete retrieval selection into the difference quotient.
+GRADCHECK_EPS = 3e-4
 
 
 def gradient_report(config: Config, sample_count: int = 200,
-                    seed: int | None = None,
-                    eps: float = 3e-4) -> dict[str, float]:
-    """Max finite-difference relative error for each loss and the total.
-
-    The step trades rounding against truncation.  One ulp of the loss moves
-    the central difference by ulp(loss) / (2 eps): at the default eps and a
-    loss in [4, 8) that is about 1.5e-12, or 1.5e-4 relative at the 1e-8
-    floor of the relative-error denominator, above criterion 1's 1e-4 bound.
-    So a sampled coordinate with a gradient below about 1.5e-8 in magnitude
-    passes only when its two evaluations round alike.  A larger eps would
-    shrink that noise but let curvature and the discrete retrieval selection
-    into the difference quotient.
-    """
+                    seed: int | None = None) -> dict[str, float]:
+    """Max finite-difference relative error for each loss and the total."""
     seed = config.seed if seed is None else seed
     corpus = generate_corpus(config)
     params = build_model(config, corpus.kg)
@@ -117,7 +115,7 @@ def gradient_report(config: Config, sample_count: int = 200,
     for i, loss_name in enumerate(ALL_LOSSES + ("total",)):
         objective = single_loss_objective(params, corpus, memory, plan, loss_name)
         report[loss_name] = finite_difference_check(
-            objective, params.store, eps=eps, sample_count=sample_count,
+            objective, params.store, eps=GRADCHECK_EPS, sample_count=sample_count,
             seed=seed + 101 * i)
     return report
 

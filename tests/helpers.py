@@ -449,7 +449,7 @@ def reference_expand_edges(kg, nodes: list[int]) -> list[tuple[int, int, int]]:
             if h in local and t in local]
 
 
-def reference_compute_step(params, corpus, memory, plan, config=None):
+def reference_compute_step(params, corpus, memory, plan):
     """The training step as a loop over examples, each its own chain of ops.
 
     Every example is encoded, retrieves its entities through
@@ -471,7 +471,7 @@ def reference_compute_step(params, corpus, memory, plan, config=None):
                                    mvm_loss, total_loss)
     from kgfuse.retriever import score_patches
 
-    config = corpus.config if config is None else config
+    config = corpus.config
     kg = corpus.kg
     fallback = entity_fallback_table(params, memory)
     mlm_parts, mvm_parts, linkpred_parts = [], [], []

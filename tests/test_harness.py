@@ -75,7 +75,7 @@ class TestConfig:
 
     def test_file_roundtrip(self, tmp_path):
         config = Config(**TINY)
-        config.save(tmp_path / "run.cfg")
+        (tmp_path / "run.cfg").write_text(config.to_text(), encoding="utf-8")
         assert Config.load(tmp_path / "run.cfg") == config
 
 

@@ -95,15 +95,26 @@ def test_changed_retrieval_rebuilds_the_sample(setting):
     assert plan.sample is rebuilt
 
 
-def test_a_changed_config_rebuilds_the_inputs(setting):
+@pytest.mark.parametrize("replaced", ["corpus", "memory"])
+def test_a_second_corpus_or_memory_rebuilds_what_it_keys(setting, replaced):
     corpus, params, memory = setting
     plan = fresh_plan()
     compute_step(params, corpus, memory, plan)
-    inputs = plan.inputs
-    compute_step(params, corpus, memory, plan, config=SMALL.replace(mlm_rate=0.5))
-    assert plan.inputs is not inputs
-    assert compute_step(params, corpus, memory, plan).bundle.values() == \
+    inputs, sample = plan.inputs, plan.sample
+    # Equal to the first object, but not the same one.
+    if replaced == "corpus":
+        corpus = generate_corpus(SMALL)
+    else:
+        memory = corpus_memory(corpus)
+    again = compute_step(params, corpus, memory, plan)
+    # The inputs are keyed on the corpus, the sample on the inputs and memory.
+    assert (plan.inputs is inputs) == (replaced == "memory")
+    assert plan.inputs.corpus is corpus
+    assert plan.sample is not sample and plan.sample.memory is memory
+    assert again.bundle.values() == \
         compute_step(params, corpus, memory, fresh_plan()).bundle.values()
+    assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
+                         evaluate(params, corpus, memory, fresh_plan(), "total"))
 
 
 def test_cached_arrays_are_read_only(setting):
