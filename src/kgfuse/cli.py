@@ -28,9 +28,7 @@ GRADCHECK_TOLERANCE = 1e-4
 
 def _load_config(args) -> Config:
     config = Config.load(args.config) if args.config else Config()
-    if args.seed is not None:
-        config = config.replace(seed=args.seed)
-    return config
+    return config if args.seed is None else config.replace(seed=args.seed)
 
 
 def _load_trained(path):
@@ -118,9 +116,15 @@ def _cmd_eval_retrieval(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    if int(text) < 0:  # a usage error, before Config.validate rejects it
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="key = value config file")
-    sub.add_argument("--seed", type=int, default=None, help="override config seed")
+    sub.add_argument("--seed", type=nonnegative_int, default=None, help="override config seed")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,7 +1,7 @@
 """Run configuration: every hyperparameter, validated, with file round-trip.
 
 The file format is UTF-8 ``key = value`` lines; blank lines and ``#``
-comments are allowed, unknown keys are errors.
+comments are allowed; unknown and repeated keys are errors.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class Config:
         for name in ("relevance_temperature", "tau_init", "lr", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
-        for name in ("gamma", "weight_decay", "corpus_noise",
+        for name in ("gamma", "weight_decay", "corpus_noise", "seed",
                      "w_mlm", "w_mvm", "w_linkpred", "w_itc"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -151,6 +151,8 @@ class Config:
             key, value = key.strip(), value.strip()
             if key not in fields:
                 raise ValidationError(f"{source}:{line_no}: unknown key {key!r}")
+            if key in values:
+                raise ValidationError(f"{source}:{line_no}: duplicate key {key!r}")
             ftype = fields[key].type
             try:
                 if ftype == "int":

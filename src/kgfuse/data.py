@@ -71,18 +71,17 @@ def generate_kg(config: Config, rng: np.random.Generator) -> KnowledgeGraph:
 
     z = rng.standard_normal((n_e, KG_LATENT_DIM))
     w = rng.standard_normal((n_r, KG_LATENT_DIM))
-    # Scores of every ordered (h, r, t) pair with h != t, flattened.
+    # Scores of every (h, r, t) with h != t, flattened in (h, t, r) order.
     scores = np.einsum("hl,rl,tl->hrt", z, w, z)
-    mask = ~np.eye(n_e, dtype=bool)
-    flat_scores = scores.transpose(0, 2, 1)[mask].reshape(-1)
-    # The same pairs as (h, r, t) rows: argwhere lists (h, t, r) in that order.
-    candidates = np.argwhere(np.broadcast_to(mask[:, :, None], (n_e, n_e, n_r)))[:, [0, 2, 1]]
+    flat_scores = scores.transpose(0, 2, 1)[~np.eye(n_e, dtype=bool)].reshape(-1)
     logits = flat_scores / KG_SCORE_TEMPERATURE
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
-    chosen = rng.choice(len(candidates), size=n_t, replace=False, p=probs)
-    triplets = [Triplet(int(h), int(r), int(t)) for h, r, t in candidates[sorted(chosen)]]
-    return KnowledgeGraph(entities, relations, triplets)
+    chosen = np.sort(rng.choice(capacity, size=n_t, replace=False, p=probs))
+    # Decode each flat position: r runs fastest, and t's column skips h.
+    h, t = np.divmod(chosen // n_r, n_e - 1)
+    triplets = np.stack([h, chosen % n_r, t + (t >= h)], axis=1).tolist()
+    return KnowledgeGraph(entities, relations, [Triplet(*row) for row in triplets])
 
 
 def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:

@@ -49,10 +49,15 @@ class GnnLayerParams:
 
 @dataclass
 class GnnParams:
-    relation_table: Tensor  # (1 + 2 * |relations|) x d; row 0 is the self row
-    relation_rows: dict[tuple[int, int], int]
+    relation_table: Tensor  # (1 + 2 * |relations|) x d; see relation_row
     layers: list[GnnLayerParams]
     width: int
+
+
+def relation_row(relation, direction):
+    """Relation-table row of dense relation index ``relation`` in
+    ``direction``; row ``SELF_ROW`` serves the self term."""
+    return 1 + 2 * relation + direction
 
 
 def init_gnn_layer(params: Parameters, prefix: str, rng: np.random.Generator,
@@ -80,26 +85,21 @@ def init_gnn(params: Parameters, rng: np.random.Generator, kg: KnowledgeGraph,
     """
     relation_ids = kg.relation_ids()
     rows = np.zeros((1 + 2 * len(relation_ids), d))
-    relation_rows: dict[tuple[int, int], int] = {}
     proj = np.random.default_rng([description_seed, 7]).standard_normal((d_e, d))
     proj /= np.sqrt(d_e)
     for i, rid in enumerate(relation_ids):
         desc = kg.relations[rid].description
         base = embed_description(desc, d_e, description_seed) @ proj
-        rows[1 + 2 * i] = base
-        rows[2 + 2 * i] = base
-        relation_rows[(rid, DIR_OUT)] = 1 + 2 * i
-        relation_rows[(rid, DIR_IN)] = 2 + 2 * i
+        rows[relation_row(i, DIR_OUT)] = rows[relation_row(i, DIR_IN)] = base
     layers = [init_gnn_layer(params, f"gnn.layer{i}", rng, d, attn_width)
               for i in range(depth)]
     table = params.add("gnn.relation_table", Tensor(rows))
-    return GnnParams(table, relation_rows, layers, d)
+    return GnnParams(table, layers, d)
 
 
-def forward_relation_rows(gp: GnnParams) -> dict[int, int]:
-    """Relation id -> table row of its DIR_OUT embedding, the row that scores triplets."""
-    return {rid: row for (rid, direction), row in gp.relation_rows.items()
-            if direction == DIR_OUT}
+def forward_relation_rows(gp: GnnParams) -> np.ndarray:
+    """Table row of each relation's DIR_OUT embedding, which scores triplets."""
+    return relation_row(np.arange(gp.relation_table.shape[0] // 2), DIR_OUT)
 
 
 def _edge_lists(sub: Subgraph, gp: GnnParams):
@@ -109,20 +109,17 @@ def _edge_lists(sub: Subgraph, gp: GnnParams):
     k = sub.num_nodes
     if k == 0:
         raise ValidationError("subgraph has no nodes")
-    heads, rels, tails = np.asarray(sub.triplets_local, dtype=np.int64).reshape(-1, 3).T
-    distinct, inverse = np.unique(rels, return_inverse=True)
-    try:
-        rows = np.array([[gp.relation_rows[(rel, d)] for d in (DIR_OUT, DIR_IN)]
-                         for rel in distinct.tolist()], dtype=np.int64).reshape(-1, 2)
-    except KeyError as exc:
-        raise ValidationError(
-            f"relation {exc.args[0][0]} missing from the GNN table") from None
+    heads, rels, tails = sub.triplets_local.T
+    missing = rels[(rels < 0) | (rels >= gp.relation_table.shape[0] // 2)]
+    if missing.size:
+        raise ValidationError(f"relation index {missing[0]} missing from the GNN table")
     # Self terms, then head -> tail (DIR_OUT) and tail -> head (DIR_IN) per
     # triplet; a stable sort on the destination keeps that order per node.
     nodes = np.arange(k)
     dst = np.concatenate([nodes, np.stack([tails, heads], axis=1).ravel()])
     src = np.concatenate([nodes, np.stack([heads, tails], axis=1).ravel()])
-    rel = np.concatenate([np.full(k, SELF_ROW), rows[inverse].ravel()])
+    rel = np.concatenate([np.full(k, SELF_ROW),
+                          relation_row(rels[:, None], [DIR_OUT, DIR_IN]).ravel()])
     order = np.argsort(dst, kind="stable")
     edges = dst[order], src[order], rel[order]
     for array in edges:
@@ -154,15 +151,14 @@ def gnn_layer(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
 
 def gnn_encode(sub: Subgraph, initial: Tensor, gp: GnnParams) -> Tensor:
     """Apply the full layer stack in order.  The edge lists are built once
-    per subgraph and parameter set, and kept on ``sub`` for later calls."""
+    per subgraph and kept on ``sub`` for later calls."""
     if not gp.layers:
         raise ValidationError("GNN stack is empty")
-    if sub.edge_lists is None or sub.edge_lists[0] is not gp:
-        sub.edge_lists = (gp, _edge_lists(sub, gp))
-    edges = sub.edge_lists[1]
+    if sub.edge_lists is None:
+        sub.edge_lists = _edge_lists(sub, gp)
     x = initial
     for layer in gp.layers:
-        x = _propagate(sub, edges, x, layer, gp)
+        x = _propagate(sub, sub.edge_lists, x, layer, gp)
     return x
 
 

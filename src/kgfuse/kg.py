@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Edge direction flags as seen from an entity's adjacency list:
-# OUT means the entity is the head of the triplet, IN means it is the tail.
+# Edge direction flags as seen from an entity: OUT means the entity is the
+# head of the triplet, IN means it is the tail.
 DIR_OUT = 0
 DIR_IN = 1
 
@@ -37,15 +37,17 @@ class NamedRecord:
 
 
 class KnowledgeGraph:
-    """Immutable multi-relational graph with a bidirectional adjacency index.
+    """Immutable multi-relational graph.
 
     Entities and relations also carry dense indices, their positions in
-    ascending id order.  Every triplet is indexed twice in one sorted int64
-    array: by its h-major key ``(hi * R + ri) * E + ti`` and, above all of
-    those, by its t-major key ``E * R * E + (ti * R + ri) * E + hi``.  The
-    triplets sharing a head and relation, or a tail and relation, are thus
-    one run of keys within an E-wide range, which :meth:`known_mask` reads;
-    it is the one membership rule.
+    ascending id order, and ``dense`` holds each triplet of ``triplets`` as
+    one read-only int64 row of (head, relation, tail) dense indices.  Every
+    triplet is indexed twice in one sorted int64 array: by its h-major key
+    ``(hi * R + ri) * E + ti`` and, above all of those, by its t-major key
+    ``E * R * E + (ti * R + ri) * E + hi``.  The triplets sharing a head and
+    relation, or a tail and relation, are thus one run of keys within an
+    E-wide range, which :meth:`known_mask` reads; it is the one membership
+    rule.
     """
 
     def __init__(self, entities: dict[int, NamedRecord],
@@ -69,19 +71,20 @@ class KnowledgeGraph:
         if 2 * n_e * n_e * n_r > np.iinfo(np.int64).max:
             raise ValidationError(
                 f"{n_e} entities and {n_r} relations overflow the int64 triplet key")
-        h, r, t = self.index_triplets(self.triplets).T
+        self.dense = self.index_triplets(self.triplets)
+        self.dense.setflags(write=False)
+        h, r, t = self.dense.T
         self._keys = np.sort(np.concatenate(
             [(h * n_r + r) * n_e + t, ((n_e + t) * n_r + r) * n_e + h]))
         if np.any(np.diff(self._keys) == 0):
             raise ValidationError("duplicate triplets in knowledge graph")
-        # Each record is (relation, neighbor, direction, triplet index).
-        adjacency: dict[int, list[tuple[int, int, int, int]]] = {e: [] for e in self.entities}
-        for i, t in enumerate(self.triplets):
-            adjacency[t.head].append((t.relation, t.tail, DIR_OUT, i))
-            adjacency[t.tail].append((t.relation, t.head, DIR_IN, i))
-        for entries in adjacency.values():
-            entries.sort(key=lambda rec: (rec[1], rec[0], rec[2]))
-        self._adjacency = adjacency
+        # Neighbour CSR: entity e's distinct neighbours, in ascending dense
+        # index order, are _neighbors[_neighbor_start[e]:_neighbor_start[e + 1]].
+        pairs = np.sort(np.concatenate([h * n_e + t, t * n_e + h]))
+        # Distinct pairs without np.unique, whose first call imports numpy.ma.
+        pairs = pairs[np.diff(pairs, prepend=-1) > 0]
+        self._neighbors = pairs % n_e
+        self._neighbor_start = np.searchsorted(pairs, np.arange(n_e + 1) * n_e)
 
     # ---- queries ----------------------------------------------------------
 
@@ -100,6 +103,11 @@ class KnowledgeGraph:
             raise ValidationError(
                 f"unknown entity or relation {exc.args[0]} in triplet") from None
         return np.array(dense, dtype=np.int64).reshape(-1, 3)
+
+    def triplets_of(self, dense: np.ndarray) -> list[Triplet]:
+        """The id triplets of the ``(P, 3)`` dense triplets ``dense``."""
+        ent, rel = self._entity_ids, self._relation_ids
+        return [Triplet(ent[h], rel[r], ent[t]) for h, r, t in dense.tolist()]
 
     def known_mask(self, dense: np.ndarray) -> np.ndarray:
         """``(2P, E)`` bool mask of the graph's triplets around the ``(P, 3)``
@@ -131,47 +139,51 @@ class KnowledgeGraph:
         """
         if entity not in self.entities:
             raise ValidationError(f"unknown entity {entity}")
-        return [rec[:3] for rec in self._adjacency[entity]]
+        records = [(r, t, DIR_OUT) for h, r, t in self.triplets if h == entity]
+        records += [(r, h, DIR_IN) for h, r, t in self.triplets if t == entity]
+        return sorted(records, key=lambda rec: (rec[1], rec[0], rec[2]))
 
     def __len__(self) -> int:
         return len(self.entities)
 
 
-@dataclass
+@dataclass(eq=False)
 class Subgraph:
     """A locally indexed neighborhood extracted around seed entities.
 
     ``entity_ids[i]`` is the global id of local node ``i``; seeds come
-    first, in their given order.  ``triplets_local`` lists each contained
-    triplet once as (head_local, relation_id, tail_local).  Self-loops are
-    never stored; message passing adds an implicit self term instead.
-    A subgraph is not changed once built: :func:`gnn.gnn_encode` keeps its
-    edge lists on it.
+    first, in their given order.  ``triplets_local`` is an ``(n, 3)`` int64
+    array holding each contained triplet once as (head local, dense relation
+    index, tail local); a list of such rows is converted.  Message passing
+    adds an implicit self term to every node.  A subgraph is not changed
+    once built: :func:`gnn.gnn_encode` keeps its edge lists on it.
     """
 
     entity_ids: list[int]
     seed_flags: list[bool]
-    triplets_local: list[tuple[int, int, int]]
-    # (GNN parameters, their edge lists) of the last gnn_encode call.
-    edge_lists: tuple | None = field(default=None, compare=False, repr=False)
+    triplets_local: np.ndarray
+    edge_lists: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.triplets_local = np.asarray(self.triplets_local, dtype=np.int64).reshape(-1, 3)
 
     @property
     def num_nodes(self) -> int:
         return len(self.entity_ids)
 
-    def with_triplets(self, triplets_local: list[tuple[int, int, int]]) -> "Subgraph":
+    def with_triplets(self, triplets_local: np.ndarray) -> "Subgraph":
         """Same nodes, different edge set (used to drop held-out edges)."""
-        return Subgraph(self.entity_ids, self.seed_flags, list(triplets_local))
+        return Subgraph(self.entity_ids, self.seed_flags, triplets_local)
 
 
 def disjoint_union(parts: list[Subgraph]) -> tuple[Subgraph, list[int]]:
     """``parts`` side by side in one graph, where node ``i`` of part ``b`` is
     node ``offsets[b] + i``, and the offsets; triplets keep their order."""
-    offsets = np.cumsum([0] + [p.num_nodes for p in parts[:-1]]).tolist()
+    offsets = np.cumsum([0] + [p.num_nodes for p in parts[:-1]])
     return Subgraph([e for p in parts for e in p.entity_ids],
                     [f for p in parts for f in p.seed_flags],
-                    [(h + off, r, t + off) for p, off in zip(parts, offsets)
-                     for h, r, t in p.triplets_local]), offsets
+                    np.concatenate([p.triplets_local + [off, 0, off]
+                                    for p, off in zip(parts, offsets)])), offsets.tolist()
 
 
 @dataclass
@@ -245,70 +257,59 @@ def expand_subgraph(kg: KnowledgeGraph, seeds: list[int], per_node_cap: int,
                     seed: int) -> Subgraph:
     """Seeds plus up to ``per_node_cap`` sampled one-hop neighbors per seed.
 
-    Neighbors are sampled without replacement per seed with the given RNG
-    seed; the edge set is every graph triplet whose endpoints both landed in
-    the node set.  Local indices follow insertion order, seeds first.
+    Each seed's distinct neighbors, in ascending id order, are sampled
+    without replacement with the given RNG seed; the edge set is every graph
+    triplet whose endpoints both landed in the node set, in the order of
+    ``kg.triplets``.  Local indices follow insertion order, seeds first.
     """
     if not seeds:
         raise ValidationError("expand_subgraph requires at least one seed")
     if per_node_cap < 1:
         raise ValidationError("per_node_cap must be >= 1")
-    ordered: list[int] = []
     for s in seeds:
         if s not in kg.entities:
             raise ValidationError(f"unknown seed entity {s}")
-        if s not in ordered:
-            ordered.append(s)
+    ordered = np.array([kg._entity_index[s] for s in dict.fromkeys(seeds)], dtype=np.int64)
 
     rng = np.random.default_rng(seed)
-    nodes = list(ordered)
-    node_set = set(nodes)
-    for s in ordered:
-        candidates = sorted({rec[1] for rec in kg._adjacency[s]})
+    member = np.zeros(len(kg), dtype=bool)
+    member[ordered] = True
+    nodes = [ordered]
+    for s in ordered.tolist():
+        candidates = kg._neighbors[kg._neighbor_start[s]:kg._neighbor_start[s + 1]]
         if len(candidates) > per_node_cap:
-            picked_idx = rng.choice(len(candidates), size=per_node_cap, replace=False)
-            picked = [candidates[i] for i in sorted(picked_idx)]
-        else:
-            picked = candidates
-        for nbr in picked:
-            if nbr not in node_set:
-                node_set.add(nbr)
-                nodes.append(nbr)
+            candidates = candidates[np.sort(
+                rng.choice(len(candidates), size=per_node_cap, replace=False))]
+        fresh = candidates[~member[candidates]]
+        member[fresh] = True
+        nodes.append(fresh)
+    nodes = np.concatenate(nodes)
 
-    # Triplet indices from the nodes' own adjacency records, sorted so the
-    # edges keep the order of ``kg.triplets``.
-    inside = sorted({index for e in nodes for _, nbr, _, index in kg._adjacency[e]
-                     if nbr in node_set})
-    local = {e: i for i, e in enumerate(nodes)}
-    triplets_local = [(local[h], r, local[t])
-                      for h, r, t in (kg.triplets[i] for i in inside)]
+    local = np.zeros(len(kg), dtype=np.int64)
+    local[nodes] = np.arange(len(nodes))
+    triplets_local = kg.dense[member[kg.dense[:, 0]] & member[kg.dense[:, 2]]]
+    triplets_local[:, ::2] = local[triplets_local[:, ::2]]
     flags = [i < len(ordered) for i in range(len(nodes))]
-    return Subgraph(nodes, flags, triplets_local)
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+    return Subgraph([kg._entity_ids[i] for i in nodes.tolist()], flags, triplets_local)
 
 
 def holdout_edges(kg: KnowledgeGraph, drop_rate: float, seed: int) -> EdgeHoldout:
     """Uniformly hold out round(drop_rate * |triplets|) edges from the graph."""
-    visible, held = split_triplet_list(kg.triplets, drop_rate, seed)
-    return EdgeHoldout(KnowledgeGraph(kg.entities, kg.relations, visible), held)
+    visible, held = split_triplet_list(kg.dense, drop_rate, seed)
+    return EdgeHoldout(KnowledgeGraph(kg.entities, kg.relations, kg.triplets_of(visible)),
+                       kg.triplets_of(held))
 
 
-def split_triplet_list(triplets: list, drop_rate: float, seed: int):
-    """(kept, held_out) split of an arbitrary triplet list at the same rate rule."""
+def split_triplet_list(triplets: np.ndarray, drop_rate: float, seed: int):
+    """(kept, held_out) split of the rows of a triplet array at the same rate
+    rule; both keep the rows' order."""
     if not (0.0 < drop_rate < 1.0):
         raise ValidationError(f"drop_rate must be in (0,1), got {drop_rate}")
     n = len(triplets)
-    k = _round_half_up(drop_rate * n)
-    if n == 0 or k == 0:
-        return list(triplets), []
-    rng = np.random.default_rng(seed)
-    chosen = set(rng.choice(n, size=k, replace=False).tolist())
-    kept = [t for i, t in enumerate(triplets) if i not in chosen]
-    held = [triplets[i] for i in sorted(chosen)]
-    return kept, held
+    k = int(np.floor(drop_rate * n + 0.5))  # rounded half up
+    held = np.zeros(n, dtype=bool)
+    held[np.random.default_rng(seed).choice(n, size=k, replace=False)] = True
+    return triplets[~held], triplets[held]
 
 
 def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
@@ -357,10 +358,8 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
         rejected[active] += np.count_nonzero(short, axis=1) - kept
         failed = active[rejected[active] >= max_retries]
         if failed.size:
-            h, r, t = dense[failed[0]].tolist()
             raise ValidationError(
-                f"no valid negative found for "
-                f"{Triplet(kg._entity_ids[h], kg._relation_ids[r], kg._entity_ids[t])} "
+                f"no valid negative found for {kg.triplets_of(dense[failed[:1]])[0]} "
                 f"after {max_retries} retries")
         at = np.flatnonzero(ok & short)
         coin, pick = coin.take(at), pick.take(at)
@@ -378,8 +377,6 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
 def sample_negatives(kg: KnowledgeGraph, positive: Triplet, n: int,
                      seed, max_retries: int = 1000) -> list[Triplet]:
     """The :func:`negative_indices` corruptions of one positive, as triplets."""
-    positive = Triplet(*positive)
-    heads, tails = negative_indices(kg, kg.index_triplets([positive]), n, seed, max_retries)
-    ids = kg._entity_ids
-    return [Triplet(ids[h], positive.relation, ids[t])
-            for h, t in zip(heads[0].tolist(), tails[0].tolist())]
+    dense = kg.index_triplets([positive])
+    heads, tails = negative_indices(kg, dense, n, seed, max_retries)
+    return kg.triplets_of(np.stack([heads[0], np.full(n, dense[0, 1]), tails[0]], axis=1))

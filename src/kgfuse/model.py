@@ -238,10 +238,11 @@ def graph_sample(inputs: BatchInputs, memory: EntityMemory,
     ids = kg.entity_ids()
     entity_row = np.tile(row_map(memory.row_of, ids), (len(examples), 1))
     node_example = np.repeat(np.arange(len(examples)), [s.num_nodes for s in subgraphs])
-    entity_row[node_example, np.searchsorted(ids, union.entity_ids)] = \
-        len(memory) + np.arange(union.num_nodes)
-    positives = [Triplet(sub.entity_ids[h], r, sub.entity_ids[t])
-                 for sub, held_out in zip(subgraphs, held_outs) for h, r, t in held_out]
+    node_dense = np.searchsorted(ids, union.entity_ids)
+    entity_row[node_example, node_dense] = len(memory) + np.arange(union.num_nodes)
+    held = np.concatenate([h + [off, 0, off] for h, off in zip(held_outs, offsets)])
+    held[:, ::2] = node_dense[held[:, ::2]]
+    positives = kg.triplets_of(held)
     positive_rows = entity_row[np.repeat(np.arange(len(examples)),
                                          [len(h) for h in held_outs])]
     _read_only(seed_rows, entity_valid, node_weight, positive_rows)

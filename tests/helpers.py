@@ -15,7 +15,9 @@ layer composed from them, on ``segment_sum``, which left with it;
 stable sort; ``reference_log_sigmoid`` and ``reference_optimizer_step`` are
 the masked log-sigmoid and the per-tensor AdamW loop that the branch-free
 and flat forms replaced, and must match bit for bit; ``reference_backward``
-is the depth-first sweep that the creation-ordered one replaced.
+is the depth-first sweep that the creation-ordered one replaced;
+``reference_expand_subgraph`` is the per-seed Python sampler that the one on
+dense index arrays replaced, and must match it bit for bit.
 ``write_kg_tsv`` writes graph fixtures in the TSV format that
 ``kgfuse.kg.load_kg`` reads.
 """
@@ -235,16 +237,17 @@ def reassemble(patches, grid, p, c) -> np.ndarray:
     return image
 
 
-def subgraph_edges(sub) -> list[tuple[int, int, int, int]]:
-    """Directed message edges (src_local, dst_local, relation, direction).
+def subgraph_edges(sub) -> list[tuple[int, int, int]]:
+    """Directed message edges (src_local, dst_local, relation-table row).
 
-    Every triplet yields two entries: head-to-tail tagged DIR_OUT and
-    tail-to-head tagged DIR_IN, so each node sees all incident edges.
+    Every triplet yields two entries: head-to-tail through its relation's
+    DIR_OUT row and tail-to-head through its DIR_IN row, so each node sees
+    all incident edges.  Relation r's rows are 1 + 2r + direction.
     """
     out = []
-    for h, r, t in sub.triplets_local:
-        out.append((h, t, r, DIR_OUT))
-        out.append((t, h, r, DIR_IN))
+    for h, r, t in sub.triplets_local.tolist():
+        out.append((h, t, 1 + 2 * r + DIR_OUT))
+        out.append((t, h, 1 + 2 * r + DIR_IN))
     return out
 
 
@@ -253,8 +256,8 @@ def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
     k = sub.num_nodes
     table = gp.relation_table.data
     candidates: list[list[tuple[int, int]]] = [[(i, SELF_ROW)] for i in range(k)]
-    for src, dst, rel, direction in subgraph_edges(sub):
-        candidates[dst].append((src, gp.relation_rows[(rel, direction)]))
+    for src, dst, rel_row in subgraph_edges(sub):
+        candidates[dst].append((src, rel_row))
 
     out = np.zeros_like(embeddings)
     sqrt_d = math.sqrt(layer.attn_width)
@@ -275,14 +278,14 @@ def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
     return out
 
 
-def reference_edge_lists(sub, gp):
+def reference_edge_lists(sub):
     """Per-node lists of (src, relation-row), self term first, flattened.
 
     Returns the (dst, src, relation-row) arrays, as ``gnn._edge_lists`` does.
     """
     per_node = [[(i, SELF_ROW)] for i in range(sub.num_nodes)]
-    for src, dst, rel, direction in subgraph_edges(sub):
-        per_node[dst].append((src, gp.relation_rows[(rel, direction)]))
+    for src, dst, rel_row in subgraph_edges(sub):
+        per_node[dst].append((src, rel_row))
     dst_idx, src_idx, rel_idx = [], [], []
     for i, entries in enumerate(per_node):
         for src, rel_row in entries:
@@ -442,11 +445,30 @@ def reference_filtered_ranks(entity_matrix, relation_matrix, entity_row: dict,
     return ranks
 
 
-def reference_expand_edges(kg, nodes: list[int]) -> list[tuple[int, int, int]]:
-    """Full scan of ``kg.triplets`` for the edges with both endpoints in ``nodes``."""
+def reference_expand_subgraph(kg, seeds: list[int], per_node_cap: int, seed: int):
+    """The per-seed Python sampler that ``kg.expand_subgraph`` replaced.
+
+    Each distinct seed, in order, draws up to ``per_node_cap`` of its
+    distinct neighbours (from :meth:`neighbors`, in ascending id order) by
+    one ``rng.choice`` without replacement; new nodes join in that order.
+    The edges are a full scan of ``kg.triplets`` for those with both
+    endpoints in the node set.  Returns the node ids, the seed flags and the
+    (head local, dense relation index, tail local) triplets, as lists.
+    """
+    ordered = list(dict.fromkeys(seeds))
+    rng = np.random.default_rng(seed)
+    nodes = list(ordered)
+    for s in ordered:
+        candidates = sorted({nbr for _, nbr, _ in kg.neighbors(s)})
+        if len(candidates) > per_node_cap:
+            picked = rng.choice(len(candidates), size=per_node_cap, replace=False)
+            candidates = [candidates[i] for i in sorted(picked)]
+        nodes += [nbr for nbr in candidates if nbr not in nodes]
     local = {e: i for i, e in enumerate(nodes)}
-    return [(local[h], r, local[t]) for h, r, t in kg.triplets
-            if h in local and t in local]
+    relation = {r: i for i, r in enumerate(kg.relation_ids())}
+    triplets = [(local[h], relation[r], local[t]) for h, r, t in kg.triplets
+                if h in local and t in local]
+    return nodes, [i < len(ordered) for i in range(len(nodes))], triplets
 
 
 def reference_compute_step(params, corpus, memory, plan):
@@ -503,12 +525,13 @@ def reference_compute_step(params, corpus, memory, plan):
             e0 = T.concat([e0, project_memory_rows(neighbor_ids, memory, params.entity)])
         nodes = gnn_encode(subgraph.with_triplets(visible), e0, params.gnn)
 
-        if held_out:
+        if len(held_out):
             fallback_rows = {e: len(subgraph.entity_ids) + i for e, i in memory.row_of.items()}
             entity_row = {**fallback_rows,
                           **{e: i for i, e in enumerate(subgraph.entity_ids)}}
-            positives = [Triplet(subgraph.entity_ids[h], r, subgraph.entity_ids[t])
-                         for h, r, t in held_out]
+            relations = kg.relation_ids()
+            positives = [Triplet(subgraph.entity_ids[h], relations[r], subgraph.entity_ids[t])
+                         for h, r, t in held_out.tolist()]
             linkpred_parts.append((T.concat([nodes, fallback]), entity_row, positives))
 
         fused = assemble(v_out, t_out, T.take_rows(nodes, np.arange(len(retrieved))),
@@ -546,7 +569,7 @@ def reference_compute_step(params, corpus, memory, plan):
             tail_rows = [[entity_row[p.tail]] + [entity_row[ids[i]] for i in negs]
                          for p, negs in zip(positives, tails[rows].tolist())]
             r = T.take_rows(params.gnn.relation_table,
-                            [[relation_row[p.relation]] for p in positives])
+                            relation_row[kg.index_triplets(positives)[:, 1:2]])
             grid = T.tensor_sum(T.mul(T.mul(T.take_rows(table, head_rows), r),
                                       T.take_rows(table, tail_rows)), axis=2)
             pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))

@@ -128,6 +128,7 @@ def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
     (["eval-retrieval", "--checkpoint", "c", "--seed", "3"], "unrecognized arguments"),
     (["retrieve", "--image", "x.npy", "--checkpoint", "c", "--config", "x"],
      "unrecognized arguments"),
+    (["gradcheck", "--seed", "-4"], "argument --seed: must be >= 0, got -4"),
 ])
 def test_usage_errors_exit_one(argv, reason, capsys):
     assert main(argv) == 1
@@ -204,10 +205,14 @@ def test_non_finite_checkpoint_exits_one(tmp_path, tiny_config_file, capsys):
     ("heads = 0", "heads must be positive"),
     ("heads = -2", "heads must be positive"),
     ("image_c = 0", "image_c must be positive"),
+    ("seed = -4", "seed must be >= 0"),
 ])
 def test_config_values_that_would_break_a_run_exit_one(tmp_path, line, reason, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(TINY_CFG + "steps = 1\n" + line + "\n")
+    # A key may be given once, so the tiny config's own lr and steps go.
+    key = line.split("=")[0].strip()
+    kept = [row for row in TINY_CFG.splitlines() if row.split("=")[0].strip() not in (key, "steps")]
+    bad.write_text("\n".join(kept) + "\nsteps = 1\n" + line + "\n")
     out = tmp_path / "run"
     assert main(["pretrain", "--config", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -5,10 +5,11 @@ import pytest
 
 from kgfuse import tensor as T
 from kgfuse.errors import NumericsError, ValidationError
-from kgfuse.gnn import (GnnParams, _edge_lists, attention_weights, gnn_encode,
-                        gnn_layer, init_gnn)
+from kgfuse.gnn import (GnnParams, _edge_lists, attention_weights,
+                        forward_relation_rows, gnn_encode, gnn_layer, init_gnn,
+                        relation_row)
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Subgraph,
-                       Triplet, disjoint_union)
+                       Triplet, disjoint_union, expand_subgraph, holdout_edges)
 from kgfuse.tensor import Parameters, Tensor
 
 from helpers import (fd_input_grad, reference_edge_lists, reference_gnn_layer,
@@ -255,7 +256,7 @@ class TestEdgeLists:
                     rng, n, 3, int(rng.integers(0, n * (n - 1) // 2 + 1))))
             sub = parts[0] if trial % 2 else disjoint_union(parts)[0]
             got = _edge_lists(sub, gp)
-            want = reference_edge_lists(sub, gp)
+            want = reference_edge_lists(sub)
             assert len(got) == 3
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
@@ -313,10 +314,28 @@ class TestGnnEncode:
         np.testing.assert_allclose(out[:3], base[:3], atol=1e-12)
         assert np.max(np.abs(out[3:] - base[3:])) > 1e-6
 
+    def test_u64_ids_through_sampling_and_the_gnn(self):
+        # Ids up to 2**64 - 1 load; past the graph they travel as dense indices.
+        big = 2 ** 64 - 1
+        entities = {e: NamedRecord(f"e{e}", f"thing number {e}") for e in (0, 1, 2, big)}
+        relations = {0: NamedRecord("r0", "connects via mode 0"),
+                     big: NamedRecord("rbig", "connects via the last mode")}
+        kg = KnowledgeGraph(entities, relations, [Triplet(0, big, big), Triplet(big, 0, 1),
+                                                  Triplet(1, big, 2), Triplet(2, 0, 0)])
+        sub = expand_subgraph(kg, [big], per_node_cap=4, seed=0)
+        assert sub.entity_ids == [big, 0, 1]
+        np.testing.assert_array_equal(sub.triplets_local, [[1, 1, 0], [0, 0, 2]])
+        params, gp = make_gnn(kg, depth=2, seed=24)
+        out = gnn_encode(sub, Tensor(np.random.default_rng(25).standard_normal((3, 4))), gp)
+        assert out.shape == (3, 4) and np.isfinite(out.data).all()
+        holdout = holdout_edges(kg, 0.5, seed=0)
+        assert len(holdout.held_out) == 2
+        assert sorted(holdout.visible.triplets + holdout.held_out) == sorted(kg.triplets)
+
     def test_empty_stack_rejected(self):
         kg = make_kg()
         params, gp = make_gnn(kg, depth=1)
-        gp_empty = GnnParams(gp.relation_table, gp.relation_rows, [], gp.width)
+        gp_empty = GnnParams(gp.relation_table, [], gp.width)
         with pytest.raises(ValidationError):
             gnn_encode(Subgraph([0], [True], []), Tensor(np.zeros((1, 4))),
                        gp_empty)
@@ -350,9 +369,10 @@ class TestRelationEmbedding:
     def test_lookup_consistency_and_direction_independence(self):
         kg = make_kg()
         params, gp = make_gnn(kg, depth=1, seed=18)
-        out_row = gp.relation_rows[(0, DIR_OUT)]
-        in_row = gp.relation_rows[(0, DIR_IN)]
+        out_row = relation_row(0, DIR_OUT)
+        in_row = relation_row(0, DIR_IN)
         assert out_row != in_row
+        np.testing.assert_array_equal(forward_relation_rows(gp), [out_row, relation_row(1, DIR_OUT)])
         np.testing.assert_array_equal(gp.relation_table.data[out_row],
                                       gp.relation_table.data[in_row])
         gp.relation_table.data[out_row] += 1.0
@@ -371,8 +391,8 @@ class TestRelationEmbedding:
                              [Triplet(0, 0, 1), Triplet(1, 1, 2)])
         _, gp3 = make_gnn(kg2, seed=19)
         np.testing.assert_array_equal(
-            gp3.relation_table.data[gp3.relation_rows[(0, DIR_OUT)]],
-            gp3.relation_table.data[gp3.relation_rows[(1, DIR_OUT)]])
+            gp3.relation_table.data[relation_row(0, DIR_OUT)],
+            gp3.relation_table.data[relation_row(1, DIR_OUT)])
 
     def test_unknown_relation(self):
         kg = make_kg()

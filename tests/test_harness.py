@@ -44,6 +44,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown key"):
             Config.from_text("nonsense = 3\n")
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValidationError, match=r"^run\.cfg:2: duplicate key 'lr'$"):
+            Config.from_text("lr = 1e-3\nlr = 2e-3\n", source="run.cfg")
+
+    def test_negative_seed_rejected(self):
+        for make in (lambda: Config(seed=-4), lambda: Config.from_text("seed = -4\n")):
+            with pytest.raises(ValidationError, match="seed must be >= 0"):
+                make()
+        assert Config(seed=0).seed == 0
+
     def test_bad_value_and_ranges(self):
         with pytest.raises(ValidationError, match="cannot parse"):
             Config.from_text("d = sixteen\n")

@@ -12,7 +12,7 @@ from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
                        expand_subgraph, holdout_edges, load_kg,
                        negative_indices, sample_negatives, split_triplet_list)
 
-from helpers import reference_expand_edges, reference_sample_negatives, write_kg_tsv
+from helpers import reference_expand_subgraph, reference_sample_negatives, write_kg_tsv
 
 
 def small_kg() -> KnowledgeGraph:
@@ -129,7 +129,7 @@ class TestExpandSubgraph:
     def test_isolated_seed(self):
         sub = expand_subgraph(small_kg(), [5], per_node_cap=4, seed=0)
         assert sub.entity_ids == [5]
-        assert sub.triplets_local == []
+        assert sub.triplets_local.shape == (0, 3)
         assert sub.seed_flags == [True]
 
     def test_small_neighborhood_complete(self):
@@ -138,8 +138,9 @@ class TestExpandSubgraph:
         assert set(sub.entity_ids) == {0, 1, 2, 3}
         expected = {(h, r, t) for h, r, t in kg.triplets
                     if h in sub.entity_ids and t in sub.entity_ids}
-        got = {(sub.entity_ids[h], r, sub.entity_ids[t])
-               for h, r, t in sub.triplets_local}
+        rels = kg.relation_ids()
+        got = {(sub.entity_ids[h], rels[r], sub.entity_ids[t])
+               for h, r, t in sub.triplets_local.tolist()}
         assert got == expected
 
     def test_cap_and_determinism(self):
@@ -150,35 +151,42 @@ class TestExpandSubgraph:
         sub1 = expand_subgraph(kg, [hub], per_node_cap=cap, seed=9)
         sub2 = expand_subgraph(kg, [hub], per_node_cap=cap, seed=9)
         assert sub1.entity_ids == sub2.entity_ids
-        assert sub1.triplets_local == sub2.triplets_local
+        np.testing.assert_array_equal(sub1.triplets_local, sub2.triplets_local)
         assert len(sub1.entity_ids) == 1 + cap
 
     def test_edges_equal_bruteforce_filter(self):
         kg = toy_corpus_kg()
         rng = np.random.default_rng(4)
-        ids = kg.entity_ids()
+        ids, rels = kg.entity_ids(), kg.relation_ids()
         for trial in range(10):
             seeds = [ids[i] for i in rng.choice(len(ids), size=3, replace=False)]
             sub = expand_subgraph(kg, seeds, per_node_cap=5, seed=trial)
             nodes = set(sub.entity_ids)
             expected = {(h, r, t) for h, r, t in kg.triplets
                         if h in nodes and t in nodes}
-            got = {(sub.entity_ids[h], r, sub.entity_ids[t])
-                   for h, r, t in sub.triplets_local}
+            got = {(sub.entity_ids[h], rels[r], sub.entity_ids[t])
+                   for h, r, t in sub.triplets_local.tolist()}
             assert got == expected
 
     def test_edge_list_equals_full_scan_in_graph_order(self):
-        # Same list, not just the same set: GNN sums run in this order.
+        # Nodes, flags and the same edge list as the Python sampler's full
+        # scan, not just the same set: GNN sums run in this order.
         kg = toy_corpus_kg()
         loops = KnowledgeGraph(kg.entities, kg.relations,
                                kg.triplets + [Triplet(e, 0, e) for e in kg.entity_ids()[::7]])
         rng = np.random.default_rng(5)
         for graph in (kg, loops):
             ids = graph.entity_ids()
-            for trial in range(20):
-                seeds = [ids[i] for i in rng.choice(len(ids), size=4, replace=False)]
-                sub = expand_subgraph(graph, seeds, per_node_cap=6, seed=trial)
-                assert sub.triplets_local == reference_expand_edges(graph, sub.entity_ids)
+            for trial in range(60):
+                cap = int(rng.integers(1, 12))
+                # Some seeds repeat, which the sampler keeps once.
+                seeds = [ids[i] for i in rng.choice(len(ids), size=int(rng.integers(1, 9)))]
+                sub = expand_subgraph(graph, seeds, per_node_cap=cap, seed=trial)
+                nodes, flags, triplets = reference_expand_subgraph(graph, seeds, cap, trial)
+                assert sub.entity_ids == nodes and sub.seed_flags == flags
+                assert sub.triplets_local.dtype == np.int64
+                np.testing.assert_array_equal(sub.triplets_local,
+                                              np.array(triplets).reshape(-1, 3))
 
     def test_seeds_first_in_given_order(self):
         kg = small_kg()
@@ -221,8 +229,8 @@ class TestHoldout:
                 holdout_edges(small_kg(), rate, seed=0)
 
     def test_split_triplet_list_empty_ok(self):
-        kept, held = split_triplet_list([], 0.15, seed=0)
-        assert kept == [] and held == []
+        kept, held = split_triplet_list(np.empty((0, 3), dtype=np.int64), 0.15, seed=0)
+        assert kept.shape == held.shape == (0, 3)
 
 
 class TestSampleNegatives:

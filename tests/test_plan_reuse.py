@@ -125,7 +125,7 @@ def test_cached_arrays_are_read_only(setting):
     arrays = [inputs.patches, inputs.masked, inputs.tokens, inputs.token_valid,
               inputs.patch_records[0].original_patches, sample.seed_rows,
               sample.entity_valid, sample.node_weight, sample.positive_rows,
-              *sample.union.edge_lists[1]]
+              *sample.union.edge_lists]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
