@@ -94,12 +94,14 @@ class Config:
         for name in ("heads", "patch_size", "image_h", "image_w", "image_c",
                      "vision_layers", "text_layers", "gnn_layers", "fusion_layers",
                      "k_per_patch", "k_final", "per_node_cap", "n_negatives",
-                     "steps", "batch_size", "mean_span", "max_span", "ff_dim",
+                     "steps", "mean_span", "max_span", "ff_dim",
                      "attn_width", "corpus_entities", "corpus_relations",
                      "corpus_triplets", "corpus_examples", "entities_per_example",
                      "caption_min_len", "caption_max_len", "max_text_len"):
             if getattr(self, name) < (0 if name == "steps" else 1):
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.batch_size < 2:  # the contrastive loss needs two examples
+            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.d < 2 or self.d % self.heads != 0:
             raise ValidationError(f"model width {self.d} must be divisible by {self.heads} heads")
         if self.d_e < 2:

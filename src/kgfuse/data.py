@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import retriever
 from .config import Config
 from .errors import ValidationError
 from .kg import KnowledgeGraph, NamedRecord, Triplet
-from .retriever import embed_description
 
 _LETTERS = np.array(list("abcdefghijklmnopqrstuvwxyz"))
 KG_LATENT_DIM = 4
@@ -43,8 +43,7 @@ class SyntheticCorpus:
     captions: list[list[int]]         # token ids, CLS first
     ground_truth: list[list[int]]     # entity ids behind each example
     config: Config
-    seed: int                         # feeds embed_description; the entity
-                                      # memory must be built with this seed
+    memory: retriever.EntityMemory    # the graph's entity descriptions, embedded
 
     def __len__(self) -> int:
         return len(self.images)
@@ -89,9 +88,8 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng([seed, 1])
     kg = generate_kg(config, rng)
-
-    embeddings = {e: embed_description(kg.entities[e].description, config.d_e, seed)
-                  for e in kg.entity_ids()}
+    # Looked up on the module: perfbench spans retriever.build_memory by attribute.
+    memory = retriever.build_memory(kg, config.d_e, seed)
 
     p, c = config.patch_size, config.image_c
     grid_rows = config.image_h // p
@@ -115,7 +113,7 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
         gt = [entity_ids[i] for i in gt_idx]
         image = np.empty((config.image_h, config.image_w, c))
         for patch in range(n_patches):
-            emb = embeddings[gt[patch % len(gt)]]
+            emb = memory.matrix[gt_idx[patch % len(gt)]]
             tile = np.resize(emb, p * p * c)
             noisy = tile + config.corpus_noise * rng.standard_normal(tile.shape)
             r, col = divmod(patch, grid_cols)
@@ -130,14 +128,12 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
             body[slot] = entity_token(config, ent)
         captions.append([Config.CLS_ID] + [int(t) for t in body])
         ground_truth.append(gt)
-    return SyntheticCorpus(kg, images, captions, ground_truth, config, seed)
+    return SyntheticCorpus(kg, images, captions, ground_truth, config, memory)
 
 
-def corpus_memory(corpus: SyntheticCorpus):
-    """The entity memory matching a corpus (same description-embedding seed)."""
-    # Looked up per call: perfbench spans retriever.build_memory by attribute.
-    from .retriever import build_memory
-    return build_memory(corpus.kg, corpus.config.d_e, corpus.seed)
+def corpus_memory(corpus: SyntheticCorpus) -> retriever.EntityMemory:
+    """The entity memory built with the corpus, rows in its graph's dense order."""
+    return corpus.memory
 
 
 def oracle_patch_projection(config: Config) -> np.ndarray:

@@ -239,26 +239,25 @@ def init_entity(params: Parameters, rng: np.random.Generator, d_e: int,
         proj_b=params.add("entity.proj_b", Tensor(np.zeros(d))))
 
 
-def project_memory_rows(entity_ids: list[int], memory: EntityMemory,
-                        ep: EntityParams) -> Tensor:
-    """Project frozen memory rows for the given ids into model width."""
-    try:
-        rows = [memory.row_of[e] for e in entity_ids]
-    except KeyError as exc:
-        raise ValidationError(f"entity {exc.args[0]} missing from memory") from None
+def project_memory_rows(rows, memory: EntityMemory, ep: EntityParams) -> Tensor:
+    """Project the frozen memory ``rows`` into model width."""
+    rows = np.asarray(rows, dtype=np.int64)
+    outside = rows[(rows < 0) | (rows >= len(memory))]
+    if outside.size:
+        raise ValidationError(f"memory row {outside[0]} outside memory of {len(memory)}")
     base = T.constant(memory.matrix[rows])
     return T.add(T.matmul(base, ep.proj_w), ep.proj_b)
 
 
-def entity_encode(entity_ids: list[int], memory: EntityMemory, weights: Tensor,
+def entity_encode(rows, memory: EntityMemory, weights: Tensor,
                   ep: EntityParams) -> Tensor:
-    """Initial embeddings of retrieved entities, scaled by relevance weights.
+    """Initial embeddings of the entities at memory ``rows``, scaled by relevance weights.
 
     The weights come from the retrieval scores, so the retriever's learning
     signal flows through this product into the rest of the model.
     """
-    if weights.shape != (len(entity_ids),):
+    if weights.shape != (len(rows),):
         raise ValidationError(
-            f"weights shape {weights.shape} does not match {len(entity_ids)} entities")
-    projected = project_memory_rows(entity_ids, memory, ep)
-    return T.mul(projected, T.reshape(weights, (len(entity_ids), 1)))
+            f"weights shape {weights.shape} does not match {len(rows)} entities")
+    projected = project_memory_rows(rows, memory, ep)
+    return T.mul(projected, T.reshape(weights, (len(rows), 1)))

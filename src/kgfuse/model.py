@@ -31,8 +31,6 @@ import numpy as np
 from . import tensor as T
 from .config import Config
 from .data import SyntheticCorpus
-# project_memory_rows stays importable from this module: perfbench's traced
-# run wraps it here by name.
 from .encoders import (EntityParams, TextParams, VisionParams, entity_encode,
                        init_entity, init_text, init_vision, patchify,
                        project_memory_rows, text_encode, vision_encode)
@@ -44,7 +42,7 @@ from .kg import (KnowledgeGraph, Subgraph, Triplet, disjoint_union,
                  expand_subgraph, split_triplet_list)
 from .objectives import (ItcParams, LossBundle, MaskingRecord, ScoringTables,
                          init_itc, itc_loss, linkpred_loss, mask_patches,
-                         mask_spans, mlm_loss, mvm_loss, row_map, total_loss)
+                         mask_spans, mlm_loss, mvm_loss, total_loss)
 from .retriever import (EntityMemory, relevance_weights, retrieve_from_scores,
                         score_patches)
 from .tensor import Parameters, Tensor
@@ -120,6 +118,7 @@ class GraphSample:
     memory: EntityMemory
     retrieved: tuple[tuple[int, ...], ...]
     union: Subgraph                   # the visible subgraphs side by side
+    node_rows: np.ndarray             # memory row of each union node
     seed_rows: np.ndarray             # (B, K) union row of each retrieved entity
     entity_valid: np.ndarray          # (B, K) filled seed slots
     node_weight: np.ndarray           # union row -> relevance slot, last is 1
@@ -156,8 +155,7 @@ def make_batch_plan(config: Config, corpus_size: int, step: int) -> BatchPlan:
 
 def entity_fallback_table(params: ModelParams, memory: EntityMemory) -> Tensor:
     """Projected memory rows for every entity; the non-subgraph score source."""
-    base = T.constant(memory.matrix)
-    return T.add(T.matmul(base, params.entity.proj_w), params.entity.proj_b)
+    return project_memory_rows(np.arange(len(memory)), memory, params.entity)
 
 
 @dataclass
@@ -210,16 +208,20 @@ def graph_sample(inputs: BatchInputs, memory: EntityMemory,
     corpus graph, hold out a fraction of its edges, and join the visible
     parts; computed on the plan's first forward pass and again only when
     the inputs, the memory or the retrieved ids change, such as on a
-    parameter change that flips retrieval."""
+    parameter change that flips retrieval.  A memory whose ids are not the
+    graph's raises."""
     key = tuple(map(tuple, retrieved_ids))
     cached = plan.sample
     if (cached is not None and cached.inputs is inputs and cached.memory is memory
             and cached.retrieved == key):
         return cached
     config, kg, examples = inputs.corpus.config, inputs.corpus.kg, plan.examples
+    ids = kg.entity_ids()
+    if memory.ids != ids:
+        raise ValidationError(f"memory of {len(memory)} ids differs from the graph's {len(ids)}")
     subgraphs, held_outs = [], []
-    for ids, ex in zip(retrieved_ids, examples):
-        subgraph = expand_subgraph(kg, ids, config.per_node_cap, ex.subgraph_seed)
+    for seeds, ex in zip(retrieved_ids, examples):
+        subgraph = expand_subgraph(kg, seeds, config.per_node_cap, ex.subgraph_seed)
         visible, held_out = split_triplet_list(subgraph.triplets_local,
                                                config.edge_drop, ex.holdout_seed)
         subgraphs.append(subgraph.with_triplets(visible))
@@ -235,19 +237,18 @@ def graph_sample(inputs: BatchInputs, memory: EntityMemory,
     node_weight[seed_rows[entity_valid]] = np.arange(counts.sum())
     # The score table holds the fallback rows, then the union's GNN rows;
     # each example scores only its own subgraph's entities from GNN rows.
-    ids = kg.entity_ids()
-    entity_row = np.tile(row_map(memory.row_of, ids), (len(examples), 1))
+    entity_row = np.tile(np.arange(len(ids)), (len(examples), 1))
     node_example = np.repeat(np.arange(len(examples)), [s.num_nodes for s in subgraphs])
-    node_dense = np.searchsorted(ids, union.entity_ids)
-    entity_row[node_example, node_dense] = len(memory) + np.arange(union.num_nodes)
+    node_rows = np.searchsorted(ids, union.entity_ids)
+    entity_row[node_example, node_rows] = len(memory) + np.arange(union.num_nodes)
     held = np.concatenate([h + [off, 0, off] for h, off in zip(held_outs, offsets)])
-    held[:, ::2] = node_dense[held[:, ::2]]
+    held[:, ::2] = node_rows[held[:, ::2]]
     positives = kg.triplets_of(held)
     positive_rows = entity_row[np.repeat(np.arange(len(examples)),
                                          [len(h) for h in held_outs])]
-    _read_only(seed_rows, entity_valid, node_weight, positive_rows)
-    plan.sample = GraphSample(inputs, memory, key, union, seed_rows, entity_valid,
-                              node_weight, positives, positive_rows)
+    _read_only(node_rows, seed_rows, entity_valid, node_weight, positive_rows)
+    plan.sample = GraphSample(inputs, memory, key, union, node_rows, seed_rows,
+                              entity_valid, node_weight, positives, positive_rows)
     return plan.sample
 
 
@@ -284,7 +285,7 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
             T.take_pairs(T.reshape(scores, (b * p, e)), found.example * p + found.patch,
                          found.column),
             found.example, config.relevance_temperature)
-        e0 = entity_encode(sample.union.entity_ids, memory,
+        e0 = entity_encode(sample.node_rows, memory,
                            T.take_rows(T.concat([relevance, T.constant(np.ones(1))]),
                                        sample.node_weight),
                            params.entity)

@@ -65,8 +65,11 @@ def optimizer_step(params: Parameters, grads: dict[Tensor, np.ndarray],
     Every gradient is checked before anything is written, so a step that
     raises leaves the parameters and ``state`` as they were.
     """
-    if lr <= 0 or eps <= 0:
-        raise ValidationError("lr and eps must be positive")
+    # Config's rules, checked first and written so that a NaN fails each.
+    if not (0 < lr < np.inf and 0 < eps < np.inf and 0 <= weight_decay < np.inf
+            and all(0 <= beta < 1 for beta in betas)):
+        raise ValidationError(f"lr {lr} and eps {eps} must be finite and > 0, weight_decay "
+                              f"{weight_decay} finite and >= 0, betas {betas} in [0,1)")
     grad = _flat_gradient(params, grads)
     data = params.flat()
     m, v = state.m_flat, state.v_flat

@@ -60,35 +60,36 @@ def embed_description(text: str, d_e: int, seed: int) -> np.ndarray:
 
 @dataclass
 class EntityMemory:
-    """Unit-normalized entity embeddings, one row per entity id."""
+    """Unit-normalized entity embeddings, one row per entity id, ids ascending."""
 
     ids: list[int]
     matrix: np.ndarray  # |ids| x d_e, float64, rows unit-norm
     d_e: int
 
     def __post_init__(self):
-        if len(self.ids) != len(set(self.ids)):
-            raise ValidationError("entity memory ids must be unique")
+        # Pairwise, not np.diff, which wraps a descending uint64 pair.
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValidationError("entity memory ids must be strictly ascending")
         if self.matrix.shape != (len(self.ids), self.d_e):
             raise ValidationError(
                 f"memory shape {self.matrix.shape} inconsistent with "
                 f"{len(self.ids)} ids x width {self.d_e}")
         norms = np.linalg.norm(self.matrix, axis=1)
-        if norms.size and np.max(np.abs(norms - 1.0)) > 1e-6:
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # a NaN row fails too
             raise ValidationError("entity memory rows must be unit-normalized")
-        self.row_of = {e: i for i, e in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
 def build_memory(kg: KnowledgeGraph, d_e: int, seed: int) -> EntityMemory:
-    """Embed every entity description in the graph (ids ascending)."""
+    """Embed every entity description in the graph, one row per dense index."""
     if len(kg) == 0:
         raise ValidationError("cannot build memory from an empty graph")
     ids = kg.entity_ids()
     matrix = np.stack([embed_description(kg.entities[e].description, d_e, seed)
                        for e in ids])
+    matrix.setflags(write=False)  # one memory serves every caller of its corpus
     return EntityMemory(ids, matrix, d_e)
 
 
@@ -165,10 +166,8 @@ def retrieve_from_scores(score_matrix, memory: EntityMemory, k_per_patch: int,
         raise ValidationError(
             f"score array shape {scores.shape} is not (batch, patches, {len(memory)})")
 
-    # In ascending-id column order, each patch picks every score above its
-    # k-th largest, then the lowest-id columns equal to it until k are picked.
-    by_id = np.argsort(memory.ids)
-    scores = scores[..., by_id]
+    # Each patch picks every score above its k-th largest, then the lowest
+    # columns equal to it until k are picked.
     n = scores.shape[-1]
     k = min(k_per_patch, n)
     kth = np.partition(scores, n - k, axis=-1)[..., n - k, None]
@@ -182,10 +181,9 @@ def retrieve_from_scores(score_matrix, memory: EntityMemory, k_per_patch: int,
     order = np.argsort(-best, axis=-1, kind="stable")[:, :k_final]
     # Pooled entities are finite, so they lead each row of ``order``.
     example, slot = np.nonzero(np.take_along_axis(picked.any(axis=1), order, axis=1))
-    col = order[example, slot]
-    column = by_id[col]
-    return RetrievedEntitySet(example, patch[example, col], column,
-                              [memory.ids[c] for c in column.tolist()], best[example, col])
+    column = order[example, slot]
+    return RetrievedEntitySet(example, patch[example, column], column,
+                              [memory.ids[c] for c in column.tolist()], best[example, column])
 
 
 def relevance_weights(scores, segments, temperature: float) -> T.Tensor:

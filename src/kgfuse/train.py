@@ -219,7 +219,7 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
 def model_linkpred_tables(params: ModelParams, memory: EntityMemory) -> ScoringTables:
     """Scoring tables of a pretrained model: the projected memory rows and the
     GNN's forward relation rows."""
-    return ScoringTables(entity_fallback_table(params, memory), memory.row_of,
+    return ScoringTables(entity_fallback_table(params, memory), np.arange(len(memory)),
                          params.gnn.relation_table, forward_relation_rows(params.gnn))
 
 

@@ -321,11 +321,10 @@ def exhaustive_retrieve(scores: np.ndarray, ids: list[int], k_per_patch: int,
 
 def reference_retrieve_from_scores(scores, memory, k_per_patch: int,
                                    k_final: int) -> RetrievedEntitySet:
-    """Batched selection with a stable per-patch sort: in ascending-id column
-    order, each patch picks the first ``k_per_patch`` columns of a stable
-    descending sort, so ties go to the lower id."""
-    by_id = np.argsort(memory.ids)
-    scores = np.asarray(scores, dtype=np.float64)[..., by_id]
+    """Batched selection with a stable per-patch sort: each patch picks the
+    first ``k_per_patch`` columns of a stable descending sort, so ties go to
+    the lower column, which holds the lower id."""
+    scores = np.asarray(scores, dtype=np.float64)
     top = np.argsort(-scores, axis=-1, kind="stable")[..., :k_per_patch]
     picked = np.zeros(scores.shape, dtype=bool)
     np.put_along_axis(picked, top, True, axis=-1)
@@ -334,10 +333,9 @@ def reference_retrieve_from_scores(scores, memory, k_per_patch: int,
     best = pooled.max(axis=1)
     order = np.argsort(-best, axis=-1, kind="stable")[:, :k_final]
     example, slot = np.nonzero(np.take_along_axis(picked.any(axis=1), order, axis=1))
-    col = order[example, slot]
-    column = by_id[col]
-    return RetrievedEntitySet(example, patch[example, col], column,
-                              [memory.ids[c] for c in column.tolist()], best[example, col])
+    column = order[example, slot]
+    return RetrievedEntitySet(example, patch[example, column], column,
+                              [memory.ids[c] for c in column.tolist()], best[example, column])
 
 
 def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1000):
@@ -496,6 +494,7 @@ def reference_compute_step(params, corpus, memory, plan):
     config = corpus.config
     kg = corpus.kg
     fallback = entity_fallback_table(params, memory)
+    row_of = {e: i for i, e in enumerate(memory.ids)}
     mlm_parts, mvm_parts, linkpred_parts = [], [], []
     image_vecs, text_vecs = [], []
     for ex in plan.examples:
@@ -519,14 +518,15 @@ def reference_compute_step(params, corpus, memory, plan):
         subgraph = expand_subgraph(kg, retrieved, config.per_node_cap, ex.subgraph_seed)
         visible, held_out = split_triplet_list(subgraph.triplets_local,
                                                config.edge_drop, ex.holdout_seed)
-        e0 = entity_encode(retrieved, memory, weights, params.entity)
+        e0 = entity_encode([row_of[e] for e in retrieved], memory, weights, params.entity)
         neighbor_ids = subgraph.entity_ids[len(retrieved):]
         if neighbor_ids:
-            e0 = T.concat([e0, project_memory_rows(neighbor_ids, memory, params.entity)])
+            e0 = T.concat([e0, project_memory_rows([row_of[e] for e in neighbor_ids],
+                                                   memory, params.entity)])
         nodes = gnn_encode(subgraph.with_triplets(visible), e0, params.gnn)
 
         if len(held_out):
-            fallback_rows = {e: len(subgraph.entity_ids) + i for e, i in memory.row_of.items()}
+            fallback_rows = {e: len(subgraph.entity_ids) + i for e, i in row_of.items()}
             entity_row = {**fallback_rows,
                           **{e: i for i, e in enumerate(subgraph.entity_ids)}}
             relations = kg.relation_ids()

@@ -206,6 +206,7 @@ def test_non_finite_checkpoint_exits_one(tmp_path, tiny_config_file, capsys):
     ("heads = -2", "heads must be positive"),
     ("image_c = 0", "image_c must be positive"),
     ("seed = -4", "seed must be >= 0"),
+    ("batch_size = 1", "batch_size must be >= 2"),
 ])
 def test_config_values_that_would_break_a_run_exit_one(tmp_path, line, reason, capsys):
     bad = tmp_path / "bad.cfg"

@@ -274,21 +274,23 @@ class TestEntityEncode:
         memory = self._memory()
         ep = EntityParams(proj_w=Tensor(np.eye(4)), proj_b=Tensor(np.zeros(4)))
         weights = T.Tensor(np.full(4, 0.25))
-        out = entity_encode([10, 11, 12, 13], memory, weights, ep)
+        out = entity_encode([0, 1, 2, 3], memory, weights, ep)
         np.testing.assert_allclose(out.data, memory.matrix[:4] / 4.0, atol=1e-12)
 
     def test_zero_weight_zero_embedding(self):
         memory = self._memory()
         ep = EntityParams(proj_w=Tensor(np.eye(4)), proj_b=Tensor(np.zeros(4)))
-        out = entity_encode([10, 11], memory, T.Tensor([0.0, 1.0]), ep)
+        out = entity_encode([0, 1], memory, T.Tensor([0.0, 1.0]), ep)
         np.testing.assert_array_equal(out.data[0], np.zeros(4))
 
-    def test_missing_id_error(self):
+    def test_row_outside_memory_error(self):
         memory = self._memory()
         params = Parameters()
         ep = init_entity(params, np.random.default_rng(31), 4, 8)
-        with pytest.raises(ValidationError, match="99"):
-            project_memory_rows([99], memory, ep)
+        # A negative row would wrap to the end of the memory without the check.
+        for row in (5, -1):
+            with pytest.raises(ValidationError, match=f"memory row {row} outside"):
+                project_memory_rows([0, row], memory, ep)
 
     def test_gradient_through_weights_passes_fd(self):
         memory = self._memory()
@@ -298,7 +300,7 @@ class TestEntityEncode:
 
         def objective():
             weights = softmax(raw, axis=0)
-            emb = entity_encode([10, 12, 14], memory, weights, ep)
+            emb = entity_encode([0, 2, 4], memory, weights, ep)
             return T.tensor_sum(T.power(emb, 2.0))
 
         err = T.finite_difference_check(objective, params, eps=1e-4,

@@ -1,5 +1,6 @@
 """Harness: config round trip, synthetic corpus, AdamW, checkpoints, training."""
 
+import collections
 import math
 import os
 import stat
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from kgfuse import checkpoint
+from kgfuse import checkpoint, data, gnn, model, retriever
 from kgfuse import tensor as T
 from kgfuse.checkpoint import load_checkpoint, save_checkpoint
 from kgfuse.config import Config
@@ -129,6 +130,27 @@ class TestSyntheticCorpus:
                 best = memory.ids[int(np.argmax(scores[p]))]
                 assert best == gt[p % len(gt)]
 
+    def test_each_entity_description_is_embedded_once(self, monkeypatch):
+        # Counted per entity description: init_gnn embeds the relations' too.
+        calls = collections.Counter()
+
+        def counted(embed):
+            def wrapper(text, d_e, seed):
+                calls[text] += 1
+                return embed(text, d_e, seed)
+            return wrapper
+
+        for module in (retriever, data, gnn):  # wherever the name is bound
+            if hasattr(module, "embed_description"):
+                monkeypatch.setattr(module, "embed_description",
+                                    counted(module.embed_description))
+        config = Config(**{**TINY, "steps": 0})
+        corpus = generate_corpus(config)
+        corpus_memory(corpus)
+        pretrain(config, corpus=corpus)
+        counts = [calls[record.description] for record in corpus.kg.entities.values()]
+        assert counts == [1] * config.corpus_entities
+
     def test_impossible_sizes_rejected(self):
         with pytest.raises(ValidationError, match="triplets"):
             generate_corpus(Config(corpus_entities=3, corpus_relations=1,
@@ -198,6 +220,24 @@ class TestOptimizer:
             assert state.m_flat.tobytes() == before[1].tobytes()
             assert state.v_flat.tobytes() == before[2].tobytes()
             assert state.t == before[3]
+
+    def test_bad_hyperparameter_writes_nothing(self):
+        params = Parameters()
+        a = params.add("a", Tensor(np.array([1.0, 2.0])))
+        state = AdamState.init(params)
+        optimizer_step(params, {a: np.array([0.5, -0.5])}, state, lr=1e-2, weight_decay=0.1)
+        before = (a.data.copy(), state.m_flat.copy(), state.v_flat.copy(), state.t)
+        for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(lr=0.0), dict(eps=np.nan),
+                    dict(eps=0.0), dict(weight_decay=np.inf), dict(weight_decay=np.nan),
+                    dict(weight_decay=-0.1), dict(betas=(np.nan, 0.9)),
+                    dict(betas=(1.0, 0.999)), dict(betas=(0.9, -0.1))):
+            with pytest.raises(ValidationError):
+                optimizer_step(params, {a: np.array([0.1, 0.2])}, state,
+                               **{"lr": 1e-2, "weight_decay": 0.1, **bad})
+            assert a.data.tobytes() == before[0].tobytes(), bad
+            assert state.m_flat.tobytes() == before[1].tobytes(), bad
+            assert state.v_flat.tobytes() == before[2].tobytes(), bad
+            assert state.t == before[3], bad
 
     def test_equals_per_tensor_loop(self):
         def model():
@@ -634,6 +674,20 @@ class TestStepStructure:
         out = compute_step(params, corpus, memory, plan)
         if out.linkpred_positive_count == 0:
             assert out.bundle.linkpred.item() == 0.0
+
+    def test_memory_of_another_graph_is_rejected_before_sampling(self, monkeypatch):
+        config = Config(**TINY)
+        corpus = generate_corpus(config)
+        larger = generate_corpus(Config(**{**TINY, "corpus_entities": 60}))
+        params = build_model(config, corpus.kg)
+        plan = make_batch_plan(config, len(corpus), step=1)
+
+        def unreachable(*args):
+            raise AssertionError("sampled a subgraph")
+
+        monkeypatch.setattr(model, "expand_subgraph", unreachable)
+        with pytest.raises(ValidationError, match="memory of 60 ids differs from the graph's 40"):
+            compute_step(params, corpus, corpus_memory(larger), plan)
 
     def test_batch_plan_derives_from_seed_and_step(self):
         config = Config(**TINY)

@@ -15,7 +15,6 @@ def test_every_exported_name_resolves_once():
 
 # Imported only so that perfbench's traced run can wrap them by attribute.
 UNREAD_IMPORTS_KEPT = {
-    ("model", "project_memory_rows"),   # the entity encoder's span
     ("objectives", "sample_negatives"),  # the negative sampler's span
 }
 

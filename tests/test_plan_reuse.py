@@ -16,6 +16,7 @@ from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus
 from kgfuse.model import (ALL_LOSSES, build_model, compute_step, make_batch_plan,
                           single_loss_objective)
+from kgfuse.retriever import build_memory
 from kgfuse.train import gradient_report
 
 SMALL = Config(d=8, d_e=8, attn_width=8, ff_dim=16, vision_layers=1, text_layers=1,
@@ -105,7 +106,7 @@ def test_a_second_corpus_or_memory_rebuilds_what_it_keys(setting, replaced):
     if replaced == "corpus":
         corpus = generate_corpus(SMALL)
     else:
-        memory = corpus_memory(corpus)
+        memory = build_memory(corpus.kg, SMALL.d_e, SMALL.seed)
     again = compute_step(params, corpus, memory, plan)
     # The inputs are keyed on the corpus, the sample on the inputs and memory.
     assert (plan.inputs is inputs) == (replaced == "memory")
@@ -123,9 +124,9 @@ def test_cached_arrays_are_read_only(setting):
     compute_step(params, corpus, memory, plan)
     inputs, sample = plan.inputs, plan.sample
     arrays = [inputs.patches, inputs.masked, inputs.tokens, inputs.token_valid,
-              inputs.patch_records[0].original_patches, sample.seed_rows,
-              sample.entity_valid, sample.node_weight, sample.positive_rows,
-              *sample.union.edge_lists]
+              inputs.patch_records[0].original_patches, sample.node_rows,
+              sample.seed_rows, sample.entity_valid, sample.node_weight,
+              sample.positive_rows, *sample.union.edge_lists, memory.matrix]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
