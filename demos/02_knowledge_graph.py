@@ -25,7 +25,7 @@ print(f"\n1-hop subgraph around it: {sub.num_nodes} nodes, "
 
 holdout = holdout_edges(kg, drop_rate=0.15, seed=0)
 print(f"\n15% edge holdout: {len(holdout.held_out)} held out, "
-      f"{len(holdout.visible.triplets)} visible")
+      f"{len(holdout.visible)} visible")
 
 positive = kg.triplets[0]
 negatives = sample_negatives(kg, positive, n=5, seed=0)

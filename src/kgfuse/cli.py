@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     except (NumericsError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or clashing path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,14 @@ from pathlib import Path
 from .errors import ValidationError
 
 
+def read_utf8(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 raise."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
 @dataclass
 class Config:
     # model widths and depths
@@ -170,7 +178,7 @@ class Config:
 
     @classmethod
     def load(cls, path) -> "Config":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+        return cls.from_text(read_utf8(path), source=str(path))
 
     def replace(self, **overrides) -> "Config":
         return dataclasses.replace(self, **overrides)

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import read_utf8
 from .errors import ValidationError
 
 # Edge direction flags as seen from an entity: OUT means the entity is the
@@ -56,13 +57,6 @@ class KnowledgeGraph:
         self.entities = dict(entities)
         self.relations = dict(relations)
         self.triplets = [Triplet(*t) for t in triplets]
-        for i, t in enumerate(self.triplets):
-            if t.head not in self.entities:
-                raise ValidationError(f"triplet {i}: unknown head entity {t.head}")
-            if t.tail not in self.entities:
-                raise ValidationError(f"triplet {i}: unknown tail entity {t.tail}")
-            if t.relation not in self.relations:
-                raise ValidationError(f"triplet {i}: unknown relation {t.relation}")
         self._entity_ids = sorted(self.entities)
         self._relation_ids = sorted(self.relations)
         self._entity_index = {e: i for i, e in enumerate(self._entity_ids)}
@@ -94,14 +88,19 @@ class KnowledgeGraph:
     def relation_ids(self) -> list[int]:
         return list(self._relation_ids)
 
-    def index_triplets(self, triplets) -> np.ndarray:
-        """Dense (head, relation, tail) indices of ``triplets``, one int64 row each."""
+    def index_triplets(self, triplets: list[Triplet]) -> np.ndarray:
+        """Dense (head, relation, tail) indices of ``triplets``, one int64 row
+        each; the first id the graph lacks raises, naming its triplet."""
         ent, rel = self._entity_index, self._relation_index
         try:
             dense = [(ent[h], rel[r], ent[t]) for h, r, t in triplets]
-        except KeyError as exc:
-            raise ValidationError(
-                f"unknown entity or relation {exc.args[0]} in triplet") from None
+        except KeyError:
+            for i, (h, r, t) in enumerate(triplets):
+                for what, value, known in (("head entity", h, ent), ("relation", r, rel),
+                                           ("tail entity", t, ent)):
+                    if value not in known:
+                        raise ValidationError(f"triplet {i}: unknown {what} {value}") from None
+            raise
         return np.array(dense, dtype=np.int64).reshape(-1, 3)
 
     def triplets_of(self, dense: np.ndarray) -> list[Triplet]:
@@ -190,7 +189,7 @@ def disjoint_union(parts: list[Subgraph]) -> tuple[Subgraph, list[int]]:
 class EdgeHoldout:
     """A disjoint split of a graph's triplets into visible and held-out sets."""
 
-    visible: KnowledgeGraph
+    visible: list[Triplet]
     held_out: list[Triplet]
 
 
@@ -209,15 +208,13 @@ def _parse_id(text: str, path: str, line_no: int) -> int:
 
 def _tsv_rows(path: str | Path):
     """(line number, fields) of each non-empty line of a three-field TSV file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line:
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValidationError(
-                        f"{path}:{line_no}: expected 3 tab-separated fields, got {len(parts)}")
-                yield line_no, parts
+    for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
+        if line:
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValidationError(
+                    f"{path}:{line_no}: expected 3 tab-separated fields, got {len(parts)}")
+            yield line_no, parts
 
 
 def _load_records(path: str | Path) -> dict[int, NamedRecord]:
@@ -296,8 +293,7 @@ def expand_subgraph(kg: KnowledgeGraph, seeds: list[int], per_node_cap: int,
 def holdout_edges(kg: KnowledgeGraph, drop_rate: float, seed: int) -> EdgeHoldout:
     """Uniformly hold out round(drop_rate * |triplets|) edges from the graph."""
     visible, held = split_triplet_list(kg.dense, drop_rate, seed)
-    return EdgeHoldout(KnowledgeGraph(kg.entities, kg.relations, kg.triplets_of(visible)),
-                       kg.triplets_of(held))
+    return EdgeHoldout(kg.triplets_of(visible), kg.triplets_of(held))
 
 
 def split_triplet_list(triplets: np.ndarray, drop_rate: float, seed: int):
@@ -315,12 +311,12 @@ def split_triplet_list(triplets: np.ndarray, drop_rate: float, seed: int):
 def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
                      seed, max_retries: int = 1000
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense head and tail indices, each ``(len(dense), n)``, of ``n``
+    """The coins and replacements, each ``(len(dense), n)`` int64, of ``n``
     corruptions of each positive of the ``(P, 3)`` dense triplets ``dense``
     (as :meth:`KnowledgeGraph.index_triplets` gives), all drawn from one
     ``default_rng(seed)``.
 
-    A candidate is a coin (1 corrupts the head) and a replacement indexing
+    A candidate is a coin (1 replaces the head) and a replacement indexing
     the entities in ascending id order; the relation is never touched.  Each
     round draws one ``(short, m, 2)`` block of (coin, replacement) pairs for
     the positives still short of ``n``, in positive order, and rejects the
@@ -337,8 +333,8 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
     known = kg.known_mask(dense).ravel()
     count, n_e = len(dense), len(kg._entity_ids)
     rng = np.random.default_rng(seed)
-    heads = np.empty(count * n, dtype=np.int64)
-    tails = np.empty(count * n, dtype=np.int64)
+    coins = np.empty(count * n, dtype=np.int64)
+    picks = np.empty(count * n, dtype=np.int64)
     got = np.zeros(count, dtype=np.int64)
     rejected = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
@@ -362,21 +358,21 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
                 f"no valid negative found for {kg.triplets_of(dense[failed[:1]])[0]} "
                 f"after {max_retries} retries")
         at = np.flatnonzero(ok & short)
-        coin, pick = coin.take(at), pick.take(at)
-        head, tail = np.repeat(dense[active, 0], kept), np.repeat(dense[active, 2], kept)
         # Kept candidates run row after row; row p fills slots got[p] onward.
         start = active * n + got[active]
         slots = np.repeat(start - np.cumsum(kept) + kept, kept) + np.arange(at.size)
-        heads[slots] = head + coin * (pick - head)
-        tails[slots] = pick + coin * (tail - pick)
+        coins[slots] = coin.take(at)
+        picks[slots] = pick.take(at)
         got[active] += kept
         active = active[got[active] < n]
-    return heads.reshape(count, n), tails.reshape(count, n)
+    return coins.reshape(count, n), picks.reshape(count, n)
 
 
 def sample_negatives(kg: KnowledgeGraph, positive: Triplet, n: int,
                      seed, max_retries: int = 1000) -> list[Triplet]:
     """The :func:`negative_indices` corruptions of one positive, as triplets."""
     dense = kg.index_triplets([positive])
-    heads, tails = negative_indices(kg, dense, n, seed, max_retries)
-    return kg.triplets_of(np.stack([heads[0], np.full(n, dense[0, 1]), tails[0]], axis=1))
+    (coin,), (pick,) = negative_indices(kg, dense, n, seed, max_retries)
+    h, r, t = dense[0]
+    return kg.triplets_of(np.stack(
+        [np.where(coin, pick, h), np.full(n, r), np.where(coin, t, pick)], axis=1))

@@ -245,16 +245,11 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
         raise ValidationError("linkpred_loss needs at least one positive")
     gamma, n = tables.gamma, tables.n
     dense = kg.index_triplets(positives)
-    neg_heads, neg_tails = negative_indices(kg, dense, n, seed)
-    # A candidate corrupts the head exactly when its head differs, as a copy
-    # of a positive of kg is rejected; a copy of a positive outside kg scores
-    # the same from either side, up to rounding.
-    corrupts_head = neg_heads != dense[:, :1]
-    scores, entity_rows = query_scores(
-        tables, kg, dense, np.where(corrupts_head, neg_heads, neg_tails))
+    coin, replacement = negative_indices(kg, dense, n, seed)
+    scores, entity_rows = query_scores(tables, kg, dense, replacement)
     # The positive is its tail under h * r; a candidate is its replacement
     # under the query of the endpoint it keeps.
-    query = 2 * np.arange(len(positives))[:, None] + np.pad(corrupts_head, ((0, 0), (1, 0)))
+    query = 2 * np.arange(len(positives))[:, None] + np.pad(coin, ((0, 0), (1, 0)))
     grid = T.reshape(T.take_pairs(scores, query.ravel(), entity_rows[:, 1:].ravel()),
                      query.shape)
 

@@ -573,7 +573,7 @@ def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges, scale: float) -
         node_messages = np.take(x.data @ wm.data[:d], src, axis=0)
         rel_messages = table.data @ wm.data[d:] + bm.data
         # Each destination's total weight on each relation row.
-        rel_alpha = np.bincount(pair, weights=alpha, minlength=k * rows).reshape(k, rows)
+        rel_alpha = _scatter_add(pair, alpha, (k, rows))
         aggregated = np.add.reduceat(node_messages * alpha[:, None], starts, axis=0)
         aggregated += rel_alpha @ rel_messages
         data = aggregated @ wn.data + bn.data + x.data
@@ -584,7 +584,7 @@ def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges, scale: float) -
         gs = np.einsum("ij,ij->i", gagg_e, node_messages)           # d loss / d alpha
         gs += np.take(gagg @ rel_messages.T, pair)
         gs = (gs - np.add.reduceat(gs * alpha, starts)[dst]) * alpha * scale   # d / d (q . k)
-        rel_gs = np.bincount(pair, weights=gs, minlength=k * rows).reshape(k, rows)
+        rel_gs = _scatter_add(pair, gs, (k, rows))
         gq = np.add.reduceat(node_keys * gs[:, None], starts, axis=0) + rel_gs @ rel_keys
         # The node-half key and message gradients side by side, so that one
         # scatter-add serves both.

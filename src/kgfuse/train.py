@@ -189,7 +189,7 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
     filtered ranking metrics on the held-out split.
     """
     holdout = holdout_edges(kg, drop_rate, seed)
-    visible = holdout.visible.triplets
+    visible = holdout.visible
     n_e, n_r = len(kg.entities), len(kg.relations)
 
     init_rng = np.random.default_rng([seed, 11])

@@ -18,6 +18,7 @@ and flat forms replaced, and must match bit for bit; ``reference_backward``
 is the depth-first sweep that the creation-ordered one replaced;
 ``reference_expand_subgraph`` is the per-seed Python sampler that the one on
 dense index arrays replaced, and must match it bit for bit.
+``negative_ends`` spells out the corrupted triplets of a negative draw.
 ``write_kg_tsv`` writes graph fixtures in the TSV format that
 ``kgfuse.kg.load_kg`` reads.
 """
@@ -390,6 +391,14 @@ def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1
                                       f"after {max_retries} retries")
 
 
+def negative_ends(dense, coin, replacement):
+    """Dense (heads, tails) of the corruptions that ``negative_indices``
+    returns as ``(coin, replacement)`` for the dense positives ``dense``: a
+    coin of 1 replaces the head, 0 the tail."""
+    return (np.where(coin, replacement, dense[:, :1]),
+            np.where(coin, dense[:, 2:], replacement))
+
+
 def write_kg_tsv(kg, entities_path, relations_path, triplets_path) -> None:
     """Write ``kg`` as the three TSV files, ids ascending."""
     for path, records in ((entities_path, kg.entities), (relations_path, kg.relations)):
@@ -556,10 +565,10 @@ def reference_compute_step(params, corpus, memory, plan):
         # over the whole step.
         ids, n, gamma = kg.entity_ids(), config.n_negatives, config.gamma
         relation_row = forward_relation_rows(params.gnn)
-        heads, tails = negative_indices(
-            kg, kg.index_triplets([p for _, _, positives in linkpred_parts
-                                   for p in positives]), n,
-            [ex.negative_seed for ex in plan.examples])
+        dense = kg.index_triplets([p for _, _, positives in linkpred_parts
+                                   for p in positives])
+        heads, tails = negative_ends(dense, *negative_indices(
+            kg, dense, n, [ex.negative_seed for ex in plan.examples]))
         sums, start = [], 0
         for table, entity_row, positives in linkpred_parts:
             rows = slice(start, start + len(positives))

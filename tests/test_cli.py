@@ -84,6 +84,33 @@ def test_ingest_bad_file_exits_one(tmp_path, kg_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, reason", [
+    ("checkpoint_is_a_directory", "Is a directory"),
+    ("kg_file_is_a_directory", "Is a directory"),
+    ("out_is_a_file", "File exists"),
+    ("config_not_utf8", "latin1.txt: not UTF-8 at byte 5"),
+    ("kg_file_not_utf8", "latin1.txt: not UTF-8 at byte 5"),
+])
+def test_unusable_paths_exit_one(tmp_path, tiny_config_file, kg_files, capsys, case, reason):
+    a_file, latin1 = tmp_path / "a_file", tmp_path / "latin1.txt"
+    a_file.write_text("x")
+    latin1.write_bytes(b"0\tcaf\xe9\td\n")
+    ingest = ["ingest", "--entities", str(kg_files[0]), "--relations", str(kg_files[1]),
+              "--triplets"]
+    argv = {
+        "checkpoint_is_a_directory": ["eval-linkpred", "--checkpoint", str(tmp_path)],
+        "kg_file_is_a_directory": ingest + [str(tmp_path)],
+        "out_is_a_file": ["pretrain", "--config", str(tiny_config_file), "--out", str(a_file)],
+        "config_not_utf8": ["pretrain", "--config", str(latin1), "--out", str(tmp_path / "run")],
+        "kg_file_not_utf8": ingest + [str(latin1)],
+    }[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and reason in captured.err
+    assert not (tmp_path / "run").exists()
+
+
 def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
     # Trained with 8-pixel patches; --config is not repeated at retrieval,
     # whose defaults (4-pixel patches, k_final 8) would not fit the model.

@@ -330,7 +330,7 @@ class TestGnnEncode:
         assert out.shape == (3, 4) and np.isfinite(out.data).all()
         holdout = holdout_edges(kg, 0.5, seed=0)
         assert len(holdout.held_out) == 2
-        assert sorted(holdout.visible.triplets + holdout.held_out) == sorted(kg.triplets)
+        assert sorted(holdout.visible + holdout.held_out) == sorted(kg.triplets)
 
     def test_empty_stack_rejected(self):
         kg = make_kg()

@@ -560,7 +560,9 @@ class TestLinkpredEval:
     def test_unknown_held_out_ids_raise(self, triplet):
         kg = self._paired_kg(2)
         tables = self._ones_tables({e: e for e in range(4)}, {0: 0})
-        with pytest.raises(ValidationError, match="unknown entity or relation"):
+        field = {Triplet(0, 0, 9): "tail entity 9", Triplet(9, 0, 1): "head entity 9",
+                 Triplet(0, 7, 1): "relation 7"}[triplet]
+        with pytest.raises(ValidationError, match=f"triplet 0: unknown {field}$"):
             eval_linkpred(tables, [triplet], kg)
 
     def test_per_positive_row_maps_rank_like_each_own_map(self):

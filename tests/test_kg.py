@@ -12,7 +12,8 @@ from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
                        expand_subgraph, holdout_edges, load_kg,
                        negative_indices, sample_negatives, split_triplet_list)
 
-from helpers import reference_expand_subgraph, reference_sample_negatives, write_kg_tsv
+from helpers import (negative_ends, reference_expand_subgraph, reference_sample_negatives,
+                     write_kg_tsv)
 
 
 def small_kg() -> KnowledgeGraph:
@@ -212,12 +213,12 @@ class TestHoldout:
         a = holdout_edges(kg, 0.4, seed=3)
         b = holdout_edges(kg, 0.4, seed=3)
         assert a.held_out == b.held_out
-        assert a.visible.triplets == b.visible.triplets
+        assert a.visible == b.visible
 
     def test_partition_set_algebra(self):
         kg = toy_corpus_kg()
         holdout = holdout_edges(kg, 0.15, seed=1)
-        visible = set(holdout.visible.triplets)
+        visible = set(holdout.visible)
         held = set(holdout.held_out)
         assert visible | held == set(kg.triplets)
         assert visible & held == set()
@@ -253,21 +254,15 @@ class TestSampleNegatives:
 
     def test_head_tail_coin_is_fair(self):
         kg = small_kg()
-        positive = Triplet(0, 0, 1)
-        head_corruptions = 0
+        dense = kg.index_triplets([Triplet(0, 0, 1)])
         draws = 10_000
         # The retry limit is a total per positive: about one candidate in
         # six collides here, so the default 1,000 would run out.
-        negs = sample_negatives(kg, positive, draws, seed=11, max_retries=draws)
-        for neg in negs:
-            # A corruption that keeps both endpoints cannot occur: it would
-            # equal the positive and be resampled.
-            if neg.head != positive.head:
-                head_corruptions += 1
-            elif neg.tail == positive.tail:
-                pytest.fail("negative equals the positive")
-        frequency = head_corruptions / draws
-        assert abs(frequency - 0.5) < 0.02
+        coin, replacement = negative_indices(kg, dense, draws, seed=11, max_retries=draws)
+        # A replacement equal to the endpoint it replaces would make the
+        # positive itself, which is rejected and resampled.
+        assert not (replacement == np.where(coin, dense[:, :1], dense[:, 2:])).any()
+        assert abs(coin.mean() - 0.5) < 0.02
 
     def test_determinism(self):
         kg = small_kg()
@@ -366,7 +361,8 @@ class TestSampleNegatives:
 
 
 def _as_triplets(kg, positives, n, seed, max_retries=1000):
-    heads, tails = negative_indices(kg, kg.index_triplets(positives), n, seed, max_retries)
+    dense = kg.index_triplets(positives)
+    heads, tails = negative_ends(dense, *negative_indices(kg, dense, n, seed, max_retries))
     ids = kg.entity_ids()
     return [[Triplet(ids[h], p.relation, ids[t]) for h, t in zip(hs, ts)]
             for p, hs, ts in zip(positives, heads.tolist(), tails.tolist())]

@@ -18,7 +18,7 @@ from kgfuse.objectives import (ItcParams, MaskingRecord, ScoringTables,
                                mask_spans, mlm_loss, mvm_loss, total_loss)
 from kgfuse.tensor import Tensor
 
-from helpers import distmult, reference_sample_negatives
+from helpers import distmult, negative_ends, reference_sample_negatives
 
 MASK = 1
 
@@ -357,7 +357,8 @@ class TestLinkpredLoss:
 
     def test_positives_outside_the_graph(self):
         # A positive that is not a triplet of kg can draw an accepted copy
-        # of itself; the loss scores that copy from the tail side.
+        # of itself; the loss scores that copy from the side its coin names,
+        # which the oracle's one DistMult product matches up to rounding.
         config = Config(corpus_entities=50, corpus_relations=4,
                         corpus_triplets=300, corpus_examples=4)
         kg = generate_corpus(config, seed=5).kg
@@ -371,7 +372,7 @@ class TestLinkpredLoss:
                 positives.append(triplet)
         n, seed, gamma = 16, [3, 1], 0.4
         dense = kg.index_triplets(positives)
-        heads, tails = negative_indices(kg, kg.index_triplets(positives), n, seed)
+        heads, tails = negative_ends(dense, *negative_indices(kg, dense, n, seed))
         assert ((heads == dense[:, :1]) & (tails == dense[:, 2:])).any()
         # More table rows than entities, so some rows are never scored.
         n_rows = len(entity_ids) + 5
@@ -444,7 +445,8 @@ class TestLinkpredLoss:
         maps = np.array([[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
         tables.entity_row = maps
         loss = linkpred_loss(positives, tables, kg, seed=[6, 0]).item()
-        heads, tails = negative_indices(kg, kg.index_triplets(positives), 3, [6, 0])
+        dense = kg.index_triplets(positives)
+        heads, tails = negative_ends(dense, *negative_indices(kg, dense, 3, [6, 0]))
         terms = []
         for p, pos in enumerate(positives):
             h, t = maps[p, [pos.head, *heads[p]]], maps[p, [pos.tail, *tails[p]]]
