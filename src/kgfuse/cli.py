@@ -53,9 +53,13 @@ def _cmd_retrieve(args) -> int:
     corpus, params, memory = _load_trained(args.checkpoint)
     config = corpus.config
     try:
-        image = np.asarray(np.load(args.image), dtype=np.float64)
+        image = np.asarray(np.load(args.image))
     except ValueError as exc:
         raise ValidationError(f"cannot read image {args.image}: {exc}") from None
+    if image.dtype.kind not in "biuf":  # a cast would drop an imaginary part
+        raise ValidationError(f"cannot read image {args.image}: dtype {image.dtype} "
+                              f"is not bool, integer or float")
+    image = image.astype(np.float64)
     if not np.isfinite(image).all():
         raise ValidationError(f"image {args.image} holds non-finite values")
     seq = patchify(image, config.patch_size)

@@ -53,6 +53,11 @@ def entity_token(config: Config, entity_id: int) -> int:
     return Config.RESERVED_TOKENS + entity_id
 
 
+def _tile_columns(config: Config) -> np.ndarray:
+    """The tiling rule: entry j of a patch vector reads embedding coordinate j % d_e."""
+    return np.arange(config.patch_dim) % config.d_e
+
+
 def generate_kg(config: Config, rng: np.random.Generator) -> KnowledgeGraph:
     """Latent-factor toy graph with config-sized entity/relation/triplet counts."""
     n_e, n_r, n_t = (config.corpus_entities, config.corpus_relations,
@@ -91,10 +96,12 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
     # Looked up on the module: perfbench spans retriever.build_memory by attribute.
     memory = retriever.build_memory(kg, config.d_e, seed)
 
+    # Patch n tiles ground-truth entity n % K by the tiling rule, and each
+    # image is patchify's reshape undone.
     p, c = config.patch_size, config.image_c
-    grid_rows = config.image_h // p
-    grid_cols = config.image_w // p
-    n_patches = grid_rows * grid_cols
+    patch_entity = np.arange(config.n_patches) % config.entities_per_example
+    columns = _tile_columns(config)
+    grid = (config.image_h // p, config.image_w // p, p, p, c)
     entity_ids = kg.entity_ids()
 
     # Captions mix ground-truth entity tokens with filler drawn from a small
@@ -111,15 +118,10 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
         gt_idx = rng.choice(len(entity_ids), size=config.entities_per_example,
                             replace=False)
         gt = [entity_ids[i] for i in gt_idx]
-        image = np.empty((config.image_h, config.image_w, c))
-        for patch in range(n_patches):
-            emb = memory.matrix[gt_idx[patch % len(gt)]]
-            tile = np.resize(emb, p * p * c)
-            noisy = tile + config.corpus_noise * rng.standard_normal(tile.shape)
-            r, col = divmod(patch, grid_cols)
-            image[r * p:(r + 1) * p, col * p:(col + 1) * p, :] = \
-                noisy.reshape(p, p, c)
-        images.append(image)
+        tiles = memory.matrix[gt_idx[patch_entity, None], columns]
+        noisy = tiles + config.corpus_noise * rng.standard_normal(tiles.shape)
+        images.append(noisy.reshape(grid).swapaxes(1, 2).reshape(
+            config.image_h, config.image_w, c))
 
         length = int(rng.integers(config.caption_min_len, config.caption_max_len + 1))
         body = rng.choice(filler_pool, size=length, p=filler_weights).tolist()
@@ -143,12 +145,7 @@ def oracle_patch_projection(config: Config) -> np.ndarray:
     with zero noise the recovered vector equals the original embedding and
     inner-product retrieval ranks the true entity first.
     """
-    rows = config.patch_dim
-    cols = config.d_e
-    m = np.zeros((rows, cols))
-    counts = np.zeros(cols)
-    for j in range(rows):
-        counts[j % cols] += 1
-    for j in range(rows):
-        m[j, j % cols] = 1.0 / counts[j % cols]
+    columns = _tile_columns(config)
+    m = np.zeros((config.patch_dim, config.d_e))
+    m[np.arange(config.patch_dim), columns] = 1.0 / np.bincount(columns)[columns]
     return m

@@ -140,17 +140,9 @@ def make_batch_plan(config: Config, corpus_size: int, step: int) -> BatchPlan:
     """Derive one step's batch and sampling seeds from (global seed, step)."""
     rng = np.random.default_rng([config.seed, step])
     indices = rng.integers(0, corpus_size, size=config.batch_size)
-    examples = []
-    for idx in indices:
-        seeds = rng.integers(0, 2 ** 62, size=5)
-        examples.append(ExamplePlan(
-            index=int(idx),
-            patch_mask_seed=int(seeds[0]),
-            span_mask_seed=int(seeds[1]),
-            subgraph_seed=int(seeds[2]),
-            holdout_seed=int(seeds[3]),
-            negative_seed=int(seeds[4])))
-    return BatchPlan(step, tuple(examples))
+    seeds = rng.integers(0, 2 ** 62, size=(config.batch_size, 5))
+    return BatchPlan(step, tuple(ExamplePlan(idx, *row)
+                                 for idx, row in zip(indices.tolist(), seeds.tolist())))
 
 
 def entity_fallback_table(params: ModelParams, memory: EntityMemory) -> Tensor:
@@ -314,11 +306,8 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     if "itc" in active:
         itc = itc_loss(T.tensor_mean(v_out, axis=1), t_out[:, 0], params.itc)
 
-    weights = (config.w_mlm if "mlm" in active else 0.0,
-               config.w_mvm if "mvm" in active else 0.0,
-               config.w_linkpred if "linkpred" in active else 0.0,
-               config.w_itc if "itc" in active else 0.0)
-    bundle = total_loss(mlm, mvm, linkpred, itc, weights)
+    bundle = total_loss(mlm, mvm, linkpred, itc,
+                        (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
     return StepOutput(bundle, linkpred_count, retrieved_ids)
 
 

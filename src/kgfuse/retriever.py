@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,19 +42,14 @@ def embed_description(text: str, d_e: int, seed: int) -> np.ndarray:
     if d_e < 2:
         raise ValidationError("embedding width must be >= 2")
     lowered = text.lower()
-    counts: dict[int, float] = {}
-    for i in range(len(lowered) - 2):
-        bucket = zlib.crc32(lowered[i:i + 3].encode("utf-8")) % HASH_BUCKETS
-        counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    if not counts:
-        counts[0] = 1.0
+    counts = Counter(zlib.crc32(lowered[i:i + 3].encode("utf-8")) % HASH_BUCKETS
+                     for i in range(len(lowered) - 2)) or {0: 1}
     proj = _projection(d_e, seed)
-    vec = np.zeros(d_e)
-    for bucket, count in counts.items():
-        vec += count * proj[bucket]
+    # One axis-0 sum adds the rows in the buckets' first-seen order.
+    vec = (np.fromiter(counts.values(), float)[:, None] * proj[list(counts)]).sum(axis=0)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
-        vec = proj[0].copy()
+        vec = proj[0]
         norm = np.linalg.norm(vec)
     return vec / norm
 

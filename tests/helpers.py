@@ -17,7 +17,12 @@ the masked log-sigmoid and the per-tensor AdamW loop that the branch-free
 and flat forms replaced, and must match bit for bit; ``reference_backward``
 is the depth-first sweep that the creation-ordered one replaced;
 ``reference_expand_subgraph`` is the per-seed Python sampler that the one on
-dense index arrays replaced, and must match it bit for bit.
+dense index arrays replaced, and must match it bit for bit;
+``reference_corpus``, ``reference_patch_projection``,
+``reference_embed_description`` and ``reference_batch_plan`` are the
+per-patch, per-entry, per-bucket and per-example loops that the corpus
+tiling, the oracle projection, the description embedding and the batch
+plan replaced, and must match them byte for byte.
 ``negative_ends`` spells out the corrupted triplets of a negative draw.
 ``write_kg_tsv`` writes graph fixtures in the TSV format that
 ``kgfuse.kg.load_kg`` reads.
@@ -27,14 +32,18 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
 from kgfuse import tensor as T
+from kgfuse.config import Config
+from kgfuse.data import FILLER_POOL, entity_token, generate_kg
 from kgfuse.errors import ValidationError
 from kgfuse.gnn import SELF_ROW
 from kgfuse.kg import DIR_IN, DIR_OUT
-from kgfuse.retriever import RetrievedEntitySet
+from kgfuse.model import BatchPlan, ExamplePlan
+from kgfuse.retriever import HASH_BUCKETS, RetrievedEntitySet, build_memory
 
 
 def fd_input_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -236,6 +245,87 @@ def reassemble(patches, grid, p, c) -> np.ndarray:
             block = patches[r * cols + col].reshape(p, p, c)
             image[r * p:(r + 1) * p, col * p:(col + 1) * p, :] = block
     return image
+
+
+def reference_corpus(config, seed: int):
+    """``generate_corpus``'s images, captions and ground truth, each patch
+    tiled by ``np.resize`` and placed by ``divmod``, with its own noise draw."""
+    rng = np.random.default_rng([seed, 1])
+    kg = generate_kg(config, rng)
+    memory = build_memory(kg, config.d_e, seed)
+    p, c = config.patch_size, config.image_c
+    grid_cols = config.image_w // p
+    entity_ids = kg.entity_ids()
+    filler_lo = Config.RESERVED_TOKENS + config.corpus_entities
+    pool_size = min(FILLER_POOL, config.vocab - filler_lo)
+    filler_pool = rng.choice(np.arange(filler_lo, config.vocab),
+                             size=pool_size, replace=False)
+    filler_weights = 1.0 / np.arange(1, pool_size + 1)
+    filler_weights /= filler_weights.sum()
+
+    images, captions, ground_truth = [], [], []
+    for _ in range(config.corpus_examples):
+        gt_idx = rng.choice(len(entity_ids), size=config.entities_per_example,
+                            replace=False)
+        gt = [entity_ids[i] for i in gt_idx]
+        image = np.empty((config.image_h, config.image_w, c))
+        for patch in range(config.n_patches):
+            tile = np.resize(memory.matrix[gt_idx[patch % len(gt)]], p * p * c)
+            noisy = tile + config.corpus_noise * rng.standard_normal(tile.shape)
+            r, col = divmod(patch, grid_cols)
+            image[r * p:(r + 1) * p, col * p:(col + 1) * p, :] = noisy.reshape(p, p, c)
+        images.append(image)
+        length = int(rng.integers(config.caption_min_len, config.caption_max_len + 1))
+        body = rng.choice(filler_pool, size=length, p=filler_weights).tolist()
+        slots = rng.choice(length, size=min(len(gt), length), replace=False)
+        for slot, ent in zip(slots, gt):
+            body[slot] = entity_token(config, ent)
+        captions.append([Config.CLS_ID] + [int(t) for t in body])
+        ground_truth.append(gt)
+    return images, captions, ground_truth
+
+
+def reference_patch_projection(config) -> np.ndarray:
+    """The oracle projection, its counts and entries written one at a time."""
+    rows, cols = config.patch_dim, config.d_e
+    m = np.zeros((rows, cols))
+    counts = np.zeros(cols)
+    for j in range(rows):
+        counts[j % cols] += 1
+    for j in range(rows):
+        m[j, j % cols] = 1.0 / counts[j % cols]
+    return m
+
+
+def reference_embed_description(text: str, d_e: int, seed: int) -> np.ndarray:
+    """The description embedding, its projection rows added one bucket at a time."""
+    proj = np.random.default_rng([seed, HASH_BUCKETS]).standard_normal((HASH_BUCKETS, d_e))
+    lowered = text.lower()
+    counts: dict[int, float] = {}
+    for i in range(len(lowered) - 2):
+        bucket = zlib.crc32(lowered[i:i + 3].encode("utf-8")) % HASH_BUCKETS
+        counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    if not counts:
+        counts[0] = 1.0
+    vec = np.zeros(d_e)
+    for bucket, count in counts.items():
+        vec += count * proj[bucket]
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        vec = proj[0].copy()
+        norm = np.linalg.norm(vec)
+    return vec / norm
+
+
+def reference_batch_plan(config, corpus_size: int, step: int) -> BatchPlan:
+    """The batch plan with each example's five seeds drawn by its own call."""
+    rng = np.random.default_rng([config.seed, step])
+    indices = rng.integers(0, corpus_size, size=config.batch_size)
+    examples = []
+    for idx in indices:
+        seeds = rng.integers(0, 2 ** 62, size=5)
+        examples.append(ExamplePlan(int(idx), *(int(s) for s in seeds)))
+    return BatchPlan(step, tuple(examples))
 
 
 def subgraph_edges(sub) -> list[tuple[int, int, int]]:

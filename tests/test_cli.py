@@ -1,6 +1,7 @@
 """CLI subcommands: happy paths and exit-code contracts."""
 
 import argparse
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,14 +179,19 @@ def test_help_exits_zero(argv, capsys):
     (np.array([[None]], dtype=object), "cannot read image"),
     (np.full((16, 16, 1), "a"), "cannot read image"),
     (np.zeros((32, 32, 1)), "position table"),      # 64 patches; the model has 16
+    # A cast to float64 would drop the imaginary part with only a warning.
+    (np.full((16, 16, 1), 1.0 + 2.0j), "dtype complex128 is not bool, integer or float"),
 ])
 def test_retrieve_bad_image_exits_one(tmp_path, tiny_checkpoint, capsys, image, reason):
     image_path = tmp_path / "image.npy"
     np.save(image_path, image, allow_pickle=True)
     capsys.readouterr()
-    code = main(["retrieve", "--image", str(image_path), "--checkpoint", str(tiny_checkpoint)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["retrieve", "--image", str(image_path),
+                     "--checkpoint", str(tiny_checkpoint)])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
+    assert code == 1 and captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and reason in captured.err
 
 

@@ -27,8 +27,9 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
                           random_baseline_mrr, train_kg_embeddings)
 
 from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes, reference_backward,
-                     reference_compute_step, reference_filtered_ranks, reference_gnn_layer,
-                     reference_optimizer_step)
+                     reference_batch_plan, reference_compute_step, reference_corpus,
+                     reference_filtered_ranks, reference_gnn_layer, reference_optimizer_step,
+                     reference_patch_projection)
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
             corpus_examples=12, batch_size=3, per_node_cap=3, n_negatives=4,
@@ -150,6 +151,30 @@ class TestSyntheticCorpus:
         pretrain(config, corpus=corpus)
         counts = [calls[record.description] for record in corpus.kg.entities.values()]
         assert counts == [1] * config.corpus_entities
+
+    # 8-pixel patches of 3 channels hold 192 entries: 16 turns of 12
+    # coordinates, or 19 of 10 and two over; 12x20 images cut into a 3x5
+    # grid of 16 entries over 5 coordinates; 5 entities do not divide the
+    # 16 patches; 2-pixel patches hold fewer entries than the 6 coordinates.
+    TILINGS = [dict(patch_size=8, image_c=3, d_e=12), dict(patch_size=8, image_c=3, d_e=10),
+               dict(image_h=12, image_w=20, d_e=5), dict(entities_per_example=5),
+               dict(patch_size=2, d_e=6)]
+
+    @pytest.mark.parametrize("shape", TILINGS)
+    def test_corpus_equals_the_per_patch_loop(self, shape):
+        # tobytes, so that a signed zero or a layout slip counts.
+        config = Config(**{**TINY, **shape})
+        corpus = generate_corpus(config, seed=9)
+        images, captions, ground_truth = reference_corpus(config, 9)
+        assert [(x.shape, x.dtype, x.tobytes()) for x in corpus.images] == \
+            [(x.shape, x.dtype, x.tobytes()) for x in images]
+        assert corpus.captions == captions and corpus.ground_truth == ground_truth
+
+    @pytest.mark.parametrize("shape", TILINGS)
+    def test_oracle_projection_equals_the_entry_loop(self, shape):
+        config = Config(**{**TINY, **shape})
+        got, want = oracle_patch_projection(config), reference_patch_projection(config)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_impossible_sizes_rejected(self):
         with pytest.raises(ValidationError, match="triplets"):
@@ -700,6 +725,14 @@ class TestStepStructure:
         assert a.examples[0].span_mask_seed == b.examples[0].span_mask_seed
         assert (a.examples[0].index != c.examples[0].index
                 or a.examples[0].span_mask_seed != c.examples[0].span_mask_seed)
+
+    def test_batch_plan_equals_per_example_draws(self):
+        for seed, batch_size in [(17, 2), (3, 3), (17, 8)]:
+            config = Config(**{**TINY, "seed": seed, "batch_size": batch_size})
+            for corpus_size in (1, 12, 200):
+                for step in range(40):
+                    assert make_batch_plan(config, corpus_size, step) == \
+                        reference_batch_plan(config, corpus_size, step)
 
     def test_batched_step_matches_per_example_reference(self):
         # Captions of 4 and 9 tokens, 2 to 4 of k_final = 4 entities

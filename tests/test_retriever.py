@@ -11,7 +11,8 @@ from kgfuse.retriever import (EntityMemory, build_memory, embed_description,
                               relevance_weights, retrieve, retrieve_from_scores,
                               score_patches)
 
-from helpers import exhaustive_retrieve, fd_input_grad, reference_retrieve_from_scores
+from helpers import (exhaustive_retrieve, fd_input_grad, reference_embed_description,
+                     reference_retrieve_from_scores)
 
 
 def random_memory(rng, count, d_e) -> EntityMemory:
@@ -54,6 +55,18 @@ class TestEmbedDescription:
         a = embed_description("", 8, seed=5)
         b = embed_description("ab", 8, seed=5)  # below trigram length
         np.testing.assert_array_equal(a, b)
+
+    def test_equals_the_per_bucket_sum(self):
+        # Long texts repeat trigrams; non-ASCII ones hash multi-byte UTF-8,
+        # and "İ" lowercases to two characters.
+        rng = np.random.default_rng(11)
+        alphabet = np.array(list("abcdefgh ÄéßΣς中文😀İ"))
+        texts = ["", "ab", "abc", "Σίσυφος", "İstanbul", "x" * 6000]
+        texts += ["".join(rng.choice(alphabet, size=n)) for n in (40, 600, 6000)]
+        for text in texts:
+            for d_e in (2, 16, 33):
+                got = embed_description(text, d_e, seed=4)
+                assert got.tobytes() == reference_embed_description(text, d_e, 4).tobytes()
 
 
 class TestMemoryIO:
