@@ -20,9 +20,6 @@ from .errors import ValidationError
 from .retriever import EntityMemory
 from .tensor import Parameters, Tensor
 
-NEG_ATTENTION = -1e30  # additive logit that zeroes a position out of softmax
-
-
 def init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Seeded uniform init in +-1/sqrt(fan_in); fan_in is the row count."""
     bound = 1.0 / np.sqrt(rows)
@@ -49,8 +46,6 @@ class TransformerLayerParams:
     ln1_bias: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
-    heads: int
-    width: int
 
 
 def init_transformer_layer(params: Parameters, prefix: str,
@@ -74,8 +69,7 @@ def init_transformer_layer(params: Parameters, prefix: str,
         ln1_gain=params.add(f"{prefix}.ln1_gain", Tensor(np.ones(d))),
         ln1_bias=params.add(f"{prefix}.ln1_bias", Tensor(np.zeros(d))),
         ln2_gain=params.add(f"{prefix}.ln2_gain", Tensor(np.ones(d))),
-        ln2_bias=params.add(f"{prefix}.ln2_bias", Tensor(np.zeros(d))),
-        heads=heads, width=d)
+        ln2_bias=params.add(f"{prefix}.ln2_bias", Tensor(np.zeros(d))))
 
 
 def transformer_layer(x: Tensor, layer: TransformerLayerParams,
@@ -83,13 +77,11 @@ def transformer_layer(x: Tensor, layer: TransformerLayerParams,
     """Apply one layer to a (..., L, d) batch of sequences.
 
     Attention is one :func:`tensor.attention` node.  ``valid_mask`` ((..., L),
-    boolean) takes padding positions out of every softmax through a large
-    negative additive logit; rows at padded positions are then meaningless
-    and must be ignored by the caller.
+    boolean) is its key mask: padding positions drop out of every softmax,
+    and rows at padded positions are then meaningless and must be ignored by
+    the caller.
     """
-    additive = None if valid_mask is None else np.where(valid_mask, 0.0, NEG_ATTENTION)
-    mixed = T.attention(x, layer.wq, layer.wk, layer.wv, layer.wo, additive,
-                        1.0 / np.sqrt(layer.width / layer.heads))
+    mixed = T.attention(x, layer.wq, layer.wk, layer.wv, layer.wo, valid_mask)
     h = T.layer_norm(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
     ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, layer.ff_w1), layer.ff_b1)),
                         layer.ff_w2), layer.ff_b2)

@@ -1,8 +1,9 @@
 """Graph-attention message passing over a retrieved entity subgraph.
 
 For each node i the layer scores every incident edge j -> i (plus an
-implicit self term) with f_q(e_i)^T f_k(e_j, r_ij) / sqrt(D), normalizes the
-scores by softmax, mixes messages f_m(e_j, r_ij), and adds the residual:
+implicit self term) with f_q(e_i)^T f_k(e_j, r_ij) / sqrt(D), where D is the
+attention width that f_q's weights have, normalizes the scores by softmax,
+mixes messages f_m(e_j, r_ij), and adds the residual:
 
     e_i' = f_n(sum_j alpha_ij * f_m(e_j, r_ij)) + e_i
 
@@ -44,14 +45,12 @@ class GnnLayerParams:
     f_m_b: Tensor
     f_n_w: Tensor  # d x d
     f_n_b: Tensor
-    attn_width: int
 
 
 @dataclass
 class GnnParams:
     relation_table: Tensor  # (1 + 2 * |relations|) x d; see relation_row
     layers: list[GnnLayerParams]
-    width: int
 
 
 def relation_row(relation, direction):
@@ -70,8 +69,7 @@ def init_gnn_layer(params: Parameters, prefix: str, rng: np.random.Generator,
         f_m_w=params.add(f"{prefix}.f_m_w", Tensor(init_matrix(rng, 2 * d, d))),
         f_m_b=params.add(f"{prefix}.f_m_b", Tensor(np.zeros(d))),
         f_n_w=params.add(f"{prefix}.f_n_w", Tensor(init_matrix(rng, d, d))),
-        f_n_b=params.add(f"{prefix}.f_n_b", Tensor(np.zeros(d))),
-        attn_width=attn_width)
+        f_n_b=params.add(f"{prefix}.f_n_b", Tensor(np.zeros(d))))
 
 
 def init_gnn(params: Parameters, rng: np.random.Generator, kg: KnowledgeGraph,
@@ -94,7 +92,7 @@ def init_gnn(params: Parameters, rng: np.random.Generator, kg: KnowledgeGraph,
     layers = [init_gnn_layer(params, f"gnn.layer{i}", rng, d, attn_width)
               for i in range(depth)]
     table = params.add("gnn.relation_table", Tensor(rows))
-    return GnnParams(table, layers, d)
+    return GnnParams(table, layers)
 
 
 def forward_relation_rows(gp: GnnParams) -> np.ndarray:
@@ -135,12 +133,11 @@ def _layer_inputs(embeddings: Tensor, layer: GnnLayerParams, gp: GnnParams) -> t
 def _propagate(sub: Subgraph, edges, embeddings: Tensor, layer: GnnLayerParams,
                gp: GnnParams) -> Tensor:
     """One layer over ``edges``, the :func:`_edge_lists` arrays of ``sub``."""
-    k = sub.num_nodes
-    if embeddings.shape != (k, gp.width):
+    k, d = sub.num_nodes, gp.relation_table.shape[1]
+    if embeddings.shape != (k, d):
         raise ValidationError(
-            f"embeddings shape {embeddings.shape} does not match {k} nodes x {gp.width}")
-    return T.graph_attention(*_layer_inputs(embeddings, layer, gp), edges,
-                             1.0 / np.sqrt(layer.attn_width))
+            f"embeddings shape {embeddings.shape} does not match {k} nodes x {d}")
+    return T.graph_attention(*_layer_inputs(embeddings, layer, gp), edges)
 
 
 def gnn_layer(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
@@ -166,6 +163,5 @@ def attention_weights(sub: Subgraph, embeddings: Tensor, layer: GnnLayerParams,
                       gp: GnnParams) -> list[np.ndarray]:
     """Per-node softmax weights over self + incident edges (for invariants)."""
     edges = _edge_lists(sub, gp)
-    starts, *_, alpha = T.graph_attention_terms(
-        _layer_inputs(embeddings, layer, gp), edges, 1.0 / np.sqrt(layer.attn_width))
+    starts, *_, alpha = T.graph_attention_terms(_layer_inputs(embeddings, layer, gp), edges)
     return np.split(alpha, starts[1:])

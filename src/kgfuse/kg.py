@@ -197,13 +197,14 @@ class EdgeHoldout:
 
 
 def _parse_id(text: str, path: str, line_no: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValidationError(f"{path}:{line_no}: non-integer id {text!r}") from None
-    if not (0 <= value <= _MAX_U64):
-        raise ValidationError(f"{path}:{line_no}: id {value} outside u64 range")
-    return value
+    # ASCII digits only: int() also takes signs, spaces, underscores and
+    # non-ASCII digits.
+    if not (text.isascii() and text.isdigit()):
+        raise ValidationError(f"{path}:{line_no}: non-decimal id {text!r}")
+    digits = text.lstrip("0") or "0"   # int() reads at most 4,300 digits
+    if len(digits) > 20 or int(digits) > _MAX_U64:
+        raise ValidationError(f"{path}:{line_no}: id {digits} outside u64 range")
+    return int(digits)
 
 
 def _tsv_rows(path: str | Path):

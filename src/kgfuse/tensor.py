@@ -458,32 +458,34 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return Tensor._result(data, (x, gain, bias), vjp, "layer_norm")
 
 
-def attention(x, wq, wk, wv, wo, additive, scale: float) -> Tensor:
+def attention(x, wq, wk, wv, wo, valid) -> Tensor:
     """Multi-head attention over a (..., L, d) batch, summed over the M heads.
 
     ``wq``, ``wk``, ``wv`` are (M, d, d/M) and ``wo`` (M, d/M, d): head m
-    reads slice m of each.  ``additive`` ((..., L) or None) is added to each
-    key's logit, so a large negative entry takes a padded key out of every
-    softmax.  One node: the forward takes the float steps of the matmul /
-    softmax chain in its order and keeps the weights P; the VJP's softmax
-    step is the closed form dS = P * (dP - rowsum(dP * P)).
+    reads slice m of each, and its logits are scaled by 1/sqrt(d/M), the key
+    width.  ``valid`` ((..., L) boolean, or None for all True) marks the keys
+    a query may read: a False key's logit gets -1e30, which takes it out of
+    every softmax.  One node: the forward takes the float steps of the
+    matmul / softmax chain in its order and keeps the weights P; the VJP's
+    softmax step is the closed form dS = P * (dP - rowsum(dP * P)).
     """
     x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
     m, d, dh = wq.shape if wq.ndim == 3 else (-1, -1, -1)
-    mask = None if additive is None else np.shape(additive)
+    mask = None if valid is None else f"{np.shape(valid)} {np.asarray(valid).dtype}"
     if x.ndim < 2 or x.shape[-1] != d or {wk.shape, wv.shape} != {wq.shape} \
-            or wo.shape != (m, dh, d) or mask not in (None, x.shape[:-1]):
+            or wo.shape != (m, dh, d) or mask not in (None, f"{x.shape[:-1]} bool"):
         raise ValidationError(f"attention shapes do not conform: x {x.shape}, wq {wq.shape}, "
                               f"wk {wk.shape}, wv {wv.shape}, wo {wo.shape}, "
-                              f"additive mask (a layer's valid_mask) {mask}")
+                              f"boolean key mask (a layer's valid_mask) {mask}")
+    scale = 1.0 / np.sqrt(dh)
     xh = x.data.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
         q, v = xh @ wq.data, xh @ wv.data
         kt = _mT(xh @ wk.data).copy()
         p = q @ kt
         p *= scale
-    if additive is not None:
-        p += additive[..., None, None, :]
+    if valid is not None:
+        p += np.where(valid, 0.0, -1e30)[..., None, None, :]
     if not np.isfinite(p).all():
         raise NumericsError("non-finite values produced by primitive 'attention'")
     p -= p.max(axis=-1, keepdims=True)
@@ -508,7 +510,7 @@ def attention(x, wq, wk, wv, wo, additive, scale: float) -> Tensor:
     return Tensor._result(data, (x, wq, wk, wv, wo), vjp, "attention")
 
 
-def graph_attention_terms(inputs: Sequence[Tensor], edges, scale: float):
+def graph_attention_terms(inputs: Sequence[Tensor], edges):
     """Check :func:`graph_attention`'s inputs and run its forward up to the
     softmax.  Returns the row at which each destination's run starts; each
     edge's flat (destination, relation row) index into a (nodes, relation
@@ -539,7 +541,7 @@ def graph_attention_terms(inputs: Sequence[Tensor], edges, scale: float):
         rel_keys = table.data @ wk.data[d:]
         logits = np.einsum("ij,ij->i", queries, node_keys)
         logits += np.take(q @ rel_keys.T, pair)
-        logits *= scale
+        logits *= 1.0 / np.sqrt(width)
     if not np.isfinite(logits).all():
         raise NumericsError("non-finite values produced by primitive 'graph_attention'")
     alpha = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
@@ -547,13 +549,15 @@ def graph_attention_terms(inputs: Sequence[Tensor], edges, scale: float):
     return starts, pair, q, queries, node_keys, rel_keys, alpha
 
 
-def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges, scale: float) -> Tensor:
+def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges) -> Tensor:
     """One graph-attention layer with its residual over ``edges``, (dst, src,
     rel) index arrays sorted by dst in which every row of ``x`` has a run.
     Edge e = (i, j, r) carries the pair p_e = [x_j | table_r], and
 
         out_i = (sum_e alpha_e * (p_e @ wm + bm)) @ wn + bn + x_i,
-        alpha_e = softmax over i's run of scale * (x_i @ wq + bq) . (p_e @ wk).
+        alpha_e = softmax over i's run of (x_i @ wq + bq) . (p_e @ wk) / sqrt(D),
+
+    where D, the attention width, is the column count of ``wq``.
 
     One node.  The forward projects the nodes and the relation rows through
     each half of ``wk`` and ``wm`` before it gathers node terms per edge, so
@@ -566,9 +570,9 @@ def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges, scale: float) -
     inputs = tuple(as_tensor(t) for t in (x, table, wq, bq, wk, wm, bm, wn, bn))
     x, table, wq, bq, wk, wm, bm, wn, bn = inputs
     dst, src, rel = edges = tuple(np.asarray(a, dtype=np.int64) for a in edges)
-    starts, pair, q, queries, node_keys, rel_keys, alpha = graph_attention_terms(
-        inputs, edges, scale)
+    starts, pair, q, queries, node_keys, rel_keys, alpha = graph_attention_terms(inputs, edges)
     (k, d), width, rows = x.shape, wq.shape[1], len(table.data)
+    scale = 1.0 / np.sqrt(width)
     with np.errstate(over="ignore", invalid="ignore"):
         node_messages = np.take(x.data @ wm.data[:d], src, axis=0)
         rel_messages = table.data @ wm.data[d:] + bm.data

@@ -66,6 +66,9 @@ def _clamp_tau(params: ModelParams) -> None:
 def pretrain(config: Config, corpus: SyntheticCorpus | None = None,
              resume: Checkpoint | None = None) -> TrainResult:
     """Run the four-objective pretraining loop for ``config.steps`` steps."""
+    if resume is not None and resume.step > config.steps:
+        raise ValidationError(
+            f"checkpoint step {resume.step} is past the run's last step {config.steps}")
     corpus = generate_corpus(config) if corpus is None else corpus
     params = build_model(config, corpus.kg)
     memory = corpus_memory(corpus)

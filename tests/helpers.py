@@ -138,16 +138,17 @@ def softmax(a, axis: int = -1):
     return T.Tensor._result(data, (a,), vjp, "softmax")
 
 
-def reference_attention(x, wq, wk, wv, wo, additive, scale):
+def reference_attention(x, wq, wk, wv, wo, valid, scale):
     """Multi-head attention as a chain of autodiff primitives: the head-axis
     reshape, three projections, transpose, scores, scale, mask, softmax, mix,
-    output projection and head sum, each its own node."""
+    output projection and head sum, each its own node.  ``valid`` is the
+    boolean key mask or None; a False key's logit gets -1e30."""
     x = T.as_tensor(x)
     xh = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
     q, k, v = T.matmul(xh, wq), T.matmul(xh, wk), T.matmul(xh, wv)
     logits = T.mul(T.matmul(q, T.transpose(k)), scale)
-    if additive is not None:
-        logits = T.add(logits, T.constant(np.asarray(additive)[..., None, None, :]))
+    if valid is not None:
+        logits = T.add(logits, T.constant(np.where(valid, 0.0, -1e30)[..., None, None, :]))
     attn = softmax(logits, axis=-1)
     return T.tensor_sum(T.matmul(T.matmul(attn, v), wo), axis=-3)
 
@@ -187,8 +188,7 @@ def scalar_gelu(v: float) -> float:
 def scalar_transformer_layer(x: np.ndarray, layer) -> np.ndarray:
     """Loop-by-loop re-implementation of one transformer layer."""
     length, d = x.shape
-    heads = layer.heads
-    dh = d // heads
+    heads, _, dh = layer.wq.shape
     scale = 1.0 / math.sqrt(dh)
 
     attended = np.zeros((length, d))
@@ -224,9 +224,9 @@ def scalar_transformer_layer(x: np.ndarray, layer) -> np.ndarray:
 
 def attention_rows(x, layer) -> list[np.ndarray]:
     """Per-head softmax attention matrices of one transformer layer."""
-    scale = 1.0 / np.sqrt(layer.width / layer.heads)
+    scale = 1.0 / np.sqrt(layer.wq.shape[-1])
     rows = []
-    for m in range(layer.heads):
+    for m in range(layer.wq.shape[0]):
         q = x.data @ layer.wq.data[m]
         k = x.data @ layer.wk.data[m]
         logits = scale * (q @ k.T)
@@ -351,7 +351,7 @@ def scalar_gnn_layer(sub, embeddings: np.ndarray, layer, gp) -> np.ndarray:
         candidates[dst].append((src, rel_row))
 
     out = np.zeros_like(embeddings)
-    sqrt_d = math.sqrt(layer.attn_width)
+    sqrt_d = math.sqrt(layer.f_q_w.shape[1])
     for i in range(k):
         query = embeddings[i] @ layer.f_q_w.data + layer.f_q_b.data
         logits = []

@@ -78,3 +78,17 @@ def test_every_forward_stage_gets_a_span(monkeypatch):
     assert tracer.sums["kg.held_out_edges"] == len(sample.positives)
     assert tracer.sums["kg.subgraph_edges"] == \
         len(sample.union.triplets_local) + len(sample.positives)
+
+
+def test_gated_workloads_run_clean_at_their_minimum_size(monkeypatch, tmp_path):
+    # The untraced runs the benchmark gates on read more than the hooks
+    # above: each unit hook's item count, the checkpoint round trip and
+    # each workload's result checks.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for run_workload in (workloads.run_pretrain, workloads.run_gradcheck,
+                         workloads.run_kg_embed):
+        run = run_workload(0, seconds=0, tracer=None, out_dir=tmp_path)
+        assert run.failed == 0, run_workload.__name__
+        assert run.checks and all(run.checks.values()), (run_workload.__name__, run.checks)

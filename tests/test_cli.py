@@ -83,6 +83,11 @@ def test_ingest_bad_file_exits_one(tmp_path, kg_files, capsys):
                  "--relations", str(kg_files[1]), "--triplets", str(bad)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+    bad.write_text("0\t+0\t1\n")
+    code = main(["ingest", "--entities", str(kg_files[0]),
+                 "--relations", str(kg_files[1]), "--triplets", str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:1: non-decimal id '+0'\n"
 
 
 @pytest.mark.parametrize("case, reason", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kgfuse import tensor as T
+from kgfuse.encoders import init_transformer_layer, transformer_layer
 from kgfuse.errors import NumericsError, ValidationError
 from kgfuse.gnn import (GnnParams, _edge_lists, attention_weights,
                         forward_relation_rows, gnn_encode, gnn_layer, init_gnn,
@@ -12,8 +13,8 @@ from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Subgraph,
                        Triplet, disjoint_union, expand_subgraph, holdout_edges)
 from kgfuse.tensor import Parameters, Tensor
 
-from helpers import (fd_input_grad, reference_edge_lists, reference_gnn_layer,
-                     scalar_gnn_layer)
+from helpers import (fd_input_grad, reference_attention, reference_edge_lists,
+                     reference_gnn_layer, scalar_gnn_layer)
 
 
 def make_kg(n_entities=6, n_relations=2):
@@ -58,14 +59,14 @@ def criterion_4_subgraph(rng) -> Subgraph:
 
 def node_inputs(sub, seed, d=6, attn_width=5):
     """The nine trainable leaves of one ``graph_attention`` call on ``sub``
-    (random biases, so that each gradient is exercised), its edges and scale."""
+    (random biases, so that each gradient is exercised), its edges and the
+    scale 1/sqrt(attn_width) that the chain oracle takes."""
     kg = make_kg(n_entities=12, n_relations=3)
     params, gp = make_gnn(kg, d=d, depth=1, seed=seed)
     layer = gp.layers[0]
     rng = np.random.default_rng(seed)
     for bias in (layer.f_q_b, layer.f_m_b, layer.f_n_b):
         bias.data[...] = rng.standard_normal(bias.shape)
-    layer.attn_width = attn_width
     layer.f_q_w.data = rng.standard_normal((d, attn_width))
     layer.f_q_b.data = rng.standard_normal(attn_width)
     layer.f_k_w.data = rng.standard_normal((2 * d, attn_width))
@@ -79,16 +80,61 @@ def node_inputs(sub, seed, d=6, attn_width=5):
 def assert_matches_chain(leaves, edges, scale):
     """Forward and all nine gradients within 1e-12 of the largest entry of
     the chain oracle's."""
-    out = T.graph_attention(*leaves, edges, scale)
+    out = T.graph_attention(*leaves, edges)
     ref = reference_gnn_layer(*leaves, edges, scale)
     assert out.op == "graph_attention"
     assert [id(p) for p in out._parents] == [id(leaf) for leaf in leaves]
     assert np.max(np.abs(out.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+    assert_same_gradients(out, ref, leaves)
+
+
+def assert_same_gradients(out, ref, leaves):
+    """The gradients of a random probe of ``out`` within 1e-12 of the largest
+    entry of ``ref``'s, on every one of ``leaves``."""
     probe = T.constant(np.random.default_rng(out.shape[0]).standard_normal(out.shape))
     got = T.backward(T.tensor_sum(T.mul(out, probe)))
     want = T.backward(T.tensor_sum(T.mul(ref, probe)))
     for i, leaf in enumerate(leaves):
         assert np.max(np.abs(got[leaf] - want[leaf])) <= 1e-12 * np.max(np.abs(want[leaf])), i
+
+
+def test_kernels_scale_by_the_width_of_rebound_weights():
+    # The scale 1/sqrt(key width) comes from the weights a layer holds at
+    # call time: a transformer layer built with 4-wide heads and rebound to
+    # 3-wide ones, and a GAT layer built 4 wide and rebound to 7, each match
+    # the chain oracle fed the new width's scale.
+    rng = np.random.default_rng(60)
+    layer = init_transformer_layer(Parameters(), "layer", rng, 8, 2, 16)
+    layer.wq, layer.wk, layer.wv = (Tensor(rng.standard_normal((2, 8, 3)), requires_grad=True)
+                                    for _ in range(3))
+    layer.wo = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+    valid = np.arange(5) < np.array([[5], [3]])
+    mixed = reference_attention(x, layer.wq, layer.wk, layer.wv, layer.wo, valid,
+                                1.0 / np.sqrt(3))
+    h = T.layer_norm(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
+    ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, layer.ff_w1), layer.ff_b1)), layer.ff_w2),
+               layer.ff_b2)
+    want = T.layer_norm(T.add(h, ff), layer.ln2_gain, layer.ln2_bias)
+    got = transformer_layer(x, layer, valid)
+    assert got.data.tobytes() == want.data.tobytes()
+    leaves = [x, layer.wq, layer.wk, layer.wv, layer.wo]
+    assert_same_gradients(got, want, leaves)
+
+    kg = make_kg(n_entities=12, n_relations=3)
+    _, gp = make_gnn(kg, d=4, depth=1, seed=61)
+    layer = gp.layers[0]
+    layer.f_q_w = Tensor(rng.standard_normal((4, 7)), requires_grad=True)
+    layer.f_q_b = Tensor(rng.standard_normal(7), requires_grad=True)
+    layer.f_k_w = Tensor(rng.standard_normal((8, 7)), requires_grad=True)
+    sub = Subgraph(list(range(5)), [True] * 5, [(0, 0, 1), (1, 2, 2), (3, 1, 1), (4, 0, 0)])
+    emb = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    leaves = [emb, gp.relation_table, layer.f_q_w, layer.f_q_b, layer.f_k_w, layer.f_m_w,
+              layer.f_m_b, layer.f_n_w, layer.f_n_b]
+    want = reference_gnn_layer(*leaves, _edge_lists(sub, gp), 1.0 / np.sqrt(7))
+    got = gnn_layer(sub, emb, layer, gp)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12 * np.max(np.abs(want.data))
+    assert_same_gradients(got, want, leaves)
 
 
 class TestGraphAttentionNode:
@@ -109,7 +155,7 @@ class TestGraphAttentionNode:
         sub = Subgraph(list(range(n)), [True] * n, triplets)
         leaves, edges, scale = node_inputs(sub, n + len(triplets))
         assert_matches_chain(leaves, edges, scale)
-        alpha = T.graph_attention_terms(leaves, edges, scale)[-1]
+        alpha = T.graph_attention_terms(leaves, edges)[-1]
         np.testing.assert_allclose(np.add.reduceat(alpha, np.flatnonzero(
             np.diff(edges[0], prepend=-1))), 1.0, rtol=0, atol=1e-15)
         alone = [i for i in range(n) if not any(i in (h, t) for h, _, t in triplets)]
@@ -117,11 +163,11 @@ class TestGraphAttentionNode:
 
     def test_passes_finite_differences_on_every_coordinate(self):
         sub = Subgraph(list(range(4)), [True] * 4, [(0, 0, 1), (1, 2, 2), (3, 1, 1)])
-        leaves, edges, scale = node_inputs(sub, 50, d=3, attn_width=2)
+        leaves, edges, _ = node_inputs(sub, 50, d=3, attn_width=2)
         probe = T.constant(np.random.default_rng(51).standard_normal((4, 3)))
 
         def objective():
-            return T.tensor_sum(T.mul(T.graph_attention(*leaves, edges, scale), probe))
+            return T.tensor_sum(T.mul(T.graph_attention(*leaves, edges), probe))
 
         grads = T.backward(objective())
         for leaf in leaves:
@@ -130,10 +176,10 @@ class TestGraphAttentionNode:
 
     def test_overflow_names_the_node(self):
         sub = Subgraph([0, 1], [True, True], [(0, 0, 1)])
-        leaves, edges, scale = node_inputs(sub, 52)
+        leaves, edges, _ = node_inputs(sub, 52)
         leaves[0].data[0] = 1e160   # finite projections, logits beyond float64
         with pytest.raises(NumericsError, match="graph_attention"):
-            T.graph_attention(*leaves, edges, scale)
+            T.graph_attention(*leaves, edges)
 
     @pytest.mark.parametrize("which,shape", [
         (0, (3, 5)),     # x of another width
@@ -148,10 +194,10 @@ class TestGraphAttentionNode:
         (8, (5,)),       # f_n_b of the attention width
     ])
     def test_rejects_misshapen_inputs(self, which, shape):
-        leaves, edges, scale = node_inputs(Subgraph([0, 1, 2], [True] * 3, [(0, 0, 1)]), 53)
+        leaves, edges, _ = node_inputs(Subgraph([0, 1, 2], [True] * 3, [(0, 0, 1)]), 53)
         leaves[which] = Tensor(np.ones(shape))
         with pytest.raises(ValidationError, match="graph_attention shapes"):
-            T.graph_attention(*leaves, edges, scale)
+            T.graph_attention(*leaves, edges)
 
     @pytest.mark.parametrize("edit,message", [
         (lambda dst, src, rel: (dst[::-1], src, rel), "sorted runs"),
@@ -162,9 +208,9 @@ class TestGraphAttentionNode:
         (lambda dst, src, rel: (dst, src, -rel), "graph_attention edges"),
     ])
     def test_rejects_malformed_edges(self, edit, message):
-        leaves, edges, scale = node_inputs(Subgraph([0, 1, 2], [True] * 3, [(0, 0, 1)]), 54)
+        leaves, edges, _ = node_inputs(Subgraph([0, 1, 2], [True] * 3, [(0, 0, 1)]), 54)
         with pytest.raises(ValidationError, match=message):
-            T.graph_attention(*leaves, edit(*edges), scale)
+            T.graph_attention(*leaves, edit(*edges))
 
 
 class TestGnnLayer:
@@ -335,7 +381,7 @@ class TestGnnEncode:
     def test_empty_stack_rejected(self):
         kg = make_kg()
         params, gp = make_gnn(kg, depth=1)
-        gp_empty = GnnParams(gp.relation_table, [], gp.width)
+        gp_empty = GnnParams(gp.relation_table, [])
         with pytest.raises(ValidationError):
             gnn_encode(Subgraph([0], [True], []), Tensor(np.zeros((1, 4))),
                        gp_empty)

@@ -497,6 +497,18 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="config"):
             pretrain(other, corpus, resume=load_checkpoint(path))
 
+    def test_resume_past_the_last_step(self, tmp_path, monkeypatch):
+        # Rejected before any weight is loaded: such a run takes no step.
+        config = Config(**TINY)
+        corpus = generate_corpus(config)
+        result = pretrain(config, corpus)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, config, config.steps + 3, result.params.store, result.state)
+        resume = load_checkpoint(path)
+        monkeypatch.setattr(checkpoint.Checkpoint, "load_into", None)
+        with pytest.raises(ValidationError, match=f"step {config.steps + 3} .* {config.steps}$"):
+            pretrain(config, corpus, resume=resume)
+
 
 class TestLinkpredEval:
     def _paired_kg(self, n_pairs=4):
@@ -836,7 +848,8 @@ class TestBackwardSweep:
         params, step = self._default_step()
         bundle = step()
         got = T.backward(bundle.total)
-        monkeypatch.setattr(T, "graph_attention", reference_gnn_layer)
+        monkeypatch.setattr(T, "graph_attention", lambda *inputs: reference_gnn_layer(
+            *inputs, 1.0 / np.sqrt(inputs[2].shape[1])))
         reference = step()
         want = T.backward(reference.total)
         for name, value in bundle.values().items():

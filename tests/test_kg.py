@@ -77,12 +77,15 @@ class TestTsvRoundTrip:
                     tmp_path / "triplets.tsv")
 
     def test_malformed_row_names_line(self, tmp_path):
-        (tmp_path / "entities.tsv").write_text("0\ta\tdesc\nnot_an_id\tb\tdesc\n")
         (tmp_path / "relations.tsv").write_text("0\tr\tdesc\n")
         (tmp_path / "triplets.tsv").write_text("")
-        with pytest.raises(ValidationError, match=r"entities\.tsv:2"):
-            load_kg(tmp_path / "entities.tsv", tmp_path / "relations.tsv",
-                    tmp_path / "triplets.tsv")
+        # int() would read "1_0", "+7" and " \u0663" as 10, 7 and 3.
+        for bad in ("not_an_id", "1_0", "+7", " \u0663", "-1", "", str(2 ** 64), "9" * 5000):
+            (tmp_path / "entities.tsv").write_text(f"0\ta\tdesc\n{bad}\tb\tdesc\n",
+                                                   encoding="utf-8")
+            with pytest.raises(ValidationError, match=r"entities\.tsv:2: (non-decimal|id)"):
+                load_kg(tmp_path / "entities.tsv", tmp_path / "relations.tsv",
+                        tmp_path / "triplets.tsv")
 
     def test_wrong_field_count_and_duplicate_id(self, tmp_path):
         (tmp_path / "bad.tsv").write_text("0\tname_only\n")

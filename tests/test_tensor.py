@@ -146,18 +146,19 @@ class TestPrimitiveGradients:
 
 
 def _attention_inputs(shape, heads, masked, seed):
-    """x, wq, wk, wv, wo (all trainable leaves) and the additive key mask of a
-    random attention problem; a masked one pads each sequence differently."""
+    """x, wq, wk, wv, wo (all trainable leaves), the boolean key mask and the
+    scale 1/sqrt(d/M) of a random attention problem; a masked one pads each
+    sequence differently."""
     rng = np.random.default_rng(seed)
     d = shape[-1]
     dh = d // heads
     leaves = [T.Tensor(rng.standard_normal(s), requires_grad=True)
               for s in (shape, (heads, d, dh), (heads, d, dh), (heads, d, dh), (heads, dh, d))]
-    additive = None
+    valid = None
     if masked:
         lengths = rng.integers(1, shape[-2] + 1, size=shape[:-2])
-        additive = np.where(np.arange(shape[-2]) < lengths[..., None], 0.0, -1e30)
-    return leaves, additive, 1.0 / math.sqrt(dh)
+        valid = np.arange(shape[-2]) < lengths[..., None]
+    return leaves, valid, 1.0 / math.sqrt(dh)
 
 
 class TestTransformerKernels:
@@ -172,10 +173,10 @@ class TestTransformerKernels:
         ((2, 3, 5, 4), 1, True),     # two batch axes, one head
     ])
     def test_attention_equals_composed_chain(self, shape, heads, masked):
-        leaves, additive, scale = _attention_inputs(shape, heads, masked, len(shape) + heads)
+        leaves, valid, scale = _attention_inputs(shape, heads, masked, len(shape) + heads)
         probe = T.constant(np.random.default_rng(heads).standard_normal(shape))
-        out = T.attention(*leaves, additive, scale)
-        ref = reference_attention(*leaves, additive, scale)
+        out = T.attention(*leaves, valid)
+        ref = reference_attention(*leaves, valid, scale)
         assert out.data.tobytes() == ref.data.tobytes()
         assert out.op == "attention"
         assert [id(p) for p in out._parents] == [id(leaf) for leaf in leaves]
@@ -185,21 +186,21 @@ class TestTransformerKernels:
             assert np.max(np.abs(got[leaf] - want[leaf])) <= 1e-12 * np.max(np.abs(want[leaf]))
 
     def test_attention_passes_finite_differences(self):
-        (x, *weights), additive, scale = _attention_inputs((2, 4, 6), 3, True, 40)
+        (x, *weights), valid, _ = _attention_inputs((2, 4, 6), 3, True, 40)
         params = T.Parameters()
         for name, leaf in zip(("x", "wq", "wk", "wv", "wo"), (x, *weights)):
             params.add(name, leaf)
         probe = T.constant(np.random.default_rng(41).standard_normal((2, 4, 6)))
         err = T.finite_difference_check(
-            lambda: T.tensor_sum(T.mul(T.attention(x, *weights, additive, scale), probe)),
+            lambda: T.tensor_sum(T.mul(T.attention(x, *weights, valid), probe)),
             params, eps=1e-5, sample_count=params.flat_size(), seed=0)
         assert err < 1e-6
 
     def test_attention_overflow_names_the_node(self):
-        (x, *weights), _, scale = _attention_inputs((4, 6), 2, False, 42)
+        (x, *weights), _, _ = _attention_inputs((4, 6), 2, False, 42)
         x.data[0] = 1e160   # finite projections, logits beyond float64
         with pytest.raises(NumericsError, match="attention"):
-            T.attention(x, *weights, None, scale)
+            T.attention(x, *weights, None)
 
     @pytest.mark.parametrize("which,shape", [
         (1, (2, 6, 4)),    # wq of the wrong width
@@ -210,16 +211,19 @@ class TestTransformerKernels:
         (0, (6,)),         # x without a sequence axis
     ])
     def test_attention_rejects_misshapen_inputs(self, which, shape):
-        inputs, _, scale = _attention_inputs((4, 6), 2, False, 43)
+        inputs, _, _ = _attention_inputs((4, 6), 2, False, 43)
         inputs[which] = T.Tensor(np.ones(shape))
         with pytest.raises(ValidationError, match="attention shapes"):
-            T.attention(*inputs, None, scale)
+            T.attention(*inputs, None)
 
     def test_attention_rejects_a_wrong_shape_mask(self):
-        inputs, additive, scale = _attention_inputs((3, 4, 6), 2, True, 44)
-        for bad in (additive[0], additive[..., None], np.zeros((3, 5))):
+        # The last mask has the right shape but is an additive float mask,
+        # not a boolean one.
+        inputs, valid, _ = _attention_inputs((3, 4, 6), 2, True, 44)
+        for bad in (valid[0], valid[..., None], np.zeros((3, 5), dtype=bool),
+                    np.where(valid, 0.0, -1e30)):
             with pytest.raises(ValidationError, match="attention shapes.*valid_mask"):
-                T.attention(*inputs, bad, scale)
+                T.attention(*inputs, bad)
 
     @pytest.mark.parametrize("shape", [(3, 7), (2, 5, 8), (2, 3, 4, 6)])
     def test_layer_norm_equals_composed_chain(self, shape):
