@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import Config
+from .config import Config, parse_int
 from .data import corpus_memory, generate_corpus
 from .encoders import patchify, vision_encode
 from .errors import NumericsError, ValidationError
@@ -121,9 +121,10 @@ def _cmd_eval_retrieval(args) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    if int(text) < 0:  # a usage error, before Config.validate rejects it
+    value = parse_int(text)
+    if value < 0:  # a usage error, before Config.validate rejects it
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return int(text)
+    return value
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:

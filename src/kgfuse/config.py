@@ -14,6 +14,23 @@ from pathlib import Path
 from .errors import ValidationError
 
 
+def parse_int(text: str) -> int:
+    """An optional ``-`` and ASCII decimal digits; ``int()`` alone also takes
+    ``+``, ``_``, surrounding spaces and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """``float()`` of ``text``, without its ``_`` separators or non-ASCII
+    digits; ``nan`` and ``inf`` still parse, and validation rejects them."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII float: {text!r}")
+    return float(text)
+
+
 def read_utf8(path) -> str:
     """The text of the file at ``path``; bytes that are not UTF-8 raise."""
     try:
@@ -166,9 +183,9 @@ class Config:
             ftype = fields[key].type
             try:
                 if ftype == "int":
-                    values[key] = int(value)
+                    values[key] = parse_int(value)
                 elif ftype == "float":
-                    values[key] = float(value)
+                    values[key] = parse_float(value)
                 else:
                     values[key] = value
             except ValueError:

@@ -3,10 +3,10 @@
 The attention block computes, per head m, logits (Q_m x_i)^T (K_m x_j)
 scaled by 1/sqrt(d/M), normalizes each query row by softmax, mixes values
 V_m x_j, and maps back through W_m.  The M heads are stacked on a leading
-axis of each of Q, K, V and W, and all of it, summed over heads, is one
-autodiff node, :func:`tensor.attention`.  Residual + LayerNorm wrap both
-the attention sum and the GELU feed-forward, so one implementation serves
-the unimodal encoders and the fusion stack alike.
+axis of each of Q, K, V and W.  Residual + LayerNorm wrap both the
+attention sum over heads and the GELU feed-forward, and the whole layer is
+one autodiff node, :func:`tensor.transformer_block`, so one implementation
+serves the unimodal encoders and the fusion stack alike.
 """
 
 from __future__ import annotations
@@ -76,16 +76,15 @@ def transformer_layer(x: Tensor, layer: TransformerLayerParams,
                       valid_mask: np.ndarray | None = None) -> Tensor:
     """Apply one layer to a (..., L, d) batch of sequences.
 
-    Attention is one :func:`tensor.attention` node.  ``valid_mask`` ((..., L),
-    boolean) is its key mask: padding positions drop out of every softmax,
-    and rows at padded positions are then meaningless and must be ignored by
-    the caller.
+    The whole layer is one :func:`tensor.transformer_block` node.
+    ``valid_mask`` ((..., L), boolean) is its attention's key mask: padding
+    positions drop out of every softmax, and rows at padded positions are
+    then meaningless and must be ignored by the caller.
     """
-    mixed = T.attention(x, layer.wq, layer.wk, layer.wv, layer.wo, valid_mask)
-    h = T.layer_norm(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
-    ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, layer.ff_w1), layer.ff_b1)),
-                        layer.ff_w2), layer.ff_b2)
-    return T.layer_norm(T.add(h, ff), layer.ln2_gain, layer.ln2_bias)
+    return T.transformer_block(x, layer.wq, layer.wk, layer.wv, layer.wo,
+                               layer.ln1_gain, layer.ln1_bias, layer.ff_w1, layer.ff_b1,
+                               layer.ff_w2, layer.ff_b2, layer.ln2_gain, layer.ln2_bias,
+                               valid_mask)
 
 
 # ---- vision ----------------------------------------------------------------

@@ -176,8 +176,10 @@ def batch_inputs(corpus: SyntheticCorpus, plan: BatchPlan) -> BatchInputs:
                        config.patch_size).patches
     patch_records = [mask_patches(p, config.mvm_rate, ex.patch_mask_seed)[1]
                      for p, ex in zip(patches, examples)]
-    masked = np.array([np.isin(np.arange(patches.shape[1]), r.patch_positions)
-                       for r in patch_records])
+    positions = [r.patch_positions for r in patch_records]
+    masked = np.zeros(patches.shape[:2], dtype=bool)
+    masked[np.repeat(np.arange(len(positions)), [len(p) for p in positions]),
+           np.concatenate(positions)] = True
     captions, token_records = zip(*(
         mask_spans(corpus.captions[ex.index], config.mlm_rate, config.mean_span,
                    config.max_span, Config.MASK_ID, ex.span_mask_seed)
@@ -263,7 +265,8 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
 
     inputs = batch_inputs(corpus, plan)
     v_out, queries = vision_encode(inputs.patches, params.vision, inputs.masked)
-    t_out = text_encode(inputs.tokens, params.text, inputs.token_valid)
+    if need_fusion or "itc" in active:
+        t_out = text_encode(inputs.tokens, params.text, inputs.token_valid)
 
     retrieved_ids = []
     linkpred_count = 0

@@ -289,23 +289,27 @@ def log_sigmoid(a) -> Tensor:
     return Tensor._result(data, (a,), vjp, "log_sigmoid")
 
 
-def gelu(a) -> Tensor:
-    """GELU, tanh approximation; the single canonical formula used everywhere."""
-    a = as_tensor(a)
-    x = a.data
+def _gelu(x: Array):
+    """GELU, tanh approximation, of an array: the value and the VJP that maps
+    an output gradient to the input's.  The single canonical formula."""
     # The cubic in Horner form: ``x ** 3`` would send every negative entry
     # to libm's scalar pow, which is far slower than two multiplies.
     x2 = x * x
     inner = _GELU_C * x * (1.0 + _GELU_A * x2)
     t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        dgelu = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * dgelu,)
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
-    return Tensor._result(data, (a,), vjp, "gelu")
+    return 0.5 * x * (1.0 + t), vjp
+
+
+def gelu(a) -> Tensor:
+    """GELU as its own node; :func:`transformer_block` applies the same formula."""
+    a = as_tensor(a)
+    data, vjp = _gelu(a.data)
+    return Tensor._result(data, (a,), lambda g: (vjp(g),), "gelu")
 
 
 # ---- softmax family ---------------------------------------------------------
@@ -434,42 +438,43 @@ def narrow(a, key) -> Tensor:
 # ---- composite losses and normalizations ------------------------------------
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def _layer_norm(x: Array, gain: Array, bias: Array, eps: float = 1e-5):
+    """Normalize the last axis of ``x`` to zero mean / unit variance, then
+    affine: the value and the VJP that maps an output gradient to those of
+    ``(x, gain, bias)``.
 
     ``eps`` is added to the variance before the square root, so a constant
-    row maps to exact zeros before the affine shift.  One node: the forward
-    takes the float steps of the composed mean / variance / power chain in
-    its order, and the VJP is the closed form for ``(x, gain, bias)``.
+    row maps to exact zeros before the affine shift.  The forward takes the
+    float steps of the composed mean / variance / power chain in its order,
+    and the VJP is the closed form.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     scale = 1.0 / x.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
     inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
     normed = centered * inv
-    data = normed * gain.data + bias.data
 
     def vjp(g):
-        gn = g * gain.data
+        gn = g * gain
         gx = inv * (gn - gn.mean(axis=-1, keepdims=True)
                     - normed * (gn * normed).mean(axis=-1, keepdims=True))
         return gx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape)
 
-    return Tensor._result(data, (x, gain, bias), vjp, "layer_norm")
+    return normed * gain + bias, vjp
 
 
-def attention(x, wq, wk, wv, wo, valid) -> Tensor:
-    """Multi-head attention over a (..., L, d) batch, summed over the M heads.
+def _attention(x: Array, wq: Array, wk: Array, wv: Array, wo: Array, valid):
+    """Multi-head attention over a (..., L, d) batch, summed over the M
+    heads: the value and the VJP that maps an output gradient to those of
+    ``(x, wq, wk, wv, wo)``.
 
     ``wq``, ``wk``, ``wv`` are (M, d, d/M) and ``wo`` (M, d/M, d): head m
     reads slice m of each, and its logits are scaled by 1/sqrt(d/M), the key
     width.  ``valid`` ((..., L) boolean, or None for all True) marks the keys
     a query may read: a False key's logit gets -1e30, which takes it out of
-    every softmax.  One node: the forward takes the float steps of the
-    matmul / softmax chain in its order and keeps the weights P; the VJP's
-    softmax step is the closed form dS = P * (dP - rowsum(dP * P)).
+    every softmax.  The forward takes the float steps of the matmul / softmax
+    chain in its order and keeps the weights P; the VJP's softmax step is the
+    closed form dS = P * (dP - rowsum(dP * P)).
     """
-    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
     m, d, dh = wq.shape if wq.ndim == 3 else (-1, -1, -1)
     mask = None if valid is None else f"{np.shape(valid)} {np.asarray(valid).dtype}"
     if x.ndim < 2 or x.shape[-1] != d or {wk.shape, wv.shape} != {wq.shape} \
@@ -478,36 +483,83 @@ def attention(x, wq, wk, wv, wo, valid) -> Tensor:
                               f"wk {wk.shape}, wv {wv.shape}, wo {wo.shape}, "
                               f"boolean key mask (a layer's valid_mask) {mask}")
     scale = 1.0 / np.sqrt(dh)
-    xh = x.data.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
+    xh = x.reshape(x.shape[:-2] + (1,) + x.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
-        q, v = xh @ wq.data, xh @ wv.data
-        kt = _mT(xh @ wk.data).copy()
+        q, v = xh @ wq, xh @ wv
+        kt = _mT(xh @ wk).copy()
         p = q @ kt
         p *= scale
     if valid is not None:
         p += np.where(valid, 0.0, -1e30)[..., None, None, :]
     if not np.isfinite(p).all():
-        raise NumericsError("non-finite values produced by primitive 'attention'")
+        # Checked here, as a logit of -inf would vanish in the softmax.
+        raise NumericsError("non-finite values produced by primitive "
+                            "'transformer_block', in its attention logits")
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = p @ v
-        data = (mixed @ wo.data).sum(axis=-3)
+        data = (mixed @ wo).sum(axis=-3)
 
     def vjp(g):
         g = g[..., None, :, :]
-        gmixed = g @ _mT(wo.data)
+        gmixed = g @ _mT(wo)
         gs = gmixed @ _mT(v)
         gs -= (gmixed * mixed).sum(axis=-1, keepdims=True)   # rowsum(dP * P)
         gs *= p
         gs *= scale
         gq, gk, gv = gs @ _mT(kt), _mT(gs) @ q, _mT(p) @ gmixed
-        gx = (gq @ _mT(wq.data) + gk @ _mT(wk.data) + gv @ _mT(wv.data)).sum(axis=-3)
+        gx = (gq @ _mT(wq) + gk @ _mT(wk) + gv @ _mT(wv)).sum(axis=-3)
         return (gx, *(_unbroadcast(_mT(xh) @ gw, wq.shape) for gw in (gq, gk, gv)),
                 _unbroadcast(_mT(mixed) @ g, wo.shape))
 
-    return Tensor._result(data, (x, wq, wk, wv, wo), vjp, "attention")
+    return data, vjp
+
+
+def transformer_block(x, wq, wk, wv, wo, ln1_gain, ln1_bias, ff_w1, ff_b1, ff_w2, ff_b2,
+                      ln2_gain, ln2_bias, valid) -> Tensor:
+    """One transformer layer over a (..., L, d) batch:
+
+        h   = LayerNorm1(x + attention(x)),
+        out = LayerNorm2(h + gelu(h @ ff_w1 + ff_b1) @ ff_w2 + ff_b2),
+
+    with the attention of :func:`_attention` (``valid`` is its key mask).
+
+    One node.  The forward takes the float steps of the chain of attention,
+    add, LayerNorm, matmul, add, GELU, matmul, add, add and LayerNorm nodes
+    in that order, and the VJP adds each fan-in as :func:`backward` adds it
+    in that chain: h's gradient is the residual's plus the feed-forward's,
+    x's the residual's plus the attention's, and bias and gain gradients are
+    summed over the leading axes as :func:`_unbroadcast` sums them.  So the
+    value and every gradient are bitwise those of the chain.
+    """
+    inputs = tuple(as_tensor(t) for t in (x, wq, wk, wv, wo, ln1_gain, ln1_bias,
+                                          ff_w1, ff_b1, ff_w2, ff_b2, ln2_gain, ln2_bias))
+    x, wq, wk, wv, wo, g1, b1, w1, c1, w2, c2, g2, b2 = (t.data for t in inputs)
+    d, f = (a.shape[-1] if a.ndim else 0 for a in (x, w1))
+    shapes = [t.shape for t in inputs[5:]]
+    if shapes != [(d,), (d,), (d, f), (f,), (f, d), (d,), (d,), (d,)]:
+        raise ValidationError(f"transformer_block shapes do not conform to width {d}: "
+                              "ln1_gain, ln1_bias, ff_w1, ff_b1, ff_w2, ff_b2, ln2_gain, "
+                              f"ln2_bias are {shapes}")
+    mixed, attention_vjp = _attention(x, wq, wk, wv, wo, valid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, norm1_vjp = _layer_norm(x + mixed, g1, b1)
+        hidden, gelu_vjp = _gelu(h @ w1 + c1)
+        data, norm2_vjp = _layer_norm(h + (hidden @ w2 + c2), g2, b2)
+
+    def vjp(g):
+        gr2, gg2, gb2 = norm2_vjp(g)
+        gpre = gelu_vjp(gr2 @ _mT(w2))
+        gr1, gg1, gb1 = norm1_vjp(gr2 + gpre @ _mT(w1))
+        gx, gwq, gwk, gwv, gwo = attention_vjp(gr1)
+        return (gr1 + gx, gwq, gwk, gwv, gwo, gg1, gb1,
+                _unbroadcast(_mT(h) @ gpre, w1.shape), _unbroadcast(gpre, c1.shape),
+                _unbroadcast(_mT(hidden) @ gr2, w2.shape), _unbroadcast(gr2, c2.shape),
+                gg2, gb2)
+
+    return Tensor._result(data, inputs, vjp, "transformer_block")
 
 
 def graph_attention_terms(inputs: Sequence[Tensor], edges):

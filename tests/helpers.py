@@ -8,7 +8,11 @@ references kept from an earlier form of a library path:
 the reference for the batched training step; ``reference_layer_norm`` and
 ``reference_attention`` are LayerNorm and multi-head attention composed
 from autodiff primitives, the latter on ``softmax``, the softmax node that
-left the library with it; ``reference_gnn_layer`` is the graph-attention
+left the library with it; ``attention_node`` and ``layer_norm_node`` wrap
+the transformer block's attention and LayerNorm forwards as the single
+nodes they once were, and ``reference_transformer_block`` chains them with
+primitives into the ten nodes that the block replaced, which it must match
+bit for bit; ``reference_gnn_layer`` is the graph-attention
 layer composed from them, on ``segment_sum``, which left with it;
 ``distmult`` is the per-triplet DistMult score composed from them too;
 ``reference_retrieve_from_scores`` selects each patch's entities by a
@@ -151,6 +155,33 @@ def reference_attention(x, wq, wk, wv, wo, valid, scale):
         logits = T.add(logits, T.constant(np.where(valid, 0.0, -1e30)[..., None, None, :]))
     attn = softmax(logits, axis=-1)
     return T.tensor_sum(T.matmul(T.matmul(attn, v), wo), axis=-3)
+
+
+def attention_node(x, wq, wk, wv, wo, valid):
+    """The attention of ``tensor.transformer_block`` as its own node, as the
+    library had it before the block absorbed it."""
+    inputs = tuple(T.as_tensor(t) for t in (x, wq, wk, wv, wo))
+    data, vjp = T._attention(*(t.data for t in inputs), valid)
+    return T.Tensor._result(data, inputs, vjp, "attention")
+
+
+def layer_norm_node(x, gain, bias):
+    """The LayerNorm of ``tensor.transformer_block`` as its own node, as the
+    library had it before the block absorbed it."""
+    inputs = tuple(T.as_tensor(t) for t in (x, gain, bias))
+    data, vjp = T._layer_norm(*(t.data for t in inputs))
+    return T.Tensor._result(data, inputs, vjp, "layer_norm")
+
+
+def reference_transformer_block(x, wq, wk, wv, wo, ln1_gain, ln1_bias, ff_w1, ff_b1,
+                                ff_w2, ff_b2, ln2_gain, ln2_bias, valid):
+    """``tensor.transformer_block`` as the ten-node chain it replaced:
+    attention, add, LayerNorm, matmul, add, GELU, matmul, add, add and
+    LayerNorm, each its own node."""
+    mixed = attention_node(x, wq, wk, wv, wo, valid)
+    h = layer_norm_node(T.add(x, mixed), ln1_gain, ln1_bias)
+    ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, ff_w1), ff_b1)), ff_w2), ff_b2)
+    return layer_norm_node(T.add(h, ff), ln2_gain, ln2_bias)
 
 
 def segment_sum(values, segments, count: int):

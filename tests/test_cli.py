@@ -162,6 +162,7 @@ def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
     (["retrieve", "--image", "x.npy", "--checkpoint", "c", "--config", "x"],
      "unrecognized arguments"),
     (["gradcheck", "--seed", "-4"], "argument --seed: must be >= 0, got -4"),
+    (["pretrain", "--seed", "1_0"], "argument --seed: invalid nonnegative_int value: '1_0'"),
 ])
 def test_usage_errors_exit_one(argv, reason, capsys):
     assert main(argv) == 1

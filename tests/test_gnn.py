@@ -13,8 +13,8 @@ from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Subgraph,
                        Triplet, disjoint_union, expand_subgraph, holdout_edges)
 from kgfuse.tensor import Parameters, Tensor
 
-from helpers import (fd_input_grad, reference_attention, reference_edge_lists,
-                     reference_gnn_layer, scalar_gnn_layer)
+from helpers import (fd_input_grad, layer_norm_node, reference_attention,
+                     reference_edge_lists, reference_gnn_layer, scalar_gnn_layer)
 
 
 def make_kg(n_entities=6, n_relations=2):
@@ -112,10 +112,10 @@ def test_kernels_scale_by_the_width_of_rebound_weights():
     valid = np.arange(5) < np.array([[5], [3]])
     mixed = reference_attention(x, layer.wq, layer.wk, layer.wv, layer.wo, valid,
                                 1.0 / np.sqrt(3))
-    h = T.layer_norm(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
+    h = layer_norm_node(T.add(x, mixed), layer.ln1_gain, layer.ln1_bias)
     ff = T.add(T.matmul(T.gelu(T.add(T.matmul(h, layer.ff_w1), layer.ff_b1)), layer.ff_w2),
                layer.ff_b2)
-    want = T.layer_norm(T.add(h, ff), layer.ln2_gain, layer.ln2_bias)
+    want = layer_norm_node(T.add(h, ff), layer.ln2_gain, layer.ln2_bias)
     got = transformer_layer(x, layer, valid)
     assert got.data.tobytes() == want.data.tobytes()
     leaves = [x, layer.wq, layer.wk, layer.wv, layer.wo]

@@ -29,7 +29,7 @@ from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
 from helpers import (checkpoint_bytes, count_vjp_nodes, graph_nodes, reference_backward,
                      reference_batch_plan, reference_compute_step, reference_corpus,
                      reference_filtered_ranks, reference_gnn_layer, reference_optimizer_step,
-                     reference_patch_projection)
+                     reference_patch_projection, reference_transformer_block)
 
 TINY = dict(corpus_entities=40, corpus_relations=4, corpus_triplets=120,
             corpus_examples=12, batch_size=3, per_node_cap=3, n_negatives=4,
@@ -71,6 +71,17 @@ class TestConfig:
                     Config(**{name: value})
         with pytest.raises(ValidationError, match="lr must be finite"):
             Config.from_text("lr = nan\n")
+        # Numbers are ASCII decimal: no digit separators, no sign but a
+        # minus, no digits of other scripts.
+        for line in ("d = 1_6", "seed = +3", "seed = \u0663", "lr = 1_0e-3",
+                     "lr = \u0662e-3", "seed = -", "steps = 3.0"):
+            with pytest.raises(ValidationError, match="cannot parse"):
+                Config.from_text(line + "\n")
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            Config.from_text("seed = -4\n")
+        with pytest.raises(ValidationError, match="lr must be finite"):
+            Config.from_text("lr = inf\n")
+        assert Config.from_text("seed = 0\nlr = 2E-3\n").lr == 2e-3
         for name in ("beta1", "beta2"):
             for value in (-0.1, 1.0, 1.5):
                 with pytest.raises(ValidationError, match=rf"{name} must be in \[0,1\)"):
@@ -728,6 +739,34 @@ class TestStepStructure:
         with pytest.raises(ValidationError, match="memory of 60 ids differs from the graph's 40"):
             compute_step(params, corpus, corpus_memory(larger), plan)
 
+    def test_text_is_encoded_only_for_objectives_that_read_it(self, monkeypatch):
+        config = Config(seed=17, lr=2e-3)
+        corpus = generate_corpus(config)
+        params = build_model(config, corpus.kg)
+        memory = corpus_memory(corpus)
+        plan = make_batch_plan(config, len(corpus), step=1)
+        full = compute_step(params, corpus, memory, plan)
+        assert full.linkpred_positive_count > 0
+        encode, calls = model.text_encode, []
+        monkeypatch.setattr(model, "text_encode",
+                            lambda *args: calls.append(args) or encode(*args))
+        value = model.single_loss_objective(params, corpus, memory, plan, "linkpred")()
+        assert calls == []
+        assert np.array_equal(value.data, full.bundle.linkpred.data)
+        for loss_name in ("mlm", "mvm", "itc", "total"):
+            model.single_loss_objective(params, corpus, memory, plan, loss_name)()
+        assert len(calls) == 4
+
+    def test_patch_masks_mark_each_records_positions(self):
+        config = Config(seed=17, lr=2e-3)
+        corpus = generate_corpus(config)
+        for step in (1, 2, 3):
+            inputs = model.batch_inputs(corpus, make_batch_plan(config, len(corpus), step))
+            want = [np.isin(np.arange(config.n_patches), r.patch_positions)
+                    for r in inputs.patch_records]
+            assert inputs.masked.dtype == bool and not inputs.masked.flags.writeable
+            assert np.array_equal(inputs.masked, np.array(want))
+
     def test_batch_plan_derives_from_seed_and_step(self):
         config = Config(**TINY)
         a = make_batch_plan(config, 12, step=3)
@@ -833,13 +872,14 @@ class TestBackwardSweep:
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)) + 1e-18, pname
 
     def test_default_step_node_count_is_pinned(self):
-        # 174 nodes carry a VJP: six are one attention node per transformer
-        # layer and two one graph_attention node per GAT layer.  Attention
-        # as a chain of primitives made it 274, and the GAT as one 210.
+        # 120 nodes carry a VJP: six are one transformer_block node per
+        # transformer layer and two one graph_attention node per GAT layer.
+        # Attention as a chain of primitives made it 274, the GAT as one
+        # 210, and each layer as a chain of ten nodes 174.
         _, step = self._default_step()
         nodes = [node for node in graph_nodes(step().total) if node._vjp is not None]
-        assert len(nodes) <= 174
-        assert sum(node.op == "attention" for node in nodes) == 6
+        assert len(nodes) <= 120
+        assert sum(node.op == "transformer_block" for node in nodes) == 6
         assert sum(node.op == "graph_attention" for node in nodes) == Config().gnn_layers
 
     def test_default_step_gradients_match_the_gat_chain(self, monkeypatch):
@@ -858,6 +898,27 @@ class TestBackwardSweep:
         for pname, tensor in params.store.items():
             g, w = got[tensor], want[tensor]
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), pname
+
+    def test_default_step_is_bitwise_the_layer_chain(self, monkeypatch):
+        # Each transformer layer as one node against the ten-node chain it
+        # replaced: every loss value and every leaf gradient of a default
+        # step is bitwise equal.
+        params, step = self._default_step()
+        bundle = step()
+        got = T.backward(bundle.total)
+        monkeypatch.setattr(T, "transformer_block", reference_transformer_block)
+        reference = step()
+        nodes = graph_nodes(reference.total)
+        assert sum(node.op == "layer_norm" for node in nodes) == 12
+        assert not any(node.op == "transformer_block" for node in nodes)
+        want = T.backward(reference.total)
+        for name in self.LOSSES:
+            assert np.array_equal(getattr(bundle, name).data,
+                                  getattr(reference, name).data), name
+        assert set(got) == set(want)
+        for pname, tensor in params.store.items():
+            if tensor in want:
+                assert np.array_equal(got[tensor], want[tensor]), pname
 
     def test_backward_releases_the_graph(self):
         # Tensor has no weakref slot, so the test watches every intermediate

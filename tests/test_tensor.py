@@ -8,8 +8,9 @@ import pytest
 from kgfuse import tensor as T
 from kgfuse.errors import NumericsError, ValidationError
 
-from helpers import (fd_input_grad, reference_attention, reference_layer_norm,
-                     reference_log_sigmoid, scalar_gelu, segment_sum, softmax)
+from helpers import (attention_node, fd_input_grad, graph_nodes, layer_norm_node,
+                     reference_attention, reference_layer_norm, reference_log_sigmoid,
+                     reference_transformer_block, scalar_gelu, segment_sum, softmax)
 
 
 def _check_op_gradient(build, x_shape, seed, rtol=1e-6, positive=False):
@@ -136,7 +137,7 @@ class TestPrimitiveGradients:
         gain = T.Tensor(np.full(4, 1.3))
         bias = T.Tensor(np.full(4, -0.2))
         _check_op_gradient(
-            lambda t: T.tensor_sum(T.power(T.layer_norm(t, gain, bias), 2.0)),
+            lambda t: T.tensor_sum(T.power(layer_norm_node(t, gain, bias), 2.0)),
             (3, 4), 24)
         target = np.random.default_rng(25).standard_normal((3, 4))
         _check_op_gradient(lambda t: T.mse(t, T.constant(target)), (3, 4), 26)
@@ -161,10 +162,22 @@ def _attention_inputs(shape, heads, masked, seed):
     return leaves, valid, 1.0 / math.sqrt(dh)
 
 
+def _block_inputs(shape, heads, masked, seed, ff=12):
+    """The 13 trainable leaves of a random transformer_block problem, x and
+    the attention weights of ``_attention_inputs`` first, and its key mask."""
+    leaves, valid, _ = _attention_inputs(shape, heads, masked, seed)
+    rng = np.random.default_rng(seed + 1000)
+    d = shape[-1]
+    leaves += [T.Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in ((d,), (d,), (d, ff), (ff,), (ff, d), (d,), (d,), (d,))]
+    return leaves, valid
+
+
 class TestTransformerKernels:
-    """LayerNorm and attention are each one node that takes the composed
-    chain's float steps in its order; GELU's cubic in Horner form agrees with
-    the scalar formula."""
+    """The forwards of LayerNorm and attention that the transformer block
+    composes, each as the one node it once was, take the composed chain's
+    float steps in its order; GELU's cubic in Horner form agrees with the
+    scalar formula."""
 
     @pytest.mark.parametrize("shape,heads,masked", [
         ((5, 8), 2, False),          # one sequence
@@ -175,7 +188,7 @@ class TestTransformerKernels:
     def test_attention_equals_composed_chain(self, shape, heads, masked):
         leaves, valid, scale = _attention_inputs(shape, heads, masked, len(shape) + heads)
         probe = T.constant(np.random.default_rng(heads).standard_normal(shape))
-        out = T.attention(*leaves, valid)
+        out = attention_node(*leaves, valid)
         ref = reference_attention(*leaves, valid, scale)
         assert out.data.tobytes() == ref.data.tobytes()
         assert out.op == "attention"
@@ -192,15 +205,15 @@ class TestTransformerKernels:
             params.add(name, leaf)
         probe = T.constant(np.random.default_rng(41).standard_normal((2, 4, 6)))
         err = T.finite_difference_check(
-            lambda: T.tensor_sum(T.mul(T.attention(x, *weights, valid), probe)),
+            lambda: T.tensor_sum(T.mul(attention_node(x, *weights, valid), probe)),
             params, eps=1e-5, sample_count=params.flat_size(), seed=0)
         assert err < 1e-6
 
     def test_attention_overflow_names_the_node(self):
-        (x, *weights), _, _ = _attention_inputs((4, 6), 2, False, 42)
-        x.data[0] = 1e160   # finite projections, logits beyond float64
-        with pytest.raises(NumericsError, match="attention"):
-            T.attention(x, *weights, None)
+        leaves, _ = _block_inputs((4, 6), 2, False, 42)
+        leaves[0].data[0] = 1e160   # finite projections, logits beyond float64
+        with pytest.raises(NumericsError, match="'transformer_block', in its attention logits"):
+            T.transformer_block(*leaves, None)
 
     @pytest.mark.parametrize("which,shape", [
         (1, (2, 6, 4)),    # wq of the wrong width
@@ -214,7 +227,7 @@ class TestTransformerKernels:
         inputs, _, _ = _attention_inputs((4, 6), 2, False, 43)
         inputs[which] = T.Tensor(np.ones(shape))
         with pytest.raises(ValidationError, match="attention shapes"):
-            T.attention(*inputs, None)
+            attention_node(*inputs, None)
 
     def test_attention_rejects_a_wrong_shape_mask(self):
         # The last mask has the right shape but is an additive float mask,
@@ -223,7 +236,7 @@ class TestTransformerKernels:
         for bad in (valid[0], valid[..., None], np.zeros((3, 5), dtype=bool),
                     np.where(valid, 0.0, -1e30)):
             with pytest.raises(ValidationError, match="attention shapes.*valid_mask"):
-                T.attention(*inputs, bad)
+                attention_node(*inputs, bad)
 
     @pytest.mark.parametrize("shape", [(3, 7), (2, 5, 8), (2, 3, 4, 6)])
     def test_layer_norm_equals_composed_chain(self, shape):
@@ -234,7 +247,7 @@ class TestTransformerKernels:
         gain = T.Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
         bias = T.Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
         probe = T.constant(rng.standard_normal(shape))
-        out = T.layer_norm(x, gain, bias)
+        out = layer_norm_node(x, gain, bias)
         ref = reference_layer_norm(x, gain, bias)
         assert out.data.tobytes() == ref.data.tobytes()
         assert out.op == "layer_norm"
@@ -249,6 +262,67 @@ class TestTransformerKernels:
         got = T.gelu(T.Tensor(xs)).data
         want = np.array([scalar_gelu(v) for v in xs])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestTransformerBlock:
+    """One node per layer, bitwise equal in its value and in every gradient
+    to the ten-node chain of attention, add, LayerNorm, matmul, add, GELU,
+    matmul, add, add and LayerNorm that it replaced."""
+
+    @pytest.mark.parametrize("shape,heads,masked", [
+        ((5, 8), 2, False),          # one sequence
+        ((5, 8), 4, True),           # one padded sequence
+        ((3, 6, 8), 2, False),       # a batch
+        ((3, 6, 8), 4, True),        # a padded batch
+    ])
+    def test_equals_the_ten_node_chain(self, shape, heads, masked):
+        leaves, valid = _block_inputs(shape, heads, masked, 50 + len(shape) + heads)
+        probe = T.constant(np.random.default_rng(heads).standard_normal(shape))
+        out = T.transformer_block(*leaves, valid)
+        ref = reference_transformer_block(*leaves, valid)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert out.op == "transformer_block"
+        assert [id(p) for p in out._parents] == [id(leaf) for leaf in leaves]
+        assert len(graph_nodes(ref)) - len(leaves) == 10
+        got = T.backward(T.tensor_sum(T.mul(out, probe)))
+        want = T.backward(T.tensor_sum(T.mul(ref, probe)))
+        assert set(got) == set(want) == set(leaves)
+        for i, leaf in enumerate(leaves):
+            assert np.array_equal(got[leaf], want[leaf]), i
+            assert got[leaf].tobytes() == want[leaf].tobytes(), i
+
+    def test_passes_finite_differences(self):
+        leaves, valid = _block_inputs((2, 4, 6), 3, True, 60, ff=5)
+        params = T.Parameters()
+        for i, leaf in enumerate(leaves):
+            params.add(str(i), leaf)
+        probe = T.constant(np.random.default_rng(61).standard_normal((2, 4, 6)))
+        err = T.finite_difference_check(
+            lambda: T.tensor_sum(T.mul(T.transformer_block(*leaves, valid), probe)),
+            params, eps=1e-5, sample_count=params.flat_size(), seed=0)
+        assert err < 1e-5
+
+    def test_feed_forward_overflow_names_the_node(self):
+        leaves, _ = _block_inputs((4, 6), 2, False, 62)
+        leaves[9].data[...] = 1e308   # ff_w2: the second product overflows
+        with pytest.raises(NumericsError, match="primitive 'transformer_block'$"):
+            T.transformer_block(*leaves, None)
+
+    @pytest.mark.parametrize("which,shape", [
+        (5, (5,)),         # ln1_gain of another width
+        (6, (1, 6)),       # ln1_bias with a leading axis
+        (7, (5, 12)),      # ff_w1 reading another width
+        (8, (11,)),        # ff_b1 unlike ff_w1's columns
+        (9, (12, 5)),      # ff_w2 writing another width
+        (10, (12,)),       # ff_b2 of the hidden width
+        (11, ()),          # ln2_gain a scalar
+        (12, (7,)),        # ln2_bias of another width
+    ])
+    def test_rejects_misshapen_inputs(self, which, shape):
+        leaves, _ = _block_inputs((4, 6), 2, False, 63)
+        leaves[which] = T.Tensor(np.ones(shape))
+        with pytest.raises(ValidationError, match="transformer_block shapes"):
+            T.transformer_block(*leaves, None)
 
 
 class TestScatterMatchesAddAt:
@@ -320,7 +394,7 @@ class TestClosedForms:
     def test_layernorm_constant_vector(self):
         gain = T.Tensor(np.ones(5))
         bias = T.Tensor(np.zeros(5))
-        out = T.layer_norm(T.Tensor(np.full((2, 5), 3.7)), gain, bias).data
+        out = layer_norm_node(T.Tensor(np.full((2, 5), 3.7)), gain, bias).data
         np.testing.assert_array_equal(out, np.zeros((2, 5)))
 
     def test_sigmoid_identities(self):
@@ -415,8 +489,8 @@ class TestBackwardSemantics:
             rng = np.random.default_rng(33)
             a = T.Tensor(rng.standard_normal((4, 4)))
             b = T.Tensor(rng.standard_normal((4, 4)))
-            return T.layer_norm(T.gelu(T.matmul(a, b)),
-                                T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))).data
+            return layer_norm_node(T.gelu(T.matmul(a, b)),
+                                   T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))).data
         assert np.array_equal(run(), run())
 
 
