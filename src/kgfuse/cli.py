@@ -127,6 +127,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = parse_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument("--seed", type=nonnegative_int, default=None, help="override config seed")
@@ -162,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pretrain)
 
     p = commands.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=positive_int, default=200)
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_gradcheck)
 

@@ -8,6 +8,7 @@ decimal u64; fields must not contain tabs or newlines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -309,6 +310,48 @@ def split_triplet_list(triplets: np.ndarray, drop_rate: float, seed: int):
     return triplets[~held], triplets[held]
 
 
+def draw_candidates(rng: np.random.Generator, n_e: int, shape: tuple[int, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Coins and replacements, each an int64 array of ``shape``: the values of
+    ``rng.integers(0, [2, n_e], size=shape + (2,))``, with ``rng`` left in
+    the same state, for ``1 <= n_e < 2**32``.
+
+    numpy draws each value from one 32-bit word by Lemire's multiply-shift
+    (arXiv 1805.10941), so this draws the words in one call and decodes them
+    in place: the coin is ``w >> 31`` and the replacement
+    ``(w * n_e) >> 32``.  Lemire rejects a replacement word whose product's
+    low half is below ``2**32 % n_e`` and reads the next word in its place;
+    such a word is dropped, and one more word is drawn at the end.  A
+    one-value range reads no word.
+    """
+    if n_e == 1:
+        coin = rng.integers(0, 2 ** 32, size=shape, dtype=np.uint64) >> 31
+        return coin.view(np.int64), np.zeros(shape, dtype=np.int64)
+    count = math.prod(shape)
+    words = rng.integers(0, 2 ** 32, size=(count, 2), dtype=np.uint64)
+    e, threshold = np.uint64(n_e), 2 ** 32 % n_e
+    words[:, 1] *= e
+    if threshold and (words[:, 1].astype(np.uint32) < threshold).any():
+        words[:, 1] //= e
+        flat, dropped, start = words.ravel(), [], 0
+        while start < len(flat):
+            # A rejected word is dropped if it is at a replacement's place
+            # once the words dropped before it are gone.
+            low = (flat[start:] * e).astype(np.uint32)
+            for j in (np.flatnonzero(low < threshold) + start).tolist():
+                if (j - len(dropped)) % 2:
+                    dropped.append(j)
+            start, more = len(flat), 2 * count + len(dropped) - len(flat)
+            flat = np.concatenate([flat, rng.integers(0, 2 ** 32, size=more, dtype=np.uint64)])
+        words = np.delete(flat, dropped).reshape(count, 2)
+        words[:, 1] *= e
+    # (2w) >> 32 is w >> 31: one shift of every word decodes both columns.
+    words[:, 0] <<= 1
+    words >>= 32
+    pairs = words.view(np.int64).reshape(shape + (2,))
+    return pairs[..., 0], pairs[..., 1]
+
+
 def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
                      seed, max_retries: int = 1000
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -319,8 +362,10 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
 
     A candidate is a coin (1 replaces the head) and a replacement indexing
     the entities in ascending id order; the relation is never touched.  Each
-    round draws one ``(short, m, 2)`` block of (coin, replacement) pairs for
-    the positives still short of ``n``, in positive order, and rejects the
+    round draws one ``(short, m)`` block of (coin, replacement) pairs for the
+    positives still short of ``n``, in positive order, by
+    :func:`draw_candidates`: the values and stream of
+    ``rng.integers(0, [2, E], size=(short, m, 2))``.  It rejects the
     candidates that are triplets of ``kg``: row ``2p + coin`` of
     ``kg.known_mask`` at the replacement.  Each positive keeps its first
     ``n`` accepted candidates in stream order.  A positive that is still
@@ -344,26 +389,32 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
         # 1.25 candidates per missing negative cover the 6-13% rejection
         # rates of the synthetic graphs in one round; rarer shortfalls redraw.
         m = int(need.max()) * 5 // 4 + 8
-        draws = rng.integers(0, [2, n_e], size=(active.size, m, 2))
-        coin, pick = draws[..., 0], draws[..., 1]
-        ok = ~known.take((2 * active[:, None] + coin) * n_e + pick)
+        coin, pick = draw_candidates(rng, n_e, (active.size, m))
+        cells = coin * n_e
+        cells += pick
+        cells += (2 * n_e) * active[:, None]
+        ok = known.take(cells)
+        np.logical_not(ok, out=ok)
         accepted = np.cumsum(ok, axis=1)
+        kept = np.minimum(accepted[:, -1], need)
         # Candidates past the n-th acceptance are drawn but neither kept nor
         # counted against the retry limit.
-        short = accepted - ok < need[:, None]
-        kept = np.minimum(accepted[:, -1], need)
+        accepted -= ok
+        short = accepted < need[:, None]
         rejected[active] += np.count_nonzero(short, axis=1) - kept
         failed = active[rejected[active] >= max_retries]
         if failed.size:
             raise ValidationError(
                 f"no valid negative found for {kg.triplets_of(dense[failed[:1]])[0]} "
                 f"after {max_retries} retries")
-        at = np.flatnonzero(ok & short)
+        ok &= short
+        at = np.flatnonzero(ok)
         # Kept candidates run row after row; row p fills slots got[p] onward.
         start = active * n + got[active]
         slots = np.repeat(start - np.cumsum(kept) + kept, kept) + np.arange(at.size)
-        coins[slots] = coin.take(at)
-        picks[slots] = pick.take(at)
+        # take would first copy the strided views whole; reshape keeps views.
+        coins[slots] = coin.reshape(-1)[at]
+        picks[slots] = pick.reshape(-1)[at]
         got[active] += kept
         active = active[got[active] < n]
     return coins.reshape(count, n), picks.reshape(count, n)

@@ -249,16 +249,10 @@ def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
     scores, entity_rows = query_scores(tables, kg, dense, replacement)
     # The positive is its tail under h * r; a candidate is its replacement
     # under the query of the endpoint it keeps.
-    query = 2 * np.arange(len(positives))[:, None] + np.pad(coin, ((0, 0), (1, 0)))
-    grid = T.reshape(T.take_pairs(scores, query.ravel(), entity_rows[:, 1:].ravel()),
-                     query.shape)
-
-    pos_scores = grid[:, 0]
-    neg_scores = grid[:, 1:]
-    pos_term = T.neg(T.log_sigmoid(T.add(pos_scores, gamma)))
-    neg_term = T.tensor_mean(T.neg(T.log_sigmoid(T.neg(T.add(neg_scores, gamma)))),
-                             axis=1)
-    return T.tensor_mean(T.add(pos_term, neg_term))
+    query = np.zeros((len(positives), 1 + n), dtype=np.int64)
+    query[:, 1:] = coin
+    query += 2 * np.arange(len(positives))[:, None]
+    return T.negative_sampling_loss(scores, query, entity_rows[:, 1:], gamma)
 
 
 def itc_loss(image_cls: Tensor, text_cls: Tensor, ip: ItcParams) -> Tensor:

@@ -268,25 +268,25 @@ def dot(a, b) -> Tensor:
 # ---- transcendental primitives ---------------------------------------------
 
 
-def log_sigmoid(a) -> Tensor:
-    """Numerically stable log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)).
+def _log_sigmoid(x: Array):
+    """log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)) of an array: the value
+    and the VJP that maps an output gradient g to g * sigmoid(-x).  The
+    single canonical formula.
 
-    Branch-free: the forward and the VJP, sigmoid(-x) = exp(min(-x, 0)) /
-    (1 + exp(-|x|)), need no masks.  The VJP recomputes exp(-|x|) rather
-    than keep it alive until backward.
+    Branch-free: the forward and sigmoid(-x) = exp(min(-x, 0)) /
+    (1 + exp(-|x|)) need no masks.  The VJP recomputes exp(-|x|) rather than
+    keep it alive until backward.
     """
-    a = as_tensor(a)
-    d = a.data
-    data = np.log1p(np.exp(-np.abs(d)))
-    data -= np.minimum(d, 0.0)
+    data = np.log1p(np.exp(-np.abs(x)))
+    data -= np.minimum(x, 0.0)
     np.negative(data, out=data)
 
     def vjp(g):
-        sig = np.exp(np.minimum(-d, 0.0))
-        sig /= 1.0 + np.exp(-np.abs(d))
-        return (g * sig,)
+        sig = np.exp(np.minimum(-x, 0.0))
+        sig /= 1.0 + np.exp(-np.abs(x))
+        return g * sig
 
-    return Tensor._result(data, (a,), vjp, "log_sigmoid")
+    return data, vjp
 
 
 def _gelu(x: Array):
@@ -299,7 +299,12 @@ def _gelu(x: Array):
     t = np.tanh(inner)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+        # Past |x| = 1e150, 1 - t*t is 0 and x*x may be inf; the cap keeps
+        # their product 0 rather than NaN and changes nothing below it.
+        dinner = np.minimum(x2, 1e300)
+        dinner *= 3.0 * _GELU_A
+        dinner += 1.0
+        dinner *= _GELU_C
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
     return 0.5 * x * (1.0 + t), vjp
@@ -308,7 +313,8 @@ def _gelu(x: Array):
 def gelu(a) -> Tensor:
     """GELU as its own node; :func:`transformer_block` applies the same formula."""
     a = as_tensor(a)
-    data, vjp = _gelu(a.data)
+    with np.errstate(over="ignore"):   # x * x may overflow; the value stays finite
+        data, vjp = _gelu(a.data)
     return Tensor._result(data, (a,), lambda g: (vjp(g),), "gelu")
 
 
@@ -657,6 +663,53 @@ def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges) -> Tensor:
                 aggregated.T @ g, g.sum(axis=0))
 
     return Tensor._result(data, inputs, vjp, "graph_attention")
+
+
+def negative_sampling_loss(scores, rows, cols, gamma: float) -> Tensor:
+    """The negative-sampling loss of the (P, 1 + n) grid s[p, j] =
+    scores[rows[p, j], cols[p, j]], whose first column holds the positives:
+
+        mean_p ( -log sigmoid(s[p, 0] + gamma)
+                 + mean_j -log sigmoid(-(s[p, j] + gamma)) ),  j = 1..n.
+
+    One node.  The forward takes the float steps of the chain of take_pairs,
+    narrow, add, log-sigmoid, neg and mean nodes in that order, and the VJP
+    scatters the grid's gradient into ``scores`` as take_pairs does, so the
+    value and the gradient are bitwise those of the chain.
+    """
+    scores = as_tensor(scores)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if scores.ndim != 2 or rows.ndim != 2 or rows.shape != cols.shape \
+            or rows.shape[0] < 1 or rows.shape[1] < 2:
+        raise ValidationError(
+            f"negative_sampling_loss expects 2-D scores and matching (P, 1 + n) row and "
+            f"column indices with P, n >= 1, got {scores.shape}, {rows.shape}, {cols.shape}")
+    if min(rows.min(), cols.min()) < 0 or rows.max() >= scores.shape[0] \
+            or cols.max() >= scores.shape[1]:
+        raise ValidationError(
+            f"negative_sampling_loss index out of range for shape {scores.shape}")
+    (p, width), n = rows.shape, rows.shape[1] - 1
+    cells = rows * scores.shape[1] + cols
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = scores.data.take(cells)
+        x += gamma
+        if not np.isfinite(x).all():   # as the chain's add node checked
+            raise NumericsError(
+                "non-finite values produced by primitive 'negative_sampling_loss'")
+        np.negative(x[:, 1:], out=x[:, 1:])
+        terms, log_sigmoid_vjp = _log_sigmoid(x)
+        np.negative(terms, out=terms)
+        data = (terms[:, 0] + terms[:, 1:].sum(axis=1) * (1.0 / n)).sum() * (1.0 / p)
+
+    def vjp(g):
+        # The mean's gradient per positive; its negatives share it 1/n each.
+        share = g * (1.0 / p)
+        weights = np.empty((p, width))
+        weights[:, 0] = -share
+        weights[:, 1:] = share * (1.0 / n)
+        return (_scatter_add(cells.ravel(), log_sigmoid_vjp(weights), scores.shape),)
+
+    return Tensor._result(data, (scores,), vjp, "negative_sampling_loss")
 
 
 def mse(pred, target) -> Tensor:

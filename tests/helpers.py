@@ -8,7 +8,9 @@ references kept from an earlier form of a library path:
 the reference for the batched training step; ``reference_layer_norm`` and
 ``reference_attention`` are LayerNorm and multi-head attention composed
 from autodiff primitives, the latter on ``softmax``, the softmax node that
-left the library with it; ``attention_node`` and ``layer_norm_node`` wrap
+left the library with it; ``log_sigmoid`` is the log-sigmoid node that left
+the library when ``reference_negative_sampling_loss``, the chain it served,
+became one node; ``attention_node`` and ``layer_norm_node`` wrap
 the transformer block's attention and LayerNorm forwards as the single
 nodes they once were, and ``reference_transformer_block`` chains them with
 primitives into the ten nodes that the block replaced, which it must match
@@ -140,6 +142,24 @@ def softmax(a, axis: int = -1):
         return (data * (g - (g * data).sum(axis=axis, keepdims=True)),)
 
     return T.Tensor._result(data, (a,), vjp, "softmax")
+
+
+def log_sigmoid(a):
+    """log(sigmoid(x)) as its own autodiff node, on the library's formula;
+    the chain oracles and tests use it."""
+    a = T.as_tensor(a)
+    data, vjp = T._log_sigmoid(a.data)
+    return T.Tensor._result(data, (a,), lambda g: (vjp(g),), "log_sigmoid")
+
+
+def reference_negative_sampling_loss(grid, gamma):
+    """The link-prediction loss of a (P, 1 + n) grid of scores whose first
+    column holds the positives: the chain of narrow, add, log-sigmoid, neg
+    and mean nodes that ``tensor.negative_sampling_loss`` replaced."""
+    pos_term = T.neg(log_sigmoid(T.add(grid[:, 0], gamma)))
+    neg_term = T.tensor_mean(
+        T.neg(log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
+    return T.tensor_mean(T.add(pos_term, neg_term))
 
 
 def reference_attention(x, wq, wk, wv, wo, valid, scale):
@@ -702,9 +722,9 @@ def reference_compute_step(params, corpus, memory, plan):
                             relation_row[kg.index_triplets(positives)[:, 1:2]])
             grid = T.tensor_sum(T.mul(T.mul(T.take_rows(table, head_rows), r),
                                       T.take_rows(table, tail_rows)), axis=2)
-            pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))
+            pos_term = T.neg(log_sigmoid(T.add(grid[:, 0], gamma)))
             neg_term = T.tensor_mean(
-                T.neg(T.log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
+                T.neg(log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
             sums.append(T.tensor_sum(T.add(pos_term, neg_term)))
         linkpred = mean(sums, start)
     itc = itc_loss(T.concat(image_vecs), T.concat(text_vecs), params.itc)

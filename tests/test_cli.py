@@ -150,7 +150,7 @@ def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
     (["retrieve"], "required"),
     (["retrieve", "--image", "x.npy"], "required: --checkpoint"),
     (["pretrain", "--bogus"], "unrecognized arguments"),
-    (["gradcheck", "--samples", "x"], "invalid int value"),
+    (["gradcheck", "--samples", "x"], "invalid positive_int value"),
     (["nope"], "invalid choice"),
     ([], "required"),
     # Each command takes only the flags it reads.
@@ -163,6 +163,10 @@ def test_retrieve_takes_patch_size_and_k_from_the_checkpoint(tmp_path, capsys):
      "unrecognized arguments"),
     (["gradcheck", "--seed", "-4"], "argument --seed: must be >= 0, got -4"),
     (["pretrain", "--seed", "1_0"], "argument --seed: invalid nonnegative_int value: '1_0'"),
+    (["gradcheck", "--samples", "1_0"], "argument --samples: invalid positive_int value: '1_0'"),
+    (["gradcheck", "--samples", "+\u0663"],
+     "argument --samples: invalid positive_int value: '+\u0663'"),
+    (["gradcheck", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
 ])
 def test_usage_errors_exit_one(argv, reason, capsys):
     assert main(argv) == 1

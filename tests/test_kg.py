@@ -9,7 +9,7 @@ from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
 from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
-                       expand_subgraph, holdout_edges, load_kg,
+                       draw_candidates, expand_subgraph, holdout_edges, load_kg,
                        negative_indices, sample_negatives, split_triplet_list)
 
 from helpers import (negative_ends, reference_expand_subgraph, reference_sample_negatives,
@@ -361,6 +361,34 @@ class TestSampleNegatives:
         for positive in (Triplet(99, 0, 1), Triplet(0, 0, 99), Triplet(0, 9, 1)):
             with pytest.raises(ValidationError, match="99|9"):
                 sample_negatives(kg, positive, 4, seed=0)
+
+
+class TestDrawCandidates:
+    # 2**31 + 1 rejects almost half of the replacement words; 2**31 - 1, 200
+    # and 2**32 - 1 reject 2, 96 and 1 word in 2**32; a power of two none.
+    @pytest.mark.parametrize("n_e", [1, 2, 64, 200, 2 ** 31 - 1, 2 ** 31 + 1, 2 ** 32 - 1])
+    def test_equals_array_bound_integers(self, n_e):
+        redrawn = 0
+        for seed in range(60):
+            shape = ((0,), (7,), (3, 5), (2, 3, 4), (40, 9))[seed % 5]
+            # An odd word count before the draw leaves half of a 64-bit
+            # output buffered, which the words must start from.
+            want, got, plain = (np.random.default_rng([seed, n_e]) for _ in range(3))
+            for rng in (want, got, plain):
+                rng.integers(0, 9, size=seed % 3, dtype=np.uint32)
+            values = want.integers(0, [2, n_e], size=shape + (2,))
+            coin, replacement = draw_candidates(got, n_e, shape)
+            assert coin.dtype == replacement.dtype == np.int64
+            assert np.array_equal(coin, values[..., 0])
+            assert np.array_equal(replacement, values[..., 1])
+            assert got.bit_generator.state == want.bit_generator.state
+            # One word per value, but a one-value range reads none.
+            words = values[..., 0].size * (1 if n_e == 1 else 2)
+            plain.integers(0, 2 ** 32, size=words, dtype=np.uint64)
+            redrawn += plain.bit_generator.state != want.bit_generator.state
+        assert (redrawn > 20) == (n_e == 2 ** 31 + 1)
+        if n_e == 1:
+            assert not replacement.any()
 
 
 def _as_triplets(kg, positives, n, seed, max_retries=1000):

@@ -18,7 +18,8 @@ from kgfuse.objectives import (ItcParams, MaskingRecord, ScoringTables,
                                mask_spans, mlm_loss, mvm_loss, total_loss)
 from kgfuse.tensor import Tensor
 
-from helpers import distmult, negative_ends, reference_sample_negatives
+from helpers import (count_vjp_nodes, distmult, fd_input_grad, log_sigmoid, negative_ends,
+                     reference_negative_sampling_loss, reference_sample_negatives)
 
 MASK = 1
 
@@ -256,18 +257,84 @@ def scoring_fixture(n_entities=6, d=4, fill=0.0, n=4, gamma=0.0):
     return kg, tables
 
 
-def negative_sampling_loss(grid, gamma):
-    """The link-prediction loss of a (P, 1 + n) grid of scores whose first
-    column holds the positives."""
-    pos_term = T.neg(T.log_sigmoid(T.add(grid[:, 0], gamma)))
-    neg_term = T.tensor_mean(
-        T.neg(T.log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
-    return T.tensor_mean(T.add(pos_term, neg_term))
-
-
 def assert_close(got, want):
     """Equal within 1e-12 of the largest magnitude of ``want``."""
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def grid_indices(rng, p, n, shape):
+    """(P, 1 + n) row and column indices into ``shape``, every other row of
+    them repeating the (row, col) pairs of the first."""
+    rows = rng.integers(0, shape[0], size=(p, 1 + n))
+    cols = rng.integers(0, shape[1], size=(p, 1 + n))
+    rows[1::2], cols[1::2] = rows[0], cols[0]
+    return rows, cols
+
+
+class TestNegativeSamplingNode:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_bitwise_equals_chain(self, gamma):
+        rng = np.random.default_rng(40)
+        for trial in range(40):
+            p, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            shape = (int(rng.integers(1, 9)), int(rng.integers(1, 30)))
+            data = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3)
+            # Saturated scores, where the log-sigmoid gradients underflow.
+            data.flat[rng.integers(0, data.size, size=3)] = [800.0, -800.0, 40.0]
+            rows, cols = grid_indices(rng, p, n, shape)
+            scale = 1.0 if trial % 2 else 0.7   # the gradient reaching the loss
+            results = []
+            for build in (lambda s: T.negative_sampling_loss(s, rows, cols, gamma),
+                          lambda s: reference_negative_sampling_loss(T.reshape(
+                              T.take_pairs(s, rows.ravel(), cols.ravel()), rows.shape),
+                              gamma)):
+                scores = Tensor(data, requires_grad=True)
+                loss = build(scores)
+                grads = T.backward(T.mul(loss, scale))
+                results.append((loss.data.tobytes(), grads[scores].tobytes()))
+            assert results[0] == results[1]
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(41)
+        rows, cols = grid_indices(rng, 5, 6, (4, 7))
+        data = rng.standard_normal((4, 7))
+        scores = Tensor(data, requires_grad=True)
+        grad = T.backward(T.negative_sampling_loss(scores, rows, cols, 0.3))[scores]
+        numeric = fd_input_grad(lambda x: T.negative_sampling_loss(
+            Tensor(x), rows, cols, 0.3).item(), data.copy())
+        np.testing.assert_allclose(grad, numeric, rtol=1e-7, atol=1e-10)
+
+    def test_bad_inputs(self):
+        scores = Tensor(np.zeros((3, 4)))
+        rows, cols = np.zeros((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64)
+        for args in ((Tensor(np.zeros(4)), rows, cols), (scores, rows[:, :1], cols[:, :1]),
+                     (scores, rows[:0], cols[:0]), (scores, rows, cols[:, :2]),
+                     (scores, rows.ravel(), cols.ravel())):
+            with pytest.raises(ValidationError, match="expects 2-D scores"):
+                T.negative_sampling_loss(*args, 0.0)
+        for bad_rows, bad_cols in ((rows + 3, cols), (rows, cols + 3), (rows - 1, cols)):
+            with pytest.raises(ValidationError, match="index out of range"):
+                T.negative_sampling_loss(scores, bad_rows, bad_cols, 0.0)
+
+    def test_non_finite_values_raise(self):
+        rows, cols = np.array([[0, 1, 1]]), np.array([[0, 0, 1]])
+        # A score plus the margin overflows, as the chain's add node did.
+        overflow = Tensor(np.array([[1.7e308, 1.0], [1.0, 1.0]]))
+        with pytest.raises(NumericsError, match="negative_sampling_loss"):
+            T.negative_sampling_loss(overflow, rows, cols, 1e308)
+        # Two finite negative terms of 1.5e308 overflow their sum.
+        huge = Tensor(np.array([[0.0, 0.0], [1.5e308, 1.5e308]]))
+        with pytest.raises(NumericsError, match="negative_sampling_loss"):
+            T.negative_sampling_loss(huge, rows, cols, 0.0)
+
+    def test_linkpred_loss_is_seven_nodes(self):
+        # Two table gathers, the query product and its reshape, the table
+        # transpose and the scoring matmul, then the loss.
+        kg, tables = scoring_fixture(n=3, gamma=0.5)
+        tables.entity_matrix.requires_grad = tables.relation_matrix.requires_grad = True
+        loss = linkpred_loss([Triplet(0, 0, 1), Triplet(2, 1, 3)], tables, kg, seed=0)
+        assert loss.op == "negative_sampling_loss"
+        assert count_vjp_nodes(loss) == 7
 
 
 class TestLinkpredLoss:
@@ -345,7 +412,7 @@ class TestLinkpredLoss:
             h = T.take_rows(ref_entities, np.reshape(head_rows, shape))
             t = T.take_rows(ref_entities, np.reshape(tail_rows, shape))
             r = T.take_rows(ref_relations, rel_rows)
-            ref_loss = negative_sampling_loss(
+            ref_loss = reference_negative_sampling_loss(
                 T.tensor_sum(T.mul(T.mul(h, r), t), axis=2), gamma)
             ref_grads = T.backward(ref_loss)
 
@@ -398,7 +465,7 @@ class TestLinkpredLoss:
             t = T.take_rows(ref_entities, np.take_along_axis(
                 maps, np.concatenate([dense[:, 2:], tails], axis=1), axis=1))
             r = T.take_rows(ref_relations, relation_perm[dense[:, 1:2]])
-            ref_loss = negative_sampling_loss(distmult(h, r, t), gamma)
+            ref_loss = reference_negative_sampling_loss(distmult(h, r, t), gamma)
             ref_grads = T.backward(ref_loss)
 
             assert_close(loss.data, ref_loss.data)
@@ -548,7 +615,7 @@ class TestTotalLoss:
         x = Tensor(np.array([0.7, -0.3]), requires_grad=True)
         mlm = T.tensor_sum(T.mul(x, x))
         mvm = T.tensor_sum(T.power(x, 3.0))
-        lp = T.tensor_sum(T.log_sigmoid(x))
+        lp = T.tensor_sum(log_sigmoid(x))
         itc = T.tensor_sum(x)
         weights = (0.5, 2.0, 1.5, 3.0)
         bundle = total_loss(mlm, mvm, lp, itc, weights)

