@@ -18,8 +18,16 @@ kept on the plan: its :class:`BatchInputs` (patches, masks and padded
 tokens) and, while retrieval returns the same entities, its
 :class:`GraphSample` (subgraphs, holdout split, their union and its edge
 lists, and the link-prediction rows).  Every forward pass over one plan
-after the first reuses them, so a finite-difference check pays for that
-work once per distinct retrieval rather than once per evaluation.
+after the first reuses them.
+
+Under :func:`tensor.no_grad` the plan also keeps a :class:`StageMemo`:
+each stage's output from the last no-grad pass, reused while the stage's
+parameter groups are bitwise unchanged and the upstream outputs it read
+are the same objects.  A finite-difference evaluation perturbs one
+coordinate, so it reruns only the stage that owns it and the stages
+downstream: a ``heads.*`` perturbation reruns fusion and heads, and
+leaves vision, text, retrieval and the GNN alone.  Grad mode neither reads
+nor writes the memo, so training and analytic gradients run every stage.
 """
 
 from __future__ import annotations
@@ -134,6 +142,8 @@ class BatchPlan:
     # The host-side work of the plan's last forward pass; see compute_step.
     inputs: BatchInputs | None = field(default=None, compare=False, repr=False)
     sample: GraphSample | None = field(default=None, compare=False, repr=False)
+    # Stage outputs of the plan's last no-grad forward pass; see compute_step.
+    memo: StageMemo | None = field(default=None, compare=False, repr=False)
 
 
 def make_batch_plan(config: Config, corpus_size: int, step: int) -> BatchPlan:
@@ -246,6 +256,66 @@ def graph_sample(inputs: BatchInputs, memory: EntityMemory,
     return plan.sample
 
 
+# The stages of compute_step that the stage memo keeps, each with the
+# parameter groups it reads; a group is the first part of a parameter name.
+STAGE_GROUPS = {"vision": ("vision",), "text": ("text",), "graph": ("entity", "gnn"),
+                "linkpred": ("entity", "gnn"), "fusion": ("fusion", "heads"),
+                "itc": ("itc",)}
+
+
+@dataclass
+class StageMemo:
+    """Each stage's output from a plan's last no-grad forward pass over one
+    parameter store, with what it was computed from: the upstream objects
+    the stage read and a copy of the flat range its groups span."""
+
+    store: Parameters
+    spans: dict[str, slice]           # stage -> flat range of its groups
+    flat: np.ndarray | None = None    # the store's buffer during a pass
+    entries: dict[str, tuple[tuple, np.ndarray, object]] = field(default_factory=dict)
+
+
+def _stage_memo(plan: BatchPlan, store: Parameters) -> StageMemo | None:
+    """The plan's memo for ``store``, or None in grad mode, which neither
+    reads nor writes it."""
+    if T.is_grad_enabled():
+        return None
+    memo = plan.memo
+    if memo is None or memo.store is not store:
+        bounds, start = {}, 0
+        for name, t in store.items():
+            group = name.split(".", 1)[0]
+            bounds[group] = (bounds.get(group, (start,))[0], start + t.size)
+            start += t.size
+        # Groups are contiguous; were they not, a span would only cover more.
+        spans = {stage: slice(min(bounds[g][0] for g in groups),
+                              max(bounds[g][1] for g in groups))
+                 for stage, groups in STAGE_GROUPS.items()}
+        plan.memo = memo = StageMemo(store, spans)
+    memo.flat = store.flat()
+    return memo
+
+
+def _reuse(memo: StageMemo | None, stage: str, upstream: tuple, compute):
+    """``compute()``, or the stage's memo entry if that read the same
+    upstream objects and its parameters are bitwise the current ones.
+
+    The key is what the stage read, not a list of what it should depend on,
+    so a key that misses an input shows as a finite-difference mismatch
+    rather than hiding it."""
+    if memo is None:
+        return compute()
+    # Compared as integers, so that a hit is bitwise: 0.0 and -0.0 differ.
+    data = memo.flat[memo.spans[stage]].view(np.int64)
+    entry = memo.entries.get(stage)
+    if (entry is not None and all(a is b for a, b in zip(entry[0], upstream))
+            and np.array_equal(entry[1], data)):
+        return entry[2]
+    out = compute()
+    memo.entries[stage] = (upstream, data.copy(), out)
+    return out
+
+
 def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                  memory: EntityMemory, plan: BatchPlan,
                  active: tuple[str, ...] = ALL_LOSSES) -> StepOutput:
@@ -257,20 +327,23 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     single-loss gradient checks stay cheap.  The plan's
     :func:`batch_inputs` are reused from an earlier pass over it with the
     same corpus, and its :func:`graph_sample` with the same inputs, memory
-    and retrieved ids.
+    and retrieved ids.  Under :func:`tensor.no_grad` each stage's output is
+    also reused from the plan's last no-grad pass while its parameters and
+    upstream outputs are unchanged.
     """
     config, kg = corpus.config, corpus.kg
     need_fusion = "mlm" in active or "mvm" in active
     mlm = mvm = linkpred = itc = T.constant(0.0)
 
     inputs = batch_inputs(corpus, plan)
-    v_out, queries = vision_encode(inputs.patches, params.vision, inputs.masked)
+    memo = _stage_memo(plan, params.store)
+    v_out, queries = _reuse(memo, "vision", (inputs,), lambda: vision_encode(
+        inputs.patches, params.vision, inputs.masked))
     if need_fusion or "itc" in active:
-        t_out = text_encode(inputs.tokens, params.text, inputs.token_valid)
+        t_out = _reuse(memo, "text", (inputs,), lambda: text_encode(
+            inputs.tokens, params.text, inputs.token_valid))
 
-    retrieved_ids = []
-    linkpred_count = 0
-    if need_fusion or "linkpred" in active:
+    def encode_graph():
         scores = score_patches(queries, memory)
         found = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
         retrieved_ids = found.per_example()
@@ -284,30 +357,43 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                            T.take_rows(T.concat([relevance, T.constant(np.ones(1))]),
                                        sample.node_weight),
                            params.entity)
-        nodes = gnn_encode(sample.union, e0, params.gnn)
+        return retrieved_ids, sample, gnn_encode(sample.union, e0, params.gnn)
 
-    if "linkpred" in active and sample.positives:
+    def encode_linkpred():
         tables = ScoringTables(
             T.concat([entity_fallback_table(params, memory), nodes], axis=0),
             sample.positive_rows, params.gnn.relation_table,
             forward_relation_rows(params.gnn), config.gamma, config.n_negatives)
-        linkpred = linkpred_loss(sample.positives, tables, kg,
-                                 [ex.negative_seed for ex in plan.examples])
+        return linkpred_loss(sample.positives, tables, kg,
+                             [ex.negative_seed for ex in plan.examples])
+
+    def encode_fusion():
+        fused = assemble(v_out, t_out, T.take_rows(nodes, sample.seed_rows),
+                         params.fusion, inputs.token_valid, sample.entity_valid)
+        return heads(fuse(fused, params.fusion), fused,
+                     [r.token_positions for r in inputs.token_records],
+                     [r.patch_positions for r in inputs.patch_records], params.heads)
+
+    retrieved_ids = []
+    linkpred_count = 0
+    if need_fusion or "linkpred" in active:
+        graph = _reuse(memo, "graph", (inputs, memory, queries), encode_graph)
+        retrieved_ids, sample, nodes = graph
+
+    if "linkpred" in active and sample.positives:
+        linkpred = _reuse(memo, "linkpred", (inputs, memory, graph), encode_linkpred)
         linkpred_count = len(sample.positives)
 
     if need_fusion:
-        fused = assemble(v_out, t_out, T.take_rows(nodes, sample.seed_rows),
-                         params.fusion, inputs.token_valid, sample.entity_valid)
-        out = heads(fuse(fused, params.fusion), fused,
-                    [r.token_positions for r in inputs.token_records],
-                    [r.patch_positions for r in inputs.patch_records], params.heads)
+        out = _reuse(memo, "fusion", (inputs, v_out, t_out, graph), encode_fusion)
         if "mlm" in active:
             mlm = mlm_loss(out.mlm_logits, *inputs.token_records)
         if "mvm" in active:
             mvm = mvm_loss(out.mvm_pred, *inputs.patch_records)
 
     if "itc" in active:
-        itc = itc_loss(T.tensor_mean(v_out, axis=1), t_out[:, 0], params.itc)
+        itc = _reuse(memo, "itc", (v_out, t_out), lambda: itc_loss(
+            T.tensor_mean(v_out, axis=1), t_out[:, 0], params.itc))
 
     bundle = total_loss(mlm, mvm, linkpred, itc,
                         (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
@@ -323,6 +409,9 @@ def single_loss_objective(params: ModelParams, corpus: SyntheticCorpus,
     host-side work (patches, masks, tokens, and the graph sample while
     retrieval is unchanged) is computed on the first call and reused by the
     rest; a call whose perturbation flips retrieval rebuilds the sample.
+    Calls under :func:`tensor.no_grad`, as the perturbed calls of
+    :func:`tensor.finite_difference_check` are, also reuse every stage the
+    perturbation cannot reach.
     """
     if loss_name == "total":
         active: tuple[str, ...] = ALL_LOSSES

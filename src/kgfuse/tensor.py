@@ -6,9 +6,9 @@ leaf tensors that were created with ``requires_grad=True``.  All math runs
 in 64-bit floats.
 
 The module also provides :class:`Parameters` (a named, ordered collection of
-trainable leaves with a flat scalar enumeration) and
-:func:`finite_difference_check`, the independent gradient oracle used
-throughout the test suite.
+trainable leaves with a flat scalar enumeration), :func:`no_grad` (a mode
+in which operations record no graph) and :func:`finite_difference_check`,
+the independent gradient oracle used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,31 @@ _GELU_A = 0.044715
 
 # Creation order of every tensor: a node is always made after its inputs.
 _next_seq = itertools.count().__next__
+
+# False inside no_grad(): operations then record no parents and no VJP.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run operations without recording a graph, as ``torch.no_grad`` does.
+
+    A node made inside has ``requires_grad`` False, no parents and no VJP,
+    and its value is bitwise the one grad mode computes, so an evaluation
+    that only needs a value keeps no activations alive.  Blocks nest; each
+    restores the mode it found, also when it exits by an exception.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def is_grad_enabled() -> bool:
+    """False inside :func:`no_grad`."""
+    return _grad_enabled
 
 
 class Tensor:
@@ -66,12 +92,13 @@ class Tensor:
         out.data = data
         out.op = op
         out._seq = _next_seq()
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._vjp = vjp
         else:
-            # Constant subgraphs are pruned so backward never visits them.
+            # Constant subgraphs, and every node made under no_grad, are
+            # pruned so backward never visits them.
             out.requires_grad = False
             out._parents = ()
             out._vjp = None
@@ -887,12 +914,16 @@ def finite_difference_check(fn: Callable[[], Tensor], params: Parameters,
     """Compare analytic gradients against central finite differences.
 
     ``fn`` must be a pure function of the current parameter values that
-    returns a scalar Tensor.  For ``sample_count`` seeded random scalar
-    coordinates we compute (f(theta+eps) - f(theta-eps)) / (2 eps) and
-    return the maximum of |a - n| / max(|a|, |n|, 1e-8) over the sample.
+    returns a scalar Tensor.  Its first call builds the graph for the
+    analytic gradients; every perturbed call runs under :func:`no_grad`.
+    For ``sample_count`` seeded random scalar coordinates we compute
+    (f(theta+eps) - f(theta-eps)) / (2 eps) and return the maximum of
+    |a - n| / max(|a|, |n|, 1e-8) over the sample.  A non-finite analytic
+    gradient or relative error raises :class:`NumericsError` naming the
+    coordinate.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
     if sample_count < 1:
         raise ValidationError("sample_count must be >= 1")
 
@@ -914,7 +945,8 @@ def finite_difference_check(fn: Callable[[], Tensor], params: Parameters,
         def _eval(value: float) -> float:
             tensor.data.flat[offset] = value
             try:
-                out = float(fn().data.reshape(()))
+                with no_grad():
+                    out = float(fn().data.reshape(()))
             except NumericsError as exc:
                 raise NumericsError(
                     f"objective non-finite at perturbed parameter {name}[{offset}]: {exc}"
@@ -933,5 +965,9 @@ def finite_difference_check(fn: Callable[[], Tensor], params: Parameters,
         grad = by_name.get(name)
         analytic_value = 0.0 if grad is None else float(grad.flat[offset])
         rel = abs(analytic_value - numeric) / max(abs(analytic_value), abs(numeric), 1e-8)
+        # max() keeps its first argument against a NaN, so test explicitly.
+        if not math.isfinite(rel):
+            raise NumericsError(f"gradient check non-finite at parameter {name}[{offset}]: "
+                                f"analytic {analytic_value}, numeric {numeric}")
         worst = max(worst, rel)
     return worst

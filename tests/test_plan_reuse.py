@@ -171,3 +171,102 @@ def test_sampling_runs_once_per_retrieval(monkeypatch):
                      "split_triplet_list": batch * changes,
                      "mask_spans": batch, "mask_patches": batch,
                      "_edge_lists": changes}
+
+
+# ---- the stage memo: no-grad passes reuse the stages a change cannot reach ----
+
+GROUPS = ("vision", "text", "entity", "gnn", "fusion", "heads", "itc")
+
+
+def value_without_grad(params, corpus, memory, plan, loss_name):
+    with T.no_grad():
+        return single_loss_objective(params, corpus, memory, plan, loss_name)().item()
+
+
+def group_coordinates(params, corpus, memory):
+    """For each module group, the (name, offset) of its coordinate with the
+    largest total-loss gradient, so that moving it moves the total."""
+    grads = evaluate(params, corpus, memory, fresh_plan(), "total")[1]
+    best = {}
+    for name, grad in grads.items():
+        group = name.split(".")[0]
+        offset = int(np.argmax(np.abs(grad)))
+        if abs(grad.flat[offset]) > best.get(group, (0.0,))[0]:
+            best[group] = (abs(grad.flat[offset]), name, offset)
+    return {group: best[group][1:] for group in GROUPS}
+
+
+@pytest.mark.parametrize("loss_name", ALL_LOSSES + ("total",))
+def test_no_grad_values_on_a_warm_plan_equal_fresh_plans_bitwise(setting, loss_name):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    base = value_without_grad(params, corpus, memory, plan, loss_name)
+    for group, (name, offset) in group_coordinates(params, corpus, memory).items():
+        data = params.store[name].data
+        original = data.flat[offset]
+        data.flat[offset] = original + 0.05
+        moved = value_without_grad(params, corpus, memory, plan, loss_name)
+        assert moved == value_without_grad(params, corpus, memory, fresh_plan(),
+                                           loss_name), group
+        if loss_name == "total":
+            assert moved != base, group
+        data.flat[offset] = original
+        assert value_without_grad(params, corpus, memory, plan, loss_name) == base, group
+
+
+def test_grad_mode_after_finite_differences_equals_a_fresh_plan(setting):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    for loss_name in ALL_LOSSES:
+        T.finite_difference_check(
+            single_loss_objective(params, corpus, memory, plan, loss_name),
+            params.store, eps=1e-4, sample_count=12, seed=3)
+    entries = dict(plan.memo.entries)
+    assert set(entries) == set(model.STAGE_GROUPS)
+    assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
+                         evaluate(params, corpus, memory, fresh_plan(), "total"))
+    # Grad mode neither reads nor writes the memo.
+    assert plan.memo.entries == entries
+    assert all(plan.memo.entries[s] is entries[s] for s in entries)
+
+
+def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
+    corpus, params, memory = setting
+    calls = {name: 0 for name in ("vision_encode", "text_encode", "gnn_encode",
+                                  "heads", "expand_subgraph")}
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(model, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    plan = fresh_plan()
+    value_without_grad(params, corpus, memory, plan, "total")
+    assert calls == {"vision_encode": 1, "text_encode": 1, "gnn_encode": 1,
+                     "heads": 1, "expand_subgraph": SMALL.batch_size}
+
+    params.heads.mlm_w.data[0, 0] += 0.05
+    calls.update(dict.fromkeys(calls, 0))
+    moved = value_without_grad(params, corpus, memory, plan, "total")
+    assert calls == {"vision_encode": 0, "text_encode": 0, "gnn_encode": 0,
+                     "heads": 1, "expand_subgraph": 0}
+    assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")
+
+    # A change that flips retrieval reruns every stage after vision and
+    # rebuilds the sample.
+    sample = plan.sample
+    retrieved = plan.memo.entries["graph"][2][0]
+    weights = params.vision.retrieval_w.data
+    weights += 5.0 * np.random.default_rng(0).standard_normal(weights.shape)
+    calls.update(dict.fromkeys(calls, 0))
+    moved = value_without_grad(params, corpus, memory, plan, "total")
+    assert plan.memo.entries["graph"][2][0] != retrieved
+    assert plan.sample is not sample
+    assert calls == {"vision_encode": 1, "text_encode": 0, "gnn_encode": 1,
+                     "heads": 1, "expand_subgraph": SMALL.batch_size}
+    assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")

@@ -588,6 +588,68 @@ class TestParameters:
         np.testing.assert_array_equal(p["a"].data, np.arange(4.0))
 
 
+def _graph_attention_inputs(seed, k=5, d=4, width=3, relation_rows=3):
+    """The nine trainable leaves of a random graph_attention problem and its
+    edges: a self edge and one random in-edge per node, sorted by dst."""
+    rng = np.random.default_rng(seed)
+    shapes = ((k, d), (relation_rows, d), (d, width), (width,), (2 * d, width),
+              (2 * d, d), (d,), (d, d), (d,))
+    leaves = [T.Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    dst = np.repeat(np.arange(k), 2)
+    src = np.stack([np.arange(k), rng.integers(0, k, size=k)], axis=1).ravel()
+    rel = rng.integers(0, relation_rows, size=2 * k)
+    return leaves, (dst, src, rel)
+
+
+class TestNoGrad:
+    """Inside no_grad operations record no graph, and their values are
+    bitwise the ones grad mode computes."""
+
+    def test_nodes_made_inside_record_nothing(self):
+        w = T.Tensor(np.arange(1.0, 5.0), requires_grad=True)
+        with T.no_grad():
+            assert not T.is_grad_enabled()
+            out = T.tensor_sum(T.gelu(T.mul(w, w)))
+            leaf = T.Tensor(np.ones(2), requires_grad=True)
+        assert T.is_grad_enabled()
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+        assert leaf.requires_grad   # a leaf keeps what it was made with
+        assert T.backward(out) == {}
+        assert T.mul(w, w).requires_grad   # grad mode records again
+
+    def test_restores_the_mode_after_nesting_and_an_exception(self):
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.is_grad_enabled()
+            assert not T.is_grad_enabled()
+        assert T.is_grad_enabled()
+        with pytest.raises(NumericsError):
+            with T.no_grad():
+                T.power(T.Tensor([1e200], requires_grad=True), 2.0)
+        assert T.is_grad_enabled()
+
+    @pytest.mark.parametrize("kernel", ["transformer_block", "graph_attention",
+                                        "negative_sampling_loss"])
+    def test_values_are_bitwise_the_grad_mode_values(self, kernel):
+        if kernel == "transformer_block":
+            leaves, valid = _block_inputs((3, 6, 8), 2, True, 70)
+            build = lambda: T.transformer_block(*leaves, valid)
+        elif kernel == "graph_attention":
+            leaves, edges = _graph_attention_inputs(71)
+            build = lambda: T.graph_attention(*leaves, edges)
+        else:
+            rng = np.random.default_rng(72)
+            scores = T.Tensor(rng.standard_normal((4, 7)), requires_grad=True)
+            rows, cols = rng.integers(0, 4, size=(5, 6)), rng.integers(0, 7, size=(5, 6))
+            build = lambda: T.negative_sampling_loss(scores, rows, cols, 0.3)
+        graded = build()
+        with T.no_grad():
+            bare = build()
+        assert graded.requires_grad and not bare.requires_grad
+        assert bare.op == graded.op == kernel
+        assert bare.data.tobytes() == graded.data.tobytes()
+
+
 class TestFiniteDifferenceCheck:
     def test_quadratic_is_nearly_exact(self):
         p = T.Parameters()
@@ -621,5 +683,34 @@ class TestFiniteDifferenceCheck:
         fn = lambda: T.tensor_sum(p["w"])
         with pytest.raises(ValidationError):
             T.finite_difference_check(fn, p, eps=0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="eps must be positive and finite"):
+                T.finite_difference_check(fn, p, eps=eps)
         with pytest.raises(ValidationError):
             T.finite_difference_check(fn, p, sample_count=0)
+
+    def test_a_nan_gradient_fails_the_check(self):
+        p = T.Parameters()
+        w = p.add("w", T.Tensor(np.ones(3)))
+
+        def objective():
+            # The identity, with a VJP that returns NaN.
+            node = T.Tensor._result(w.data.copy(), (w,),
+                                    lambda g: (np.full_like(g, np.nan),), "nan_vjp")
+            return T.tensor_sum(node)
+
+        with pytest.raises(NumericsError, match=r"gradient check non-finite at parameter w\[\d\]"):
+            T.finite_difference_check(objective, p, sample_count=3, seed=0)
+
+    def test_perturbed_calls_run_without_a_graph(self):
+        p = T.Parameters()
+        p.add("w", T.Tensor(np.arange(1.0, 4.0)))
+        modes = []
+
+        def objective():
+            modes.append(T.is_grad_enabled())
+            return T.dot(p["w"], p["w"])
+
+        T.finite_difference_check(objective, p, sample_count=2, seed=0)
+        assert modes == [True, False, False, False, False]
+        assert T.is_grad_enabled()
