@@ -13,21 +13,18 @@ every example's negative seed.  Held-out subgraph edges are the
 link-prediction positives and never participate in message passing in the
 same step.
 
-A plan's host-side work, which no parameter changes, is computed once and
-kept on the plan: its :class:`BatchInputs` (patches, masks and padded
-tokens) and, while retrieval returns the same entities, its
-:class:`GraphSample` (subgraphs, holdout split, their union and its edge
-lists, and the link-prediction rows).  Every forward pass over one plan
-after the first reuses them.
-
-Under :func:`tensor.no_grad` the plan also keeps a :class:`StageMemo`:
-each stage's output from the last no-grad pass, reused while the stage's
-parameter groups are bitwise unchanged and the upstream outputs it read
-are the same objects.  A finite-difference evaluation perturbs one
-coordinate, so it reruns only the stage that owns it and the stages
-downstream: a ``heads.*`` perturbation reruns fusion and heads, and
-leaves vision, text, retrieval and the GNN alone.  Grad mode neither reads
-nor writes the memo, so training and analytic gradients run every stage.
+A plan keeps one memo, and :func:`_reuse` is its one rule: a stage's last
+output is reused while everything the stage read matches what it read
+then.  The :class:`BatchInputs` (patches, masks, padded tokens) are keyed
+on the corpus, and the :class:`GraphSample` (subgraphs, holdout split,
+their union and the link-prediction rows) on the inputs, the memory and
+the retrieved ids; both are reused in either mode.  Under
+:func:`tensor.no_grad` the six parameter stages (vision, text, retrieval
+and GNN, link prediction, fusion and heads, ITC) are keyed on their
+upstream outputs and the bits of their parameter groups, so a
+finite-difference evaluation reruns only the stage a perturbation reaches
+and the stages downstream.  Grad mode runs those six stages every time,
+because backward consumes their graphs.
 """
 
 from __future__ import annotations
@@ -104,10 +101,8 @@ class ExamplePlan:
 
 @dataclass
 class BatchInputs:
-    """A plan's patchified images and masked, padded captions, built for one
-    corpus, which keys their reuse."""
+    """A plan's patchified images and masked, padded captions."""
 
-    corpus: SyntheticCorpus
     patches: np.ndarray               # (B, N, patch_dim)
     masked: np.ndarray                # (B, N) patches the vision encoder masks
     patch_records: list[MaskingRecord]
@@ -118,13 +113,8 @@ class BatchInputs:
 
 @dataclass
 class GraphSample:
-    """Each example's subgraph for one retrieval, split and joined: built for
-    one ``BatchInputs``, memory and tuple of retrieved ids, which key its
-    reuse.  The graph is the inputs' corpus graph."""
+    """Each example's subgraph for one retrieval, split and joined."""
 
-    inputs: BatchInputs
-    memory: EntityMemory
-    retrieved: tuple[tuple[int, ...], ...]
     union: Subgraph                   # the visible subgraphs side by side
     node_rows: np.ndarray             # memory row of each union node
     seed_rows: np.ndarray             # (B, K) union row of each retrieved entity
@@ -134,16 +124,13 @@ class GraphSample:
     positive_rows: np.ndarray         # (P, E) entity row map of each positive
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchPlan:
     step: int
-    # A tuple, so the examples cannot change under the plan's inputs.
+    # Frozen and a tuple, so the examples cannot change under the memo's inputs.
     examples: tuple[ExamplePlan, ...] = ()
-    # The host-side work of the plan's last forward pass; see compute_step.
-    inputs: BatchInputs | None = field(default=None, compare=False, repr=False)
-    sample: GraphSample | None = field(default=None, compare=False, repr=False)
-    # Stage outputs of the plan's last no-grad forward pass; see compute_step.
-    memo: StageMemo | None = field(default=None, compare=False, repr=False)
+    # Stage -> (key, output) of the plan's last forward passes; see _reuse.
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def make_batch_plan(config: Config, corpus_size: int, step: int) -> BatchPlan:
@@ -174,14 +161,10 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
-def batch_inputs(corpus: SyntheticCorpus, plan: BatchPlan) -> BatchInputs:
-    """The plan's patches, patch masks and masked, padded tokens, computed
-    on its first forward pass and kept on the plan while its corpus stays
-    the same."""
-    cached = plan.inputs
-    if cached is not None and cached.corpus is corpus:
-        return cached
-    config, examples = corpus.config, plan.examples
+def batch_inputs(corpus: SyntheticCorpus,
+                 examples: tuple[ExamplePlan, ...]) -> BatchInputs:
+    """The examples' patches, patch masks and masked, padded tokens."""
+    config = corpus.config
     patches = patchify(np.stack([corpus.images[ex.index] for ex in examples]),
                        config.patch_size).patches
     patch_records = [mask_patches(p, config.mvm_rate, ex.patch_mask_seed)[1]
@@ -201,25 +184,17 @@ def batch_inputs(corpus: SyntheticCorpus, plan: BatchPlan) -> BatchInputs:
     tokens[token_valid] = np.concatenate(captions)
     _read_only(patches, masked, tokens, token_valid,
                *(r.original_patches for r in patch_records))
-    plan.inputs = BatchInputs(corpus, patches, masked, patch_records,
-                              list(token_records), tokens, token_valid)
-    return plan.inputs
+    return BatchInputs(patches, masked, patch_records, list(token_records), tokens,
+                       token_valid)
 
 
-def graph_sample(inputs: BatchInputs, memory: EntityMemory,
-                 retrieved_ids: list[list[int]], plan: BatchPlan) -> GraphSample:
+def graph_sample(corpus: SyntheticCorpus, memory: EntityMemory,
+                 retrieved_ids: list[list[int]],
+                 examples: tuple[ExamplePlan, ...]) -> GraphSample:
     """Expand each example's retrieved entities into a subgraph of the
     corpus graph, hold out a fraction of its edges, and join the visible
-    parts; computed on the plan's first forward pass and again only when
-    the inputs, the memory or the retrieved ids change, such as on a
-    parameter change that flips retrieval.  A memory whose ids are not the
-    graph's raises."""
-    key = tuple(map(tuple, retrieved_ids))
-    cached = plan.sample
-    if (cached is not None and cached.inputs is inputs and cached.memory is memory
-            and cached.retrieved == key):
-        return cached
-    config, kg, examples = inputs.corpus.config, inputs.corpus.kg, plan.examples
+    parts.  A memory whose ids are not the graph's raises."""
+    config, kg = corpus.config, corpus.kg
     ids = kg.entity_ids()
     if memory.ids != ids:
         raise ValidationError(f"memory of {len(memory)} ids differs from the graph's {len(ids)}")
@@ -251,68 +226,46 @@ def graph_sample(inputs: BatchInputs, memory: EntityMemory,
     positive_rows = entity_row[np.repeat(np.arange(len(examples)),
                                          [len(h) for h in held_outs])]
     _read_only(node_rows, seed_rows, entity_valid, node_weight, positive_rows)
-    plan.sample = GraphSample(inputs, memory, key, union, node_rows, seed_rows,
-                              entity_valid, node_weight, positives, positive_rows)
-    return plan.sample
+    return GraphSample(union, node_rows, seed_rows, entity_valid, node_weight,
+                       positives, positive_rows)
 
 
-# The stages of compute_step that the stage memo keeps, each with the
-# parameter groups it reads; a group is the first part of a parameter name.
+# The parameter stages of compute_step, each with the groups it reads; a
+# group is the first part of a parameter name.
 STAGE_GROUPS = {"vision": ("vision",), "text": ("text",), "graph": ("entity", "gnn"),
                 "linkpred": ("entity", "gnn"), "fusion": ("fusion", "heads"),
                 "itc": ("itc",)}
 
 
-@dataclass
-class StageMemo:
-    """Each stage's output from a plan's last no-grad forward pass over one
-    parameter store, with what it was computed from: the upstream objects
-    the stage read and a copy of the flat range its groups span."""
-
-    store: Parameters
-    spans: dict[str, slice]           # stage -> flat range of its groups
-    flat: np.ndarray | None = None    # the store's buffer during a pass
-    entries: dict[str, tuple[tuple, np.ndarray, object]] = field(default_factory=dict)
-
-
-def _stage_memo(plan: BatchPlan, store: Parameters) -> StageMemo | None:
-    """The plan's memo for ``store``, or None in grad mode, which neither
-    reads nor writes it."""
-    if T.is_grad_enabled():
-        return None
-    memo = plan.memo
-    if memo is None or memo.store is not store:
-        bounds, start = {}, 0
-        for name, t in store.items():
-            group = name.split(".", 1)[0]
-            bounds[group] = (bounds.get(group, (start,))[0], start + t.size)
-            start += t.size
-        # Groups are contiguous; were they not, a span would only cover more.
-        spans = {stage: slice(min(bounds[g][0] for g in groups),
-                              max(bounds[g][1] for g in groups))
-                 for stage, groups in STAGE_GROUPS.items()}
-        plan.memo = memo = StageMemo(store, spans)
-    memo.flat = store.flat()
-    return memo
+def _stage_spans(store: Parameters) -> dict[str, slice]:
+    """Each parameter stage's range of the store's flat buffer."""
+    bounds, start = {}, 0
+    for name, t in store.items():
+        group = name.split(".", 1)[0]
+        bounds[group] = (bounds.get(group, (start,))[0], start + t.size)
+        start += t.size
+    # Groups are contiguous; were they not, a span would only cover more.
+    return {stage: slice(min(bounds[g][0] for g in groups), max(bounds[g][1] for g in groups))
+            for stage, groups in STAGE_GROUPS.items()}
 
 
-def _reuse(memo: StageMemo | None, stage: str, upstream: tuple, compute):
-    """``compute()``, or the stage's memo entry if that read the same
-    upstream objects and its parameters are bitwise the current ones.
+def _reuse(memo: dict, stage: str, key: tuple, compute):
+    """The output ``memo`` keeps for ``stage`` if its key matches ``key``
+    element by element, else ``compute()``, kept under ``key``.
 
-    The key is what the stage read, not a list of what it should depend on,
-    so a key that misses an input shows as a finite-difference mismatch
-    rather than hiding it."""
-    if memo is None:
-        return compute()
-    # Compared as integers, so that a hit is bitwise: 0.0 and -0.0 differ.
-    data = memo.flat[memo.spans[stage]].view(np.int64)
-    entry = memo.entries.get(stage)
-    if (entry is not None and all(a is b for a, b in zip(entry[0], upstream))
-            and np.array_equal(entry[1], data)):
-        return entry[2]
+    Objects match by ``is``, tuples by ``==`` and arrays by
+    ``np.array_equal``; an array is copied only when kept.  The key is what
+    the stage read, not a list of what it should depend on, so a key that
+    misses an input shows as a finite-difference mismatch rather than
+    hiding it."""
+    entry = memo.get(stage)
+    if entry is not None and all(
+            kept is now or isinstance(now, tuple) and kept == now
+            or isinstance(now, np.ndarray) and np.array_equal(kept, now)
+            for kept, now in zip(entry[0], key)):
+        return entry[1]
     out = compute()
-    memo.entries[stage] = (upstream, data.copy(), out)
+    memo[stage] = (tuple(k.copy() if isinstance(k, np.ndarray) else k for k in key), out)
     return out
 
 
@@ -324,30 +277,40 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
 
     ``active`` limits which objectives are computed (the others contribute
     exact zeros); inactive stages of the pipeline are skipped entirely so
-    single-loss gradient checks stay cheap.  The plan's
-    :func:`batch_inputs` are reused from an earlier pass over it with the
-    same corpus, and its :func:`graph_sample` with the same inputs, memory
-    and retrieved ids.  Under :func:`tensor.no_grad` each stage's output is
-    also reused from the plan's last no-grad pass while its parameters and
-    upstream outputs are unchanged.
+    single-loss gradient checks stay cheap.  Each stage goes through
+    :func:`_reuse` on ``plan.memo``: the batch inputs and graph sample in
+    either mode, and under :func:`tensor.no_grad` the six parameter stages
+    too, keyed on their upstream outputs and parameter bits.
     """
-    config, kg = corpus.config, corpus.kg
+    config, kg, memo = corpus.config, corpus.kg, plan.memo
     need_fusion = "mlm" in active or "mvm" in active
     mlm = mvm = linkpred = itc = T.constant(0.0)
 
-    inputs = batch_inputs(corpus, plan)
-    memo = _stage_memo(plan, params.store)
-    v_out, queries = _reuse(memo, "vision", (inputs,), lambda: vision_encode(
+    inputs = _reuse(memo, "inputs", (corpus,), lambda: batch_inputs(corpus, plan.examples))
+    # Backward consumes a grad-mode stage's graph, so only no-grad reuses one.
+    grad = T.is_grad_enabled()
+    if not grad:
+        spans = _reuse(memo, "spans", (params.store,), lambda: _stage_spans(params.store))
+        # Compared as integers, so that a hit is bitwise: 0.0 and -0.0 differ.
+        flat = params.store.flat().view(np.int64)
+
+    def stage(name: str, upstream: tuple, compute):
+        if grad:
+            return compute()
+        return _reuse(memo, name, (*upstream, flat[spans[name]]), compute)
+
+    v_out, queries = stage("vision", (inputs,), lambda: vision_encode(
         inputs.patches, params.vision, inputs.masked))
     if need_fusion or "itc" in active:
-        t_out = _reuse(memo, "text", (inputs,), lambda: text_encode(
+        t_out = stage("text", (inputs,), lambda: text_encode(
             inputs.tokens, params.text, inputs.token_valid))
 
     def encode_graph():
         scores = score_patches(queries, memory)
         found = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
         retrieved_ids = found.per_example()
-        sample = graph_sample(inputs, memory, retrieved_ids, plan)
+        sample = _reuse(memo, "sample", (inputs, memory, tuple(map(tuple, retrieved_ids))),
+                        lambda: graph_sample(corpus, memory, retrieved_ids, plan.examples))
         b, p, e = scores.shape
         relevance = relevance_weights(
             T.take_pairs(T.reshape(scores, (b * p, e)), found.example * p + found.patch,
@@ -377,22 +340,22 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     retrieved_ids = []
     linkpred_count = 0
     if need_fusion or "linkpred" in active:
-        graph = _reuse(memo, "graph", (inputs, memory, queries), encode_graph)
-        retrieved_ids, sample, nodes = graph
+        retrieved_ids, sample, nodes = stage("graph", (inputs, memory, queries),
+                                             encode_graph)
 
     if "linkpred" in active and sample.positives:
-        linkpred = _reuse(memo, "linkpred", (inputs, memory, graph), encode_linkpred)
+        linkpred = stage("linkpred", (memory, sample, nodes), encode_linkpred)
         linkpred_count = len(sample.positives)
 
     if need_fusion:
-        out = _reuse(memo, "fusion", (inputs, v_out, t_out, graph), encode_fusion)
+        out = stage("fusion", (inputs, v_out, t_out, sample, nodes), encode_fusion)
         if "mlm" in active:
             mlm = mlm_loss(out.mlm_logits, *inputs.token_records)
         if "mvm" in active:
             mvm = mvm_loss(out.mvm_pred, *inputs.patch_records)
 
     if "itc" in active:
-        itc = _reuse(memo, "itc", (v_out, t_out), lambda: itc_loss(
+        itc = stage("itc", (v_out, t_out), lambda: itc_loss(
             T.tensor_mean(v_out, axis=1), t_out[:, 0], params.itc))
 
     bundle = total_loss(mlm, mvm, linkpred, itc,
@@ -405,13 +368,11 @@ def single_loss_objective(params: ModelParams, corpus: SyntheticCorpus,
                           loss_name: str):
     """A pure function of the parameters suitable for finite differences.
 
-    Every call runs :func:`compute_step` on the same ``plan``, so the plan's
-    host-side work (patches, masks, tokens, and the graph sample while
-    retrieval is unchanged) is computed on the first call and reused by the
-    rest; a call whose perturbation flips retrieval rebuilds the sample.
-    Calls under :func:`tensor.no_grad`, as the perturbed calls of
-    :func:`tensor.finite_difference_check` are, also reuse every stage the
-    perturbation cannot reach.
+    Every call runs :func:`compute_step` on the same ``plan``, so its memo
+    holds the batch inputs from the first call, and the graph sample while
+    retrieval is unchanged.  Calls under :func:`tensor.no_grad`, as the
+    perturbed calls of :func:`tensor.finite_difference_check` are, also
+    reuse every stage the perturbation cannot reach.
     """
     if loss_name == "total":
         active: tuple[str, ...] = ALL_LOSSES

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
+from .config import Config, parse_float, parse_int
 from .checkpoint import Checkpoint
 from .data import SyntheticCorpus, corpus_memory, generate_corpus
 from .encoders import patchify, vision_encode
@@ -51,11 +51,14 @@ def parse_metrics(text: str) -> list[tuple[int, float, float, float, float, floa
     if not lines or lines[0] != METRICS_HEADER:
         raise ValidationError("metrics log missing its header line")
     rows = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=1):
         parts = line.split("\t")
-        if len(parts) != 6:
-            raise ValidationError(f"malformed metrics row: {line!r}")
-        rows.append((int(parts[0]),) + tuple(float(p) for p in parts[1:]))
+        try:
+            if len(parts) != 6:
+                raise ValueError
+            rows.append((parse_int(parts[0]),) + tuple(map(parse_float, parts[1:])))
+        except ValueError:
+            raise ValidationError(f"malformed metrics row {row}: {line!r}") from None
     return rows
 
 

@@ -73,7 +73,7 @@ def test_every_forward_stage_gets_a_span(monkeypatch):
     assert calls["retriever.score"]["calls"] == 1
     assert calls["retriever.topk"]["calls"] == 1
     # The subgraph counters add up to the step's graph sample.
-    sample = plan.sample
+    sample = plan.memo["sample"][1]
     assert tracer.sums["kg.subgraph_nodes"] == sample.union.num_nodes
     assert tracer.sums["kg.held_out_edges"] == len(sample.positives)
     assert tracer.sums["kg.subgraph_edges"] == \

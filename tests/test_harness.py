@@ -3,6 +3,7 @@
 import collections
 import math
 import os
+import re
 import stat
 import weakref
 
@@ -22,7 +23,7 @@ from kgfuse.objectives import ScoringTables
 from kgfuse.optim import AdamState, optimizer_step
 from kgfuse.retriever import retrieve
 from kgfuse.tensor import Parameters, Tensor
-from kgfuse.train import (eval_linkpred, eval_retrieval, filtered_ranks,
+from kgfuse.train import (METRICS_HEADER, eval_linkpred, eval_retrieval, filtered_ranks,
                           format_metrics, parse_metrics, pretrain,
                           random_baseline_mrr, train_kg_embeddings)
 
@@ -344,6 +345,14 @@ class TestPretrain:
         result = pretrain(config, generate_corpus(config))
         text = format_metrics(result.metrics)
         assert parse_metrics(text) == [tuple(r) for r in result.metrics]
+
+    @pytest.mark.parametrize("row", ["x\t1\t2\t3\t4\t5", "1_0\t1\t2\t3\t4\t5",
+                                     "1\t1_0\t2\t3\t4\t5", "1\t1\t2\t3\t4",
+                                     "+1\t1\t2\t3\t4\t5", "1\t1\t2\t3\t4\t\u0665"])
+    def test_a_malformed_metrics_row_raises_naming_it(self, row):
+        text = f"{METRICS_HEADER}\n1\t1.0\t2.0\t3.0\t4.0\t5.0\n{row}\n"
+        with pytest.raises(ValidationError, match=f"metrics row 2: {re.escape(repr(row))}"):
+            parse_metrics(text)
 
 
 class TestCheckpoint:
@@ -761,7 +770,8 @@ class TestStepStructure:
         config = Config(seed=17, lr=2e-3)
         corpus = generate_corpus(config)
         for step in (1, 2, 3):
-            inputs = model.batch_inputs(corpus, make_batch_plan(config, len(corpus), step))
+            inputs = model.batch_inputs(corpus,
+                                        make_batch_plan(config, len(corpus), step).examples)
             want = [np.isin(np.arange(config.n_patches), r.patch_positions)
                     for r in inputs.patch_records]
             assert inputs.masked.dtype == bool and not inputs.masked.flags.writeable

@@ -1,11 +1,14 @@
-"""A plan's host-side work is built once and reused across forward passes.
+"""A plan's memo reuses stage outputs across forward passes.
 
-``model.compute_step`` keeps a plan's batch inputs (patches, masks, tokens)
-and its graph sample (subgraphs, holdout split, union, edge lists) on the
-plan.  Reuse must not change a single bit of any loss or gradient, must
-rebuild the sample when retrieval changes, and must actually happen: the
-seeded sampling runs once per retrieval, not once per evaluation.
+``model.compute_step`` keeps a plan's batch inputs (patches, masks, tokens),
+its graph sample (subgraphs, holdout split, union, edge lists) and, under
+``no_grad``, each parameter stage's output in ``plan.memo``.  Reuse must not
+change a single bit of any loss or gradient, must rebuild the sample when
+retrieval changes, and must actually happen: the seeded sampling runs once
+per retrieval, not once per evaluation.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -43,6 +46,11 @@ def evaluate(params, corpus, memory, plan, loss_name):
                          for name, t in params.store.items()}
 
 
+def kept(plan, stage):
+    """The output the plan's memo keeps for ``stage``."""
+    return plan.memo[stage][1]
+
+
 def assert_bitwise_equal(got, want):
     assert got[0] == want[0]
     for name, grad in want[1].items():
@@ -56,19 +64,18 @@ def test_reused_plan_equals_fresh_plans_bitwise(setting, loss_name):
     for _ in range(2):
         assert_bitwise_equal(evaluate(params, corpus, memory, plan, loss_name),
                              evaluate(params, corpus, memory, fresh_plan(), loss_name))
-    assert plan.inputs is not None
-    if loss_name != "itc":
-        assert plan.sample is not None
+    assert "inputs" in plan.memo
+    assert ("sample" in plan.memo) == (loss_name != "itc")
 
 
 def test_reused_plan_gives_fresh_bundle_values(setting):
     corpus, params, memory = setting
     plan = fresh_plan()
     first = compute_step(params, corpus, memory, plan)
-    inputs, sample = plan.inputs, plan.sample
+    inputs, sample = kept(plan, "inputs"), kept(plan, "sample")
     again = compute_step(params, corpus, memory, plan)
     fresh = compute_step(params, corpus, memory, fresh_plan())
-    assert plan.inputs is inputs and plan.sample is sample
+    assert kept(plan, "inputs") is inputs and kept(plan, "sample") is sample
     assert first.linkpred_positive_count > 0
     assert again.bundle.values() == fresh.bundle.values() == first.bundle.values()
     assert again.retrieved == fresh.retrieved
@@ -78,22 +85,22 @@ def test_changed_retrieval_rebuilds_the_sample(setting):
     corpus, params, memory = setting
     plan = fresh_plan()
     before = compute_step(params, corpus, memory, plan)
-    inputs, sample = plan.inputs, plan.sample
+    inputs, sample = kept(plan, "inputs"), kept(plan, "sample")
 
     # A large change to the retrieval head moves which entities are retrieved.
     weights = params.vision.retrieval_w.data
     weights += 5.0 * np.random.default_rng(0).standard_normal(weights.shape)
     after = compute_step(params, corpus, memory, plan)
     assert after.retrieved != before.retrieved
-    assert plan.inputs is inputs and plan.sample is not sample
+    assert kept(plan, "inputs") is inputs and kept(plan, "sample") is not sample
     assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
                          evaluate(params, corpus, memory, fresh_plan(), "total"))
 
     # A change that keeps retrieval keeps the sample.
-    rebuilt = plan.sample
+    rebuilt = kept(plan, "sample")
     params.fusion.cls_vec.data += 0.1
     compute_step(params, corpus, memory, plan)
-    assert plan.sample is rebuilt
+    assert kept(plan, "sample") is rebuilt
 
 
 @pytest.mark.parametrize("replaced", ["corpus", "memory"])
@@ -101,7 +108,7 @@ def test_a_second_corpus_or_memory_rebuilds_what_it_keys(setting, replaced):
     corpus, params, memory = setting
     plan = fresh_plan()
     compute_step(params, corpus, memory, plan)
-    inputs, sample = plan.inputs, plan.sample
+    inputs, sample = kept(plan, "inputs"), kept(plan, "sample")
     # Equal to the first object, but not the same one.
     if replaced == "corpus":
         corpus = generate_corpus(SMALL)
@@ -109,20 +116,26 @@ def test_a_second_corpus_or_memory_rebuilds_what_it_keys(setting, replaced):
         memory = build_memory(corpus.kg, SMALL.d_e, SMALL.seed)
     again = compute_step(params, corpus, memory, plan)
     # The inputs are keyed on the corpus, the sample on the inputs and memory.
-    assert (plan.inputs is inputs) == (replaced == "memory")
-    assert plan.inputs.corpus is corpus
-    assert plan.sample is not sample and plan.sample.memory is memory
+    assert (kept(plan, "inputs") is inputs) == (replaced == "memory")
+    assert plan.memo["inputs"][0][0] is corpus
+    assert kept(plan, "sample") is not sample and plan.memo["sample"][0][1] is memory
     assert again.bundle.values() == \
         compute_step(params, corpus, memory, fresh_plan()).bundle.values()
     assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
                          evaluate(params, corpus, memory, fresh_plan(), "total"))
 
 
+def test_a_plans_examples_cannot_be_rebound():
+    # The memo keys the batch inputs on the corpus alone.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh_plan().examples = make_batch_plan(SMALL, SMALL.corpus_examples, step=2).examples
+
+
 def test_cached_arrays_are_read_only(setting):
     corpus, params, memory = setting
     plan = fresh_plan()
     compute_step(params, corpus, memory, plan)
-    inputs, sample = plan.inputs, plan.sample
+    inputs, sample = kept(plan, "inputs"), kept(plan, "sample")
     arrays = [inputs.patches, inputs.masked, inputs.tokens, inputs.token_valid,
               inputs.patch_records[0].original_patches, sample.node_rows,
               sample.seed_rows, sample.entity_valid, sample.node_weight,
@@ -132,20 +145,30 @@ def test_cached_arrays_are_read_only(setting):
             array.flat[0] = 0
 
 
+STAGES = ("vision_encode", "text_encode", "gnn_encode", "linkpred_loss", "heads",
+          "itc_loss")
+
+
 def test_sampling_runs_once_per_retrieval(monkeypatch):
     calls = {name: 0 for name in ("expand_subgraph", "split_triplet_list",
                                   "mask_spans", "mask_patches", "_edge_lists")}
+    # Each stage's calls with gradients recorded and under no_grad.
+    stage_calls = {name: [0, 0] for name in STAGES}
     retrievals = []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            if name in stage_calls:
+                stage_calls[name][not T.is_grad_enabled()] += 1
+            else:
+                calls[name] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("expand_subgraph", "split_triplet_list", "mask_spans", "mask_patches"):
+    for name in ("expand_subgraph", "split_triplet_list", "mask_spans", "mask_patches",
+                 *STAGES):
         counted(model, name)
     counted(gnn, "_edge_lists")
     step = model.compute_step
@@ -171,6 +194,11 @@ def test_sampling_runs_once_per_retrieval(monkeypatch):
                      "split_triplet_list": batch * changes,
                      "mask_spans": batch, "mask_patches": batch,
                      "_edge_lists": changes}
+    # Grad mode runs every active stage; the no-grad evaluations rerun only
+    # the stages a perturbation reaches.
+    assert stage_calls == {"vision_encode": [5, 1], "text_encode": [4, 10],
+                           "gnn_encode": [4, 1], "linkpred_loss": [2, 1],
+                           "heads": [3, 12], "itc_loss": [2, 7]}
 
 
 # ---- the stage memo: no-grad passes reuse the stages a change cannot reach ----
@@ -221,13 +249,13 @@ def test_grad_mode_after_finite_differences_equals_a_fresh_plan(setting):
         T.finite_difference_check(
             single_loss_objective(params, corpus, memory, plan, loss_name),
             params.store, eps=1e-4, sample_count=12, seed=3)
-    entries = dict(plan.memo.entries)
-    assert set(entries) == set(model.STAGE_GROUPS)
+    entries = dict(plan.memo)
+    assert set(entries) == {"inputs", "sample", "spans", *model.STAGE_GROUPS}
     assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
                          evaluate(params, corpus, memory, fresh_plan(), "total"))
-    # Grad mode neither reads nor writes the memo.
-    assert plan.memo.entries == entries
-    assert all(plan.memo.entries[s] is entries[s] for s in entries)
+    # Grad mode adds no entry and neither reads nor writes a parameter stage's.
+    assert plan.memo.keys() == entries.keys()
+    assert all(plan.memo[s] is entries[s] for s in model.STAGE_GROUPS)
 
 
 def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
@@ -259,14 +287,14 @@ def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
 
     # A change that flips retrieval reruns every stage after vision and
     # rebuilds the sample.
-    sample = plan.sample
-    retrieved = plan.memo.entries["graph"][2][0]
+    sample = kept(plan, "sample")
+    retrieved = kept(plan, "graph")[0]
     weights = params.vision.retrieval_w.data
     weights += 5.0 * np.random.default_rng(0).standard_normal(weights.shape)
     calls.update(dict.fromkeys(calls, 0))
     moved = value_without_grad(params, corpus, memory, plan, "total")
-    assert plan.memo.entries["graph"][2][0] != retrieved
-    assert plan.sample is not sample
+    assert kept(plan, "graph")[0] != retrieved
+    assert kept(plan, "sample") is not sample
     assert calls == {"vision_encode": 1, "text_encode": 0, "gnn_encode": 1,
                      "heads": 1, "expand_subgraph": SMALL.batch_size}
     assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")
