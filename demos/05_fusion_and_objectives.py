@@ -19,10 +19,13 @@ print(f"model: {len(params.store)} parameter tensors, "
 plan = make_batch_plan(config, len(corpus), step=1)
 out = compute_step(params, corpus, memory, plan)
 
-print("\nper-example retrieved entity ids:")
+# The step's record holds every stage's output, not only the losses.
+print("\nper-example retrieved entity ids : relevance weights:")
+weights = iter(out.relevance.data.tolist())   # example by example
 for ids in out.retrieved:
-    print(f"  {ids}")
-print(f"\nlink-prediction positives this step: {out.linkpred_positive_count}")
+    print("  " + "  ".join(f"{e}:{next(weights):.3f}" for e in ids))
+print(f"\nfused sequence: {out.fused.elements.shape[-2]} positions per example")
+print(f"link-prediction positives this step: {len(out.sample.positives)}")
 
 print("\nlosses at initialization:")
 for name, value in out.bundle.values().items():

@@ -15,11 +15,9 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import Config, parse_int
 from .data import corpus_memory, generate_corpus
-from .encoders import patchify, vision_encode
 from .errors import NumericsError, ValidationError
 from .kg import holdout_edges, load_kg
-from .model import build_model
-from .retriever import retrieve
+from .model import build_model, retrieve_images
 from .train import (eval_linkpred, eval_retrieval, format_metrics,
                     gradient_report, model_linkpred_tables, pretrain)
 
@@ -62,13 +60,12 @@ def _cmd_retrieve(args) -> int:
     image = image.astype(np.float64)
     if not np.isfinite(image).all():
         raise ValidationError(f"image {args.image} holds non-finite values")
-    seq = patchify(image, config.patch_size)
-    if seq.patches.shape[-1] != config.patch_dim:
+    if image.ndim != 3:
+        raise ValidationError(f"expected an H x W x C image, got shape {image.shape}")
+    if image.shape[-1] != config.image_c:
         raise ValidationError(f"image has {image.shape[-1]} channels; the config "
                               f"needs {config.image_c}")
-    _, queries = vision_encode(seq.patches, params.vision)
-    rset = retrieve(queries, memory, config.k_per_patch, config.k_final)
-    for entity_id, score in rset.entries:
+    for entity_id, score in retrieve_images(params, memory, image[None], config).entries:
         print(f"{entity_id}\t{score:.6f}")
     return 0
 

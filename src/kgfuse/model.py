@@ -40,16 +40,16 @@ from .encoders import (EntityParams, TextParams, VisionParams, entity_encode,
                        init_entity, init_text, init_vision, patchify,
                        project_memory_rows, text_encode, vision_encode)
 from .errors import ValidationError
-from .fusion import (FusionParams, HeadParams, assemble, fuse, heads,
-                     init_fusion, init_heads)
+from .fusion import (FusedSequence, FusionParams, HeadParams, HeadsOutput,
+                     assemble, fuse, heads, init_fusion, init_heads)
 from .gnn import GnnParams, forward_relation_rows, gnn_encode, init_gnn
 from .kg import (KnowledgeGraph, Subgraph, Triplet, disjoint_union,
                  expand_subgraph, split_triplet_list)
 from .objectives import (ItcParams, LossBundle, MaskingRecord, ScoringTables,
                          init_itc, itc_loss, linkpred_loss, mask_patches,
                          mask_spans, mlm_loss, mvm_loss, total_loss)
-from .retriever import (EntityMemory, relevance_weights, retrieve_from_scores,
-                        score_patches)
+from .retriever import (EntityMemory, RetrievedEntitySet, relevance_weights,
+                        retrieve_from_scores, score_patches)
 from .tensor import Parameters, Tensor
 
 ALL_LOSSES = ("mlm", "mvm", "linkpred", "itc")
@@ -149,9 +149,22 @@ def entity_fallback_table(params: ModelParams, memory: EntityMemory) -> Tensor:
 
 @dataclass
 class StepOutput:
-    bundle: LossBundle
-    linkpred_positive_count: int
-    retrieved: list[list[int]]
+    """Every output of one step.  A stage that ``active`` skipped leaves its
+    fields None (``retrieved`` empty); a no-grad memo hit gives the memo's
+    own objects, to be read, not written."""
+
+    inputs: BatchInputs
+    bundle: LossBundle | None = None
+    vision: Tensor | None = None      # (B, N, d) vision encoder states
+    queries: Tensor | None = None     # (B, N, d_e) patch retrieval queries
+    text: Tensor | None = None        # (B, L, d) text encoder states
+    retrieved: list[list[int]] = field(default_factory=list)
+    relevance: Tensor | None = None   # weight of each retrieved entity, example by example
+    sample: GraphSample | None = None
+    nodes: Tensor | None = None       # GNN row of each union node
+    fused: FusedSequence | None = None
+    hidden: Tensor | None = None      # fusion encoder states over ``fused``
+    heads: HeadsOutput | None = None
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -269,11 +282,25 @@ def _reuse(memo: dict, stage: str, key: tuple, compute):
     return out
 
 
+def _select(queries: Tensor, memory: EntityMemory,
+            config: Config) -> tuple[Tensor, RetrievedEntitySet]:
+    """Score each patch query on the memory; select each example's entities."""
+    scores = score_patches(queries, memory)
+    return scores, retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
+
+
+def retrieve_images(params: ModelParams, memory: EntityMemory, images: np.ndarray,
+                    config: Config) -> RetrievedEntitySet:
+    """The entities of (B, H, W, C) images, from their unmasked patches."""
+    patches = patchify(images, config.patch_size).patches
+    return _select(vision_encode(patches, params.vision)[1], memory, config)[1]
+
+
 def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                  memory: EntityMemory, plan: BatchPlan,
                  active: tuple[str, ...] = ALL_LOSSES) -> StepOutput:
-    """Forward pass for one batch under ``corpus.config``, returning the loss
-    bundle.
+    """Forward pass for one batch under ``corpus.config``, returning the
+    :class:`StepOutput` record of every stage it ran.
 
     ``active`` limits which objectives are computed (the others contribute
     exact zeros); inactive stages of the pipeline are skipped entirely so
@@ -287,6 +314,7 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     mlm = mvm = linkpred = itc = T.constant(0.0)
 
     inputs = _reuse(memo, "inputs", (corpus,), lambda: batch_inputs(corpus, plan.examples))
+    out = StepOutput(inputs)
     # Backward consumes a grad-mode stage's graph, so only no-grad reuses one.
     grad = T.is_grad_enabled()
     if not grad:
@@ -299,18 +327,17 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
             return compute()
         return _reuse(memo, name, (*upstream, flat[spans[name]]), compute)
 
-    v_out, queries = stage("vision", (inputs,), lambda: vision_encode(
+    out.vision, out.queries = stage("vision", (inputs,), lambda: vision_encode(
         inputs.patches, params.vision, inputs.masked))
     if need_fusion or "itc" in active:
-        t_out = stage("text", (inputs,), lambda: text_encode(
+        out.text = stage("text", (inputs,), lambda: text_encode(
             inputs.tokens, params.text, inputs.token_valid))
 
     def encode_graph():
-        scores = score_patches(queries, memory)
-        found = retrieve_from_scores(scores, memory, config.k_per_patch, config.k_final)
-        retrieved_ids = found.per_example()
-        sample = _reuse(memo, "sample", (inputs, memory, tuple(map(tuple, retrieved_ids))),
-                        lambda: graph_sample(corpus, memory, retrieved_ids, plan.examples))
+        scores, found = _select(out.queries, memory, config)
+        retrieved = found.per_example()
+        sample = _reuse(memo, "sample", (inputs, memory, tuple(map(tuple, retrieved))),
+                        lambda: graph_sample(corpus, memory, retrieved, plan.examples))
         b, p, e = scores.shape
         relevance = relevance_weights(
             T.take_pairs(T.reshape(scores, (b * p, e)), found.example * p + found.patch,
@@ -320,47 +347,46 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                            T.take_rows(T.concat([relevance, T.constant(np.ones(1))]),
                                        sample.node_weight),
                            params.entity)
-        return retrieved_ids, sample, gnn_encode(sample.union, e0, params.gnn)
+        return retrieved, relevance, sample, gnn_encode(sample.union, e0, params.gnn)
 
     def encode_linkpred():
         tables = ScoringTables(
-            T.concat([entity_fallback_table(params, memory), nodes], axis=0),
-            sample.positive_rows, params.gnn.relation_table,
+            T.concat([entity_fallback_table(params, memory), out.nodes], axis=0),
+            out.sample.positive_rows, params.gnn.relation_table,
             forward_relation_rows(params.gnn), config.gamma, config.n_negatives)
-        return linkpred_loss(sample.positives, tables, kg,
+        return linkpred_loss(out.sample.positives, tables, kg,
                              [ex.negative_seed for ex in plan.examples])
 
     def encode_fusion():
-        fused = assemble(v_out, t_out, T.take_rows(nodes, sample.seed_rows),
-                         params.fusion, inputs.token_valid, sample.entity_valid)
-        return heads(fuse(fused, params.fusion), fused,
-                     [r.token_positions for r in inputs.token_records],
-                     [r.patch_positions for r in inputs.patch_records], params.heads)
+        fused = assemble(out.vision, out.text, T.take_rows(out.nodes, out.sample.seed_rows),
+                         params.fusion, inputs.token_valid, out.sample.entity_valid)
+        hidden = fuse(fused, params.fusion)
+        return fused, hidden, heads(
+            hidden, fused, [r.token_positions for r in inputs.token_records],
+            [r.patch_positions for r in inputs.patch_records], params.heads)
 
-    retrieved_ids = []
-    linkpred_count = 0
     if need_fusion or "linkpred" in active:
-        retrieved_ids, sample, nodes = stage("graph", (inputs, memory, queries),
-                                             encode_graph)
+        out.retrieved, out.relevance, out.sample, out.nodes = stage(
+            "graph", (inputs, memory, out.queries), encode_graph)
 
-    if "linkpred" in active and sample.positives:
-        linkpred = stage("linkpred", (memory, sample, nodes), encode_linkpred)
-        linkpred_count = len(sample.positives)
+    if "linkpred" in active and out.sample.positives:
+        linkpred = stage("linkpred", (memory, out.sample, out.nodes), encode_linkpred)
 
     if need_fusion:
-        out = stage("fusion", (inputs, v_out, t_out, sample, nodes), encode_fusion)
+        out.fused, out.hidden, out.heads = stage(
+            "fusion", (inputs, out.vision, out.text, out.sample, out.nodes), encode_fusion)
         if "mlm" in active:
-            mlm = mlm_loss(out.mlm_logits, *inputs.token_records)
+            mlm = mlm_loss(out.heads.mlm_logits, *inputs.token_records)
         if "mvm" in active:
-            mvm = mvm_loss(out.mvm_pred, *inputs.patch_records)
+            mvm = mvm_loss(out.heads.mvm_pred, *inputs.patch_records)
 
     if "itc" in active:
-        itc = stage("itc", (v_out, t_out), lambda: itc_loss(
-            T.tensor_mean(v_out, axis=1), t_out[:, 0], params.itc))
+        itc = stage("itc", (out.vision, out.text), lambda: itc_loss(
+            T.tensor_mean(out.vision, axis=1), out.text[:, 0], params.itc))
 
-    bundle = total_loss(mlm, mvm, linkpred, itc,
-                        (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
-    return StepOutput(bundle, linkpred_count, retrieved_ids)
+    out.bundle = total_loss(mlm, mvm, linkpred, itc,
+                            (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
+    return out
 
 
 def single_loss_objective(params: ModelParams, corpus: SyntheticCorpus,

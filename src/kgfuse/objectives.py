@@ -48,9 +48,7 @@ class LossBundle:
     total: Tensor
 
     def values(self) -> dict[str, float]:
-        return {"mlm": self.mlm.item(), "mvm": self.mvm.item(),
-                "linkpred": self.linkpred.item(), "itc": self.itc.item(),
-                "total": self.total.item()}
+        return {name: loss.item() for name, loss in vars(self).items()}
 
 
 @dataclass

@@ -15,16 +15,15 @@ import numpy as np
 from .config import Config, parse_float, parse_int
 from .checkpoint import Checkpoint
 from .data import SyntheticCorpus, corpus_memory, generate_corpus
-from .encoders import patchify, vision_encode
 from .errors import ValidationError
 from .gnn import forward_relation_rows
 from .kg import EdgeHoldout, KnowledgeGraph, Triplet, holdout_edges
 from .model import (ALL_LOSSES, ModelParams, build_model, compute_step,
-                    entity_fallback_table, make_batch_plan,
+                    entity_fallback_table, make_batch_plan, retrieve_images,
                     single_loss_objective)
 from .objectives import TAU_MAX, TAU_MIN, ScoringTables, linkpred_loss, query_scores
 from .optim import AdamState, optimizer_step
-from .retriever import EntityMemory, retrieve_from_scores, score_patches
+from .retriever import EntityMemory
 from .tensor import Parameters, Tensor, backward, finite_difference_check
 
 METRICS_HEADER = "step\tmlm\tmvm\tlinkpred\titc\ttotal"
@@ -62,10 +61,6 @@ def parse_metrics(text: str) -> list[tuple[int, float, float, float, float, floa
     return rows
 
 
-def _clamp_tau(params: ModelParams) -> None:
-    np.clip(params.itc.tau.data, TAU_MIN, TAU_MAX, out=params.itc.tau.data)
-
-
 def pretrain(config: Config, corpus: SyntheticCorpus | None = None,
              resume: Checkpoint | None = None) -> TrainResult:
     """Run the four-objective pretraining loop for ``config.steps`` steps."""
@@ -92,7 +87,7 @@ def pretrain(config: Config, corpus: SyntheticCorpus | None = None,
         optimizer_step(params.store, grads, state, config.lr,
                        config.weight_decay, (config.beta1, config.beta2),
                        config.adam_eps)
-        _clamp_tau(params)
+        np.clip(params.itc.tau.data, TAU_MIN, TAU_MAX, out=params.itc.tau.data)
         metrics.append((step, values["mlm"], values["mvm"], values["linkpred"],
                         values["itc"], values["total"]))
     return TrainResult(params, state, metrics, config.steps)
@@ -151,23 +146,21 @@ def filtered_ranks(tables: ScoringTables, held_out: list[Triplet],
     return np.sum(beats & ~filtered, axis=1).tolist()
 
 
-def ranking_metrics(ranks: list[int]) -> dict[str, float]:
-    arr = np.asarray(ranks, dtype=np.float64)
-    return {"MRR": float(np.mean(1.0 / arr)),
-            "Hits@1": float(np.mean(arr <= 1)),
-            "Hits@10": float(np.mean(arr <= 10))}
-
-
 def eval_linkpred(tables: ScoringTables, held_out: list[Triplet],
                   kg: KnowledgeGraph) -> dict[str, float]:
     if not held_out:
         raise ValidationError("no held-out triplets to evaluate")
-    return ranking_metrics(filtered_ranks(tables, held_out, kg))
+    ranks = np.asarray(filtered_ranks(tables, held_out, kg), dtype=np.float64)
+    return {"MRR": float(np.mean(1.0 / ranks)),
+            "Hits@1": float(np.mean(ranks <= 1)),
+            "Hits@10": float(np.mean(ranks <= 10))}
 
 
 def random_baseline_mrr(kg: KnowledgeGraph, held_out: list[Triplet], d: int,
                         seeds: int = 20) -> float:
     """Monte-Carlo filtered MRR of random embedding tables."""
+    if d < 1 or seeds < 1:
+        raise ValidationError(f"d and seeds must be >= 1, got {d} and {seeds}")
     totals = []
     n_e, n_r = len(kg.entities), len(kg.relations)
     for s in range(seeds):
@@ -194,6 +187,8 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
     Training positives come from the visible split; evaluation reports
     filtered ranking metrics on the held-out split.
     """
+    if d < 1:
+        raise ValidationError(f"embedding width d must be >= 1, got {d}")
     holdout = holdout_edges(kg, drop_rate, seed)
     visible = holdout.visible
     n_e, n_r = len(kg.entities), len(kg.relations)
@@ -235,12 +230,9 @@ def model_linkpred_tables(params: ModelParams, memory: EntityMemory) -> ScoringT
 def eval_retrieval(params: ModelParams, memory: EntityMemory,
                    corpus: SyntheticCorpus) -> float:
     """Recall@k_final: the mean over images of the share of their truth in
-    the top ``k_final``, retrieved with the corpus config's ``k_per_patch``."""
-    config = corpus.config
-    patches = patchify(np.stack(corpus.images), config.patch_size).patches
-    _, queries = vision_encode(patches, params.vision)
-    found = retrieve_from_scores(score_patches(queries, memory), memory,
-                                 config.k_per_patch, config.k_final)
+    the top ``k_final``, retrieved as a training step retrieves, with the
+    corpus config's ``k_per_patch``, from unmasked patches."""
+    found = retrieve_images(params, memory, np.stack(corpus.images), corpus.config)
     recalls = [len(set(ids) & set(gt)) / len(gt)
                for ids, gt in zip(found.per_example(), corpus.ground_truth)]
     return float(np.mean(recalls))

@@ -63,7 +63,7 @@ def test_every_forward_stage_gets_a_span(monkeypatch):
         out = model.compute_step(params, corpus, memory, plan)
     finally:
         hooks.restore()
-    assert out.linkpred_positive_count > 0
+    assert out.sample.positives
     calls = tracer.span_table()
     assert "model.forward" in calls
     silent = [stage for stage in run.FORWARD_STAGES
@@ -73,7 +73,7 @@ def test_every_forward_stage_gets_a_span(monkeypatch):
     assert calls["retriever.score"]["calls"] == 1
     assert calls["retriever.topk"]["calls"] == 1
     # The subgraph counters add up to the step's graph sample.
-    sample = plan.memo["sample"][1]
+    sample = out.sample
     assert tracer.sums["kg.subgraph_nodes"] == sample.union.num_nodes
     assert tracer.sums["kg.held_out_edges"] == len(sample.positives)
     assert tracer.sums["kg.subgraph_edges"] == \
@@ -83,12 +83,19 @@ def test_every_forward_stage_gets_a_span(monkeypatch):
 def test_gated_workloads_run_clean_at_their_minimum_size(monkeypatch, tmp_path):
     # The untraced runs the benchmark gates on read more than the hooks
     # above: each unit hook's item count, the checkpoint round trip and
-    # each workload's result checks.
+    # each workload's result checks.  The traced runs also read each step's
+    # record, gradient_report's itc-only objective included, in the recall
+    # hook.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
+    from tracing import Tracer
 
     for run_workload in (workloads.run_pretrain, workloads.run_gradcheck,
                          workloads.run_kg_embed):
-        run = run_workload(0, seconds=0, tracer=None, out_dir=tmp_path)
-        assert run.failed == 0, run_workload.__name__
-        assert run.checks and all(run.checks.values()), (run_workload.__name__, run.checks)
+        for tracer in (None, Tracer()):
+            name = (run_workload.__name__, tracer is not None)
+            run = run_workload(0, seconds=0, tracer=tracer, out_dir=tmp_path)
+            assert run.failed == 0, name
+            assert run.checks and all(run.checks.values()), (name, run.checks)
+            if tracer is not None and run_workload is not workloads.run_kg_embed:
+                assert tracer.counts["retriever.recall_at_k"] > 0, name

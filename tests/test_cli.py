@@ -191,6 +191,9 @@ def test_help_exits_zero(argv, capsys):
     (np.zeros((32, 32, 1)), "position table"),      # 64 patches; the model has 16
     # A cast to float64 would drop the imaginary part with only a warning.
     (np.full((16, 16, 1), 1.0 + 2.0j), "dtype complex128 is not bool, integer or float"),
+    # One image at a time, channels last.
+    (np.zeros((16, 16)), "expected an H x W x C image, got shape (16, 16)"),
+    (np.zeros((2, 16, 16, 1)), "expected an H x W x C image, got shape (2, 16, 16, 1)"),
 ])
 def test_retrieve_bad_image_exits_one(tmp_path, tiny_checkpoint, capsys, image, reason):
     image_path = tmp_path / "image.npy"

@@ -659,6 +659,15 @@ class TestLinkpredEval:
                                holdout.held_out, corpus.kg)
         assert 0.2 * baseline < single["MRR"] < 5.0 * baseline
 
+    def test_baseline_needs_a_width_and_a_seed(self):
+        kg = self._paired_kg()
+        with pytest.raises(ValidationError, match="d and seeds must be >= 1, got 8 and 0"):
+            random_baseline_mrr(kg, kg.triplets, d=8, seeds=0)
+
+    def test_embedding_training_needs_a_width(self):
+        with pytest.raises(ValidationError, match="embedding width d must be >= 1, got 0"):
+            train_kg_embeddings(self._paired_kg(), d=0)
+
     def test_training_beats_random_baseline(self):
         config = Config(**TINY)
         corpus = generate_corpus(config, seed=9)
@@ -731,7 +740,7 @@ class TestStepStructure:
         memory = corpus_memory(corpus)
         plan = make_batch_plan(config, len(corpus), step=1)
         out = compute_step(params, corpus, memory, plan)
-        if out.linkpred_positive_count == 0:
+        if not out.sample.positives:
             assert out.bundle.linkpred.item() == 0.0
 
     def test_memory_of_another_graph_is_rejected_before_sampling(self, monkeypatch):
@@ -755,7 +764,7 @@ class TestStepStructure:
         memory = corpus_memory(corpus)
         plan = make_batch_plan(config, len(corpus), step=1)
         full = compute_step(params, corpus, memory, plan)
-        assert full.linkpred_positive_count > 0
+        assert full.sample.positives
         encode, calls = model.text_encode, []
         monkeypatch.setattr(model, "text_encode",
                             lambda *args: calls.append(args) or encode(*args))
@@ -818,7 +827,7 @@ class TestStepStructure:
                 sub.triplets_local, config.edge_drop, ex.holdout_seed)[0]))
         assert len({len(corpus.captions[ex.index]) for ex in plan.examples}) > 1
         assert min(len(ids) for ids in batched.retrieved) < config.k_final
-        assert 0 in visible_edges and batched.linkpred_positive_count > 0
+        assert 0 in visible_edges and batched.sample.positives
 
         got = T.backward(batched.bundle.total)
         reference = reference_compute_step(params, corpus, memory, plan)

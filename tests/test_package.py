@@ -38,3 +38,22 @@ def test_unread_imports_are_only_the_kept_ones():
               if path.name != "__init__.py"
               for name in unread_imports(path.read_text(encoding="utf-8"))}
     assert unread == UNREAD_IMPORTS_KEPT
+
+
+# The stages a training step chains.  model.py alone imports them, so a step
+# and every other reader of the stages (evaluation, the CLI) share one path:
+# the step's record, or model.retrieve_images for retrieval.
+STAGE_FUNCTIONS = {"patchify", "vision_encode", "text_encode", "score_patches",
+                   "retrieve_from_scores", "expand_subgraph", "split_triplet_list",
+                   "entity_encode", "gnn_encode", "assemble", "fuse", "heads"}
+
+
+def test_only_the_model_imports_the_stage_functions():
+    # __init__.py re-exports public names and calls none of them.
+    importers = {(path.stem, alias.name)
+                 for path in sorted(Path(kgfuse.__file__).parent.glob("*.py"))
+                 if path.name not in ("model.py", "__init__.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if alias.name in STAGE_FUNCTIONS}
+    assert importers == set()

@@ -5,10 +5,13 @@ its graph sample (subgraphs, holdout split, union, edge lists) and, under
 ``no_grad``, each parameter stage's output in ``plan.memo``.  Reuse must not
 change a single bit of any loss or gradient, must rebuild the sample when
 retrieval changes, and must actually happen: the seeded sampling runs once
-per retrieval, not once per evaluation.
+per retrieval, not once per evaluation.  The step's record holds what each
+stage computed, the memo's own objects on a no-grad hit.
 """
 
+import contextlib
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -76,7 +79,7 @@ def test_reused_plan_gives_fresh_bundle_values(setting):
     again = compute_step(params, corpus, memory, plan)
     fresh = compute_step(params, corpus, memory, fresh_plan())
     assert kept(plan, "inputs") is inputs and kept(plan, "sample") is sample
-    assert first.linkpred_positive_count > 0
+    assert first.sample.positives
     assert again.bundle.values() == fresh.bundle.values() == first.bundle.values()
     assert again.retrieved == fresh.retrieved
 
@@ -298,3 +301,87 @@ def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
     assert calls == {"vision_encode": 1, "text_encode": 0, "gnn_encode": 1,
                      "heads": 1, "expand_subgraph": SMALL.batch_size}
     assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")
+
+
+# ---- the step record: every stage's output, as the memo keeps it ---------------
+
+# The record's fields each parameter stage fills, in the order of its memo entry.
+STAGE_FIELDS = {"vision": ("vision", "queries"), "text": ("text",),
+                "graph": ("retrieved", "relevance", "sample", "nodes"),
+                "fusion": ("fused", "hidden", "heads")}
+
+
+def filled_fields(active):
+    """The record fields a step with ``active`` fills."""
+    fusion = "mlm" in active or "mvm" in active
+    stages = {"vision": True, "text": fusion or "itc" in active,
+              "graph": fusion or "linkpred" in active, "fusion": fusion}
+    return {"inputs", "bundle"} | {name for stage, ran in stages.items() if ran
+                                   for name in STAGE_FIELDS[stage]}
+
+
+def same_bits(got, want) -> bool:
+    """Whether two record values hold the same numbers, bit for bit."""
+    if isinstance(want, T.Tensor):
+        got, want = got.data, want.data
+    if isinstance(want, np.ndarray):
+        return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    if dataclasses.is_dataclass(want):
+        return type(got) is type(want) and all(
+            same_bits(getattr(got, f.name), getattr(want, f.name))
+            for f in dataclasses.fields(want))
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(map(same_bits, got, want))
+    return got == want
+
+
+ACTIVE_SUBSETS = [subset for n in range(1, len(ALL_LOSSES) + 1)
+                  for subset in itertools.combinations(ALL_LOSSES, n)]
+
+
+@pytest.mark.parametrize("active", ACTIVE_SUBSETS, ids="+".join)
+def test_a_skipped_stage_leaves_its_fields_empty(setting, active):
+    corpus, params, memory = setting
+    out = compute_step(params, corpus, memory, fresh_plan(), active)
+    empty = {f.name for f in dataclasses.fields(out)
+             if getattr(out, f.name) is None or getattr(out, f.name) == []}
+    assert {f.name for f in dataclasses.fields(out)} - empty == filled_fields(active)
+    if "retrieved" in empty:
+        assert out.retrieved == []   # a list, not None
+
+
+def test_a_no_grad_memo_hit_hands_back_the_kept_objects(setting):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    with T.no_grad():
+        first = compute_step(params, corpus, memory, plan)
+        again = compute_step(params, corpus, memory, plan)
+    assert again.inputs is kept(plan, "inputs") and again.sample is kept(plan, "sample")
+    for stage, names in STAGE_FIELDS.items():
+        outputs = kept(plan, stage) if len(names) > 1 else (kept(plan, stage),)
+        for name, output in zip(names, outputs, strict=True):
+            assert getattr(again, name) is output, name
+            assert getattr(first, name) is output, name
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+@pytest.mark.parametrize("loss_name", ALL_LOSSES + ("total",))
+def test_every_record_field_equals_a_fresh_plans_bitwise(setting, loss_name, grad):
+    corpus, params, memory = setting
+    active = ALL_LOSSES if loss_name == "total" else (loss_name,)
+    plan = fresh_plan()
+    mode = contextlib.nullcontext if grad else T.no_grad
+    # A pass with other retrieval weights leaves the memo keyed on them.  The
+    # weights are read through the tensor each time: a no-grad pass may move
+    # the store's arrays into one flat buffer.
+    tensor = params.vision.retrieval_w
+    original = tensor.data.copy()
+    with mode():
+        tensor.data += 5.0 * np.random.default_rng(0).standard_normal(original.shape)
+        moved = compute_step(params, corpus, memory, plan, active)
+        tensor.data[...] = original
+        warm = compute_step(params, corpus, memory, plan, active)
+        fresh = compute_step(params, corpus, memory, fresh_plan(), active)
+    assert not same_bits(moved.queries, fresh.queries)
+    for f in dataclasses.fields(warm):
+        assert same_bits(getattr(warm, f.name), getattr(fresh, f.name)), f.name
