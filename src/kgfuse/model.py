@@ -19,12 +19,13 @@ then.  The :class:`BatchInputs` (patches, masks, padded tokens) are keyed
 on the corpus, and the :class:`GraphSample` (subgraphs, holdout split,
 their union and the link-prediction rows) on the inputs, the memory and
 the retrieved ids; both are reused in either mode.  Under
-:func:`tensor.no_grad` the six parameter stages (vision, text, retrieval
-and GNN, link prediction, fusion and heads, ITC) are keyed on their
-upstream outputs and the bits of their parameter groups, so a
-finite-difference evaluation reruns only the stage a perturbation reaches
-and the stages downstream.  Grad mode runs those six stages every time,
-because backward consumes their graphs.
+:func:`tensor.no_grad` the seven parameter stages (vision, text, retrieval
+and GNN, link prediction, fusion, heads, ITC) are keyed on their upstream
+outputs and the bits of their parameter groups, of the token embedding
+only the rows the batch's tokens read, so a finite-difference evaluation
+reruns only the stage a perturbation reaches and the stages downstream.
+Grad mode runs those seven stages every time, because backward consumes
+their graphs.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def build_model(config: Config, kg: KnowledgeGraph) -> ModelParams:
                                 config.heads, config.ff_dim)
     head_params = init_heads(store, rng, config.d, config.vocab, config.patch_dim)
     itc = init_itc(store, rng, config.d, config.tau_init)
+    # Pack the store now, so a `.data` taken from here on stays the model's.
+    store.flat()
     return ModelParams(vision, text, entity, gnn, fusion_params, head_params,
                        itc, store)
 
@@ -246,20 +249,30 @@ def graph_sample(corpus: SyntheticCorpus, memory: EntityMemory,
 # The parameter stages of compute_step, each with the groups it reads; a
 # group is the first part of a parameter name.
 STAGE_GROUPS = {"vision": ("vision",), "text": ("text",), "graph": ("entity", "gnn"),
-                "linkpred": ("entity", "gnn"), "fusion": ("fusion", "heads"),
+                "linkpred": ("entity", "gnn"), "fusion": ("fusion",), "heads": ("heads",),
                 "itc": ("itc",)}
 
 
-def _stage_spans(store: Parameters) -> dict[str, slice]:
-    """Each parameter stage's range of the store's flat buffer."""
+def _stage_spans(store: Parameters, tokens: np.ndarray) -> dict[str, slice | np.ndarray]:
+    """Each parameter stage's part of the store's flat buffer: its groups'
+    range, but of ``text.token_embed`` only the rows ``tokens`` reads."""
     bounds, start = {}, 0
     for name, t in store.items():
         group = name.split(".", 1)[0]
         bounds[group] = (bounds.get(group, (start,))[0], start + t.size)
+        if name == "text.token_embed":
+            embed = np.arange(start, start + t.size).reshape(t.shape)
         start += t.size
     # Groups are contiguous; were they not, a span would only cover more.
-    return {stage: slice(min(bounds[g][0] for g in groups), max(bounds[g][1] for g in groups))
-            for stage, groups in STAGE_GROUPS.items()}
+    spans = {stage: slice(min(bounds[g][0] for g in groups), max(bounds[g][1] for g in groups))
+             for stage, groups in STAGE_GROUPS.items()}
+    # np.unique would import numpy.ma; an id text_encode rejects, clipped,
+    # only adds a row.
+    rows = np.flatnonzero(np.bincount(np.clip(tokens, 0, len(embed) - 1).ravel()))
+    text = np.arange(spans["text"].start, spans["text"].stop)
+    spans["text"] = np.concatenate([text[(text < embed[0, 0]) | (text > embed[-1, -1])],
+                                    embed[rows].ravel()])
+    return spans
 
 
 def _reuse(memo: dict, stage: str, key: tuple, compute):
@@ -272,7 +285,7 @@ def _reuse(memo: dict, stage: str, key: tuple, compute):
     misses an input shows as a finite-difference mismatch rather than
     hiding it."""
     entry = memo.get(stage)
-    if entry is not None and all(
+    if entry is not None and len(entry[0]) == len(key) and all(
             kept is now or isinstance(now, tuple) and kept == now
             or isinstance(now, np.ndarray) and np.array_equal(kept, now)
             for kept, now in zip(entry[0], key)):
@@ -306,7 +319,7 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     exact zeros); inactive stages of the pipeline are skipped entirely so
     single-loss gradient checks stay cheap.  Each stage goes through
     :func:`_reuse` on ``plan.memo``: the batch inputs and graph sample in
-    either mode, and under :func:`tensor.no_grad` the six parameter stages
+    either mode, and under :func:`tensor.no_grad` the seven parameter stages
     too, keyed on their upstream outputs and parameter bits.
     """
     config, kg, memo = corpus.config, corpus.kg, plan.memo
@@ -318,7 +331,8 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     # Backward consumes a grad-mode stage's graph, so only no-grad reuses one.
     grad = T.is_grad_enabled()
     if not grad:
-        spans = _reuse(memo, "spans", (params.store,), lambda: _stage_spans(params.store))
+        spans = _reuse(memo, "spans", (params.store, inputs),
+                       lambda: _stage_spans(params.store, inputs.tokens))
         # Compared as integers, so that a hit is bitwise: 0.0 and -0.0 differ.
         flat = params.store.flat().view(np.int64)
 
@@ -360,10 +374,7 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     def encode_fusion():
         fused = assemble(out.vision, out.text, T.take_rows(out.nodes, out.sample.seed_rows),
                          params.fusion, inputs.token_valid, out.sample.entity_valid)
-        hidden = fuse(fused, params.fusion)
-        return fused, hidden, heads(
-            hidden, fused, [r.token_positions for r in inputs.token_records],
-            [r.patch_positions for r in inputs.patch_records], params.heads)
+        return fused, fuse(fused, params.fusion)
 
     if need_fusion or "linkpred" in active:
         out.retrieved, out.relevance, out.sample, out.nodes = stage(
@@ -373,8 +384,11 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
         linkpred = stage("linkpred", (memory, out.sample, out.nodes), encode_linkpred)
 
     if need_fusion:
-        out.fused, out.hidden, out.heads = stage(
+        out.fused, out.hidden = stage(
             "fusion", (inputs, out.vision, out.text, out.sample, out.nodes), encode_fusion)
+        out.heads = stage("heads", (inputs, out.fused, out.hidden), lambda: heads(
+            out.hidden, out.fused, [r.token_positions for r in inputs.token_records],
+            [r.patch_positions for r in inputs.patch_records], params.heads))
         if "mlm" in active:
             mlm = mlm_loss(out.heads.mlm_logits, *inputs.token_records)
         if "mvm" in active:

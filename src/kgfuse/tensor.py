@@ -921,6 +921,12 @@ def finite_difference_check(fn: Callable[[], Tensor], params: Parameters,
     |a - n| / max(|a|, |n|, 1e-8) over the sample.  A non-finite analytic
     gradient or relative error raises :class:`NumericsError` naming the
     coordinate.
+
+    The coordinates are evaluated in ascending flat order, so consecutive
+    perturbations mostly fall in the same parameter group: a ``fn`` that
+    memoizes what a perturbation cannot reach, as ``model.compute_step``
+    does on its plan, then still holds the unperturbed upstream outputs
+    from the previous evaluation.  The maximum does not depend on the order.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be positive and finite, got {eps}")
@@ -934,7 +940,7 @@ def finite_difference_check(fn: Callable[[], Tensor], params: Parameters,
     total = params.flat_size()
     rng = np.random.default_rng(seed)
     count = min(sample_count, total)
-    coords = rng.choice(total, size=count, replace=False)
+    coords = np.sort(rng.choice(total, size=count, replace=False))
 
     worst = 0.0
     for flat_index in coords:

@@ -1,6 +1,9 @@
 """The package's public names and its modules' imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kgfuse
@@ -57,3 +60,34 @@ def test_only_the_model_imports_the_stage_functions():
                  if isinstance(node, ast.ImportFrom)
                  for alias in node.names if alias.name in STAGE_FUNCTIONS}
     assert importers == set()
+
+
+# np.unique imports numpy.ma on its first call, about 1 MB of resident memory
+# a gradient check would carry for nothing.
+NO_GRAD_STEP = """
+import sys
+from kgfuse import tensor as T
+from kgfuse.config import Config
+from kgfuse.data import corpus_memory, generate_corpus
+from kgfuse.model import build_model, compute_step, make_batch_plan, single_loss_objective
+config = Config(d=8, d_e=8, attn_width=8, ff_dim=16, vision_layers=1, text_layers=1,
+                gnn_layers=1, fusion_layers=1, corpus_entities=40, corpus_relations=4,
+                corpus_triplets=160, corpus_examples=8, batch_size=3, per_node_cap=3,
+                n_negatives=4, k_final=4)
+corpus = generate_corpus(config)
+params, memory = build_model(config, corpus.kg), corpus_memory(corpus)
+plan = make_batch_plan(config, len(corpus), step=1)
+with T.no_grad():
+    compute_step(params, corpus, memory, plan)
+T.finite_difference_check(single_loss_objective(params, corpus, memory, plan, "total"),
+                          params.store, sample_count=4)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_gradient_check_leaves_numpy_ma_unimported():
+    env = dict(os.environ, PYTHONPATH=str(Path(kgfuse.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-B", "-c", NO_GRAD_STEP], capture_output=True,
+                            text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["False"]

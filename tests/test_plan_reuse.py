@@ -148,7 +148,7 @@ def test_cached_arrays_are_read_only(setting):
             array.flat[0] = 0
 
 
-STAGES = ("vision_encode", "text_encode", "gnn_encode", "linkpred_loss", "heads",
+STAGES = ("vision_encode", "text_encode", "gnn_encode", "linkpred_loss", "fuse", "heads",
           "itc_loss")
 
 
@@ -199,9 +199,9 @@ def test_sampling_runs_once_per_retrieval(monkeypatch):
                      "_edge_lists": changes}
     # Grad mode runs every active stage; the no-grad evaluations rerun only
     # the stages a perturbation reaches.
-    assert stage_calls == {"vision_encode": [5, 1], "text_encode": [4, 10],
+    assert stage_calls == {"vision_encode": [5, 1], "text_encode": [4, 1],
                            "gnn_encode": [4, 1], "linkpred_loss": [2, 1],
-                           "heads": [3, 12], "itc_loss": [2, 7]}
+                           "fuse": [3, 1], "heads": [3, 8], "itc_loss": [2, 1]}
 
 
 # ---- the stage memo: no-grad passes reuse the stages a change cannot reach ----
@@ -253,7 +253,9 @@ def test_grad_mode_after_finite_differences_equals_a_fresh_plan(setting):
             single_loss_objective(params, corpus, memory, plan, loss_name),
             params.store, eps=1e-4, sample_count=12, seed=3)
     entries = dict(plan.memo)
-    assert set(entries) == {"inputs", "sample", "spans", *model.STAGE_GROUPS}
+    assert set(entries) == {"inputs", "sample", "spans", "vision", "text", "graph",
+                            "linkpred", "fusion", "heads", "itc"}
+    assert set(model.STAGE_GROUPS) == set(entries) - {"inputs", "sample", "spans"}
     assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
                          evaluate(params, corpus, memory, fresh_plan(), "total"))
     # Grad mode adds no entry and neither reads nor writes a parameter stage's.
@@ -263,7 +265,7 @@ def test_grad_mode_after_finite_differences_equals_a_fresh_plan(setting):
 
 def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
     corpus, params, memory = setting
-    calls = {name: 0 for name in ("vision_encode", "text_encode", "gnn_encode",
+    calls = {name: 0 for name in ("vision_encode", "text_encode", "gnn_encode", "fuse",
                                   "heads", "expand_subgraph")}
 
     def counted(name):
@@ -278,13 +280,13 @@ def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
         counted(name)
     plan = fresh_plan()
     value_without_grad(params, corpus, memory, plan, "total")
-    assert calls == {"vision_encode": 1, "text_encode": 1, "gnn_encode": 1,
+    assert calls == {"vision_encode": 1, "text_encode": 1, "gnn_encode": 1, "fuse": 1,
                      "heads": 1, "expand_subgraph": SMALL.batch_size}
 
     params.heads.mlm_w.data[0, 0] += 0.05
     calls.update(dict.fromkeys(calls, 0))
     moved = value_without_grad(params, corpus, memory, plan, "total")
-    assert calls == {"vision_encode": 0, "text_encode": 0, "gnn_encode": 0,
+    assert calls == {"vision_encode": 0, "text_encode": 0, "gnn_encode": 0, "fuse": 0,
                      "heads": 1, "expand_subgraph": 0}
     assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")
 
@@ -298,9 +300,108 @@ def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
     moved = value_without_grad(params, corpus, memory, plan, "total")
     assert kept(plan, "graph")[0] != retrieved
     assert kept(plan, "sample") is not sample
-    assert calls == {"vision_encode": 1, "text_encode": 0, "gnn_encode": 1,
+    assert calls == {"vision_encode": 1, "text_encode": 0, "gnn_encode": 1, "fuse": 1,
                      "heads": 1, "expand_subgraph": SMALL.batch_size}
     assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")
+
+
+def test_a_kept_key_of_another_length_is_a_miss():
+    memo, a, b = {}, object(), object()
+    assert model._reuse(memo, "stage", (a,), lambda: 1) == 1
+    # A longer key whose first element is the kept key's, then a shorter one.
+    assert model._reuse(memo, "stage", (a, b), lambda: 2) == 2
+    assert model._reuse(memo, "stage", (a,), lambda: 3) == 3
+    assert model._reuse(memo, "stage", (a,), lambda: 4) == 3
+
+
+def test_only_the_token_rows_a_batch_reads_key_the_text_stage(setting, monkeypatch):
+    corpus, params, memory = setting
+    calls = dict.fromkeys(STAGES, 0)
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(model, name, wrapper)
+
+    for name in STAGES:
+        counted(name)
+    plan = fresh_plan()
+    base = value_without_grad(params, corpus, memory, plan, "total")
+    tokens = kept(plan, "inputs").tokens
+    read = np.bincount(tokens.ravel(), minlength=SMALL.vocab) > 0
+    assert read[0] and not read.all()   # CLS and padding read row 0
+    embed = params.text.token_embed.data
+
+    unread = int(np.flatnonzero(~read)[0])
+    embed[unread, 0] += 0.05
+    calls.update(dict.fromkeys(calls, 0))
+    assert value_without_grad(params, corpus, memory, plan, "total") == base
+    assert calls == dict.fromkeys(STAGES, 0)
+    embed[unread, 0] -= 0.05
+
+    for row in (0, int(tokens[0, 1])):
+        original = embed[row, 0]
+        embed[row, 0] += 0.05
+        calls.update(dict.fromkeys(calls, 0))
+        moved = value_without_grad(params, corpus, memory, plan, "total")
+        assert calls == {"vision_encode": 0, "text_encode": 1, "gnn_encode": 0,
+                         "linkpred_loss": 0, "fuse": 1, "heads": 1, "itc_loss": 1}, row
+        assert moved != base
+        assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")
+        embed[row, 0] = original
+        assert value_without_grad(params, corpus, memory, plan, "total") == base
+
+
+def test_a_data_reference_taken_after_build_model_reaches_the_step(setting):
+    corpus, params, memory = setting
+    weights = params.vision.retrieval_w.data
+    plan = fresh_plan()
+    with T.no_grad():
+        base = compute_step(params, corpus, memory, plan)
+        weights += np.random.default_rng(0).standard_normal(weights.shape)
+        moved = compute_step(params, corpus, memory, plan)
+        fresh = compute_step(params, corpus, memory, fresh_plan())
+    assert weights is params.vision.retrieval_w.data
+    assert not same_bits(moved.queries, base.queries)
+    assert same_bits(moved.queries, fresh.queries)
+    assert moved.bundle.values() == fresh.bundle.values()
+
+
+def drawn_order_check(params, corpus, memory, loss_name, eps, sample_count, seed):
+    """What finite_difference_check returns, with the coordinates taken in the
+    order drawn and every value from a fresh plan."""
+    def objective():
+        return single_loss_objective(params, corpus, memory, fresh_plan(), loss_name)()
+
+    grads = T.backward(objective())
+    analytic = np.concatenate([grads.get(t, np.zeros_like(t.data)).ravel()
+                               for _, t in params.store.items()])
+    flat = params.store.flat()
+    worst = 0.0
+    for i in np.random.default_rng(seed).choice(flat.size, size=sample_count, replace=False):
+        original, values = flat[i], []
+        for value in (original + eps, original - eps):
+            flat[i] = value
+            with T.no_grad():
+                values.append(objective().item())
+            flat[i] = original
+        numeric = (values[0] - values[1]) / (2.0 * eps)
+        a = float(analytic[i])
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    return worst
+
+
+@pytest.mark.parametrize("loss_name", ALL_LOSSES + ("total",))
+def test_ascending_coordinates_give_the_drawn_orders_maximum(setting, loss_name):
+    corpus, params, memory = setting
+    got = T.finite_difference_check(
+        single_loss_objective(params, corpus, memory, fresh_plan(), loss_name),
+        params.store, eps=1e-4, sample_count=16, seed=5)
+    assert got > 0.0
+    assert got == drawn_order_check(params, corpus, memory, loss_name, 1e-4, 16, 5)
 
 
 # ---- the step record: every stage's output, as the memo keeps it ---------------
@@ -308,14 +409,14 @@ def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
 # The record's fields each parameter stage fills, in the order of its memo entry.
 STAGE_FIELDS = {"vision": ("vision", "queries"), "text": ("text",),
                 "graph": ("retrieved", "relevance", "sample", "nodes"),
-                "fusion": ("fused", "hidden", "heads")}
+                "fusion": ("fused", "hidden"), "heads": ("heads",)}
 
 
 def filled_fields(active):
     """The record fields a step with ``active`` fills."""
     fusion = "mlm" in active or "mvm" in active
     stages = {"vision": True, "text": fusion or "itc" in active,
-              "graph": fusion or "linkpred" in active, "fusion": fusion}
+              "graph": fusion or "linkpred" in active, "fusion": fusion, "heads": fusion}
     return {"inputs", "bundle"} | {name for stage, ran in stages.items() if ran
                                    for name in STAGE_FIELDS[stage]}
 

@@ -702,6 +702,21 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(NumericsError, match=r"gradient check non-finite at parameter w\[\d\]"):
             T.finite_difference_check(objective, p, sample_count=3, seed=0)
 
+    def test_coordinates_run_in_ascending_flat_order(self):
+        p = T.Parameters()
+        w = p.add("w", T.Tensor(np.zeros(50)))
+        perturbed = []
+
+        def objective():
+            if not T.is_grad_enabled():
+                perturbed.extend(np.flatnonzero(w.data).tolist())
+            return T.dot(w, w)
+
+        T.finite_difference_check(objective, p, sample_count=10, seed=0)
+        # Each coordinate's two evaluations, the coordinates in ascending order.
+        assert perturbed[::2] == perturbed[1::2] == sorted(set(perturbed))
+        assert len(perturbed) == 20
+
     def test_perturbed_calls_run_without_a_graph(self):
         p = T.Parameters()
         p.add("w", T.Tensor(np.arange(1.0, 4.0)))
