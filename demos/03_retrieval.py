@@ -3,7 +3,7 @@
 Run:  python demos/03_retrieval.py
 """
 
-from kgfuse import Config, corpus_memory, generate_corpus, oracle_patch_projection
+from kgfuse import Config, corpus_memory, generate_corpus
 from kgfuse import tensor as T
 from kgfuse.encoders import patchify
 from kgfuse.retriever import relevance_weights, retrieve
@@ -14,13 +14,12 @@ corpus = generate_corpus(config, seed=2)
 memory = corpus_memory(corpus)
 print(f"memory: {len(memory)} entities x {memory.d_e} dims, rows unit-norm")
 
-# Each synthetic image tiles noisy copies of its entities' embeddings, so
-# the fixed averaging projection already makes a decent retrieval query.
+# Each synthetic image tiles noisy copies of its entities' embeddings, and
+# here a patch holds exactly one embedding's width (patch_dim == d_e), so a
+# raw patch already makes a decent retrieval query.
 image, gt = corpus.images[0], corpus.ground_truth[0]
 seq = patchify(image, config.patch_size)
-queries = seq.patches @ oracle_patch_projection(config)
-
-result = retrieve(queries, memory, k_per_patch=4, k_final=8)
+result = retrieve(seq.patches, memory, k_per_patch=4, k_final=8)
 print(f"\nground truth entities: {sorted(gt)}")
 print("retrieved (id, score):")
 for entity_id, score in result.entries:

@@ -8,8 +8,7 @@ autodiff core whose gradients are validated by finite differences.
 """
 
 from .config import Config
-from .data import (SyntheticCorpus, corpus_memory, generate_corpus,
-                   oracle_patch_projection)
+from .data import SyntheticCorpus, corpus_memory, generate_corpus
 from .errors import KgfuseError, NumericsError, ValidationError
 from .kg import (KnowledgeGraph, Subgraph, Triplet, expand_subgraph,
                  holdout_edges, load_kg, sample_negatives)
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Config", "SyntheticCorpus", "corpus_memory", "generate_corpus",
-    "oracle_patch_projection",
     "KgfuseError", "NumericsError", "ValidationError",
     "KnowledgeGraph", "Subgraph", "Triplet", "expand_subgraph", "holdout_edges",
     "load_kg", "sample_negatives",

@@ -157,6 +157,9 @@ class Config:
             raise ValidationError("caption_max_len exceeds max_text_len")
         if self.entities_per_example > self.corpus_entities:
             raise ValidationError("entities_per_example exceeds corpus_entities")
+        if self.entities_per_example > self.n_patches:  # each needs a patch to show in
+            raise ValidationError(
+                f"entities_per_example {self.entities_per_example} exceeds {self.n_patches} patches")
 
     # ---- text round trip --------------------------------------------------
 

@@ -53,11 +53,6 @@ def entity_token(config: Config, entity_id: int) -> int:
     return Config.RESERVED_TOKENS + entity_id
 
 
-def _tile_columns(config: Config) -> np.ndarray:
-    """The tiling rule: entry j of a patch vector reads embedding coordinate j % d_e."""
-    return np.arange(config.patch_dim) % config.d_e
-
-
 def generate_kg(config: Config, rng: np.random.Generator) -> KnowledgeGraph:
     """Latent-factor toy graph with config-sized entity/relation/triplet counts."""
     n_e, n_r, n_t = (config.corpus_entities, config.corpus_relations,
@@ -96,11 +91,11 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
     # Looked up on the module: perfbench spans retriever.build_memory by attribute.
     memory = retriever.build_memory(kg, config.d_e, seed)
 
-    # Patch n tiles ground-truth entity n % K by the tiling rule, and each
-    # image is patchify's reshape undone.
+    # Patch n tiles ground-truth entity n % K, entry j reading embedding
+    # coordinate j % d_e, and each image is patchify's reshape undone.
     p, c = config.patch_size, config.image_c
     patch_entity = np.arange(config.n_patches) % config.entities_per_example
-    columns = _tile_columns(config)
+    columns = np.arange(config.patch_dim) % config.d_e
     grid = (config.image_h // p, config.image_w // p, p, p, c)
     entity_ids = kg.entity_ids()
 
@@ -136,16 +131,3 @@ def generate_corpus(config: Config, seed: int | None = None) -> SyntheticCorpus:
 def corpus_memory(corpus: SyntheticCorpus) -> retriever.EntityMemory:
     """The entity memory built with the corpus, rows in its graph's dense order."""
     return corpus.memory
-
-
-def oracle_patch_projection(config: Config) -> np.ndarray:
-    """Linear map recovering an embedding from its cyclically tiled patch.
-
-    Rows of the tiled patch average back into their source coordinates, so
-    with zero noise the recovered vector equals the original embedding and
-    inner-product retrieval ranks the true entity first.
-    """
-    columns = _tile_columns(config)
-    m = np.zeros((config.patch_dim, config.d_e))
-    m[np.arange(config.patch_dim), columns] = 1.0 / np.bincount(columns)[columns]
-    return m

@@ -320,31 +320,18 @@ def draw_candidates(rng: np.random.Generator, n_e: int, shape: tuple[int, ...]
     (arXiv 1805.10941), so this draws the words in one call and decodes them
     in place: the coin is ``w >> 31`` and the replacement
     ``(w * n_e) >> 32``.  Lemire rejects a replacement word whose product's
-    low half is below ``2**32 % n_e`` and reads the next word in its place;
-    such a word is dropped, and one more word is drawn at the end.  A
-    one-value range reads no word.
+    low half is below ``2**32 % n_e``, and a one-value range reads no word;
+    for ``n_e == 1``, or when any word would be rejected, the generator is
+    rewound and numpy's own draw is returned.
     """
-    if n_e == 1:
-        coin = rng.integers(0, 2 ** 32, size=shape, dtype=np.uint64) >> 31
-        return coin.view(np.int64), np.zeros(shape, dtype=np.int64)
+    state = rng.bit_generator.state
     count = math.prod(shape)
     words = rng.integers(0, 2 ** 32, size=(count, 2), dtype=np.uint64)
-    e, threshold = np.uint64(n_e), 2 ** 32 % n_e
-    words[:, 1] *= e
-    if threshold and (words[:, 1].astype(np.uint32) < threshold).any():
-        words[:, 1] //= e
-        flat, dropped, start = words.ravel(), [], 0
-        while start < len(flat):
-            # A rejected word is dropped if it is at a replacement's place
-            # once the words dropped before it are gone.
-            low = (flat[start:] * e).astype(np.uint32)
-            for j in (np.flatnonzero(low < threshold) + start).tolist():
-                if (j - len(dropped)) % 2:
-                    dropped.append(j)
-            start, more = len(flat), 2 * count + len(dropped) - len(flat)
-            flat = np.concatenate([flat, rng.integers(0, 2 ** 32, size=more, dtype=np.uint64)])
-        words = np.delete(flat, dropped).reshape(count, 2)
-        words[:, 1] *= e
+    words[:, 1] *= np.uint64(n_e)
+    if n_e == 1 or (words[:, 1].astype(np.uint32) < 2 ** 32 % n_e).any():
+        rng.bit_generator.state = state
+        pairs = rng.integers(0, [2, n_e], size=shape + (2,))
+        return pairs[..., 0], pairs[..., 1]
     # (2w) >> 32 is w >> 31: one shift of every word decodes both columns.
     words[:, 0] <<= 1
     words >>= 32

@@ -131,16 +131,10 @@ def score_patches(patch_embeddings, memory: EntityMemory) -> T.Tensor:
 
 def retrieve(patch_embeddings, memory: EntityMemory, k_per_patch: int,
              k_final: int) -> RetrievedEntitySet:
-    """:func:`retrieve_from_scores` for one image's finite patch queries."""
-    queries = patch_embeddings.data if isinstance(patch_embeddings, T.Tensor) \
-        else np.asarray(patch_embeddings, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != memory.d_e:
-        raise ValidationError(
-            f"patch embedding shape {queries.shape} does not match memory width {memory.d_e}")
-    if not np.all(np.isfinite(queries)):
-        raise ValidationError("patch queries must be finite")
-    return retrieve_from_scores((queries @ memory.matrix.T)[None], memory,
-                                k_per_patch, k_final)
+    """:func:`retrieve_from_scores` of one image's (P, d_e) finite patch
+    queries, scored by :func:`score_patches` as a batch of one."""
+    queries = T.as_tensor(patch_embeddings).data[None]
+    return retrieve_from_scores(score_patches(queries, memory), memory, k_per_patch, k_final)
 
 
 def retrieve_from_scores(score_matrix, memory: EntityMemory, k_per_patch: int,
@@ -156,8 +150,12 @@ def retrieve_from_scores(score_matrix, memory: EntityMemory, k_per_patch: int,
         raise ValidationError("k_per_patch and k_final must be >= 1")
     if len(memory) == 0:
         raise ValidationError("retrieve against an empty memory")
-    scores = score_matrix.data if isinstance(score_matrix, T.Tensor) \
-        else np.asarray(score_matrix, dtype=np.float64)
+    if isinstance(score_matrix, T.Tensor):
+        scores = score_matrix.data
+    else:
+        scores = np.asarray(score_matrix, dtype=np.float64)
+        if not np.isfinite(scores).all():
+            raise ValidationError("retrieval scores must be finite")
     if scores.ndim != 3 or scores.shape[1] == 0 or scores.shape[2] != len(memory):
         raise ValidationError(
             f"score array shape {scores.shape} is not (batch, patches, {len(memory)})")

@@ -366,6 +366,8 @@ class TestSampleNegatives:
 class TestDrawCandidates:
     # 2**31 + 1 rejects almost half of the replacement words; 2**31 - 1, 200
     # and 2**32 - 1 reject 2, 96 and 1 word in 2**32; a power of two none.
+    # A draw with a rejected word takes numpy's own path, as n_e = 1 always
+    # does: here every non-empty draw of 2**31 + 1, and none of the others.
     @pytest.mark.parametrize("n_e", [1, 2, 64, 200, 2 ** 31 - 1, 2 ** 31 + 1, 2 ** 32 - 1])
     def test_equals_array_bound_integers(self, n_e):
         redrawn = 0

@@ -43,6 +43,48 @@ def test_unread_imports_are_only_the_kept_ones():
     assert unread == UNREAD_IMPORTS_KEPT
 
 
+# Public API that no src/ module and no perfbench hook reads, each kept for
+# its callers outside the program.
+UNCALLED_KEPT = {
+    "gnn.gnn_layer": "acceptance criterion 4 checks one layer against its reference",
+    "gnn.attention_weights": "acceptance criterion 4 checks the attention rows",
+    "retriever.retrieve": "acceptance criterion 2's single-image retrieval API",
+    "tensor.gelu": "the tests' reference transformer chain, and demo 01",
+}
+
+
+def referenced_names(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Every name and attribute a tree reads; with ``strings``, its string
+    literals too, since perfbench wraps functions by attribute name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    package = Path(kgfuse.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    bench = set().union(*(referenced_names(ast.parse(path.read_text(encoding="utf-8")), True)
+                          for path in (package.parent.parent / "perfbench").glob("*.py")))
+    uncalled = set()
+    for module, tree in trees.items():
+        # Another module, or this module outside the definition itself.
+        others = set().union(*(referenced_names(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                own = set().union(*(referenced_names(n) for n in tree.body if n is not node))
+                if node.name not in others | own | bench:
+                    uncalled.add(f"{module}.{node.name}")
+    assert uncalled == set(UNCALLED_KEPT)
+
+
 # The stages a training step chains.  model.py alone imports them, so a step
 # and every other reader of the stages (evaluation, the CLI) share one path:
 # the step's record, or model.retrieve_images for retrieval.

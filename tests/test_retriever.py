@@ -151,8 +151,17 @@ class TestRetrieve:
 
     def test_non_finite_queries_rejected(self):
         memory = random_memory(np.random.default_rng(15), 4, 3)
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
             retrieve(np.full((2, 3), np.nan), memory, 1, 1)
+
+    def test_non_finite_scores_rejected(self):
+        # Unchecked, a NaN would cost its patch one of its k picks, and +inf
+        # would come back as a retrieval score.
+        memory = random_memory(np.random.default_rng(16), 3, 3)
+        for bad in (np.nan, np.inf, -np.inf):
+            scores = np.array([[[0.5, bad, 0.2]]])
+            with pytest.raises(ValidationError, match="scores must be finite"):
+                retrieve_from_scores(scores, memory, k_per_patch=2, k_final=2)
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(10)
