@@ -22,9 +22,12 @@ the retrieved ids; both are reused in either mode.  Under
 :func:`tensor.no_grad` the seven parameter stages (vision, text, retrieval
 and GNN, link prediction, fusion, heads, ITC) are keyed on their upstream
 outputs and the bits of their parameter groups, of the token embedding
-only the rows the batch's tokens read, so a finite-difference evaluation
-reruns only the stage a perturbation reaches and the stages downstream.
-Grad mode runs those seven stages every time, because backward consumes
+only the rows the batch's tokens read; the MLM and MVM losses on the
+inputs and the heads' output, and the weighted loss bundle on its four
+components and the weights.  So a finite-difference evaluation reruns only
+the stage a perturbation reaches and the stages and losses downstream, and
+one that reaches none costs only the key checks.  Grad mode runs the
+parameter stages and the losses every time, because backward consumes
 their graphs.
 """
 
@@ -54,6 +57,10 @@ from .retriever import (EntityMemory, RetrievedEntitySet, relevance_weights,
 from .tensor import Parameters, Tensor
 
 ALL_LOSSES = ("mlm", "mvm", "linkpred", "itc")
+# An inactive objective's loss: one object, so that the bundle's memo key,
+# which matches tensors by identity, can hit.
+_ZERO = T.constant(0.0)
+_ZERO.data.setflags(write=False)
 
 
 @dataclass
@@ -320,11 +327,12 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     single-loss gradient checks stay cheap.  Each stage goes through
     :func:`_reuse` on ``plan.memo``: the batch inputs and graph sample in
     either mode, and under :func:`tensor.no_grad` the seven parameter stages
-    too, keyed on their upstream outputs and parameter bits.
+    too, keyed on their upstream outputs and parameter bits, and the MLM
+    loss, the MVM loss and the loss bundle, keyed on what each reads.
     """
     config, kg, memo = corpus.config, corpus.kg, plan.memo
     need_fusion = "mlm" in active or "mvm" in active
-    mlm = mvm = linkpred = itc = T.constant(0.0)
+    mlm = mvm = linkpred = itc = _ZERO
 
     inputs = _reuse(memo, "inputs", (corpus,), lambda: batch_inputs(corpus, plan.examples))
     out = StepOutput(inputs)
@@ -339,7 +347,9 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
     def stage(name: str, upstream: tuple, compute):
         if grad:
             return compute()
-        return _reuse(memo, name, (*upstream, flat[spans[name]]), compute)
+        # The losses read no parameter; a parameter stage reads its span.
+        key = (*upstream, flat[spans[name]]) if name in STAGE_GROUPS else upstream
+        return _reuse(memo, name, key, compute)
 
     out.vision, out.queries = stage("vision", (inputs,), lambda: vision_encode(
         inputs.patches, params.vision, inputs.masked))
@@ -390,16 +400,19 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
             out.hidden, out.fused, [r.token_positions for r in inputs.token_records],
             [r.patch_positions for r in inputs.patch_records], params.heads))
         if "mlm" in active:
-            mlm = mlm_loss(out.heads.mlm_logits, *inputs.token_records)
+            mlm = stage("mlm", (inputs, out.heads), lambda: mlm_loss(
+                out.heads.mlm_logits, *inputs.token_records))
         if "mvm" in active:
-            mvm = mvm_loss(out.heads.mvm_pred, *inputs.patch_records)
+            mvm = stage("mvm", (inputs, out.heads), lambda: mvm_loss(
+                out.heads.mvm_pred, *inputs.patch_records))
 
     if "itc" in active:
         itc = stage("itc", (out.vision, out.text), lambda: itc_loss(
             T.tensor_mean(out.vision, axis=1), out.text[:, 0], params.itc))
 
-    out.bundle = total_loss(mlm, mvm, linkpred, itc,
-                            (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc))
+    weights = (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc)
+    out.bundle = stage("total", (mlm, mvm, linkpred, itc, weights),
+                       lambda: total_loss(mlm, mvm, linkpred, itc, weights))
     return out
 
 

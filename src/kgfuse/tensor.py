@@ -13,6 +13,7 @@ the independent gradient oracle used throughout the test suite.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -355,10 +356,10 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
-    soft = np.exp(data)
 
     def vjp(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        # The softmax is built here, so a no-grad pass never pays for it.
+        return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
 
     return Tensor._result(data, (a,), vjp, "log_softmax")
 
@@ -831,6 +832,9 @@ class Parameters:
     def __init__(self):
         self._items: dict[str, Tensor] = {}
         self._flat: Array | None = None
+        # Each tensor's name and first flat index, then the total; see locate.
+        self._names: list[str] = []
+        self._starts: list[int] = [0]
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._items:
@@ -839,6 +843,8 @@ class Parameters:
             raise ValidationError(f"parameter {name!r} is not a Tensor")
         tensor.requires_grad = True
         self._items[name] = tensor
+        self._names.append(name)
+        self._starts.append(self._starts[-1] + tensor.size)
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
@@ -884,15 +890,16 @@ class Parameters:
         return flat
 
     def locate(self, flat_index: int) -> tuple[str, int]:
-        """Map a flat scalar index to (parameter name, offset within it)."""
+        """Map a flat scalar index to (parameter name, offset within it), by
+        the sizes the parameters had when they were added."""
         if flat_index < 0:
             raise ValidationError("negative flat index")
-        remaining = flat_index
-        for name, t in self._items.items():
-            if remaining < t.size:
-                return name, remaining
-            remaining -= t.size
-        raise ValidationError(f"flat index {flat_index} out of range")
+        # The last tensor starting at or before the index; empty ones start
+        # where the next does, so they are never it.
+        i = bisect.bisect_right(self._starts, flat_index) - 1
+        if i == len(self._items):
+            raise ValidationError(f"flat index {flat_index} out of range")
+        return self._names[i], flat_index - self._starts[i]
 
     def load_data(self, values: dict[str, Array]) -> None:
         """Copy ``values`` into the parameters' data in place; every value is

@@ -22,6 +22,8 @@ stable sort; ``reference_log_sigmoid`` and ``reference_optimizer_step`` are
 the masked log-sigmoid and the per-tensor AdamW loop that the branch-free
 and flat forms replaced, and must match bit for bit; ``reference_backward``
 is the depth-first sweep that the creation-ordered one replaced;
+``reference_locate`` is the scan over the tensors that the bisection in
+``Parameters.locate`` replaced;
 ``reference_expand_subgraph`` is the per-seed Python sampler that the one on
 dense index arrays replaced, and must match it bit for bit;
 ``reference_corpus``, ``reference_patch_projection``,
@@ -766,6 +768,18 @@ def reference_backward(loss) -> dict:
         elif node.requires_grad:
             leaf_grads[node] = g
     return leaf_grads
+
+
+def reference_locate(params, flat_index: int) -> tuple[str, int]:
+    """(name, offset) of a flat index, tensor by tensor in insertion order."""
+    if flat_index < 0:
+        raise ValidationError("negative flat index")
+    remaining = flat_index
+    for name, t in params.items():
+        if remaining < t.size:
+            return name, remaining
+        remaining -= t.size
+    raise ValidationError(f"flat index {flat_index} out of range")
 
 
 def graph_nodes(loss) -> list:

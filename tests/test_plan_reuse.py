@@ -2,11 +2,11 @@
 
 ``model.compute_step`` keeps a plan's batch inputs (patches, masks, tokens),
 its graph sample (subgraphs, holdout split, union, edge lists) and, under
-``no_grad``, each parameter stage's output in ``plan.memo``.  Reuse must not
-change a single bit of any loss or gradient, must rebuild the sample when
-retrieval changes, and must actually happen: the seeded sampling runs once
-per retrieval, not once per evaluation.  The step's record holds what each
-stage computed, the memo's own objects on a no-grad hit.
+``no_grad``, each parameter stage's output and the losses in ``plan.memo``.
+Reuse must not change a single bit of any loss or gradient, must rebuild the
+sample when retrieval changes, and must actually happen: the seeded sampling
+runs once per retrieval, not once per evaluation.  The step's record holds
+what each stage computed, the memo's own objects on a no-grad hit.
 """
 
 import contextlib
@@ -254,13 +254,15 @@ def test_grad_mode_after_finite_differences_equals_a_fresh_plan(setting):
             params.store, eps=1e-4, sample_count=12, seed=3)
     entries = dict(plan.memo)
     assert set(entries) == {"inputs", "sample", "spans", "vision", "text", "graph",
-                            "linkpred", "fusion", "heads", "itc"}
-    assert set(model.STAGE_GROUPS) == set(entries) - {"inputs", "sample", "spans"}
+                            "linkpred", "fusion", "heads", "itc", "mlm", "mvm", "total"}
+    assert set(model.STAGE_GROUPS) == set(entries) - {"inputs", "sample", "spans", "mlm",
+                                                      "mvm", "total"}
     assert_bitwise_equal(evaluate(params, corpus, memory, plan, "total"),
                          evaluate(params, corpus, memory, fresh_plan(), "total"))
-    # Grad mode adds no entry and neither reads nor writes a parameter stage's.
+    # Grad mode adds no entry and neither reads nor writes a parameter
+    # stage's or a loss's.
     assert plan.memo.keys() == entries.keys()
-    assert all(plan.memo[s] is entries[s] for s in model.STAGE_GROUPS)
+    assert all(plan.memo[s] is entries[s] for s in (*model.STAGE_GROUPS, "mlm", "mvm", "total"))
 
 
 def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
@@ -303,6 +305,35 @@ def test_a_heads_change_runs_no_encoder(setting, monkeypatch):
     assert calls == {"vision_encode": 1, "text_encode": 0, "gnn_encode": 1, "fuse": 1,
                      "heads": 1, "expand_subgraph": SMALL.batch_size}
     assert moved == value_without_grad(params, corpus, memory, fresh_plan(), "total")
+
+
+@pytest.mark.parametrize("loss_name", ["total", "mlm"])
+def test_a_warm_no_grad_pass_rebuilds_no_loss(setting, monkeypatch, loss_name):
+    corpus, params, memory = setting
+    calls = dict.fromkeys(("mlm_loss", "mvm_loss", "total_loss"), 0)
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(model, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    plan = fresh_plan()
+    base = value_without_grad(params, corpus, memory, plan, loss_name)
+    calls.update(dict.fromkeys(calls, 0))
+    # The "mlm" bundle holds three inactive zeros, which must match too.
+    assert value_without_grad(params, corpus, memory, plan, loss_name) == base
+    assert calls == dict.fromkeys(calls, 0)
+
+    params.heads.mlm_w.data[0, 0] += 0.05
+    moved = value_without_grad(params, corpus, memory, plan, loss_name)
+    assert calls == {"mlm_loss": 1, "mvm_loss": int(loss_name == "total"), "total_loss": 1}
+    assert moved != base
+    assert moved == value_without_grad(params, corpus, memory, fresh_plan(), loss_name)
 
 
 def test_a_kept_key_of_another_length_is_a_miss():
@@ -458,6 +489,7 @@ def test_a_no_grad_memo_hit_hands_back_the_kept_objects(setting):
         first = compute_step(params, corpus, memory, plan)
         again = compute_step(params, corpus, memory, plan)
     assert again.inputs is kept(plan, "inputs") and again.sample is kept(plan, "sample")
+    assert again.bundle is first.bundle is kept(plan, "total")
     for stage, names in STAGE_FIELDS.items():
         outputs = kept(plan, stage) if len(names) > 1 else (kept(plan, stage),)
         for name, output in zip(names, outputs, strict=True):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from kgfuse import tensor as T
+from kgfuse.config import Config
+from kgfuse.data import generate_corpus
 from kgfuse.errors import NumericsError, ValidationError
+from kgfuse.model import build_model
 
 from helpers import (attention_node, fd_input_grad, graph_nodes, layer_norm_node,
                      log_sigmoid, reference_attention, reference_layer_norm,
-                     reference_log_sigmoid, reference_transformer_block, scalar_gelu,
-                     segment_sum, softmax)
+                     reference_locate, reference_log_sigmoid, reference_transformer_block,
+                     scalar_gelu, segment_sum, softmax)
 
 
 def _check_op_gradient(build, x_shape, seed, rtol=1e-6, positive=False):
@@ -572,6 +575,25 @@ class TestParameters:
         assert p.locate(9) == ("b", 3)
         with pytest.raises(ValidationError):
             p.locate(10)
+
+    def test_locate_equals_the_scan_at_every_tensors_ends(self):
+        store = build_model(Config(), generate_corpus(Config()).kg).store
+        # An empty tensor between two others, or last, is never located.
+        for name, shape in (("empty.0", (0,)), ("scalar", ()), ("empty.1", (3, 0)),
+                            ("row", (1, 2)), ("empty.2", (0, 4))):
+            store.add(name, T.Tensor(np.zeros(shape)))
+        start = 0
+        for _, t in store.items():
+            for index in {start, start + t.size - 1} if t.size else ():
+                assert store.locate(index) == reference_locate(store, index), index
+            start += t.size
+        assert start == store.flat_size() > 20_000
+        for index, message in ((-1, "negative flat index"),
+                               (start, f"flat index {start} out of range")):
+            with pytest.raises(ValidationError, match=message):
+                reference_locate(store, index)
+            with pytest.raises(ValidationError, match=message):
+                store.locate(index)
 
     def test_duplicate_name_rejected(self):
         p = T.Parameters()
