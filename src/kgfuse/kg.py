@@ -382,26 +382,34 @@ def negative_indices(kg: KnowledgeGraph, dense: np.ndarray, n: int,
         cells += (2 * n_e) * active[:, None]
         ok = known.take(cells)
         np.logical_not(ok, out=ok)
-        accepted = np.cumsum(ok, axis=1)
-        kept = np.minimum(accepted[:, -1], need)
-        # Candidates past the n-th acceptance are drawn but neither kept nor
-        # counted against the retry limit.
-        accepted -= ok
-        short = accepted < need[:, None]
-        rejected[active] += np.count_nonzero(short, axis=1) - kept
+        # Accepted candidates, row after row; row i's are at[first[i]:].
+        at = np.flatnonzero(ok)
+        found = np.count_nonzero(ok, axis=1)
+        first = np.cumsum(found) - found
+        kept = np.minimum(found, need)
+        # Rejections count up to a row's last kept candidate: candidates past
+        # the n-th acceptance are drawn but neither kept nor counted.
+        filled = found >= need
+        seen = np.full(active.size, m)
+        seen[filled] = at[(first + need - 1)[filled]] % m + 1
+        rejected[active] += seen - kept
         failed = active[rejected[active] >= max_retries]
         if failed.size:
             raise ValidationError(
                 f"no valid negative found for {kg.triplets_of(dense[failed[:1]])[0]} "
                 f"after {max_retries} retries")
-        ok &= short
-        at = np.flatnonzero(ok)
-        # Kept candidates run row after row; row p fills slots got[p] onward.
-        start = active * n + got[active]
-        slots = np.repeat(start - np.cumsum(kept) + kept, kept) + np.arange(at.size)
         # take would first copy the strided views whole; reshape keeps views.
-        coins[slots] = coin.reshape(-1)[at]
-        picks[slots] = pick.reshape(-1)[at]
+        coin, pick = coin.reshape(-1), pick.reshape(-1)
+        if filled.all() and not got.any():
+            # One round filled every row: each keeps its first n.
+            chosen = at[first[:, None] + np.arange(n)]
+            return coin[chosen], pick[chosen]
+        # Row i fills slots got[i] onward with its first kept[i].
+        offset = np.arange(kept.sum()) - np.repeat(np.cumsum(kept) - kept, kept)
+        chosen = at[np.repeat(first, kept) + offset]
+        slots = np.repeat(active * n + got[active], kept) + offset
+        coins[slots] = coin[chosen]
+        picks[slots] = pick[chosen]
         got[active] += kept
         active = active[got[active] < n]
     return coins.reshape(count, n), picks.reshape(count, n)

@@ -47,7 +47,7 @@ from .errors import ValidationError
 from .fusion import (FusedSequence, FusionParams, HeadParams, HeadsOutput,
                      assemble, fuse, heads, init_fusion, init_heads)
 from .gnn import GnnParams, forward_relation_rows, gnn_encode, init_gnn
-from .kg import (KnowledgeGraph, Subgraph, Triplet, disjoint_union,
+from .kg import (KnowledgeGraph, Subgraph, disjoint_union,
                  expand_subgraph, split_triplet_list)
 from .objectives import (ItcParams, LossBundle, MaskingRecord, ScoringTables,
                          init_itc, itc_loss, linkpred_loss, mask_patches,
@@ -130,7 +130,7 @@ class GraphSample:
     seed_rows: np.ndarray             # (B, K) union row of each retrieved entity
     entity_valid: np.ndarray          # (B, K) filled seed slots
     node_weight: np.ndarray           # union row -> relevance slot, last is 1
-    positives: list[Triplet]          # held-out edges, example by example
+    positives: np.ndarray             # (P, 3) dense held-out edges, example by example
     positive_rows: np.ndarray         # (P, E) entity row map of each positive
 
 
@@ -245,12 +245,11 @@ def graph_sample(corpus: SyntheticCorpus, memory: EntityMemory,
     entity_row[node_example, node_rows] = len(memory) + np.arange(union.num_nodes)
     held = np.concatenate([h + [off, 0, off] for h, off in zip(held_outs, offsets)])
     held[:, ::2] = node_rows[held[:, ::2]]
-    positives = kg.triplets_of(held)
     positive_rows = entity_row[np.repeat(np.arange(len(examples)),
                                          [len(h) for h in held_outs])]
-    _read_only(node_rows, seed_rows, entity_valid, node_weight, positive_rows)
+    _read_only(node_rows, seed_rows, entity_valid, node_weight, held, positive_rows)
     return GraphSample(union, node_rows, seed_rows, entity_valid, node_weight,
-                       positives, positive_rows)
+                       held, positive_rows)
 
 
 # The parameter stages of compute_step, each with the groups it reads; a
@@ -390,7 +389,7 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
         out.retrieved, out.relevance, out.sample, out.nodes = stage(
             "graph", (inputs, memory, out.queries), encode_graph)
 
-    if "linkpred" in active and out.sample.positives:
+    if "linkpred" in active and len(out.sample.positives):
         linkpred = stage("linkpred", (memory, out.sample, out.nodes), encode_linkpred)
 
     if need_fusion:

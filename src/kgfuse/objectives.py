@@ -72,8 +72,8 @@ class ScoringTables:
     n: int = 128
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValidationError("margin gamma must be >= 0")
+        if not (0 <= self.gamma < math.inf):
+            raise ValidationError(f"margin gamma must be finite and >= 0, got {self.gamma}")
         if self.n < 1:
             raise ValidationError("negative count n must be >= 1")
 
@@ -209,48 +209,54 @@ def _table_rows(rows, ids: list[int], dense: np.ndarray, what: str) -> np.ndarra
     return found
 
 
+def _query_rows(tables: ScoringTables, kg: KnowledgeGraph, dense: np.ndarray,
+                candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(P, 1)`` relation rows of the dense triplets ``dense`` and the
+    ``(P, 2 + C)`` entity rows of each triplet's head, its tail and its
+    ``(P, C)`` dense ``candidates``, all read through that triplet's row
+    map; an id without a row raises."""
+    return (_table_rows(tables.relation_row, kg.relation_ids(), dense[:, 1:2], "relation"),
+            _table_rows(tables.entity_row, kg.entity_ids(), np.concatenate(
+                [dense[:, ::2], candidates], axis=1), "entity"))
+
+
 def query_scores(tables: ScoringTables, kg: KnowledgeGraph, dense: np.ndarray,
-                 candidates: np.ndarray) -> tuple[Tensor, np.ndarray]:
+                 candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """DistMult scores of both endpoint queries of each dense triplet against
-    every row of ``tables.entity_matrix``, in one product.
+    every row of ``tables.entity_matrix``, by :func:`tensor.distmult_scores`,
+    the scorer that training's loss node runs.
 
     Query ``2p`` is h * r, which scores tails, and ``2p + 1`` is t * r,
-    which scores heads.  Returns the ``(2P, rows)`` scores and the table rows
-    of each triplet's head, its tail and its ``(P, C)`` dense ``candidates``,
-    all read through that triplet's row map; an id without a row raises.
+    which scores heads.  Returns the ``(2P, rows)`` scores and the
+    :func:`_query_rows` entity rows.
     """
-    rel_rows = _table_rows(tables.relation_row, kg.relation_ids(), dense[:, 1:2],
-                           "relation")
-    entity_rows = _table_rows(tables.entity_row, kg.entity_ids(), np.concatenate(
-        [dense[:, ::2], candidates], axis=1), "entity")
-    ends = T.take_rows(tables.entity_matrix, entity_rows[:, :2])
-    r = T.take_rows(tables.relation_matrix, rel_rows)
-    queries = T.reshape(T.mul(ends, r), (2 * len(dense), -1))
-    return T.matmul(queries, T.transpose(tables.entity_matrix)), entity_rows
+    rel_rows, entity_rows = _query_rows(tables, kg, dense, candidates)
+    scores = T.distmult_scores(tables.entity_matrix.data, tables.relation_matrix.data,
+                               entity_rows[:, :2], rel_rows)[1]
+    return scores, entity_rows
 
 
-def linkpred_loss(positives: list[Triplet], tables: ScoringTables,
+def linkpred_loss(positives: np.ndarray | list[Triplet], tables: ScoringTables,
                   kg: KnowledgeGraph, seed) -> Tensor:
     """Negative-sampling link prediction loss, mean over positives.
 
     Per positive: -log sigmoid(score + gamma) plus the mean over n sampled
-    corruptions of -log sigmoid(-score' - gamma).  Negatives corrupt one
+    corruptions of -log sigmoid(-score' - gamma).  ``positives`` are id
+    triplets or ``(P, 3)`` dense triplets as
+    :meth:`KnowledgeGraph.index_triplets` gives them.  Negatives corrupt one
     endpoint and are rejected if they collide with a positive triplet of
     ``kg``; all positives sample from one :func:`negative_indices` call
-    with ``seed``.  Each candidate reads its score from :func:`query_scores`.
+    with ``seed``.  Every score is DistMult's, in one
+    :func:`tensor.distmult_sampling_loss` node.
     """
-    if not positives:
+    dense = positives if isinstance(positives, np.ndarray) else kg.index_triplets(positives)
+    if not len(dense):
         raise ValidationError("linkpred_loss needs at least one positive")
-    gamma, n = tables.gamma, tables.n
-    dense = kg.index_triplets(positives)
-    coin, replacement = negative_indices(kg, dense, n, seed)
-    scores, entity_rows = query_scores(tables, kg, dense, replacement)
-    # The positive is its tail under h * r; a candidate is its replacement
-    # under the query of the endpoint it keeps.
-    query = np.zeros((len(positives), 1 + n), dtype=np.int64)
-    query[:, 1:] = coin
-    query += 2 * np.arange(len(positives))[:, None]
-    return T.negative_sampling_loss(scores, query, entity_rows[:, 1:], gamma)
+    coin, replacement = negative_indices(kg, dense, tables.n, seed)
+    rel_rows, entity_rows = _query_rows(tables, kg, dense, replacement)
+    return T.distmult_sampling_loss(tables.entity_matrix, tables.relation_matrix,
+                                    entity_rows[:, :2], rel_rows, entity_rows[:, 2:], coin,
+                                    tables.gamma)
 
 
 def itc_loss(image_cls: Tensor, text_cls: Tensor, ip: ItcParams) -> Tensor:

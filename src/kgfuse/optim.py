@@ -39,20 +39,23 @@ class AdamState:
 def _flat_gradient(params: Parameters, grads: dict[Tensor, np.ndarray]) -> np.ndarray:
     """``grads`` laid out as :meth:`Parameters.flat`, zero for a parameter
     without one.  Raises for the first parameter, in order, whose gradient
-    is non-finite or of the wrong shape."""
-    flat = np.zeros(params.flat_size())
-    start = 0
-    for name, tensor in params.items():
-        stop = start + tensor.size
-        grad = grads.get(tensor)
-        if grad is not None:
+    is non-finite or of the wrong shape; within one, non-finite first."""
+    found = [(name, tensor, grads.get(tensor)) for name, tensor in params.items()]
+    flat = None
+    if all(grad is None or grad.shape == tensor.shape for _, tensor, grad in found):
+        # The leading empty array lets a store without parameters concatenate.
+        flat = np.concatenate([np.zeros(0)] + [
+            np.zeros(tensor.size) if grad is None else grad.reshape(-1)
+            for _, tensor, grad in found])
+    if flat is None or not np.isfinite(flat).all():
+        for name, tensor, grad in found:
+            if grad is None:
+                continue
             if not np.isfinite(grad).all():
                 raise NumericsError(f"non-finite gradient for parameter {name!r}")
             if grad.shape != tensor.shape:
                 raise ValidationError(
                     f"gradient shape {grad.shape} does not match {name!r} {tensor.shape}")
-            flat[start:stop] = grad.reshape(-1)
-        start = stop
     return flat
 
 

@@ -693,37 +693,80 @@ def graph_attention(x, table, wq, bq, wk, wm, bm, wn, bn, edges) -> Tensor:
     return Tensor._result(data, inputs, vjp, "graph_attention")
 
 
-def negative_sampling_loss(scores, rows, cols, gamma: float) -> Tensor:
-    """The negative-sampling loss of the (P, 1 + n) grid s[p, j] =
-    scores[rows[p, j], cols[p, j]], whose first column holds the positives:
+def distmult_scores(entities: Array, relations: Array, end_rows: Array,
+                    relation_rows: Array) -> tuple[Array, Array]:
+    """DistMult (Yang et al., 2015) of both endpoint queries of P triplets
+    against every row of ``entities``: the (P, 2, d) queries, where query
+    ``[p, 0]`` is head * relation (it scores tails) and ``[p, 1]`` is
+    tail * relation (it scores heads), and the (2P, rows) scores of the
+    queries in that order.  ``end_rows`` is (P, 2) and ``relation_rows``
+    (P, 1), rows of the two tables.  The one DistMult scorer: training and
+    ranking both score through it."""
+    # BLAS rounds a product with a transposed view otherwise than with a
+    # contiguous copy, and every product here is the chain's, layouts too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        queries = entities[end_rows] * relations[relation_rows]
+        return queries, queries.reshape(2 * len(end_rows), -1) @ np.ascontiguousarray(entities.T)
+
+
+def distmult_sampling_loss(entity_matrix, relation_matrix, end_rows, relation_rows,
+                           candidate_rows, coins, gamma: float) -> Tensor:
+    """The negative-sampling loss of P positives with n corruptions each,
+    over the :func:`distmult_scores` of their ``(P, 2)`` ``end_rows`` and
+    ``(P,)`` ``relation_rows``:
 
         mean_p ( -log sigmoid(s[p, 0] + gamma)
                  + mean_j -log sigmoid(-(s[p, j] + gamma)) ),  j = 1..n.
 
-    One node.  The forward takes the float steps of the chain of take_pairs,
-    narrow, add, log-sigmoid, neg and mean nodes in that order, and the VJP
-    scatters the grid's gradient into ``scores`` as take_pairs does, so the
-    value and the gradient are bitwise those of the chain.
+    s[p, 0] scores the tail under head * relation.  Corruption j replaces
+    the head if ``coins[p, j - 1]`` is 1, else the tail, and s[p, j] scores
+    its row ``candidate_rows[p, j - 1]`` under the query of the kept end.
+
+    One node.  The forward takes the float steps of the chain of two
+    take_rows, mul, reshape, transpose and matmul nodes and the grid's
+    take_pairs, add, log-sigmoid, neg and mean nodes, in that order; the
+    closed-form VJP sums the entity gradient's product part and gather part
+    in the order ``backward`` summed the chain's, so value and gradients
+    are bitwise the chain's.  A non-finite query or read score raises; an
+    unread score reaches neither value nor gradients.
     """
-    scores = as_tensor(scores)
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    if scores.ndim != 2 or rows.ndim != 2 or rows.shape != cols.shape \
-            or rows.shape[0] < 1 or rows.shape[1] < 2:
+    entity_matrix, relation_matrix = as_tensor(entity_matrix), as_tensor(relation_matrix)
+    ends = np.asarray(end_rows, dtype=np.int64)
+    rel = np.asarray(relation_rows, dtype=np.int64).reshape(-1, 1)
+    candidates = np.asarray(candidate_rows, dtype=np.int64)
+    coins = np.asarray(coins, dtype=np.int64)
+    p, n = candidates.shape if candidates.ndim == 2 else (0, 0)
+    if entity_matrix.ndim != 2 or relation_matrix.shape[1:] != entity_matrix.shape[1:] \
+            or ends.shape != (p, 2) or rel.shape != (p, 1) or coins.shape != (p, n) or not p * n:
         raise ValidationError(
-            f"negative_sampling_loss expects 2-D scores and matching (P, 1 + n) row and "
-            f"column indices with P, n >= 1, got {scores.shape}, {rows.shape}, {cols.shape}")
-    if min(rows.min(), cols.min()) < 0 or rows.max() >= scores.shape[0] \
-            or cols.max() >= scores.shape[1]:
+            f"distmult_sampling_loss expects (rows, d) tables, (P, 2) end rows, P relation "
+            f"rows and (P, n) candidates and coins, P, n >= 1; got {entity_matrix.shape}, "
+            f"{relation_matrix.shape}, {ends.shape}, {rel.shape}, {candidates.shape}, "
+            f"{coins.shape}")
+    n_rows = entity_matrix.shape[0]
+    if min(ends.min(), candidates.min(), rel.min(), coins.min()) < 0 \
+            or max(ends.max(), candidates.max()) >= n_rows \
+            or rel.max() >= relation_matrix.shape[0] or coins.max() > 1:
         raise ValidationError(
-            f"negative_sampling_loss index out of range for shape {scores.shape}")
-    (p, width), n = rows.shape, rows.shape[1] - 1
-    cells = rows * scores.shape[1] + cols
+            f"distmult_sampling_loss index out of range for tables {entity_matrix.shape} "
+            f"and {relation_matrix.shape}, or a coin not 0 or 1")
+    table, relation = entity_matrix.data, relation_matrix.data
+    queries, scores = distmult_scores(table, relation, ends, rel)
+    if not np.isfinite(queries).all():
+        raise NumericsError("non-finite values produced by primitive 'distmult_sampling_loss'")
+    # The grid's flat cells in the scores: the positive is its tail under
+    # query 2p, a corruption its candidate under query 2p + coin.
+    cells = np.empty((p, 1 + n), dtype=np.int64)
+    cells[:, 0] = ends[:, 1]
+    np.multiply(coins, n_rows, out=cells[:, 1:])
+    cells[:, 1:] += candidates
+    cells += (2 * n_rows) * np.arange(p)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        x = scores.data.take(cells)
+        x = scores.take(cells)
         x += gamma
-        if not np.isfinite(x).all():   # as the chain's add node checked
+        if not np.isfinite(x).all():
             raise NumericsError(
-                "non-finite values produced by primitive 'negative_sampling_loss'")
+                "non-finite values produced by primitive 'distmult_sampling_loss'")
         np.negative(x[:, 1:], out=x[:, 1:])
         terms, log_sigmoid_vjp = _log_sigmoid(x)
         np.negative(terms, out=terms)
@@ -732,12 +775,21 @@ def negative_sampling_loss(scores, rows, cols, gamma: float) -> Tensor:
     def vjp(g):
         # The mean's gradient per positive; its negatives share it 1/n each.
         share = g * (1.0 / p)
-        weights = np.empty((p, width))
+        weights = np.empty((p, 1 + n))
         weights[:, 0] = -share
         weights[:, 1:] = share * (1.0 / n)
-        return (_scatter_add(cells.ravel(), log_sigmoid_vjp(weights), scores.shape),)
+        g_scores = _scatter_add(cells.ravel(), log_sigmoid_vjp(weights),
+                                (2 * p, n_rows))
+        g_queries = (g_scores @ np.asfortranarray(table)).reshape(queries.shape)
+        product = (queries.reshape(2 * p, -1).T @ g_scores).T
+        # The gathers are redone rather than kept alive until backward.
+        factor = relation[rel]
+        gathered = _scatter_rows(ends, g_queries * factor, table.shape)
+        g_factor = np.multiply(g_queries, table[ends], out=g_queries).sum(axis=1, keepdims=True)
+        return product + gathered, _scatter_rows(rel, g_factor, relation.shape)
 
-    return Tensor._result(data, (scores,), vjp, "negative_sampling_loss")
+    return Tensor._result(data, (entity_matrix, relation_matrix), vjp,
+                          "distmult_sampling_loss")
 
 
 def mse(pred, target) -> Tensor:

@@ -138,7 +138,7 @@ def filtered_ranks(tables: ScoringTables, held_out: list[Triplet],
     dense = kg.index_triplets(held_out)
     every = np.broadcast_to(np.arange(len(kg.entities)), (len(dense), len(kg.entities)))
     scores, rows = query_scores(tables, kg, dense, every)
-    scores = np.take_along_axis(scores.data, np.repeat(rows[:, 2:], 2, axis=0), axis=1)
+    scores = np.take_along_axis(scores, np.repeat(rows[:, 2:], 2, axis=0), axis=1)
     query, target = np.arange(2 * len(dense)), dense[:, ::-2].ravel()
     filtered = kg.known_mask(dense)
     filtered[query, target] = False
@@ -190,7 +190,7 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
     if d < 1:
         raise ValidationError(f"embedding width d must be >= 1, got {d}")
     holdout = holdout_edges(kg, drop_rate, seed)
-    visible = holdout.visible
+    visible = kg.index_triplets(holdout.visible)
     n_e, n_r = len(kg.entities), len(kg.relations)
 
     init_rng = np.random.default_rng([seed, 11])
@@ -208,8 +208,7 @@ def train_kg_embeddings(kg: KnowledgeGraph, d: int = 16, steps: int = 500,
     for step in range(1, steps + 1):
         rng = np.random.default_rng([seed, 13, step])
         picks = rng.integers(0, len(visible), size=min(batch, len(visible)))
-        positives = [visible[i] for i in picks]
-        loss = linkpred_loss(positives, tables, kg,
+        loss = linkpred_loss(visible[picks], tables, kg,
                              seed=int(rng.integers(0, 2 ** 62)))
         grads = backward(loss)
         optimizer_step(params, grads, state, lr=lr, weight_decay=0.0)

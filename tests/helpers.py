@@ -10,7 +10,9 @@ the reference for the batched training step; ``reference_layer_norm`` and
 from autodiff primitives, the latter on ``softmax``, the softmax node that
 left the library with it; ``log_sigmoid`` is the log-sigmoid node that left
 the library when ``reference_negative_sampling_loss``, the chain it served,
-became one node; ``attention_node`` and ``layer_norm_node`` wrap
+became one node; ``reference_distmult_sampling_loss`` is the seven-node
+link-prediction chain that ``tensor.distmult_sampling_loss`` replaced, which
+it must match bit for bit; ``attention_node`` and ``layer_norm_node`` wrap
 the transformer block's attention and LayerNorm forwards as the single
 nodes they once were, and ``reference_transformer_block`` chains them with
 primitives into the ten nodes that the block replaced, which it must match
@@ -31,6 +33,8 @@ dense index arrays replaced, and must match it bit for bit;
 per-patch, per-entry, per-bucket and per-example loops that the corpus
 tiling, the oracle projection, the description embedding and the batch
 plan replaced, and must match them byte for byte.
+``reference_negative_indices`` is the negative sampler's earlier
+array form, which its one-compaction form must match bit for bit.
 ``negative_ends`` spells out the corrupted triplets of a negative draw.
 ``write_kg_tsv`` writes graph fixtures in the TSV format that
 ``kgfuse.kg.load_kg`` reads.
@@ -157,11 +161,32 @@ def log_sigmoid(a):
 def reference_negative_sampling_loss(grid, gamma):
     """The link-prediction loss of a (P, 1 + n) grid of scores whose first
     column holds the positives: the chain of narrow, add, log-sigmoid, neg
-    and mean nodes that ``tensor.negative_sampling_loss`` replaced."""
+    and mean nodes that ``tensor.distmult_sampling_loss`` replaced."""
     pos_term = T.neg(log_sigmoid(T.add(grid[:, 0], gamma)))
     neg_term = T.tensor_mean(
         T.neg(log_sigmoid(T.neg(T.add(grid[:, 1:], gamma)))), axis=1)
     return T.tensor_mean(T.add(pos_term, neg_term))
+
+
+def reference_distmult_sampling_loss(entity_matrix, relation_matrix, end_rows,
+                                     relation_rows, candidate_rows, coins, gamma):
+    """``tensor.distmult_sampling_loss`` as the chain it replaced: two
+    take_rows, mul, reshape, transpose and matmul nodes score both endpoint
+    queries of each positive against every table row, take_pairs reads the
+    (P, 1 + n) grid, and :func:`reference_negative_sampling_loss` scores it."""
+    end_rows, coins = np.asarray(end_rows), np.asarray(coins)
+    p = len(end_rows)
+    ends = T.take_rows(entity_matrix, end_rows)
+    r = T.take_rows(relation_matrix, np.reshape(relation_rows, (-1, 1)))
+    queries = T.reshape(T.mul(ends, r), (2 * p, -1))
+    scores = T.matmul(queries, T.transpose(entity_matrix))
+    # The positive is its tail under query 2p, a corruption its candidate
+    # under query 2p + coin.
+    rows = 2 * np.arange(p)[:, None] + np.concatenate(
+        [np.zeros((p, 1), dtype=np.int64), coins], axis=1)
+    cols = np.concatenate([end_rows[:, 1:], candidate_rows], axis=1)
+    grid = T.reshape(T.take_pairs(scores, rows.ravel(), cols.ravel()), rows.shape)
+    return reference_negative_sampling_loss(grid, gamma)
 
 
 def reference_attention(x, wq, wk, wv, wo, valid, scale):
@@ -532,6 +557,52 @@ def reference_sample_negatives(kg, positives, n: int, seed, max_retries: int = 1
             if rejected[i] >= max_retries:
                 raise ValidationError(f"no valid negative found for {positives[i]} "
                                       f"after {max_retries} retries")
+
+
+def reference_negative_indices(kg, dense, n: int, seed, max_retries: int = 1000):
+    """``kg.negative_indices`` as it was before its one-compaction form: a
+    running count of acceptances over every candidate, a shortfall mask
+    and a scatter of each round's kept candidates into their slots.  Draws,
+    rejection counts and the retry error must match it bit for bit."""
+    from kgfuse.errors import ValidationError
+    from kgfuse.kg import draw_candidates
+
+    if n < 1:
+        raise ValidationError("negative sample count must be >= 1")
+    if max_retries < 1:
+        raise ValidationError(f"max_retries must be >= 1, got {max_retries}")
+    known = kg.known_mask(dense).ravel()
+    count, n_e = len(dense), len(kg.entity_ids())
+    rng = np.random.default_rng(seed)
+    coins = np.empty(count * n, dtype=np.int64)
+    picks = np.empty(count * n, dtype=np.int64)
+    got = np.zeros(count, dtype=np.int64)
+    rejected = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    while active.size:
+        need = n - got[active]
+        m = int(need.max()) * 5 // 4 + 8
+        coin, pick = draw_candidates(rng, n_e, (active.size, m))
+        ok = ~known[(coin * n_e + pick) + (2 * n_e) * active[:, None]]
+        accepted = np.cumsum(ok, axis=1)
+        kept = np.minimum(accepted[:, -1], need)
+        accepted -= ok
+        short = accepted < need[:, None]
+        rejected[active] += np.count_nonzero(short, axis=1) - kept
+        failed = active[rejected[active] >= max_retries]
+        if failed.size:
+            raise ValidationError(
+                f"no valid negative found for {kg.triplets_of(dense[failed[:1]])[0]} "
+                f"after {max_retries} retries")
+        ok &= short
+        at = np.flatnonzero(ok)
+        start = active * n + got[active]
+        slots = np.repeat(start - np.cumsum(kept) + kept, kept) + np.arange(at.size)
+        coins[slots] = coin.reshape(-1)[at]
+        picks[slots] = pick.reshape(-1)[at]
+        got[active] += kept
+        active = active[got[active] < n]
+    return coins.reshape(count, n), picks.reshape(count, n)
 
 
 def negative_ends(dense, coin, replacement):

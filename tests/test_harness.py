@@ -250,7 +250,8 @@ class TestOptimizer:
         bad = [({a: np.array([0.1, 0.2]), b: np.full((2, 2), np.nan)}, NumericsError, "'b'"),
                ({a: np.array([0.1, 0.2]), b: np.ones(4)}, ValidationError, "'b'"),
                ({a: np.array([np.inf, 0.2]), b: np.ones(4)}, NumericsError, "'a'"),
-               ({a: np.array([0.1, 0.2]), b: np.full(4, np.nan)}, NumericsError, "'b'")]
+               ({a: np.array([0.1, 0.2]), b: np.full(4, np.nan)}, NumericsError, "'b'"),
+               ({a: np.ones(3), b: np.full((2, 2), np.nan)}, ValidationError, "'a'")]
         for grads, error, name in bad:
             with pytest.raises(error, match=name):
                 optimizer_step(params, grads, state, lr=1e-2, weight_decay=0.1)
@@ -741,7 +742,7 @@ class TestStepStructure:
         memory = corpus_memory(corpus)
         plan = make_batch_plan(config, len(corpus), step=1)
         out = compute_step(params, corpus, memory, plan)
-        if not out.sample.positives:
+        if not len(out.sample.positives):
             assert out.bundle.linkpred.item() == 0.0
 
     def test_memory_of_another_graph_is_rejected_before_sampling(self, monkeypatch):
@@ -765,7 +766,7 @@ class TestStepStructure:
         memory = corpus_memory(corpus)
         plan = make_batch_plan(config, len(corpus), step=1)
         full = compute_step(params, corpus, memory, plan)
-        assert full.sample.positives
+        assert len(full.sample.positives)
         encode, calls = model.text_encode, []
         monkeypatch.setattr(model, "text_encode",
                             lambda *args: calls.append(args) or encode(*args))
@@ -828,7 +829,7 @@ class TestStepStructure:
                 sub.triplets_local, config.edge_drop, ex.holdout_seed)[0]))
         assert len({len(corpus.captions[ex.index]) for ex in plan.examples}) > 1
         assert min(len(ids) for ids in batched.retrieved) < config.k_final
-        assert 0 in visible_edges and batched.sample.positives
+        assert 0 in visible_edges and len(batched.sample.positives)
 
         got = T.backward(batched.bundle.total)
         reference = reference_compute_step(params, corpus, memory, plan)

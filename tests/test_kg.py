@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from kgfuse import kg as kg_module
 from kgfuse.config import Config
 from kgfuse.data import generate_corpus
 from kgfuse.errors import ValidationError
@@ -12,8 +13,8 @@ from kgfuse.kg import (DIR_IN, DIR_OUT, KnowledgeGraph, NamedRecord, Triplet,
                        draw_candidates, expand_subgraph, holdout_edges, load_kg,
                        negative_indices, sample_negatives, split_triplet_list)
 
-from helpers import (negative_ends, reference_expand_subgraph, reference_sample_negatives,
-                     write_kg_tsv)
+from helpers import (negative_ends, reference_expand_subgraph, reference_negative_indices,
+                     reference_sample_negatives, write_kg_tsv)
 
 
 def small_kg() -> KnowledgeGraph:
@@ -361,6 +362,90 @@ class TestSampleNegatives:
         for positive in (Triplet(99, 0, 1), Triplet(0, 0, 99), Triplet(0, 9, 1)):
             with pytest.raises(ValidationError, match="99|9"):
                 sample_negatives(kg, positive, 4, seed=0)
+
+
+def _sampler_outcome(sampler, kg, dense, n, seed, max_retries):
+    """What one negative sampler call gives: its coins and replacements as
+    bytes, or its error message."""
+    try:
+        coin, replacement = sampler(kg, dense, n, seed, max_retries=max_retries)
+    except ValidationError as exc:
+        return "error", str(exc)
+    assert coin.shape == replacement.shape == (len(dense), n)
+    return coin.tobytes(), replacement.tobytes()
+
+
+class TestNegativeIndicesEqualsReference:
+    """The one-compaction sampler against its earlier array form, call by
+    call; the rounds each call drew are counted to show which paths ran."""
+
+    def _check(self, monkeypatch, kg, cases, max_retries=1000):
+        rounds, draws = [], []
+        draw = kg_module.draw_candidates
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(kg_module, "draw_candidates", counted)
+        for dense, n, seed in cases:
+            draws.clear()
+            got = _sampler_outcome(negative_indices, kg, dense, n, seed, max_retries)
+            rounds.append(len(draws))
+            assert got == _sampler_outcome(reference_negative_indices, kg, dense, n, seed,
+                                           max_retries), (len(dense), n, seed)
+        return np.array(rounds)
+
+    @staticmethod
+    def _positives(kg, rng, count):
+        return kg.dense[rng.integers(0, len(kg.dense), size=count)]
+
+    def test_pretraining_size(self, monkeypatch):
+        # 361 held-out positives and n = 128, as in a default pretraining step.
+        kg = generate_corpus(Config(), seed=17).kg
+        rng = np.random.default_rng(50)
+        rounds = self._check(monkeypatch, kg, [(self._positives(kg, rng, 361), 128, seed)
+                                               for seed in range(200)])
+        assert (rounds >= 1).all()
+
+    def test_criterion_5_graph(self, monkeypatch):
+        # Criterion 5's graph shape and step size.  On graph seed 1 about one
+        # call in ten needs a second round (on seed 5, one in a hundred).
+        kg = generate_corpus(Config(corpus_entities=50, corpus_relations=4,
+                                    corpus_triplets=300, corpus_examples=4), seed=1).kg
+        rng = np.random.default_rng(51)
+        rounds = self._check(monkeypatch, kg, [(self._positives(kg, rng, 32), 32, [seed, 7])
+                                               for seed in range(200)])
+        assert (rounds == 1).sum() > 100 and (rounds > 1).sum() >= 5
+
+    def test_one_negative(self, monkeypatch):
+        kg = toy_corpus_kg()
+        rng = np.random.default_rng(52)
+        rounds = self._check(monkeypatch, kg, [(self._positives(kg, rng, 1 + seed % 40), 1, seed)
+                                               for seed in range(200)])
+        assert (rounds == 1).all()
+
+    def test_dense_graph_many_rounds(self, monkeypatch):
+        # Eight entities, two relations and about 70% of every possible
+        # triplet: most candidates collide, so calls run several rounds.
+        rng = np.random.default_rng(53)
+        entities = {e: NamedRecord(f"e{e}", "d") for e in range(8)}
+        relations = {0: NamedRecord("r0", "d"), 1: NamedRecord("r1", "d")}
+        triplets = [Triplet(h, r, t) for h in range(8) for r in range(2) for t in range(8)
+                    if rng.random() < 0.7]
+        kg = KnowledgeGraph(entities, relations, triplets)
+        cases = [(self._positives(kg, rng, 1 + seed % 12), (1, 4, 16, 40)[seed % 4], seed)
+                 for seed in range(200)]
+        rounds = self._check(monkeypatch, kg, cases, max_retries=10_000)
+        assert (rounds >= 3).sum() >= 50
+        # The retry limit: a limit of 1 to 60 rejections fails some calls and
+        # passes others, with the same message, positive and count.
+        limited = [(dense, n, seed) for dense, n, seed in cases[:60]]
+        for limit in (1, 5, 20, 60):
+            self._check(monkeypatch, kg, limited, max_retries=limit)
+        outcomes = [_sampler_outcome(negative_indices, kg, dense, n, seed, 20)[0]
+                    for dense, n, seed in limited]
+        assert 0 < outcomes.count("error") < len(outcomes)
 
 
 class TestDrawCandidates:

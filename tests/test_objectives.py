@@ -17,9 +17,11 @@ from kgfuse.objectives import (ItcParams, MaskingRecord, ScoringTables,
                                itc_loss, linkpred_loss, mask_patches,
                                mask_spans, mlm_loss, mvm_loss, total_loss)
 from kgfuse.tensor import Tensor
+from kgfuse.train import train_kg_embeddings
 
 from helpers import (count_vjp_nodes, distmult, fd_input_grad, log_sigmoid, negative_ends,
-                     reference_negative_sampling_loss, reference_sample_negatives)
+                     reference_distmult_sampling_loss, reference_negative_sampling_loss,
+                     reference_sample_negatives)
 
 MASK = 1
 
@@ -262,79 +264,126 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def grid_indices(rng, p, n, shape):
-    """(P, 1 + n) row and column indices into ``shape``, every other row of
-    them repeating the (row, col) pairs of the first."""
-    rows = rng.integers(0, shape[0], size=(p, 1 + n))
-    cols = rng.integers(0, shape[1], size=(p, 1 + n))
-    rows[1::2], cols[1::2] = rows[0], cols[0]
-    return rows, cols
+def sampling_inputs(rng, p, n, rows, d, relations):
+    """Random tables and indices for ``T.distmult_sampling_loss``: P positives
+    with n corruptions each, over ``rows`` entity rows of width d.  Odd
+    positives repeat the endpoints, relation and candidates of the first,
+    each candidate row repeats within its positive, and every positive's
+    first candidate is its own head, a row both endpoint and candidate."""
+    entities = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-2, 1)
+    relation = rng.standard_normal((relations, d))
+    ends = rng.integers(0, rows, size=(p, 2))
+    rel = rng.integers(0, relations, size=p)
+    candidates = rng.integers(0, rows, size=(p, n))
+    coins = rng.integers(0, 2, size=(p, n))
+    ends[1::2], rel[1::2], candidates[1::2], coins[1::2] = ends[0], rel[0], candidates[0], coins[0]
+    candidates[:, 1::2] = candidates[:, :1]
+    candidates[:, 0] = ends[:, 0]
+    return entities, relation, ends, rel, candidates, coins
+
+
+def saturate(entities, relation, ends, rel, candidates):
+    """Make the first positive score +800 against itself and its first
+    corruption, and -800 against row 1, where sigmoid gradients underflow."""
+    c = np.sqrt(800.0 / entities.shape[1])
+    entities[0], entities[1 % len(entities)], relation[0] = c, -c, 1.0
+    ends[0], rel[0] = 0, 0
+    candidates[0, 0], candidates[0, -1] = 0, 1 % len(entities)
 
 
 class TestNegativeSamplingNode:
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_bitwise_equals_chain(self, gamma):
+        # The loss and both table gradients against the seven-node chain.
         rng = np.random.default_rng(40)
-        for trial in range(40):
-            p, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
-            shape = (int(rng.integers(1, 9)), int(rng.integers(1, 30)))
-            data = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3)
-            # Saturated scores, where the log-sigmoid gradients underflow.
-            data.flat[rng.integers(0, data.size, size=3)] = [800.0, -800.0, 40.0]
-            rows, cols = grid_indices(rng, p, n, shape)
+        for trial in range(60):
+            p = (1, 2, 361)[trial] if trial < 3 else int(rng.integers(1, 40))
+            n = (1, 7, 128)[trial] if trial < 3 else int(rng.integers(1, 70))
+            rows = int(rng.integers(1, 400)) if trial != 2 else 400
+            d, relations = int(rng.integers(1, 20)), int(rng.integers(1, 6))
+            entities, relation, ends, rel, candidates, coins = sampling_inputs(
+                rng, p, n, rows, d, relations)
+            if trial % 3 == 0:
+                saturate(entities, relation, ends, rel, candidates)
+            # Pretraining scores a concat of two tables, a non-leaf node.
+            split = int(rng.integers(0, rows + 1)) if trial % 2 else None
             scale = 1.0 if trial % 2 else 0.7   # the gradient reaching the loss
             results = []
-            for build in (lambda s: T.negative_sampling_loss(s, rows, cols, gamma),
-                          lambda s: reference_negative_sampling_loss(T.reshape(
-                              T.take_pairs(s, rows.ravel(), cols.ravel()), rows.shape),
-                              gamma)):
-                scores = Tensor(data, requires_grad=True)
-                loss = build(scores)
+            for build in (T.distmult_sampling_loss, reference_distmult_sampling_loss):
+                leaves = [Tensor(part, requires_grad=True) for part in
+                          ([entities] if split is None
+                           else [entities[:split], entities[split:]])]
+                table = leaves[0] if split is None else T.concat(leaves)
+                relation_table = Tensor(relation, requires_grad=True)
+                loss = build(table, relation_table, ends, rel, candidates, coins, gamma)
                 grads = T.backward(T.mul(loss, scale))
-                results.append((loss.data.tobytes(), grads[scores].tobytes()))
-            assert results[0] == results[1]
+                results.append([loss.data.tobytes(), grads[relation_table].tobytes()]
+                               + [grads[leaf].tobytes() for leaf in leaves])
+            assert results[0] == results[1], trial
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(41)
-        rows, cols = grid_indices(rng, 5, 6, (4, 7))
-        data = rng.standard_normal((4, 7))
-        scores = Tensor(data, requires_grad=True)
-        grad = T.backward(T.negative_sampling_loss(scores, rows, cols, 0.3))[scores]
-        numeric = fd_input_grad(lambda x: T.negative_sampling_loss(
-            Tensor(x), rows, cols, 0.3).item(), data.copy())
-        np.testing.assert_allclose(grad, numeric, rtol=1e-7, atol=1e-10)
+        entities, relation, ends, rel, candidates, coins = sampling_inputs(rng, 5, 6, 7, 3, 2)
+
+        def loss(e, r):
+            return T.distmult_sampling_loss(e, r, ends, rel, candidates, coins, 0.3)
+
+        e, r = Tensor(entities, requires_grad=True), Tensor(relation, requires_grad=True)
+        grads = T.backward(loss(e, r))
+        numeric_e = fd_input_grad(lambda x: loss(Tensor(x), Tensor(relation)).item(),
+                                  entities.copy())
+        numeric_r = fd_input_grad(lambda x: loss(Tensor(entities), Tensor(x)).item(),
+                                  relation.copy())
+        np.testing.assert_allclose(grads[e], numeric_e, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(grads[r], numeric_r, rtol=1e-7, atol=1e-10)
 
     def test_bad_inputs(self):
-        scores = Tensor(np.zeros((3, 4)))
-        rows, cols = np.zeros((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64)
-        for args in ((Tensor(np.zeros(4)), rows, cols), (scores, rows[:, :1], cols[:, :1]),
-                     (scores, rows[:0], cols[:0]), (scores, rows, cols[:, :2]),
-                     (scores, rows.ravel(), cols.ravel())):
-            with pytest.raises(ValidationError, match="expects 2-D scores"):
-                T.negative_sampling_loss(*args, 0.0)
-        for bad_rows, bad_cols in ((rows + 3, cols), (rows, cols + 3), (rows - 1, cols)):
+        table, relation = Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4)))
+        ends, rel = np.zeros((2, 2), dtype=np.int64), np.zeros(2, dtype=np.int64)
+        candidates, coins = np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64)
+        for args in ((Tensor(np.zeros(4)), relation, ends, rel, candidates, coins),
+                     (table, Tensor(np.zeros((2, 5))), ends, rel, candidates, coins),
+                     (table, relation, ends[:, :1], rel, candidates, coins),
+                     (table, relation, ends[:0], rel[:0], candidates[:0], coins[:0]),
+                     (table, relation, ends, rel[:1], candidates, coins),
+                     (table, relation, ends, rel, candidates[:, :0], coins[:, :0]),
+                     (table, relation, ends, rel, candidates, coins[:, :2]),
+                     (table, relation, ends, rel, candidates[:1], coins[:1])):
+            with pytest.raises(ValidationError, match="distmult_sampling_loss expects"):
+                T.distmult_sampling_loss(*args, 0.0)
+        for bad in ((ends + 3, rel, candidates, coins), (ends - 1, rel, candidates, coins),
+                    (ends, rel + 2, candidates, coins), (ends, rel - 1, candidates, coins),
+                    (ends, rel, candidates + 2, coins), (ends, rel, candidates - 2, coins),
+                    (ends, rel, candidates, coins + 1), (ends, rel, candidates, coins - 2)):
             with pytest.raises(ValidationError, match="index out of range"):
-                T.negative_sampling_loss(scores, bad_rows, bad_cols, 0.0)
+                T.distmult_sampling_loss(table, relation, *bad, 0.0)
 
     def test_non_finite_values_raise(self):
-        rows, cols = np.array([[0, 1, 1]]), np.array([[0, 0, 1]])
+        ends, rel = np.array([[0, 1]]), np.array([0])
+        candidates, coins = np.array([[1, 1]]), np.array([[0, 0]])
+        relation = Tensor(np.ones((1, 1)))
         # A score plus the margin overflows, as the chain's add node did.
-        overflow = Tensor(np.array([[1.7e308, 1.0], [1.0, 1.0]]))
-        with pytest.raises(NumericsError, match="negative_sampling_loss"):
-            T.negative_sampling_loss(overflow, rows, cols, 1e308)
+        overflow = Tensor(np.array([[1e154], [1.7e154]]))
+        with pytest.raises(NumericsError, match="distmult_sampling_loss"):
+            T.distmult_sampling_loss(overflow, relation, ends, rel, candidates, coins, 1e308)
         # Two finite negative terms of 1.5e308 overflow their sum.
-        huge = Tensor(np.array([[0.0, 0.0], [1.5e308, 1.5e308]]))
-        with pytest.raises(NumericsError, match="negative_sampling_loss"):
-            T.negative_sampling_loss(huge, rows, cols, 0.0)
+        huge = Tensor(np.array([[1e154], [1.5e154]]))
+        with pytest.raises(NumericsError, match="distmult_sampling_loss"):
+            T.distmult_sampling_loss(huge, relation, ends, rel, candidates, coins, 0.0)
+        # The tail's query overflows, as the chain's mul node did, though no
+        # score reads it and every read score is finite; its VJP would
+        # multiply that inf by zeros into NaN.
+        with pytest.raises(NumericsError, match="distmult_sampling_loss"):
+            T.distmult_sampling_loss(Tensor(np.array([[1e-300], [1e300]])),
+                                     Tensor(np.array([[1e10]])), ends, rel,
+                                     np.array([[0, 0]]), coins, 0.0)
 
-    def test_linkpred_loss_is_seven_nodes(self):
-        # Two table gathers, the query product and its reshape, the table
-        # transpose and the scoring matmul, then the loss.
+    def test_linkpred_loss_is_one_node(self):
         kg, tables = scoring_fixture(n=3, gamma=0.5)
         tables.entity_matrix.requires_grad = tables.relation_matrix.requires_grad = True
         loss = linkpred_loss([Triplet(0, 0, 1), Triplet(2, 1, 3)], tables, kg, seed=0)
-        assert loss.op == "negative_sampling_loss"
-        assert count_vjp_nodes(loss) == 7
+        assert loss.op == "distmult_sampling_loss"
+        assert count_vjp_nodes(loss) == 1
 
 
 class TestLinkpredLoss:
@@ -538,6 +587,34 @@ class TestLinkpredLoss:
         kg, tables = scoring_fixture()
         with pytest.raises(ValidationError):
             linkpred_loss([], tables, kg, seed=0)
+        with pytest.raises(ValidationError):
+            linkpred_loss(np.empty((0, 3), dtype=np.int64), tables, kg, seed=0)
+
+    def test_dense_positives_equal_id_triplets(self):
+        kg = generate_corpus(Config(corpus_entities=50, corpus_relations=4,
+                                    corpus_triplets=300, corpus_examples=4), seed=5).kg
+        rng = np.random.default_rng(12)
+        positives = [kg.triplets[i] for i in rng.integers(0, len(kg.triplets), size=20)]
+        entities, relations = rng.standard_normal((50, 4)), rng.standard_normal((4, 4))
+        results = []
+        for given in (positives, kg.index_triplets(positives)):
+            tables = ScoringTables(Tensor(entities, requires_grad=True), np.arange(50),
+                                   Tensor(relations, requires_grad=True), np.arange(4),
+                                   gamma=0.2, n=16)
+            loss = linkpred_loss(given, tables, kg, seed=[9, 1])
+            grads = T.backward(loss)
+            results.append((loss.data.tobytes(), grads[tables.entity_matrix].tobytes(),
+                            grads[tables.relation_matrix].tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5])
+    def test_margin_must_be_finite_and_nonnegative(self, gamma):
+        with pytest.raises(ValidationError, match="margin gamma must be finite and >= 0"):
+            scoring_fixture(gamma=gamma)
+        # Training rejects it before the first step, not as a loss overflow.
+        kg = scoring_fixture()[0]
+        with pytest.raises(ValidationError, match="margin gamma must be finite and >= 0"):
+            train_kg_embeddings(kg, steps=1, gamma=gamma, drop_rate=0.4)
 
 
 class TestItcLoss:

@@ -79,7 +79,7 @@ def test_reused_plan_gives_fresh_bundle_values(setting):
     again = compute_step(params, corpus, memory, plan)
     fresh = compute_step(params, corpus, memory, fresh_plan())
     assert kept(plan, "inputs") is inputs and kept(plan, "sample") is sample
-    assert first.sample.positives
+    assert len(first.sample.positives)
     assert again.bundle.values() == fresh.bundle.values() == first.bundle.values()
     assert again.retrieved == fresh.retrieved
 

@@ -651,7 +651,7 @@ class TestNoGrad:
         assert T.is_grad_enabled()
 
     @pytest.mark.parametrize("kernel", ["transformer_block", "graph_attention",
-                                        "negative_sampling_loss"])
+                                        "distmult_sampling_loss"])
     def test_values_are_bitwise_the_grad_mode_values(self, kernel):
         if kernel == "transformer_block":
             leaves, valid = _block_inputs((3, 6, 8), 2, True, 70)
@@ -661,9 +661,12 @@ class TestNoGrad:
             build = lambda: T.graph_attention(*leaves, edges)
         else:
             rng = np.random.default_rng(72)
-            scores = T.Tensor(rng.standard_normal((4, 7)), requires_grad=True)
-            rows, cols = rng.integers(0, 4, size=(5, 6)), rng.integers(0, 7, size=(5, 6))
-            build = lambda: T.negative_sampling_loss(scores, rows, cols, 0.3)
+            entities = T.Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+            relations = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            ends, rel = rng.integers(0, 7, size=(5, 2)), rng.integers(0, 3, size=5)
+            candidates, coins = rng.integers(0, 7, size=(5, 6)), rng.integers(0, 2, size=(5, 6))
+            build = lambda: T.distmult_sampling_loss(entities, relations, ends, rel,
+                                                     candidates, coins, 0.3)
         graded = build()
         with T.no_grad():
             bare = build()
