@@ -148,6 +148,8 @@ class Config:
                      "w_mlm", "w_mvm", "w_linkpred", "w_itc"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+        if not (self.w_mlm or self.w_mvm or self.w_linkpred or self.w_itc):
+            raise ValidationError("at least one loss weight must be > 0")
         if self.vocab <= self.RESERVED_TOKENS + self.corpus_entities:
             raise ValidationError(
                 f"vocab {self.vocab} too small for {self.corpus_entities} entity tokens")

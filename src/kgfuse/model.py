@@ -50,14 +50,14 @@ from .gnn import GnnParams, forward_relation_rows, gnn_encode, init_gnn
 from .kg import (KnowledgeGraph, Subgraph, disjoint_union,
                  expand_subgraph, split_triplet_list)
 from .objectives import (ItcParams, LossBundle, MaskingRecord, ScoringTables,
-                         init_itc, itc_loss, linkpred_loss, mask_patches,
-                         mask_spans, mlm_loss, mvm_loss, total_loss)
+                         init_itc, itc_loss, linkpred_loss, loss_weights,
+                         mask_patches, mask_spans, mlm_loss, mvm_loss, total_loss)
 from .retriever import (EntityMemory, RetrievedEntitySet, relevance_weights,
                         retrieve_from_scores, score_patches)
 from .tensor import Parameters, Tensor
 
 ALL_LOSSES = ("mlm", "mvm", "linkpred", "itc")
-# An inactive objective's loss: one object, so that the bundle's memo key,
+# A zero-weight objective's loss: one object, so that the bundle's memo key,
 # which matches tensors by identity, can hit.
 _ZERO = T.constant(0.0)
 _ZERO.data.setflags(write=False)
@@ -159,9 +159,9 @@ def entity_fallback_table(params: ModelParams, memory: EntityMemory) -> Tensor:
 
 @dataclass
 class StepOutput:
-    """Every output of one step.  A stage that ``active`` skipped leaves its
-    fields None (``retrieved`` empty); a no-grad memo hit gives the memo's
-    own objects, to be read, not written."""
+    """Every output of one step.  A stage that no nonzero-weight loss reads
+    is skipped and leaves its fields None (``retrieved`` empty); a no-grad
+    memo hit gives the memo's own objects, to be read, not written."""
 
     inputs: BatchInputs
     bundle: LossBundle | None = None
@@ -317,20 +317,23 @@ def retrieve_images(params: ModelParams, memory: EntityMemory, images: np.ndarra
 
 def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                  memory: EntityMemory, plan: BatchPlan,
-                 active: tuple[str, ...] = ALL_LOSSES) -> StepOutput:
+                 weights: tuple[float, float, float, float] | None = None) -> StepOutput:
     """Forward pass for one batch under ``corpus.config``, returning the
     :class:`StepOutput` record of every stage it ran.
 
-    ``active`` limits which objectives are computed (the others contribute
-    exact zeros); inactive stages of the pipeline are skipped entirely so
-    single-loss gradient checks stay cheap.  Each stage goes through
-    :func:`_reuse` on ``plan.memo``: the batch inputs and graph sample in
-    either mode, and under :func:`tensor.no_grad` the seven parameter stages
-    too, keyed on their upstream outputs and parameter bits, and the MLM
-    loss, the MVM loss and the loss bundle, keyed on what each reads.
+    ``weights`` are :func:`total_loss`'s, checked by its rule before any
+    stage runs; None reads the config's ``w_*``.  A zero weight skips its
+    loss, an exact zero in the bundle, and every stage only zero-weight
+    losses read.  Each stage goes through :func:`_reuse` on ``plan.memo``:
+    the batch inputs and graph sample in either mode, and under
+    :func:`tensor.no_grad` the seven parameter stages too, keyed on their
+    upstream outputs and parameter bits, and the MLM loss, the MVM loss and
+    the loss bundle, keyed on what each reads.
     """
     config, kg, memo = corpus.config, corpus.kg, plan.memo
-    need_fusion = "mlm" in active or "mvm" in active
+    if weights is None:
+        weights = (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc)
+    w_mlm, w_mvm, w_linkpred, w_itc = weights = loss_weights(weights)
     mlm = mvm = linkpred = itc = _ZERO
 
     inputs = _reuse(memo, "inputs", (corpus,), lambda: batch_inputs(corpus, plan.examples))
@@ -352,7 +355,7 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
 
     out.vision, out.queries = stage("vision", (inputs,), lambda: vision_encode(
         inputs.patches, params.vision, inputs.masked))
-    if need_fusion or "itc" in active:
+    if w_mlm or w_mvm or w_itc:
         out.text = stage("text", (inputs,), lambda: text_encode(
             inputs.tokens, params.text, inputs.token_valid))
 
@@ -385,31 +388,30 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
                          params.fusion, inputs.token_valid, out.sample.entity_valid)
         return fused, fuse(fused, params.fusion)
 
-    if need_fusion or "linkpred" in active:
+    if w_mlm or w_mvm or w_linkpred:
         out.retrieved, out.relevance, out.sample, out.nodes = stage(
             "graph", (inputs, memory, out.queries), encode_graph)
 
-    if "linkpred" in active and len(out.sample.positives):
+    if w_linkpred and len(out.sample.positives):
         linkpred = stage("linkpred", (memory, out.sample, out.nodes), encode_linkpred)
 
-    if need_fusion:
+    if w_mlm or w_mvm:
         out.fused, out.hidden = stage(
             "fusion", (inputs, out.vision, out.text, out.sample, out.nodes), encode_fusion)
         out.heads = stage("heads", (inputs, out.fused, out.hidden), lambda: heads(
             out.hidden, out.fused, [r.token_positions for r in inputs.token_records],
             [r.patch_positions for r in inputs.patch_records], params.heads))
-        if "mlm" in active:
+        if w_mlm:
             mlm = stage("mlm", (inputs, out.heads), lambda: mlm_loss(
                 out.heads.mlm_logits, *inputs.token_records))
-        if "mvm" in active:
+        if w_mvm:
             mvm = stage("mvm", (inputs, out.heads), lambda: mvm_loss(
                 out.heads.mvm_pred, *inputs.patch_records))
 
-    if "itc" in active:
+    if w_itc:
         itc = stage("itc", (out.vision, out.text), lambda: itc_loss(
             T.tensor_mean(out.vision, axis=1), out.text[:, 0], params.itc))
 
-    weights = (config.w_mlm, config.w_mvm, config.w_linkpred, config.w_itc)
     out.bundle = stage("total", (mlm, mvm, linkpred, itc, weights),
                        lambda: total_loss(mlm, mvm, linkpred, itc, weights))
     return out
@@ -418,7 +420,9 @@ def compute_step(params: ModelParams, corpus: SyntheticCorpus,
 def single_loss_objective(params: ModelParams, corpus: SyntheticCorpus,
                           memory: EntityMemory, plan: BatchPlan,
                           loss_name: str):
-    """A pure function of the parameters suitable for finite differences.
+    """A pure function of the parameters suitable for finite differences:
+    ``loss_name``'s loss at weight 1 and the others' at 0, or for ``"total"``
+    the config's weighted total.
 
     Every call runs :func:`compute_step` on the same ``plan``, so its memo
     holds the batch inputs from the first call, and the graph sample while
@@ -426,14 +430,11 @@ def single_loss_objective(params: ModelParams, corpus: SyntheticCorpus,
     perturbed calls of :func:`tensor.finite_difference_check` are, also
     reuse every stage the perturbation cannot reach.
     """
-    if loss_name == "total":
-        active: tuple[str, ...] = ALL_LOSSES
-    elif loss_name in ALL_LOSSES:
-        active = (loss_name,)
-    else:
+    if loss_name not in (*ALL_LOSSES, "total"):
         raise ValidationError(f"unknown loss {loss_name!r}")
+    weights = None if loss_name == "total" else tuple(float(n == loss_name) for n in ALL_LOSSES)
 
     def objective() -> Tensor:
-        return compute_step(params, corpus, memory, plan, active=active).bundle.total
+        return compute_step(params, corpus, memory, plan, weights).bundle.total
 
     return objective

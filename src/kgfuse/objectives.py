@@ -285,12 +285,21 @@ def itc_loss(image_cls: Tensor, text_cls: Tensor, ip: ItcParams) -> Tensor:
     return T.mul(T.add(i2t, t2i), 0.5)
 
 
+def loss_weights(weights) -> tuple[float, float, float, float]:
+    """``weights`` as a tuple; raises unless it is four nonnegative numbers."""
+    try:
+        if len(weights) == 4 and all(w >= 0 for w in weights):
+            return tuple(weights)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"loss weights must be four nonnegative numbers, got {weights!r}")
+
+
 def total_loss(mlm: Tensor, mvm: Tensor, linkpred: Tensor, itc: Tensor,
                weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
                ) -> LossBundle:
     """Weighted sum of the four objectives."""
-    if len(weights) != 4 or any(w < 0 for w in weights):
-        raise ValidationError("loss weights must be four nonnegative numbers")
+    weights = loss_weights(weights)
     components = {"mlm": mlm, "mvm": mvm, "linkpred": linkpred, "itc": itc}
     for name, component in components.items():
         if component.size != 1:

@@ -343,6 +343,34 @@ def test_gradcheck_passes_on_tiny_config(tmp_path, tiny_config_file, capsys):
     assert out.count("ok") == 5
 
 
+def test_gradcheck_checks_a_zero_weight_loss_at_weight_one(tmp_path, tiny_config_file,
+                                                          capsys):
+    unweighted = tmp_path / "no_itc.cfg"
+    unweighted.write_text(TINY_CFG + "w_itc = 0\n")
+    reports = []
+    # Ten samples can all miss the coordinates the itc loss reads; forty do not.
+    for path in (tiny_config_file, unweighted):
+        assert main(["gradcheck", "--config", str(path), "--samples", "40"]) == 0
+        reports.append(dict(line.split("\t", 1) for line in
+                            capsys.readouterr().out.splitlines()))
+    assert "max_rel_err=0.000e+00" not in reports[1]["itc"]
+    # The itc objective is the same function whatever the config weighs it.
+    assert reports[1]["itc"] == reports[0]["itc"]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "gradcheck"])
+def test_a_config_that_weighs_no_loss_exits_one(tmp_path, command, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG + "".join(f"{name} = 0\n" for name in
+                                      ("w_mlm", "w_mvm", "w_linkpred", "w_itc")))
+    out = tmp_path / "run"
+    argv = [command, "--config", str(bad)] + (["--out", str(out)] if command == "pretrain" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: at least one loss weight must be > 0\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_key = 1\n")

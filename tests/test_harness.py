@@ -342,6 +342,18 @@ class TestPretrain:
         for row in result.metrics:
             assert all(math.isfinite(v) for v in row[1:])
 
+    def test_a_zero_weight_loss_is_never_computed(self, monkeypatch):
+        config = Config(**{**TINY, "w_itc": 0.0})
+        calls = []
+        itc_loss = model.itc_loss
+        monkeypatch.setattr(model, "itc_loss", lambda *args: calls.append(args) or itc_loss(*args))
+        result = pretrain(config, generate_corpus(config))
+        assert calls == []
+        assert len(result.metrics) == config.steps
+        for _, mlm, mvm, linkpred, itc, total in result.metrics:
+            assert itc == 0.0 and mlm > 0.0
+            assert total == (mlm + mvm) + (linkpred + 0.0)
+
     def test_metrics_text_roundtrip(self):
         config = Config(**TINY)
         result = pretrain(config, generate_corpus(config))

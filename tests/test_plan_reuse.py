@@ -20,6 +20,7 @@ from kgfuse import gnn, model
 from kgfuse import tensor as T
 from kgfuse.config import Config
 from kgfuse.data import corpus_memory, generate_corpus
+from kgfuse.errors import ValidationError
 from kgfuse.model import (ALL_LOSSES, build_model, compute_step, make_batch_plan,
                           single_loss_objective)
 from kgfuse.retriever import build_memory
@@ -69,6 +70,16 @@ def test_reused_plan_equals_fresh_plans_bitwise(setting, loss_name):
                              evaluate(params, corpus, memory, fresh_plan(), loss_name))
     assert "inputs" in plan.memo
     assert ("sample" in plan.memo) == (loss_name != "itc")
+
+
+def test_a_single_loss_objective_weighs_its_loss_one_whatever_the_config(setting):
+    corpus, params, memory = setting
+    unweighted = dataclasses.replace(SMALL, w_itc=0.0)
+    other = generate_corpus(unweighted)
+    got = evaluate(params, other, corpus_memory(other), fresh_plan(), "itc")
+    want = evaluate(params, corpus, memory, fresh_plan(), "itc")
+    assert got[0] != 0.0
+    assert_bitwise_equal(got, want)
 
 
 def test_reused_plan_gives_fresh_bundle_values(setting):
@@ -197,8 +208,8 @@ def test_sampling_runs_once_per_retrieval(monkeypatch):
                      "split_triplet_list": batch * changes,
                      "mask_spans": batch, "mask_patches": batch,
                      "_edge_lists": changes}
-    # Grad mode runs every active stage; the no-grad evaluations rerun only
-    # the stages a perturbation reaches.
+    # Grad mode runs every stage a nonzero weight reads; the no-grad
+    # evaluations rerun only the stages a perturbation reaches.
     assert stage_calls == {"vision_encode": [5, 1], "text_encode": [4, 1],
                            "gnn_encode": [4, 1], "linkpred_loss": [2, 1],
                            "fuse": [3, 1], "heads": [3, 8], "itc_loss": [2, 1]}
@@ -325,7 +336,7 @@ def test_a_warm_no_grad_pass_rebuilds_no_loss(setting, monkeypatch, loss_name):
     plan = fresh_plan()
     base = value_without_grad(params, corpus, memory, plan, loss_name)
     calls.update(dict.fromkeys(calls, 0))
-    # The "mlm" bundle holds three inactive zeros, which must match too.
+    # The "mlm" bundle holds three zero-weight losses' zeros, which must match too.
     assert value_without_grad(params, corpus, memory, plan, loss_name) == base
     assert calls == dict.fromkeys(calls, 0)
 
@@ -443,13 +454,20 @@ STAGE_FIELDS = {"vision": ("vision", "queries"), "text": ("text",),
                 "fusion": ("fused", "hidden"), "heads": ("heads",)}
 
 
-def filled_fields(active):
-    """The record fields a step with ``active`` fills."""
-    fusion = "mlm" in active or "mvm" in active
-    stages = {"vision": True, "text": fusion or "itc" in active,
-              "graph": fusion or "linkpred" in active, "fusion": fusion, "heads": fusion}
+def filled_fields(weights):
+    """The record fields a step with loss weights ``weights`` fills."""
+    mlm, mvm, linkpred, itc = weights
+    fusion = bool(mlm or mvm)
+    stages = {"vision": True, "text": fusion or bool(itc),
+              "graph": fusion or bool(linkpred), "fusion": fusion, "heads": fusion}
     return {"inputs", "bundle"} | {name for stage, ran in stages.items() if ran
                                    for name in STAGE_FIELDS[stage]}
+
+
+def filled(out):
+    """The record fields ``out`` holds a value in."""
+    return {f.name for f in dataclasses.fields(out)
+            if getattr(out, f.name) is not None and getattr(out, f.name) != []}
 
 
 def same_bits(got, want) -> bool:
@@ -467,19 +485,44 @@ def same_bits(got, want) -> bool:
     return got == want
 
 
-ACTIVE_SUBSETS = [subset for n in range(1, len(ALL_LOSSES) + 1)
-                  for subset in itertools.combinations(ALL_LOSSES, n)]
+# The 15 nonzero patterns of zero and unit loss weights, each named by the
+# losses it weighs.
+WEIGHT_PATTERNS = {"+".join(subset): tuple(float(name in subset) for name in ALL_LOSSES)
+                   for n in range(1, len(ALL_LOSSES) + 1)
+                   for subset in itertools.combinations(ALL_LOSSES, n)}
 
 
-@pytest.mark.parametrize("active", ACTIVE_SUBSETS, ids="+".join)
-def test_a_skipped_stage_leaves_its_fields_empty(setting, active):
+@pytest.mark.parametrize("weights", WEIGHT_PATTERNS.values(), ids=WEIGHT_PATTERNS.keys())
+def test_a_skipped_stage_leaves_its_fields_empty(setting, weights):
     corpus, params, memory = setting
-    out = compute_step(params, corpus, memory, fresh_plan(), active)
-    empty = {f.name for f in dataclasses.fields(out)
-             if getattr(out, f.name) is None or getattr(out, f.name) == []}
-    assert {f.name for f in dataclasses.fields(out)} - empty == filled_fields(active)
-    if "retrieved" in empty:
+    out = compute_step(params, corpus, memory, fresh_plan(), weights)
+    assert filled(out) == filled_fields(weights)
+    if "retrieved" not in filled(out):
         assert out.retrieved == []   # a list, not None
+    for name, weight in zip(ALL_LOSSES, weights):
+        assert (getattr(out.bundle, name) is model._ZERO) == (weight == 0), name
+
+
+def test_half_weights_run_the_stages_unit_weights_run(setting):
+    corpus, params, memory = setting
+    for weights in WEIGHT_PATTERNS.values():
+        halves = tuple(0.5 * w for w in weights)
+        one = compute_step(params, corpus, memory, fresh_plan(), weights)
+        half = compute_step(params, corpus, memory, fresh_plan(), halves)
+        assert filled(half) == filled(one) == filled_fields(weights), weights
+        for name in ALL_LOSSES:
+            assert getattr(half.bundle, name).item() == getattr(one.bundle, name).item()
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 1.0, 1.0, -1.0), (1.0, 1.0, 1.0, np.nan),
+                                     ("a", "b", "c", "d"), 4.0],
+                         ids=["short", "negative", "nan", "strings", "scalar"])
+def test_bad_weights_raise_before_any_stage_runs(setting, weights):
+    corpus, params, memory = setting
+    plan = fresh_plan()
+    with pytest.raises(ValidationError, match="four nonnegative numbers"):
+        compute_step(params, corpus, memory, plan, weights)
+    assert plan.memo == {}
 
 
 def test_a_no_grad_memo_hit_hands_back_the_kept_objects(setting):
@@ -498,10 +541,10 @@ def test_a_no_grad_memo_hit_hands_back_the_kept_objects(setting):
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
-@pytest.mark.parametrize("loss_name", ALL_LOSSES + ("total",))
-def test_every_record_field_equals_a_fresh_plans_bitwise(setting, loss_name, grad):
+@pytest.mark.parametrize("weights", [*WEIGHT_PATTERNS.values(), None],
+                         ids=[*WEIGHT_PATTERNS.keys(), "total"])
+def test_every_record_field_equals_a_fresh_plans_bitwise(setting, weights, grad):
     corpus, params, memory = setting
-    active = ALL_LOSSES if loss_name == "total" else (loss_name,)
     plan = fresh_plan()
     mode = contextlib.nullcontext if grad else T.no_grad
     # A pass with other retrieval weights leaves the memo keyed on them.  The
@@ -511,10 +554,10 @@ def test_every_record_field_equals_a_fresh_plans_bitwise(setting, loss_name, gra
     original = tensor.data.copy()
     with mode():
         tensor.data += 5.0 * np.random.default_rng(0).standard_normal(original.shape)
-        moved = compute_step(params, corpus, memory, plan, active)
+        moved = compute_step(params, corpus, memory, plan, weights)
         tensor.data[...] = original
-        warm = compute_step(params, corpus, memory, plan, active)
-        fresh = compute_step(params, corpus, memory, fresh_plan(), active)
+        warm = compute_step(params, corpus, memory, plan, weights)
+        fresh = compute_step(params, corpus, memory, fresh_plan(), weights)
     assert not same_bits(moved.queries, fresh.queries)
     for f in dataclasses.fields(warm):
         assert same_bits(getattr(warm, f.name), getattr(fresh, f.name)), f.name
